@@ -17,8 +17,9 @@ from .coalgebra import (BOT, Coalgebra, bisimilarity, final_coalgebra,
                         show_functor, step, terminal_sequence,
                         weak_bisim_delay)
 from .kernel import Context, Fuel, TypeCheckError, UnknownConversion, whnf
-from .model import (MArrow, MClk, MEq, MExists, MFin, MForall, MLater,
-                    MMu, MProd, MSum, MTop, Model, check_forall_prod_dist,
+from .model import (FreshClockExhausted, MArrow, MClk, MEq, MExists, MFin,
+                    MForall, MLater, MMu, MProd, MSum, MTop, Model,
+                    check_forall_prod_dist,
                     check_forall_sum_dist, check_functoriality,
                     check_force, check_invariance, clk_psh, const_psh,
                     eval_type, exists_forall_experiment, mu,
@@ -27,7 +28,8 @@ from .parser import (ParseError, parse_declarations, parse_term,
                      parse_theory_file)
 from .printer import show_alg_term, show_term
 from .report import (FAIL, PASS, TRUNCATION_ARTIFACT, UNKNOWN, Report)
-from .theories import (BUILTINS, Budget, CheckResult, check_preserves_monos,
+from .theories import (BUILTINS, Budget, BudgetExceeded, CheckResult,
+                       check_preserves_monos,
                        check_preserves_pullbacks_of_monos, drop_equations,
                        free_model, theory_from_file)
 
@@ -212,6 +214,32 @@ def _suite_fixpoints(model: Model, rep: Report) -> None:
                        "terminal stage")
 
 
+def _model_args_ok(cmd: str, args) -> bool:
+    """The time category needs a clock pool and at least two stages."""
+    if args.pool >= 1 and args.bound >= 2:
+        return True
+    print(f"clott {cmd}: need --pool >= 1 and --bound >= 2 "
+          f"(got --pool {args.pool} --bound {args.bound})", file=sys.stderr)
+    return False
+
+
+def run_model_suite(model: Model, suite: str, rep: Report) -> int:
+    """Run one model suite (or all of them) into rep.  A budget overrun
+    ends the run with an unknown verdict that carries the reason."""
+    suites = {"invariance": _suite_invariance, "force": _suite_force,
+              "distribution": _suite_distribution,
+              "experiments": _suite_experiments,
+              "fixpoints": _suite_fixpoints}
+    for name in suites if suite == "all" else (suite,):
+        try:
+            suites[name](model, rep)
+        except (BudgetExceeded, FreshClockExhausted) as exc:
+            rep.add(f"{name}/budget", UNKNOWN,
+                    {"reason": f"{type(exc).__name__}: {exc}"})
+            break
+    return rep.exit_code()
+
+
 def cmd_model(args) -> tuple[int, Report]:
     rep = Report("model verify",
                  {"suite": args.suite, "pool": args.pool,
@@ -220,17 +248,10 @@ def cmd_model(args) -> tuple[int, Report]:
         print(f"clott model verify: unknown suite {args.suite!r} "
               f"(choose from {', '.join(MODEL_SUITES)})", file=sys.stderr)
         return EXIT_USAGE, rep
+    if not _model_args_ok("model verify", args):
+        return EXIT_USAGE, rep
     model = Model(pool=args.pool, bound=args.bound)
-    suites = {"invariance": _suite_invariance, "force": _suite_force,
-              "distribution": _suite_distribution,
-              "experiments": _suite_experiments,
-              "fixpoints": _suite_fixpoints}
-    if args.suite == "all":
-        for fn in suites.values():
-            fn(model, rep)
-    else:
-        suites[args.suite](model, rep)
-    return rep.exit_code(), rep
+    return run_model_suite(model, args.suite, rep), rep
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +481,8 @@ def cmd_suite(args) -> tuple[int, Report]:
     if args.name not in SUITES:
         print(f"clott suite: unknown suite {args.name!r} "
               f"(choose from {', '.join(SUITES)})", file=sys.stderr)
+        return EXIT_USAGE, rep
+    if args.name == "requirements" and not _model_args_ok("suite", args):
         return EXIT_USAGE, rep
     {"requirements": _suite_requirements, "figures": _suite_figures,
      "theories": _suite_theories,

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from ..theories import Budget, BudgetExceeded, canon_key, csorted
+from ..theories import Budget, BudgetExceeded, csorted
 from .timecat import (ElObj, FinCategory, TimeMor, TimeObj,
                       enumerate_category, mor_key, obj_key, pool_names,
                       slice_category)
@@ -50,6 +51,24 @@ class Model:
     def cat(self, kind: str) -> FinCategory:
         return self.time if kind == "time" else self.slice
 
+    @cached_property
+    def fresh_tops(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Ids in the slice of each inner object and morphism with the
+        deterministic fresh clock added at the top stage N−1 and marked;
+        the slice's stage shift gives the lower stages."""
+        top = self.bound - 1
+        obj_id, mor_id = self.slice.obj_id, self.slice.mor_id
+        fresh = {o: self.fresh_clock(o) for o in self.time_inner.objects}
+
+        def marked(o: TimeObj) -> ElObj:
+            return ElObj(o.add_clock(fresh[o], top), fresh[o])
+        objs = tuple(obj_id[marked(o)] for o in self.time_inner.objects)
+        mors = tuple(
+            mor_id[TimeMor(marked(m.src), marked(m.dst), tuple(sorted(
+                m.sigma + ((fresh[m.src], fresh[m.dst]),))))]
+            for m in self.time_inner.morphisms)
+        return objs, mors
+
 
 def _full_subcat(cat: FinCategory, keep) -> FinCategory:
     objs = tuple(o for o in cat.objects if keep(o))
@@ -83,10 +102,6 @@ class Psh:
 
     def restrict(self, m: TimeMor, x):
         return self.act[m][x]
-
-
-def _sorted_fib(fib: dict) -> dict:
-    return {o: tuple(csorted(v)) for o, v in fib.items()}
 
 
 def const_psh(cat: FinCategory, elems) -> Psh:
@@ -138,41 +153,38 @@ def arrow(a: Psh, b: Psh, budget: Budget | None = None) -> Psh:
     budget = budget or Budget()
     a, b = align(a, b)
     cat = a.cat
-    out = {o: [] for o in cat.objects}
-    for m in cat.morphisms:
-        out[m.src].append(m)
-    for o in out:
-        out[o].sort(key=mor_key)
-    index = {o: {m: i for i, m in enumerate(out[o])} for o in cat.objects}
-
-    fib = {}
-    for c in cat.objects:
-        fib[c] = tuple(_nats_at(c, a, b, out, index, cat, budget))
+    a_act = [a.act[m] for m in cat.morphisms]
+    b_act = [b.act[m] for m in cat.morphisms]
+    fib = {c: tuple(_nats_at(i, a, b, a_act, b_act, budget))
+           for i, c in enumerate(cat.objects)}
+    succ, table, out, pos = cat.succ, cat.table, cat.out, cat.pos
     act = {}
-    for m in cat.morphisms:
-        d = {}
-        for phi in fib[m.src]:
-            entries = []
-            for f in out[m.dst]:
-                composed = cat.compose(f, m)
-                entries.append(phi[1][index[m.src][composed]])
-            d[phi] = ("nat", tuple(entries))
-        act[m] = d
+    for j, m in enumerate(cat.morphisms):
+        d = cat.dst_ids[j]
+        # entry of f (out of dst m) in the image: the entry of f∘m in φ
+        place = [0] * len(out[d])
+        for f, fm in zip(succ[d], table[j]):
+            place[pos[f]] = pos[fm]
+        act[m] = {phi: ("nat", tuple([phi[1][p] for p in place]))
+                  for phi in fib[m.src]}
     return Psh(cat, fib, act)
 
 
-def _nats_at(c, a: Psh, b: Psh, out, index, cat, budget: Budget):
-    mors = out[c]
-    variables = [(i, x) for i, f in enumerate(mors) for x in a.fib[f.dst]]
+def _nats_at(c: int, a: Psh, b: Psh, a_act, b_act, budget: Budget):
+    cat = a.cat
+    succ, table, pos, dst = cat.succ, cat.table, cat.pos, cat.dst_ids
+    mors = cat.out[c]
+    dst_objs = [cat.objects[dst[f]] for f in mors]
+    variables = [(i, x) for i, d in enumerate(dst_objs) for x in a.fib[d]]
 
     def propagate(assign, queue):
         # assign is closed under naturality except for the queued entries
         while queue:
             (i, x), y = queue.pop()
             f = mors[i]
-            for g in out[f.dst]:
-                j = index[c][cat.compose(g, f)]
-                x2, y2 = a.act[g][x], b.act[g][y]
+            for g, gf in zip(succ[dst[f]], table[f]):
+                j = pos[gf]
+                x2, y2 = a_act[g][x], b_act[g][y]
                 cur = assign.get((j, x2))
                 if cur is None:
                     assign[(j, x2)] = y2
@@ -189,7 +201,7 @@ def _nats_at(c, a: Psh, b: Psh, out, index, cat, budget: Budget):
         for v in variables:
             if v not in assign:
                 i, x = v
-                for y in b.fib[mors[i].dst]:
+                for y in b.fib[dst_objs[i]]:
                     trial = dict(assign)
                     trial[v] = y
                     if propagate(trial, [(v, y)]):
@@ -198,8 +210,8 @@ def _nats_at(c, a: Psh, b: Psh, out, index, cat, budget: Budget):
         # encode positionally: per morphism f (sorted), the images of
         # A(dst f) in canonical fiber order
         results.append(("nat", tuple(
-            tuple(assign[(i, x)] for x in a.fib[f.dst])
-            for i, f in enumerate(mors))))
+            tuple(assign[(i, x)] for x in a.fib[d])
+            for i, d in enumerate(dst_objs))))
 
     search({})
     return csorted(set(results))
@@ -209,23 +221,39 @@ def _nats_at(c, a: Psh, b: Psh, out, index, cat, budget: Budget):
 # Chain limits, delay, clock quantification
 # ---------------------------------------------------------------------------
 
-def _chain_limit(psh: Psh, chain_objs, chain_mor) -> list:
-    """Limit of a finite inverse chain o_0 ← o_1 ← …: families compatible
-    with the stage-lowering maps, encoded ("tup", ((0,x_0), …)).  The top
-    element determines the family."""
-    k = len(chain_objs)
-    if k == 0:
-        return [("tup", ())]
-    elems = []
-    top = chain_objs[-1]
-    for x in psh.fib[top]:
-        family = [None] * k
-        family[k - 1] = x
-        for beta in range(k - 2, -1, -1):
-            m = chain_mor(beta + 1, beta)
-            family[beta] = psh.act[m][family[beta + 1]]
-        elems.append(("tup", tuple(enumerate(family))))
-    return csorted(set(elems))
+def _chain_limit(cat: FinCategory, fib: dict, act, chain) -> list:
+    """Limit of a finite inverse chain o_0 ← o_1 ← … of slice objects, given
+    by their ids in cat (one object at marked stages 0, 1, …), over the
+    fibers fib and the action act(morphism id) -> dict: the families
+    (x_0, x_1, …) compatible with the stage-lowering maps, in canonical
+    order.  The top element determines the family; the empty chain has one
+    empty family."""
+    if not chain:
+        return [()]
+    downs = cat.stage_shift[1]
+    steps = [act(downs[i]) for i in reversed(chain[1:])]
+    families = []
+    for x in fib[cat.objects[chain[-1]]]:
+        family = [x]
+        for step in steps:
+            family.append(step[family[-1]])
+        families.append(tuple(reversed(family)))
+    return csorted(set(families))
+
+
+def _families(x: Psh, chain) -> tuple:
+    """The chain limit of x over chain, encoded ("tup", ((0,x_0), …))."""
+    return tuple(("tup", tuple(enumerate(fam))) for fam in _chain_limit(
+        x.cat, x.fib, lambda j: x.act[x.cat.morphisms[j]], chain))
+
+
+def _stagewise(x: Psh, fams, stage_mors) -> dict:
+    """Act on encoded families stage by stage along stage_mors (ids in
+    x.cat, one per stage of the target)."""
+    acts = [x.act[x.cat.morphisms[j]] for j in stage_mors]
+    return {fam: ("tup", tuple((beta, act[e]) for (beta, e), act
+                               in zip(fam[1], acts)))
+            for fam in fams}
 
 
 def later(model: Model, x: Psh) -> Psh:
@@ -233,34 +261,12 @@ def later(model: Model, x: Psh) -> Psh:
     θ(λ); a singleton at stage 0."""
     assert x.cat.kind == "slice"
     cat = x.cat
-
-    def stage_obj(o: ElObj, alpha: int) -> ElObj:
-        return ElObj(o.time.with_stage(o.clock, alpha), o.clock)
-
-    def chain_mor_for(o: ElObj):
-        def cm(hi: int, lo: int) -> TimeMor:
-            return TimeMor(stage_obj(o, hi), stage_obj(o, lo),
-                           tuple((n, n) for n in o.time.names))
-        return cm
-
-    fib = {}
-    for o in cat.objects:
-        k = o.time.theta(o.clock)
-        fib[o] = tuple(_chain_limit(
-            x, [stage_obj(o, a) for a in range(k)], chain_mor_for(o)))
-    act = {}
-    for m in cat.morphisms:
-        src, dst = m.src, m.dst
-        k2 = dst.time.theta(dst.clock)
-        d = {}
-        for fam in fib[src]:
-            entries = []
-            for beta in range(k2):
-                stage_m = TimeMor(stage_obj(src, beta),
-                                  stage_obj(dst, beta), m.sigma)
-                entries.append((beta, x.act[stage_m][dict(fam[1])[beta]]))
-            d[fam] = ("tup", tuple(entries))
-        act[m] = d
+    chains, _, shifted = cat.stage_shift
+    fib = {o: _families(x, chains[i][:o.time.theta(o.clock)])
+           for i, o in enumerate(cat.objects)}
+    act = {m: _stagewise(x, fib[m.src],
+                         shifted[j][:m.dst.time.theta(m.dst.clock)])
+           for j, m in enumerate(cat.morphisms)}
     return Psh(cat, fib, act)
 
 
@@ -275,36 +281,12 @@ def forall_clk(model: Model, x: Psh) -> Psh:
             "clock quantification needs a presheaf over the full slice "
             "(nested quantifiers exceed the clock pool)")
     cat = model.time_inner
-
-    def stage_obj(o: TimeObj, fresh: str, alpha: int) -> ElObj:
-        return ElObj(o.add_clock(fresh, alpha), fresh)
-
-    fib = {}
-    for o in cat.objects:
-        fresh = model.fresh_clock(o)
-
-        def cm(hi, lo, o=o, fresh=fresh):
-            names = o.add_clock(fresh, hi).names
-            return TimeMor(stage_obj(o, fresh, hi),
-                           stage_obj(o, fresh, lo),
-                           tuple((n, n) for n in names))
-        fib[o] = tuple(_chain_limit(
-            x, [stage_obj(o, fresh, a) for a in range(model.bound)], cm))
-    act = {}
-    for m in cat.morphisms:
-        f_src = model.fresh_clock(m.src)
-        f_dst = model.fresh_clock(m.dst)
-        sigma_plus = tuple(sorted(m.sigma + ((f_src, f_dst),)))
-        d = {}
-        for fam in fib[m.src]:
-            entries = []
-            for alpha in range(model.bound):
-                stage_m = TimeMor(stage_obj(m.src, f_src, alpha),
-                                  stage_obj(m.dst, f_dst, alpha),
-                                  sigma_plus)
-                entries.append((alpha, x.act[stage_m][dict(fam[1])[alpha]]))
-            d[fam] = ("tup", tuple(entries))
-        act[m] = d
+    chains, _, shifted = x.cat.stage_shift
+    top_objs, top_mors = model.fresh_tops
+    fib = {o: _families(x, chains[top_objs[i]])
+           for i, o in enumerate(cat.objects)}
+    act = {m: _stagewise(x, fib[m.src], shifted[top_mors[j]])
+           for j, m in enumerate(cat.morphisms)}
     return Psh(cat, fib, act)
 
 
@@ -330,17 +312,24 @@ class CheckOutcome:
 
 
 def check_functoriality(x: Psh) -> CheckOutcome:
-    for o in x.cat.objects:
-        ident = x.cat.identity(o)
+    cat = x.cat
+    for o in cat.objects:
+        ident = cat.identity(o)
         for e in x.fib[o]:
             if x.act[ident][e] != e:
                 return CheckOutcome(False, ("identity", obj_key(o), e))
-    for g, f in x.cat.composable_pairs():
-        gf = x.cat.compose(g, f)
-        for e in x.fib[f.src]:
-            if x.act[gf][e] != x.act[g][x.act[f][e]]:
-                return CheckOutcome(False, ("composition", mor_key(f),
-                                            mor_key(g), e))
+    # the composable pairs (g, f) in the order of cat.composable_pairs()
+    acts = [x.act[m] for m in cat.morphisms]
+    succ, table, dst = cat.succ, cat.table, cat.dst_ids
+    for fi, f in enumerate(cat.morphisms):
+        act_f, elems = acts[fi], x.fib[f.src]
+        for gi, gfi in zip(succ[dst[fi]], table[fi]):
+            act_g, act_gf = acts[gi], acts[gfi]
+            for e in elems:
+                if act_gf[e] != act_g[act_f[e]]:
+                    return CheckOutcome(False, (
+                        "composition", mor_key(f),
+                        mor_key(cat.morphisms[gi]), e))
     return CheckOutcome(True)
 
 

@@ -4,25 +4,45 @@ Objects are pairs (E, θ) of a finite set of clock names from a fixed pool
 with a stage assignment θ : E → {0, …, N−1}; morphisms σ : (E,θ) → (E',θ')
 are functions with θ'∘σ ≤ θ pointwise.  The slice category by Clk has
 objects (E, θ, λ) with λ ∈ E and morphisms preserving the marked clock.
+
+Objects and morphisms hash once and keep the hash.  The id of an object or
+morphism of a `FinCategory` is its position in `objects` or `morphisms`.
+The tables over ids are built on first use and shared by every later call
+on the category: per-object out-lists (`succ` in id order, `out` sorted by
+`mor_key`), the composition table `table` and, for slice categories, the
+stage-shift map `stage_shift` from an object or morphism to the same one
+with the marked clock at each stage.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class TimeObj:
+class _Hashed:
+    """Keeps the hash in a slot outside the dataclass fields, so that it is
+    neither compared nor pickled."""
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._fields(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+
+@dataclass(frozen=True, slots=True)
+class TimeObj(_Hashed):
     names: tuple[str, ...]          # E, sorted
     stages: tuple[int, ...]         # θ(names[i]) = stages[i]
+    __hash__ = _Hashed.__hash__
+    _fields = attrgetter("names", "stages")
 
     def theta(self, name: str) -> int:
         return self.stages[self.names.index(name)]
-
-    def with_stage(self, name: str, stage: int) -> "TimeObj":
-        i = self.names.index(name)
-        return TimeObj(self.names,
-                       self.stages[:i] + (stage,) + self.stages[i + 1:])
 
     def add_clock(self, name: str, stage: int) -> "TimeObj":
         assert name not in self.names
@@ -31,19 +51,23 @@ class TimeObj:
                        tuple(s for _, s in pairs))
 
 
-@dataclass(frozen=True)
-class ElObj:
+@dataclass(frozen=True, slots=True)
+class ElObj(_Hashed):
     """Object of the category of elements of Clk: a time object with a
     marked clock."""
     time: TimeObj
     clock: str
+    __hash__ = _Hashed.__hash__
+    _fields = attrgetter("time", "clock")
 
 
-@dataclass(frozen=True)
-class TimeMor:
+@dataclass(frozen=True, slots=True)
+class TimeMor(_Hashed):
     src: object       # TimeObj or ElObj
     dst: object
     sigma: tuple[tuple[str, str], ...]    # graph of σ, sorted by source
+    __hash__ = _Hashed.__hash__
+    _fields = attrgetter("src", "dst", "sigma")
 
     def apply(self, name: str) -> str:
         for a, b in self.sigma:
@@ -56,24 +80,18 @@ def _time_of(o) -> TimeObj:
     return o.time if isinstance(o, ElObj) else o
 
 
+def _id_sigma(o) -> tuple[tuple[str, str], ...]:
+    return tuple((n, n) for n in _time_of(o).names)
+
+
 @dataclass
 class FinCategory:
     objects: tuple
     morphisms: tuple          # all TimeMors
     kind: str                 # "time" | "slice"
 
-    def __post_init__(self):
-        self._hom: dict = {}
-        for m in self.morphisms:
-            self._hom.setdefault((m.src, m.dst), []).append(m)
-        self._ident = {o: TimeMor(o, o, tuple(
-            (n, n) for n in _time_of(o).names)) for o in self.objects}
-
-    def hom(self, a, b) -> list[TimeMor]:
-        return self._hom.get((a, b), [])
-
     def identity(self, o) -> TimeMor:
-        return self._ident[o]
+        return self.morphisms[self.mor_id[TimeMor(o, o, _id_sigma(o))]]
 
     def compose(self, g: TimeMor, f: TimeMor) -> TimeMor:
         """g ∘ f for f : A → B, g : B → C."""
@@ -88,6 +106,94 @@ class FinCategory:
         for f in self.morphisms:
             for g in by_src.get(f.dst, []):
                 yield g, f
+
+    # -- dense ids and the tables over them (built on first use) ------------
+
+    @cached_property
+    def obj_id(self) -> dict:
+        return {o: i for i, o in enumerate(self.objects)}
+
+    @cached_property
+    def mor_id(self) -> dict:
+        return {m: i for i, m in enumerate(self.morphisms)}
+
+    @cached_property
+    def dst_ids(self) -> tuple[int, ...]:
+        obj_id = self.obj_id
+        return tuple(obj_id[m.dst] for m in self.morphisms)
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        rows: dict = {o: [] for o in self.objects}
+        for j, m in enumerate(self.morphisms):
+            rows[m.src].append(j)
+        return tuple(map(tuple, rows.values()))
+
+    @cached_property
+    def out(self) -> tuple[tuple[int, ...], ...]:
+        keys = [obj_key(o) for o in self.objects]
+        mors, dst = self.morphisms, self.dst_ids
+        return tuple(tuple(sorted(row, key=lambda j: (keys[dst[j]],
+                                                      mors[j].sigma)))
+                     for row in self.succ)
+
+    @cached_property
+    def pos(self) -> dict:
+        """The place of each morphism id in the out-list of its source."""
+        return {j: i for row in self.out for i, j in enumerate(row)}
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        # a morphism is keyed by its ends and the positions of its images
+        # among the target's names, so a composite is one tuple lookup
+        obj_id, succ, dst = self.obj_id, self.succ, self.dst_ids
+        images = [tuple(_time_of(m.dst).names.index(b) for _, b in m.sigma)
+                  for m in self.morphisms]
+        key_id = {(obj_id[m.src], dst[j], images[j]): j
+                  for j, m in enumerate(self.morphisms)}
+        return tuple(
+            tuple(key_id[obj_id[f.src], dst[g],
+                         tuple([images[g][i] for i in images[j]])]
+                  for g in succ[dst[j]])
+            for j, f in enumerate(self.morphisms))
+
+    @cached_property
+    def stage_shift(self) -> tuple[tuple, tuple, tuple]:
+        """(chains, downs, shifted) for a slice category: chains[o] lists
+        the ids of object o with its marked clock at stages 0, 1, …;
+        downs[o] is the id of the identity-σ morphism from o to the same
+        object one stage lower (None at stage 0); shifted[m] lists, for
+        β = 0 … θ(marked clock of dst m), the id of the morphism with m's
+        σ between m's ends with their marked clocks at stage β."""
+        assert self.kind == "slice"
+        stage, groups = [], {}
+        for i, o in enumerate(self.objects):
+            t = o.time
+            k = t.names.index(o.clock)
+            stage.append(t.stages[k])
+            groups.setdefault(
+                (t.names, t.stages[:k] + t.stages[k + 1:], o.clock),
+                {})[t.stages[k]] = i
+        chains: list = [None] * len(self.objects)
+        for by_stage in groups.values():
+            chain = tuple(by_stage[a] for a in range(len(by_stage)))
+            for i in chain:
+                chains[i] = chain
+        # morphisms that differ only in their marked stages, by those stages
+        obj_id, dst = self.obj_id, self.dst_ids
+        by_ends: dict = {}
+        for j, m in enumerate(self.morphisms):
+            s, d = obj_id[m.src], dst[j]
+            by_ends.setdefault((chains[s], chains[d], m.sigma),
+                               {})[stage[s], stage[d]] = j
+        downs = tuple(None if stage[i] == 0 else by_ends[
+            chains[i], chains[i], _id_sigma(o)][stage[i], stage[i] - 1]
+            for i, o in enumerate(self.objects))
+        shifted = tuple(
+            tuple(by_ends[chains[obj_id[m.src]], chains[dst[j]], m.sigma][b, b]
+                  for b in range(stage[dst[j]] + 1))
+            for j, m in enumerate(self.morphisms))
+        return tuple(chains), downs, shifted
 
 
 def pool_names(pool: int) -> tuple[str, ...]:
@@ -121,11 +227,12 @@ def slice_category(t: FinCategory) -> FinCategory:
     """Category of elements of the presheaf Clk (fiber E): objects gain a
     marked clock, morphisms must map it to the target's marked clock."""
     objects = tuple(ElObj(o, n) for o in t.objects for n in o.names)
+    marked = {(o.time, o.clock): o for o in objects}
     morphisms = []
     for m in t.morphisms:
-        for n in m.src.names:
-            morphisms.append(TimeMor(ElObj(m.src, n),
-                                     ElObj(m.dst, m.apply(n)), m.sigma))
+        for n, img in m.sigma:
+            morphisms.append(TimeMor(marked[m.src, n], marked[m.dst, img],
+                                     m.sigma))
     return FinCategory(objects, tuple(morphisms), "slice")
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..coalgebra import FunctorExpr, functor_eval, functor_map_all
-from ..theories import Budget, csorted
-from .presheaf import (CheckOutcome, Model, Psh, arrow, clk_psh,
+from ..theories import Budget
+from .presheaf import (Model, Psh, _chain_limit, arrow, clk_psh,
                        coproduct, const_psh, forall_clk, later, product,
                        weaken)
-from .timecat import ElObj, TimeMor, obj_key
+from .timecat import obj_key
 
 
 class TypeExprM:
@@ -190,54 +190,37 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     so the elements stay shallow even when the fibers blow up (compare the
     relabelled terminal sequences in the coalgebra module)."""
     cat = model.slice
+    chains = cat.stage_shift[0]
     fib: dict = {}          # object -> tuple of F(labels) elements
     lat_decode: dict = {}   # object -> label -> family tuple of fib elems
     lat_encode: dict = {}   # object -> family tuple -> label
     memo: dict = {}
 
-    def stage_obj(o: ElObj, alpha: int) -> ElObj:
-        return ElObj(o.time.with_stage(o.clock, alpha), o.clock)
+    def act(j: int) -> dict:
+        return _mu_act(f, fib, lat_decode, lat_encode, model, j, memo)
 
-    for o in sorted(cat.objects, key=lambda o: o.time.theta(o.clock)):
-        k = o.time.theta(o.clock)
-        if k == 0:
-            families = [()]
-        else:
-            families = []
-            for x in fib[stage_obj(o, k - 1)]:
-                family = [None] * k
-                family[k - 1] = x
-                for beta in range(k - 2, -1, -1):
-                    m = TimeMor(stage_obj(o, beta + 1), stage_obj(o, beta),
-                                tuple((n, n) for n in o.time.names))
-                    family[beta] = _mu_act(f, fib, lat_decode, lat_encode,
-                                           model, m, memo)[family[beta + 1]]
-                families.append(tuple(family))
-            families = csorted(set(families))
+    stage = [o.time.theta(o.clock) for o in cat.objects]
+    for i in sorted(range(len(stage)), key=stage.__getitem__):
+        o = cat.objects[i]
+        families = _chain_limit(cat, fib, act, chains[i][:stage[i]])
         lat_decode[o] = dict(enumerate(families))
-        lat_encode[o] = {fam: i for i, fam in enumerate(families)}
+        lat_encode[o] = {fam: n for n, fam in enumerate(families)}
         labels = tuple(range(len(families)))
         fib[o] = tuple(functor_eval(f, labels, model.budget))
 
-    act = {m: _mu_act(f, fib, lat_decode, lat_encode, model, m, memo)
-           for m in cat.morphisms}
-    return Psh(cat, fib, act)
+    act_all = {m: act(j) for j, m in enumerate(cat.morphisms)}
+    return Psh(cat, fib, act_all)
 
 
 def _mu_act(f: FunctorExpr, fib, lat_decode, lat_encode, model: Model,
-            m: TimeMor, memo: dict):
-    if m in memo:
-        return memo[m]
-
-    def stage_mor(beta: int) -> TimeMor:
-        return TimeMor(ElObj(m.src.time.with_stage(m.src.clock, beta),
-                             m.src.clock),
-                       ElObj(m.dst.time.with_stage(m.dst.clock, beta),
-                             m.dst.clock), m.sigma)
-
+            j: int, memo: dict):
+    if j in memo:
+        return memo[j]
+    cat = model.slice
+    m = cat.morphisms[j]
     k2 = m.dst.time.theta(m.dst.clock)
-    stage_acts = [_mu_act(f, fib, lat_decode, lat_encode, model,
-                          stage_mor(beta), memo) for beta in range(k2)]
+    stage_acts = [_mu_act(f, fib, lat_decode, lat_encode, model, s, memo)
+                  for s in cat.stage_shift[2][j][:k2]]
     label_map = {}
     for lbl, fam in lat_decode[m.src].items():
         mapped = tuple(stage_acts[beta][fam[beta]] for beta in range(k2))
@@ -246,7 +229,7 @@ def _mu_act(f: FunctorExpr, fib, lat_decode, lat_encode, model: Model,
         out = {v: v for v in fib[m.src]}
     else:
         out = functor_map_all(f, label_map, fib[m.src])
-    memo[m] = out
+    memo[j] = out
     return out
 
 
@@ -274,14 +257,16 @@ def check_force(model: Model, a: Psh) -> ForceReport:
     lhs = forall_clk(model, a)
     rhs = forall_clk(model, later(model, a))
     n = model.bound
+    slc = model.slice
+    chains, downs, _ = slc.stage_shift
     stabilized = True
     failure = None
-    for o in model.time_inner.objects:
-        fresh = model.fresh_clock(o)
-        top = ElObj(o.add_clock(fresh, n - 1), fresh)
-        below = ElObj(o.add_clock(fresh, n - 2), fresh)
-        step = TimeMor(top, below, tuple((x, x) for x in top.time.names))
-        img = [a.act[step][e] for e in a.fib[top]]
+    for i, o in enumerate(model.time_inner.objects):
+        # the fresh clock, marked, at stages 0 … N−1
+        chain = chains[model.fresh_tops[0][i]]
+        top, below = slc.objects[chain[n - 1]], slc.objects[chain[n - 2]]
+        step = a.act[slc.morphisms[downs[chain[n - 1]]]]
+        img = [step[e] for e in a.fib[top]]
         if len(set(img)) != len(a.fib[top]) or set(img) != set(a.fib[below]):
             stabilized = False
         # canonical map: truncate each family
@@ -298,23 +283,20 @@ def check_force(model: Model, a: Psh) -> ForceReport:
         if injective and image == set(rhs.fib[o]):
             continue
         if failure is None:
-            stage = _first_failure_stage(model, a, o, fresh)
-            failure = (obj_key(o), stage)
+            sizes = [len(a.fib[slc.objects[u]]) for u in chain]
+            failure = (obj_key(o), _first_failure_stage(sizes))
     if failure is None:
         return ForceReport(True, None, False, stabilized)
     return ForceReport(False, failure, not stabilized, stabilized)
 
 
-def _first_failure_stage(model: Model, a: Psh, o, fresh: str) -> int:
+def _first_failure_stage(sizes: list[int]) -> int:
     """Least stage m whose forgetful map from the limit over stages < m+1
-    to the limit over stages < m fails to be bijective."""
-    sizes = []
-    for alpha in range(model.bound):
-        u = ElObj(o.add_clock(fresh, alpha), fresh)
-        sizes.append(len(a.fib[u]))
+    to the limit over stages < m fails to be bijective, given the fiber
+    sizes at the fresh clock's stages."""
     # the limit over stages < m is the fiber at m-1 (1 when m = 0)
     lim = [1] + sizes
-    for m in range(model.bound):
+    for m in range(len(sizes)):
         if lim[m + 1] != lim[m]:
             return m
-    return model.bound - 1
+    return len(sizes) - 1

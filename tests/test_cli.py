@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from clott.cli import main, parse_delay
+from clott.cli import main, parse_delay, run_model_suite
 from clott.coalgebra import BOT, now, step
-from clott.report import SCHEMA_VERSION
+from clott.model import Model
+from clott.report import SCHEMA_VERSION, Report
+from clott.theories import Budget
 
 
 DATA = "src/clott/data"
@@ -92,6 +94,31 @@ def test_model_force_records_truncation_artifact(tmp_path):
 
 def test_model_unknown_suite_is_usage_error():
     assert run(["model", "verify", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "verify", "invariance", "--pool", "3", "--bound", "1"],
+    ["model", "verify", "all", "--pool", "0"],
+    ["suite", "requirements", "--bound", "1"],
+    ["suite", "requirements", "--pool", "0"],
+])
+def test_model_invalid_parameters_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--pool >= 1 and --bound >= 2" in captured.err
+
+
+def test_model_budget_overrun_is_unknown():
+    # the guarded fixpoint of prod(const{a,b},id) has 4 elements at stage 1
+    model = Model(pool=1, bound=3, budget=Budget(max_elements=3))
+    rep = Report("model verify")
+    assert run_model_suite(model, "fixpoints", rep) == 3
+    last = rep.checks[-1]
+    assert last.name == "fixpoints/budget" and last.verdict == "unknown"
+    assert "BudgetExceeded" in last.evidence["reason"]
+    assert "exceeds budget 3" in last.evidence["reason"]
 
 
 # -- theory --------------------------------------------------------------------

@@ -2,17 +2,20 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clott.coalgebra import parse_functor
-from clott.model import (FreshClockExhausted, MArrow, MClk, MEq, MExists,
-                         MFin, MForall, MForallFam, MLater, MMu, MProd,
-                         MSum, MTop, Model, TimeObj, align, arrow,
-                         check_forall_prod_dist, check_forall_sum_dist,
+from clott.model import (CheckOutcome, FreshClockExhausted, MArrow, MClk,
+                         MEq, MExists, MFin, MForall, MForallFam, MLater, MMu, MProd,
+                         MSum, MTop, Model, ElObj, Psh, TimeMor, TimeObj,
+                         align, arrow, check_forall_prod_dist,
+                         check_forall_sum_dist,
                          check_force, check_functoriality, check_invariance,
                          clk_psh, const_psh, coproduct, enumerate_category,
                          eval_type, exists_forall_experiment, forall_clk,
-                         later, mu, product, restrict_to, slice_category,
-                         unique_exists_check, weaken)
+                         later, mor_key, mu, obj_key, product, restrict_to,
+                         slice_category, unique_exists_check, weaken)
 from clott.coalgebra import functor_eval
 from clott.theories import Budget
 
@@ -59,6 +62,116 @@ def test_slice_category_preserves_marked_clock():
     sl = slice_category(cat)
     for m in sl.morphisms:
         assert m.apply(m.src.clock) == m.dst.clock
+
+
+# -- the interned category against the plain one -------------------------------
+
+GRID = [(1, b) for b in range(2, 6)] + [(2, 2), (2, 3), (3, 2)]
+
+
+def _categories(pool, bound):
+    m = Model(pool=pool, bound=bound)
+    return [m.time, m.slice, m.time_inner, m.slice_inner]
+
+
+def _ident(o):
+    return TimeMor(o, o, tuple((n, n) for n in getattr(o, "time", o).names))
+
+
+@pytest.mark.parametrize("pool,bound", GRID)
+def test_composition_table_matches_compose(pool, bound):
+    for cat in _categories(pool, bound):
+        mors = cat.morphisms
+        walked = ((mors[g], f, mors[gf])
+                  for fi, f in enumerate(mors)
+                  for g, gf in zip(cat.succ[cat.dst_ids[fi]], cat.table[fi]))
+        for (g, f, gf), pair in itertools.zip_longest(
+                walked, cat.composable_pairs()):
+            assert (g, f) == pair
+            assert gf == cat.compose(g, f)
+
+
+@pytest.mark.parametrize("pool,bound", GRID)
+def test_ids_and_out_lists(pool, bound):
+    for cat in _categories(pool, bound):
+        for i, o in enumerate(cat.objects):
+            assert cat.obj_id[o] == i
+            out = sorted((m for m in cat.morphisms if m.src == o),
+                         key=mor_key)
+            assert [cat.morphisms[j] for j in cat.out[i]] == out
+            assert [cat.pos[j] for j in cat.out[i]] == list(range(len(out)))
+            assert cat.identity(o) == _ident(o)
+        for j, m in enumerate(cat.morphisms):
+            assert cat.mor_id[m] == j
+            assert cat.objects[cat.dst_ids[j]] == m.dst
+
+
+def _at_stage(o, alpha):
+    t = o.time
+    return ElObj(TimeObj(t.names, tuple(
+        alpha if n == o.clock else s for n, s in zip(t.names, t.stages))),
+        o.clock)
+
+
+@pytest.mark.parametrize("pool,bound", GRID)
+def test_stage_shift_matches_construction(pool, bound):
+    for cat in _categories(pool, bound)[1::2]:
+        chains, downs, shifted = cat.stage_shift
+        for i, o in enumerate(cat.objects):
+            k = o.time.theta(o.clock)
+            assert [cat.objects[c] for c in chains[i]] == \
+                [_at_stage(o, a) for a in range(bound)]
+            if k == 0:
+                assert downs[i] is None
+            else:
+                assert cat.morphisms[downs[i]] == TimeMor(
+                    o, _at_stage(o, k - 1), _ident(o).sigma)
+        for j, m in enumerate(cat.morphisms):
+            k2 = m.dst.time.theta(m.dst.clock)
+            assert [cat.morphisms[s] for s in shifted[j]] == [
+                TimeMor(_at_stage(m.src, b), _at_stage(m.dst, b), m.sigma)
+                for b in range(k2 + 1)]
+
+
+def _reference_functoriality(x):
+    """check_functoriality written over composable_pairs() and compose."""
+    for o in x.cat.objects:
+        for e in x.fib[o]:
+            if x.act[_ident(o)][e] != e:
+                return CheckOutcome(False, ("identity", obj_key(o), e))
+    for g, f in x.cat.composable_pairs():
+        gf = x.cat.compose(g, f)
+        for e in x.fib[f.src]:
+            if x.act[gf][e] != x.act[g][x.act[f][e]]:
+                return CheckOutcome(False, ("composition", mor_key(f),
+                                            mor_key(g), e))
+    return CheckOutcome(True)
+
+
+SMALL = {(1, 3): Model(pool=1, bound=3), (2, 2): Model(pool=2, bound=2)}
+SMALL_TYPES = [(MFin(3), False), (MClk(), False), (MClk(), True),
+               (MSum(MFin(1), MClk()), True), (MLater(MFin(2)), True),
+               (MProd(MFin(2), MClk()), False),
+               (MMu(parse_functor("sum(const{u},id)")), True)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.sampled_from(SMALL_TYPES),
+       st.data())
+def test_planted_error_gives_reference_counterexample(pb, typ, data):
+    x = eval_type(SMALL[pb], *typ)
+    m = data.draw(st.sampled_from(x.cat.morphisms))
+    assume(x.fib[m.src] and len(x.fib[m.dst]) >= 2)
+    e = data.draw(st.sampled_from(x.fib[m.src]))
+    wrong = data.draw(st.sampled_from(
+        [y for y in x.fib[m.dst] if y != x.act[m][e]]))
+    act = dict(x.act)
+    act[m] = {**act[m], e: wrong}
+    planted = Psh(x.cat, x.fib, act)
+    found = check_functoriality(planted)
+    assert found == _reference_functoriality(planted)
+    if m == _ident(m.src):
+        assert found.counterexample[0] == "identity"
 
 
 def test_invalid_parameters_rejected():
