@@ -4,13 +4,20 @@ and bisimilarity engines.
 The functor grammar is `const{a,b} | id | prod(F,G) | sum(F,G) | pf(F) |
 df(F)` where pf is the finite-powerset monad (free semilattice) and df
 the finitely-supported-distribution monad (free convex algebra).
+`functor_size` predicts |F(X)| from |X| so that oversized stages are
+refused before they are built.
+
+Bisimilarity is the coarsest stable partition, computed by signature
+refinement: a state's signature is recomputed only after one of its
+successors changed block id, and only the smaller parts of a split
+block change id (O(m log n) signatures in all);
+`brute_force_bisimilarity` enumerates partitions as the oracle.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import theories
 from .theories import BUILTINS, Budget, BudgetExceeded, canon_key, csorted
@@ -157,21 +164,50 @@ def functor_eval(f: FunctorExpr, base, budget: Budget | None = None) -> tuple:
                                      (("inr", r) for r in rs)))
     if isinstance(f, FFree):
         inner = functor_eval(f.inner, base, budget)
-        theory = BUILTINS[f.theory]
-        if f.theory == "semilattice":
-            if len(inner) > 64 or 2 ** len(inner) > budget.max_elements:
-                raise BudgetExceeded(
-                    f"powerset of a {len(inner)}-element set exceeds "
-                    f"budget {budget.max_elements}")
-        model = theories.free_model(theory, inner, budget)
+        _free_size(f.theory, len(inner), budget)
+        model = theories.free_model(BUILTINS[f.theory], inner, budget)
         return model.elements
     raise AssertionError(type(f).__name__)
 
 
-def _guard(size: int, budget: Budget) -> None:
+def functor_size(f: FunctorExpr, n: int, budget: Budget) -> int:
+    """|F(X)| for |X| = n without building F(X): exact for const, id,
+    prod, sum and pf, a lower bound for df.  Raises functor_eval's
+    BudgetExceeded where functor_eval on an n-element set would (for df,
+    where the lower bound already exceeds the budget)."""
+    if isinstance(f, FId):
+        return n
+    if isinstance(f, FConst):
+        return len(f.elems)
+    if isinstance(f, FProd):
+        return _guard(functor_size(f.left, n, budget)
+                      * functor_size(f.right, n, budget), budget)
+    if isinstance(f, FSum):
+        return _guard(functor_size(f.left, n, budget)
+                      + functor_size(f.right, n, budget), budget)
+    if isinstance(f, FFree):
+        return _free_size(f.theory, functor_size(f.inner, n, budget),
+                          budget)
+    raise AssertionError(type(f).__name__)
+
+
+def _guard(size: int, budget: Budget) -> int:
     if size > budget.max_elements:
         raise BudgetExceeded(f"functor stage of size {size} exceeds "
                              f"budget {budget.max_elements}")
+    return size
+
+
+def _free_size(theory: str, n: int, budget: Budget) -> int:
+    """The size of the free model over n generators (a lower bound for
+    convex), refused when it exceeds the budget."""
+    if theory == "semilattice":
+        if n > 64 or 2 ** n > budget.max_elements:
+            raise BudgetExceeded(
+                f"powerset of a {n}-element set exceeds "
+                f"budget {budget.max_elements}")
+        return 2 ** n
+    return theories.check_convex_size(n, budget)
 
 
 def functor_map(f: FunctorExpr, fn: dict, value):
@@ -357,39 +393,83 @@ def _coalgebra_homs(f: FunctorExpr, source: Coalgebra,
 
 
 # ---------------------------------------------------------------------------
-# Bisimilarity by partition refinement
+# Bisimilarity by signature refinement (smaller-half rule)
 # ---------------------------------------------------------------------------
 
 def bisimilarity(coalg: Coalgebra) -> tuple:
     """Coarsest partition P with P = ker(F(quotient) ∘ ξ), as a tuple of
-    canonically sorted state blocks."""
+    canonically sorted state blocks ordered by their least member.
+
+    Worklist signature refinement after Paige and Tarjan, generic over the
+    functor as in Deifel, Milius, Schröder and Wißmann: a state's
+    signature F(class_of)(ξ(s)) is recomputed only when a state at an id
+    leaf of ξ(s) changed block id.  When a block splits, its largest part
+    keeps the id, so a state changes id at most log2(n) times and the
+    signature work is O(m log n) for m id leaves in all of ξ."""
+    f, xi = coalg.functor, coalg.structure
     states = tuple(csorted(coalg.states))
-    if not states:
-        return ()
-    class_of = {s: 0 for s in states}
-    while True:
-        sigs = {s: functor_map(coalg.functor, class_of, coalg.structure[s])
-                for s in states}
-        blocks: dict = {}
-        for s in states:
-            blocks.setdefault((class_of[s], _freeze(sigs[s])), []).append(s)
-        new_class = {}
-        for i, key in enumerate(sorted(blocks, key=canon_key)):
-            for s in blocks[key]:
-                new_class[s] = i
-        if new_class == class_of:
-            break
-        class_of = new_class
+    preds: dict = {s: [] for s in states}
+    for s in states:
+        for t in _id_leaves(f, xi[s], []):
+            preds[t].append(s)
+    class_of = dict.fromkeys(states, 0)
+    members = {0: set(states)}
+    # block id -> the signature shared by its states that are not dirty
+    block_sig: dict = {}
+    dirty = set(states)
+    fresh = 1
+    while dirty:
+        regroup: dict = {}
+        for s in dirty:
+            regroup.setdefault(class_of[s], {}).setdefault(
+                functor_map(f, class_of, xi[s]), []).append(s)
+        todo, dirty = dirty, set()
+        for b, groups in regroup.items():
+            block = members[b]
+            sizes = {sig: len(g) for sig, g in groups.items()}
+            clean = len(block) - sum(sizes.values())
+            if clean:
+                # the states not recomputed keep the block's signature
+                old = block_sig[b]
+                groups.setdefault(old, [])
+                sizes[old] = sizes.get(old, 0) + clean
+            if len(sizes) == 1:
+                block_sig[b] = next(iter(sizes))
+                continue
+            keep = max(sizes, key=sizes.__getitem__)
+            block_sig[b] = keep
+            for sig, part in groups.items():
+                if sig == keep:
+                    continue
+                if clean and sig == old:
+                    part = part + [s for s in block if s not in todo]
+                block.difference_update(part)
+                members[fresh] = set(part)
+                block_sig[fresh] = sig
+                for s in part:
+                    class_of[s] = fresh
+                    dirty.update(preds[s])
+                fresh += 1
     out: dict = {}
     for s in states:
         out.setdefault(class_of[s], []).append(s)
-    return tuple(sorted((tuple(b) for b in out.values()),
-                        key=canon_key))
+    return tuple(tuple(b) for b in out.values())
 
 
-def _freeze(v):
-    # signatures already use hashable canonical encodings
-    return v
+def _id_leaves(f: FunctorExpr, value, acc: list) -> list:
+    """Append to acc the elements of X at the id leaves of value ∈ F(X)."""
+    if isinstance(f, FId):
+        acc.append(value)
+    elif isinstance(f, FProd):
+        _id_leaves(f.left, value[1], acc)
+        _id_leaves(f.right, value[2], acc)
+    elif isinstance(f, FSum):
+        _id_leaves(f.left if value[0] == "inl" else f.right, value[1], acc)
+    elif isinstance(f, FFree):
+        members = value[1] if value[0] == "set" else [x for x, _ in value[1]]
+        for m in members:
+            _id_leaves(f.inner, m, acc)
+    return acc
 
 
 def brute_force_bisimilarity(coalg: Coalgebra) -> tuple:
@@ -491,31 +571,28 @@ def _wb(x, y, rel, stage: int, cap: int) -> bool:
 
 def parse_coalgebra_file(text: str) -> Coalgebra:
     """Lines `x a y` (transition x --a--> y) and `state x`; comments `--`."""
-    states: list[str] = []
+    states: dict[str, None] = {}
     edges: dict[str, set] = {}
-    labels: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("--")[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "state" and len(parts) == 2:
-            if parts[1] not in states:
-                states.append(parts[1])
+            states[parts[1]] = None
             continue
         if len(parts) != 3:
             raise FunctorParseError(
                 f"line {lineno}: expected `x label y` or `state x`")
         src, label, dst = parts
-        for s in (src, dst):
-            if s not in states:
-                states.append(s)
-        labels.add(label)
+        states[src] = states[dst] = None
         edges.setdefault(src, set()).add((label, dst))
-    functor = FFree("semilattice",
-                    FProd(FConst(tuple(csorted(labels))), FId()))
+    # labels and states are strings, whose canonical order is plain string
+    # order, and ("pair", a, t) sorts as (a, t)
+    labels = {a for out in edges.values() for a, _ in out}
+    functor = FFree("semilattice", FProd(FConst(tuple(sorted(labels))), FId()))
     structure = {
-        s: ("set", tuple(csorted(("pair", a, t)
-                                 for a, t in edges.get(s, set()))))
+        s: ("set", tuple(("pair", a, t)
+                         for a, t in sorted(edges.get(s, ()))))
         for s in states}
-    return Coalgebra(functor, tuple(csorted(states)), structure)
+    return Coalgebra(functor, tuple(sorted(states)), structure)

@@ -8,7 +8,7 @@ reports `apart` when the budget ran out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import parser
 from .printer import show_term
@@ -115,57 +115,6 @@ class Context:
             if isinstance(e, TickEntry) and e.name == name:
                 return Context(self.entries[:i])
         raise TypeCheckError("tick-app", f"tick {name!r} not in context")
-
-
-@dataclass(frozen=True)
-class Judgement:
-    context: Context
-    subject: Term
-    type_: Term | None
-    mode: str  # "check" | "infer"
-
-
-def check_context(ctx: Context, fuel: Fuel | None = None) -> None:
-    """Validate a telescope: distinct names, tick entries referencing
-    earlier clocks, and well-formed variable types."""
-    fuel = fuel or Fuel()
-    seen: set[str] = set()
-    for i, e in enumerate(ctx.entries):
-        if e.name in seen:
-            raise TypeCheckError("ctx", f"duplicate name {e.name!r}")
-        seen.add(e.name)
-        prefix = Context(ctx.entries[:i])
-        if isinstance(e, TickEntry):
-            if not prefix.has_clock(e.clock):
-                raise TypeCheckError(
-                    "ctx-tick", f"tick {e.name!r} on clock {e.clock!r} "
-                    "without a preceding clock entry")
-        elif isinstance(e, VarEntry):
-            if e.type_ is not None:
-                is_type(prefix, e.type_, fuel)
-
-
-# ---------------------------------------------------------------------------
-# Erasure of transparent wrappers (annotations and universe inclusions)
-# ---------------------------------------------------------------------------
-
-def erase(t: Term) -> Term:
-    if isinstance(t, Ann):
-        return erase(t.term)
-    if isinstance(t, Incl):
-        return erase(t.code)
-    from dataclasses import fields as _fields
-    updates = {}
-    for f in _fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, Term):
-            v2 = erase(v)
-            if v2 is not v:
-                updates[f.name] = v2
-    if not updates:
-        return t
-    kwargs = {f.name: updates.get(f.name, getattr(t, f.name)) for f in _fields(t)}
-    return type(t)(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..coalgebra import FunctorExpr, functor_eval, functor_map_all
-from ..theories import Budget
+from ..coalgebra import (FunctorExpr, functor_eval, functor_map_all,
+                         functor_size)
 from .presheaf import (Model, Psh, _chain_limit, arrow, clk_psh,
                        coproduct, const_psh, forall_clk, later, product,
                        weaken)
@@ -202,7 +202,12 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     stage = [o.time.theta(o.clock) for o in cat.objects]
     for i in sorted(range(len(stage)), key=stage.__getitem__):
         o = cat.objects[i]
-        families = _chain_limit(cat, fib, act, chains[i][:stage[i]])
+        chain = chains[i][:stage[i]]
+        # the chain limit is as large as the fiber at its top, so an
+        # oversized stage is refused before the chain is mapped
+        functor_size(f, len(fib[cat.objects[chain[-1]]]) if chain else 1,
+                     model.budget)
+        families = _chain_limit(cat, fib, act, chain)
         lat_decode[o] = dict(enumerate(families))
         lat_encode[o] = {fam: n for n, fam in enumerate(families)}
         labels = tuple(range(len(families)))

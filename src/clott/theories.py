@@ -10,7 +10,8 @@ three-valued equality: distinct classes are only `unknown` apart, never
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .terms import AOp, AVar, AlgTerm, alg_free_vars
@@ -197,9 +198,6 @@ class FreeModel:
     elements: tuple
     exact: bool     # False for budget-bounded custom carriers (lower bound)
 
-    def __contains__(self, elem) -> bool:
-        return elem in self.elements
-
 
 def unit(t: Theory, x):
     """Monad unit: the variable x as an element of T(X)."""
@@ -229,11 +227,10 @@ def free_model(t: Theory, base, budget: Budget | None = None) -> FreeModel:
     base = tuple(csorted(base))
     b = t.builtin
     if b == "semilattice":
-        elems = [("set", tuple(csorted(s)))
-                 for r in range(len(base) + 1)
-                 for s in itertools.combinations(base, r)]
-        return FreeModel(t, base, tuple(csorted(elems)), True)
+        return FreeModel(t, base, tuple(("set", s)
+                                        for s in _subsets_lex(base)), True)
     if b == "convex":
+        check_convex_size(len(base), budget)
         elems = set()
         for d in range(1, budget.max_denominator + 1):
             for masses in _compositions(d, len(base)):
@@ -263,15 +260,50 @@ def free_model(t: Theory, base, budget: Budget | None = None) -> FreeModel:
     return FreeModel(t, base, elems, False)
 
 
+def _subsets_lex(base: tuple) -> list:
+    """The subsets of a canonically sorted base as sorted tuples, in
+    lexicographic order, which is their canonical order: the subsets of
+    base[i:] are (), then base[i] prepended to each subset of base[i+1:],
+    then the nonempty subsets of base[i+1:]."""
+    subsets = [()]
+    for x in reversed(base):
+        subsets = [()] + [(x,) + s for s in subsets] + subsets[1:]
+    return subsets
+
+
+def check_convex_size(n: int, budget: Budget) -> int:
+    """A lower bound on the size of the convex carrier over n generators,
+    refused before enumeration when it exceeds the budget: the
+    C(n + d - 1, d) distributions with masses in (1/d)N for d =
+    max_denominator are pairwise distinct."""
+    d = budget.max_denominator
+    size = math.comb(n + d - 1, d) if n and d > 0 else 0
+    if size > budget.max_elements:
+        raise BudgetExceeded("convex carrier too large")
+    return size
+
+
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
+    """All tuples of `parts` nonnegative ints summing to `total`, in
+    lexicographic order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    c = [0] * parts
+    c[-1] = total
+    while True:
+        yield tuple(c)
+        # the successor raises the rightmost entry with mass after it and
+        # moves the rest of that mass to the last entry
+        i, tail = parts - 2, c[-1]
+        while i >= 0 and tail == 0:
+            tail += c[i]
+            i -= 1
+        if i < 0:
+            return
+        c[i] += 1
+        c[i + 1:] = [0] * (parts - i - 2) + [tail - 1]
 
 
 def interpret(t: Theory, term: AlgTerm, env: dict) -> object:
@@ -356,10 +388,7 @@ def mult(t: Theory, elem):
                 acc[x] = acc.get(x, Fraction(0)) + m * mx
         return ("dist", tuple(csorted(acc.items())))
     if tag == "list":
-        out = ()
-        for inner in elem[1]:
-            out = out + inner[1]
-        return ("list", out)
+        return ("list", tuple(x for inner in elem[1] for x in inner[1]))
     if tag == "bag":
         out = []
         for inner in elem[1]:

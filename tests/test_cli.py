@@ -121,6 +121,17 @@ def test_model_budget_overrun_is_unknown():
     assert "exceeds budget 3" in last.evidence["reason"]
 
 
+def test_model_oversized_fixpoint_stage_refused_early(tmp_path):
+    # stage 4 of mu pf(prod(const{l},id)) is the powerset of a
+    # 65,536-element set; it is refused before the chain below is mapped
+    code, doc = run_json(["model", "verify", "fixpoints", "--pool", "1",
+                          "--bound", "5"], tmp_path)
+    assert code == 3
+    last = doc["checks"][-1]
+    assert last["name"] == "fixpoints/budget"
+    assert "powerset of a 65536-element set" in last["evidence"]["reason"]
+
+
 # -- theory --------------------------------------------------------------------
 
 def test_theory_drop(tmp_path):
@@ -168,6 +179,15 @@ def test_coalg_terminal_converges(tmp_path):
 def test_coalg_terminal_divergent_is_unknown():
     assert run(["coalg", "terminal", "sum(const{u},id)",
                 "--steps", "4"]) == 3
+
+
+def test_coalg_terminal_convex_overflow_is_unknown(tmp_path, capsys):
+    code, doc = run_json(["coalg", "terminal", "df(prod(const{a,b},id))",
+                          "--steps", "5"], tmp_path)
+    assert code == 3
+    assert doc["checks"][0]["evidence"]["stage_sizes"] == [1, 7, 2926]
+    assert doc["checks"][0]["evidence"]["budget_hit"] is True
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_coalg_final(tmp_path):

@@ -2,18 +2,21 @@
 bisimilarity, and weak bisimilarity on the truncated delay monad."""
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clott.coalgebra import (BOT, Budget, Coalgebra, FConst, FId, FProd,
-                             FSum, FunctorParseError, NotConverged,
-                             bisimilarity, brute_force_bisimilarity,
-                             delay_depth, final_coalgebra, functor_eval,
-                             functor_map, now, parse_coalgebra_file,
+from clott.coalgebra import (BOT, Budget, BudgetExceeded, Coalgebra,
+                             FConst, FFree, FId, FProd, FSum,
+                             FunctorParseError, NotConverged, bisimilarity,
+                             brute_force_bisimilarity, delay_depth,
+                             final_coalgebra, functor_eval, functor_map,
+                             functor_size, now, parse_coalgebra_file,
                              parse_functor, show_functor, step,
                              terminal_sequence, weak_bisim_delay)
+from clott.theories import canon_key, csorted
 
 
 # -- functor expressions ------------------------------------------------------
@@ -31,6 +34,40 @@ def test_parse_errors():
         parse_functor("sum(id")
     with pytest.raises(FunctorParseError):
         parse_functor("id id")
+
+
+@pytest.mark.parametrize("text", [
+    "id", "const{a,b}", "sum(const{u}, id)", "prod(const{a,b}, id)",
+    "pf(id)", "pf(prod(const{l}, id))", "prod(pf(id), sum(id, id))",
+    "df(id)", "df(prod(const{a,b}, id))", "sum(df(id), pf(id))"])
+def test_functor_size_exact_without_df_else_lower_bound(text):
+    f = parse_functor(text)
+    for n in range(4):
+        size = len(functor_eval(f, range(n)))
+        if "df" in text:
+            assert functor_size(f, n, Budget()) <= size
+        else:
+            assert functor_size(f, n, Budget()) == size
+
+
+@pytest.mark.parametrize("text", ["pf(id)", "prod(id, id)",
+                                  "sum(pf(id), id)", "df(id)"])
+def test_functor_size_refuses_like_functor_eval(text):
+    # exact sizes are refused exactly when functor_eval refuses; df only
+    # once its lower bound exceeds the budget
+    f = parse_functor(text)
+    budget = Budget(max_elements=20)
+    for n in range(8):
+        try:
+            predicted = functor_size(f, n, budget)
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded, match=str(exc)):
+                functor_eval(f, range(n), budget)
+            continue
+        try:
+            assert predicted <= len(functor_eval(f, range(n), budget))
+        except BudgetExceeded:
+            assert text == "df(id)"
 
 
 def test_functor_eval_shapes():
@@ -134,6 +171,32 @@ def test_divergent_sequence_raises():
 
 # -- bisimilarity -------------------------------------------------------------
 
+def round_based_bisimilarity(coalg):
+    """Reference: recompute every state's signature each round until the
+    numbered partition repeats."""
+    states = tuple(csorted(coalg.states))
+    if not states:
+        return ()
+    class_of = {s: 0 for s in states}
+    while True:
+        sigs = {s: functor_map(coalg.functor, class_of, coalg.structure[s])
+                for s in states}
+        blocks: dict = {}
+        for s in states:
+            blocks.setdefault((class_of[s], sigs[s]), []).append(s)
+        new_class = {}
+        for i, key in enumerate(sorted(blocks, key=canon_key)):
+            for s in blocks[key]:
+                new_class[s] = i
+        if new_class == class_of:
+            break
+        class_of = new_class
+    out: dict = {}
+    for s in states:
+        out.setdefault(class_of[s], []).append(s)
+    return tuple(sorted((tuple(b) for b in out.values()), key=canon_key))
+
+
 def _all_coalgebras(f, states):
     fx = functor_eval(f, states, Budget(max_denominator=4))
     for xi in itertools.product(fx, repeat=len(states)):
@@ -175,6 +238,71 @@ def test_bisimilarity_random_convex_coalgebras():
         fx = functor_eval(f, states, Budget(max_denominator=4))
         co = Coalgebra(f, states, {s: rng.choice(fx) for s in states})
         assert bisimilarity(co) == brute_force_bisimilarity(co)
+
+
+_LEAVES = st.one_of(
+    st.just(FId()),
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
+             unique=True).map(lambda xs: FConst(tuple(sorted(xs)))))
+_FUNCTORS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds(FProd, inner, inner), st.builds(FSum, inner, inner),
+        st.builds(FFree, st.sampled_from(["semilattice", "convex"]),
+                  inner)),
+    max_leaves=5)
+
+
+def _draw_element(data, f, states):
+    """One element of F(states) in canonical normal form, drawn without
+    enumerating F(states)."""
+    if isinstance(f, FId):
+        return data.draw(st.sampled_from(states))
+    if isinstance(f, FConst):
+        return data.draw(st.sampled_from(f.elems))
+    if isinstance(f, FProd):
+        return ("pair", _draw_element(data, f.left, states),
+                _draw_element(data, f.right, states))
+    if isinstance(f, FSum):
+        if data.draw(st.booleans()):
+            return ("inl", _draw_element(data, f.left, states))
+        return ("inr", _draw_element(data, f.right, states))
+    size = data.draw(st.integers(f.theory == "convex", 3))
+    members = {_draw_element(data, f.inner, states) for _ in range(size)}
+    if f.theory == "semilattice":
+        return ("set", tuple(csorted(members)))
+    weights = [data.draw(st.integers(1, 3)) for _ in members]
+    return ("dist", tuple(csorted(
+        (x, Fraction(w, sum(weights))) for x, w in zip(members, weights))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bisimilarity_matches_round_based_reference(data):
+    # up to 40 states, where brute force is out of reach; drawing the
+    # structure from a few shared values makes bisimilar states common
+    f = data.draw(_FUNCTORS)
+    n = data.draw(st.integers(1, 40))
+    states = tuple(range(n)) if data.draw(st.booleans()) \
+        else tuple(f"s{i}" for i in range(n))
+    pool = [_draw_element(data, f, states)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    xi = {s: data.draw(st.sampled_from(pool)) for s in states}
+    co = Coalgebra(f, states, xi)
+    assert bisimilarity(co) == round_based_bisimilarity(co)
+
+
+def test_bisimilarity_planted_chains():
+    # two a-chains of 100 states each, with crossing edges: the states at
+    # equal distance from the deadlocked ends are bisimilar, nothing else
+    lines = ["state c099y"]
+    for i in range(99):
+        lines.append(f"c{i:03d}x a c{i + 1:03d}x")
+        lines.append(f"c{i:03d}y a c{i + 1:03d}{'x' if i % 3 else 'y'}")
+    co = parse_coalgebra_file("\n".join(lines) + "\n")
+    assert len(co.states) == 200
+    expected = tuple((f"c{i:03d}x", f"c{i:03d}y") for i in range(100))
+    assert bisimilarity(co) == expected == round_based_bisimilarity(co)
 
 
 def test_bisimilarity_collapses_redundant_states():

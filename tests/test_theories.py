@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from clott.terms import AOp, AVar
-from clott.theories import (BUILTINS, Budget, CheckResult, Theory,
-                            TheoryError, check_preserves_monos,
+from clott.theories import (BUILTINS, Budget, BudgetExceeded, CheckResult,
+                            Theory, TheoryError, _compositions,
+                            check_preserves_monos,
                             check_preserves_pullbacks_of_monos, class_equal,
                             drop_equations, fmap, free_model,
                             has_drop_equations, interpret, is_drop_equation,
-                            minimal_support, mult, theory_from_file, unit)
+                            csorted, minimal_support, mult,
+                            theory_from_file, unit)
 
 LEFTZERO = theory_from_file(
     {"f": 2}, [(AOp("f", (AVar("x"), AVar("y"))), AVar("x"))], None,
@@ -43,6 +45,44 @@ def test_semilattice_carrier_is_powerset():
         m = free_model(t, tuple(range(n)))
         assert m.exact
         assert len(m.elements) == 2 ** n
+
+
+@pytest.mark.parametrize("base", [
+    tuple(range(10)), tuple("jihgfedcba"),
+    (3, "b", ("pair", 1, 2), 0, "a", ("inl", "u"), 7)])
+def test_semilattice_carrier_in_canonical_order(base):
+    # the subsets come out in canonical order, as sorting them would give
+    t = BUILTINS["semilattice"]
+    for n in range(len(base) + 1):
+        reference = csorted(("set", tuple(csorted(s)))
+                            for r in range(n + 1)
+                            for s in itertools.combinations(base[:n], r))
+        assert free_model(t, base[:n]).elements == tuple(reference)
+
+
+def _recursive_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_recursive_reference():
+    for total in range(7):
+        for parts in range(6):
+            assert list(_compositions(total, parts)) == \
+                list(_recursive_compositions(total, parts))
+
+
+def test_convex_carrier_refused_before_enumeration():
+    # C(5855, 4) distributions with masses in (1/4)N; the recursive
+    # enumeration overflowed the stack at this size
+    with pytest.raises(BudgetExceeded, match="convex carrier too large"):
+        free_model(BUILTINS["convex"], range(5852))
+    assert len(next(_compositions(2, 5000))) == 5000
 
 
 def test_monoid_carrier_counts():
