@@ -49,6 +49,15 @@ def _read(path: str) -> str:
 # check / eval
 # ---------------------------------------------------------------------------
 
+def _too_deep(rep: Report, check: str) -> tuple[int, Report]:
+    """A term nested deeper than the recursive parser, checker or printer
+    can follow: the verdict is unknown, not a crash."""
+    rep.add(check, UNKNOWN,
+            {"reason": "term nesting exceeds the recursion limit "
+                       f"({sys.getrecursionlimit()} frames)"})
+    return 3, rep
+
+
 def cmd_check(args) -> tuple[int, Report]:
     rep = Report("check", {"file": args.file, "fuel": args.fuel})
     try:
@@ -56,6 +65,8 @@ def cmd_check(args) -> tuple[int, Report]:
     except (OSError, ParseError) as exc:
         print(f"clott check: {exc}", file=sys.stderr)
         return EXIT_USAGE, rep
+    except RecursionError:
+        return _too_deep(rep, "declarations")
     try:
         kernel.check_declarations(decls, args.fuel)
     except UnknownConversion as exc:
@@ -64,6 +75,8 @@ def cmd_check(args) -> tuple[int, Report]:
     except TypeCheckError as exc:
         rep.add("declarations", FAIL, {"rule": exc.rule, "message": str(exc)})
         return 1, rep
+    except RecursionError:
+        return _too_deep(rep, "declarations")
     rep.add("declarations", PASS, {"count": len(decls)})
     return 0, rep
 
@@ -75,10 +88,16 @@ def cmd_eval(args) -> tuple[int, Report]:
     except ParseError as exc:
         print(f"clott eval: {exc}", file=sys.stderr)
         return EXIT_USAGE, rep
-    w, complete = whnf(Context(), t, Fuel(args.fuel))
-    print(show_term(w))
+    except RecursionError:
+        return _too_deep(rep, "eval")
+    try:
+        w, complete = whnf(Context(), t, Fuel(args.fuel))
+        shown = show_term(w)
+    except RecursionError:
+        return _too_deep(rep, "eval")
+    print(shown)
     rep.add("eval", PASS if complete else UNKNOWN,
-            {"input": args.expr, "whnf": show_term(w),
+            {"input": args.expr, "whnf": shown,
              "complete": complete})
     return rep.exit_code(), rep
 
@@ -354,6 +373,10 @@ def _coalg(args, rep: Report) -> tuple[int, Report]:
                 coalg, seq, finality = final_coalgebra(f, args.steps)
             except coalgebra.NotConverged as exc:
                 rep.add("final-coalgebra", UNKNOWN, {"reason": str(exc)})
+                return rep.exit_code(), rep
+            except BudgetExceeded as exc:
+                rep.add("final-coalgebra", UNKNOWN,
+                        {"reason": str(exc), "coalgebras_checked": 0})
                 return rep.exit_code(), rep
             rep.add("final-coalgebra",
                     PASS if finality.verified else UNKNOWN,

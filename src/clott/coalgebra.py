@@ -354,7 +354,9 @@ def final_coalgebra(f: FunctorExpr, max_steps: int = 16,
                     ) -> tuple[Coalgebra, TerminalSeq, FinalityReport]:
     """Carrier and structure from the converged terminal sequence, plus a
     bounded finality check (uniqueness of the morphism from every
-    F-coalgebra with at most verify_size_bound states)."""
+    F-coalgebra with at most verify_size_bound states).  Raises
+    BudgetExceeded, before the check starts, when the number of candidate
+    maps it would try exceeds the budget."""
     budget = budget or Budget()
     seq = terminal_sequence(f, max_steps, budget)
     if seq.convergence is None:
@@ -366,10 +368,19 @@ def final_coalgebra(f: FunctorExpr, max_steps: int = 16,
     conn = seq.connectors[k]
     structure = {conn[i]: v for i, v in enumerate(seq.stages[k + 1])}
     final = Coalgebra(f, carrier, structure)
+    spaces = [functor_eval(f, tuple(range(n)), budget)
+              for n in range(verify_size_bound + 1)]
+    # each of the |F(n)|^n structures on n states is tried against each of
+    # the |carrier|^n maps into the final coalgebra
+    work = sum((len(fx) * len(carrier)) ** n for n, fx in enumerate(spaces))
+    if work > budget.max_elements:
+        raise BudgetExceeded(
+            f"finality check over coalgebras on at most {verify_size_bound} "
+            f"states tries {work} candidate maps, exceeds budget "
+            f"{budget.max_elements}")
     checked = 0
-    for n in range(verify_size_bound + 1):
+    for n, fx in enumerate(spaces):
         states = tuple(range(n))
-        fx = functor_eval(f, states, budget)
         for images in itertools.product(fx, repeat=n):
             xi = dict(zip(states, images))
             checked += 1

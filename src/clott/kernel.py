@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import parser
 from .printer import show_term
@@ -77,8 +78,12 @@ Entry = VarEntry | ClockEntry | TickEntry
 class Context:
     entries: tuple[Entry, ...] = ()
 
+    @cached_property
+    def _names(self) -> frozenset[str]:
+        return frozenset([e.name for e in self.entries])
+
     def names(self) -> frozenset[str]:
-        return frozenset(e.name for e in self.entries)
+        return self._names
 
     def bind_var(self, name: str, type_: Term | None) -> "Context":
         return Context(self.entries + (VarEntry(name, type_),))

@@ -21,6 +21,10 @@ Surface syntax (see README for the grammar):
     peq a t u, plater (a:k) -> p, pforall-clk k -> p
 
 Files use `--` line comments and `def NAME : TYPE = TERM` declarations.
+
+The tokenizer matches one compiled regular expression, an alternation of
+every token kind, at each position; columns count characters from the
+start of the line.
 """
 from __future__ import annotations
 
@@ -44,62 +48,52 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
-    kind: str          # 'name', 'sym', 'eof'
+    kind: str          # 'name', 'num', 'sym', 'eof'
     value: str
     line: int
     col: int
 
 
-_SYMBOLS = ["/\\", "\\/", "->", "=>", "(", ")", "{", "}", "[", "]",
-            ",", ":", "*", "+", "@", "=", "|", "/"]
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'\-]*")
-_NUM_RE = re.compile(r"[0-9]+")
+# One alternation, tried in this order at each position: blanks, a newline,
+# a `--` comment (up to the newline), a name, a number, a symbol (longest
+# first where one is a prefix of another), and any other character, which
+# is an error.
+_TOKEN_RE = re.compile(r"""
+    (?P<blank>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>--[^\n]*)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_'\-]*)
+  | (?P<num>[0-9]+)
+  | (?P<sym>/\\|\\/|->|=>|[(){}\[\],:*+@=|/])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based line and column; the eof token sits where the
+    last token or blank ended, or where a comment at the end began."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start()
+        end = m.end()
+        if kind == "blank":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            toks.append(Token("num", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for s in _SYMBOLS:
-            if text.startswith(s, i):
-                toks.append(Token("sym", s, line, col))
-                i += len(s)
-                col += len(s)
-                break
+            line_start = end
+        elif kind == "comment":
+            end = start
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line,
+                             start - line_start + 1)
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            toks.append(Token(kind, m.group(), line, start - line_start + 1))
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -117,7 +111,9 @@ class _Parser:
         self.pos = 0
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        # callers look past a token only when it is not eof, so the index
+        # stays inside the list, which ends with eof
+        return self.toks[self.pos + k]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -143,11 +139,11 @@ class _Parser:
         raise self.error("expected a name")
 
     def at_sym(self, s: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "sym" and t.value == s
 
     def at_name(self, s: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "name" and t.value == s
 
     # -- terms ------------------------------------------------------------

@@ -3,6 +3,14 @@
 Three kinds of names live in terms: ordinary variables, clock names and
 tick names.  Binders use locally-unique string names with on-demand
 freshening; all traversals below are capture-avoiding.
+
+`_SPEC` gives the role of every field of every node class (subterm, free
+name, binder and the fields it scopes over, clock set, plain data).  At
+import, a traversal plan per class is derived from it once: the binders
+with their scopes, the subterms with the binder scoping over each, the
+name fields and the constructor's field order.  `free_names`, `rename`,
+`subst` and `alpha_eq` read the plans, so a node costs a dictionary lookup
+and loops over short tuples.  Term nodes are slotted frozen dataclasses.
 """
 from __future__ import annotations
 
@@ -14,36 +22,36 @@ from typing import Iterable
 # Term nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Term:
-    pass
+    """Base class of the term nodes."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     """Nullary constants: tt, refl, fix, unit, empty, ptop, pbot and the
     axiom constants tirr, cirr, force."""
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     name: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ann(Term):
     """Type-annotated term (t : A); lets check-only terms appear in
     inference position."""
@@ -51,33 +59,33 @@ class Ann(Term):
     type_: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fst(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snd(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inl(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inr(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Term):
     scrut: Term
     lname: str
@@ -86,59 +94,59 @@ class Case(Term):
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pi(Term):
     name: str
     dom: Term
     cod: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sigma(Term):
     name: str
     dom: Term
     cod: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Id(Term):
     type_: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickAbs(Term):
     tick: str
     clock: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickApp(Term):
     fn: Term
     tick: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClockAbs(Term):
     clock: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClockApp(Term):
     fn: Term
     clock: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Later(Term):
     """Delay type, binding a tick on the given clock over the body."""
     tick: str
@@ -146,14 +154,14 @@ class Later(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Term):
     """Universal quantification over a clock."""
     clock: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Univ(Term):
     """Universe annotated with a finite set of clock names, kept sorted."""
     clocks: tuple[str, ...]
@@ -162,7 +170,7 @@ class Univ(Term):
         object.__setattr__(self, "clocks", tuple(sorted(set(self.clocks))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropU(Term):
     """Universe of propositions, annotated like Univ."""
     clocks: tuple[str, ...]
@@ -171,18 +179,18 @@ class PropU(Term):
         object.__setattr__(self, "clocks", tuple(sorted(set(self.clocks))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class El(Term):
     code: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prf(Term):
     """Decoding of a proposition code to a type."""
     prop: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Incl(Term):
     """Universe inclusion from the small clock set into the big one."""
     small: tuple[str, ...]
@@ -194,59 +202,59 @@ class Incl(Term):
         object.__setattr__(self, "big", tuple(sorted(set(self.big))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaterCode(Term):
     tick: str
     clock: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForallCode(Term):
     clock: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiCode(Term):
     name: str
     dom: Term
     cod: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigmaCode(Term):
     name: str
     dom: Term
     cod: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumCode(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdCode(Term):
     code: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAnd(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class POr(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PExists(Term):
     """Existential proposition over the elements of a type code."""
     name: str
@@ -254,28 +262,28 @@ class PExists(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PForall(Term):
     name: str
     dom: Term
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PEq(Term):
     code: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLater(Term):
     tick: str
     clock: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PForallClk(Term):
     clock: str
     body: Term
@@ -352,11 +360,43 @@ _SPEC: dict[type, list[tuple[str, str, tuple[str, ...]]]] = {
 }
 
 _BIND_ROLES = {BIND_VAR: NAME_VAR, BIND_CLOCK: NAME_CLOCK, BIND_TICK: NAME_TICK}
+_NAME_ROLES = (NAME_VAR, NAME_CLOCK, NAME_TICK)
 
 
-def _rebuild(t: Term, updates: dict[str, object]) -> Term:
-    kwargs = {f.name: updates.get(f.name, getattr(t, f.name)) for f in fields(t)}
-    return type(t)(**kwargs)
+class _Plan:
+    """The traversal plan of one term class, derived from its `_SPEC` entry.
+
+    `binders` holds (binder field, scope) pairs; `terms` holds (term field,
+    binder field scoping over it or None); `names` holds (name field,
+    role); `entries` holds (field, role, binder field scoping over it or
+    None) for every field but the binders, in `_SPEC` order; `fields` is
+    the constructor's field order.
+    """
+    __slots__ = ("fields", "binders", "terms", "names", "namesets",
+                 "entries")
+
+    def __init__(self, cls: type, spec) -> None:
+        binder_of = {sf: f for f, role, scope in spec if role in _BIND_ROLES
+                     for sf in scope}
+        self.fields = tuple(f.name for f in fields(cls))
+        self.binders = tuple((f, scope) for f, role, scope in spec
+                             if role in _BIND_ROLES)
+        self.terms = tuple((f, binder_of.get(f)) for f, role, _ in spec
+                           if role == TERM)
+        self.names = tuple((f, role) for f, role, _ in spec
+                           if role in _NAME_ROLES)
+        self.namesets = tuple(f for f, role, _ in spec if role == NAMESET)
+        self.entries = tuple((f, role, binder_of.get(f))
+                             for f, role, _ in spec if role not in _BIND_ROLES)
+
+
+_PLANS: dict[type, _Plan] = {cls: _Plan(cls, spec)
+                             for cls, spec in _SPEC.items()}
+
+
+def _rebuild(t: Term, plan: _Plan, updates: dict[str, object]) -> Term:
+    return type(t)(*[updates[f] if f in updates else getattr(t, f)
+                     for f in plan.fields])
 
 
 def fresh(base: str, avoid: Iterable[str]) -> str:
@@ -374,7 +414,7 @@ def fresh(base: str, avoid: Iterable[str]) -> str:
 # Free names
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeNames:
     vars: frozenset[str]
     clocks: frozenset[str]
@@ -383,14 +423,6 @@ class FreeNames:
     def all(self) -> frozenset[str]:
         return self.vars | self.clocks | self.ticks
 
-    def __or__(self, other: "FreeNames") -> "FreeNames":
-        return FreeNames(self.vars | other.vars,
-                         self.clocks | other.clocks,
-                         self.ticks | other.ticks)
-
-
-EMPTY_FREE = FreeNames(frozenset(), frozenset(), frozenset())
-
 
 def free_names(t) -> FreeNames:
     if isinstance(t, (AVar, AOp)):
@@ -398,30 +430,26 @@ def free_names(t) -> FreeNames:
     vs: set[str] = set()
     cs: set[str] = set()
     ts: set[str] = set()
-
-    def go2(t: Term, bound: frozenset[str]) -> None:
-        spec = _SPEC[type(t)]
-        scoped = {sf for _, role, scope in spec if role in _BIND_ROLES
-                  for sf in scope}
-        binder_of = {sf: f for f, role, scope in spec
-                     if role in _BIND_ROLES for sf in scope}
-        for field, role, scope in spec:
+    sink = {NAME_VAR: vs, NAME_CLOCK: cs, NAME_TICK: ts}
+    todo = [(t, frozenset())]
+    while todo:
+        t, bound = todo.pop()
+        if type(t) is Var:
+            if t.name not in bound:
+                vs.add(t.name)
+            continue
+        plan = _PLANS[type(t)]
+        for field, role in plan.names:
             val = getattr(t, field)
-            if role == TERM:
-                if field in scoped:
-                    go2(val, bound | {getattr(t, binder_of[field])})
-                else:
-                    go2(val, bound)
-            elif role == NAME_VAR and val not in bound:
-                vs.add(val)
-            elif role == NAME_CLOCK and val not in bound:
-                cs.add(val)
-            elif role == NAME_TICK and val not in bound:
-                ts.add(val)
-            elif role == NAMESET:
-                cs.update(k for k in val if k not in bound)
-
-    go2(t, frozenset())
+            if val not in bound:
+                sink[role].add(val)
+        for field in plan.namesets:
+            cs.update(k for k in getattr(t, field) if k not in bound)
+        for field, binder in plan.terms:
+            if binder is None:
+                todo.append((getattr(t, field), bound))
+            else:
+                todo.append((getattr(t, field), bound | {getattr(t, binder)}))
     return FreeNames(frozenset(vs), frozenset(cs), frozenset(ts))
 
 
@@ -441,20 +469,18 @@ def rename(t: Term, mapping: dict[str, str]) -> Term:
 
 
 def _rename(t: Term, mapping: dict[str, str]) -> Term:
-    spec = _SPEC[type(t)]
+    plan = _PLANS[type(t)]
     updates: dict[str, object] = {}
     # handle binders first: shadowing and capture
     scope_maps: dict[str, dict[str, str]] = {}
     scope_pre: dict[str, dict[str, str]] = {}
-    for field, role, scope in spec:
-        if role not in _BIND_ROLES:
-            continue
+    for field, scope in plan.binders:
         b = getattr(t, field)
         inner = {k: v for k, v in mapping.items() if k != b}
         # drop entries whose source is not free in the scope
         if inner:
             scope_free = frozenset().union(
-                *(free_names(getattr(t, sf)).all() for sf in scope)) if scope else frozenset()
+                *(free_names(getattr(t, sf)).all() for sf in scope))
             inner = {k: v for k, v in inner.items() if k in scope_free}
         pre: dict[str, str] = {}
         if inner and b in inner.values():
@@ -467,26 +493,25 @@ def _rename(t: Term, mapping: dict[str, str]) -> Term:
         for sf in scope:
             scope_maps[sf] = inner
             scope_pre[sf] = pre
-    for field, role, scope in spec:
+    for field, role, _ in plan.entries:
         val = getattr(t, field)
         if role == TERM:
-            m = scope_maps.get(field, mapping)
-            pre = scope_pre.get(field, {})
             v = val
+            pre = scope_pre.get(field)
             if pre:
                 v = _rename(v, pre)
+            m = scope_maps.get(field, mapping)
             if m:
                 v = _rename(v, m)
             if v is not val:
                 updates[field] = v
-        elif role in (NAME_VAR, NAME_CLOCK, NAME_TICK):
-            if val in mapping:
-                updates[field] = mapping[val]
         elif role == NAMESET:
             new = tuple(sorted({mapping.get(k, k) for k in val}))
             if new != val:
                 updates[field] = new
-    return _rebuild(t, updates) if updates else t
+        elif role != ATOM and val in mapping:
+            updates[field] = mapping[val]
+    return _rebuild(t, plan, updates) if updates else t
 
 
 def subst(t: Term, x: str, u: Term) -> Term:
@@ -495,45 +520,46 @@ def subst(t: Term, x: str, u: Term) -> Term:
 
 
 def _subst(t: Term, x: str, u: Term, avoid: frozenset[str]) -> Term:
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         return u if t.name == x else t
-    spec = _SPEC[type(t)]
+    plan = _PLANS[cls]
     updates: dict[str, object] = {}
-    scope_skip: dict[str, bool] = {}
+    if not plan.binders:
+        for field, _ in plan.terms:
+            val = getattr(t, field)
+            v = _subst(val, x, u, avoid)
+            if v is not val:
+                updates[field] = v
+        return _rebuild(t, plan, updates) if updates else t
+    scope_skip: set[str] = set()
     scope_pre: dict[str, dict[str, str]] = {}
-    for field, role, scope in spec:
-        if role not in _BIND_ROLES:
-            continue
+    for field, scope in plan.binders:
         b = getattr(t, field)
         if b == x:
-            for sf in scope:
-                scope_skip[sf] = True
+            scope_skip.update(scope)
             continue
-        pre: dict[str, str] = {}
         if b in avoid:
             scope_free: set[str] = set()
             for sf in scope:
                 scope_free |= free_names(getattr(t, sf)).all()
             if any(x in free_names(getattr(t, sf)).vars for sf in scope):
                 b2 = fresh(b, avoid | scope_free)
-                pre = {b: b2}
                 updates[field] = b2
-        for sf in scope:
-            scope_pre[sf] = pre
-    for field, role, scope in spec:
-        if role != TERM:
+                for sf in scope:
+                    scope_pre[sf] = {b: b2}
+    for field, _ in plan.terms:
+        if field in scope_skip:
             continue
         val = getattr(t, field)
-        if scope_skip.get(field):
-            continue
         v = val
-        pre = scope_pre.get(field, {})
+        pre = scope_pre.get(field)
         if pre:
             v = _rename(v, pre)
         v = _subst(v, x, u, avoid)
         if v is not val:
             updates[field] = v
-    return _rebuild(t, updates) if updates else t
+    return _rebuild(t, plan, updates) if updates else t
 
 
 def clock_subst(t: Term, kappa: str, kappa2: str) -> Term:
@@ -551,48 +577,44 @@ def tick_subst(t: Term, alpha: str, beta: str) -> Term:
 # ---------------------------------------------------------------------------
 
 def alpha_eq(t: Term, u: Term) -> bool:
+    if t is u:
+        return True
     return _alpha(t, u, {}, {}, [0])
+
+
+def _nameset_key(e):
+    # entries are bound-binder indices (int) or ("free", name)
+    return (0, e, "") if isinstance(e, int) else (1, -1, e[1])
 
 
 def _alpha(t: Term, u: Term, env1: dict[str, int], env2: dict[str, int],
            counter: list[int]) -> bool:
     if type(t) is not type(u):
         return False
-    spec = _SPEC[type(t)]
-    binder_of = {sf: f for f, role, scope in spec
-                 if role in _BIND_ROLES for sf in scope}
-    for field, role, scope in spec:
+    for field, role, binder in _PLANS[type(t)].entries:
         v1, v2 = getattr(t, field), getattr(u, field)
         if role == TERM:
-            e1, e2 = env1, env2
-            if field in binder_of:
-                bf = binder_of[field]
-                n = counter[0]
-                counter[0] += 1
-                e1 = {**env1, getattr(t, bf): n}
-                e2 = {**env2, getattr(u, bf): n}
-            if not _alpha(v1, v2, e1, e2, counter):
-                return False
-        elif role in (NAME_VAR, NAME_CLOCK, NAME_TICK):
-            k1 = env1.get(v1, ("free", v1))
-            k2 = env2.get(v2, ("free", v2))
-            if k1 != k2:
+            if binder is None:
+                if not _alpha(v1, v2, env1, env2, counter):
+                    return False
+                continue
+            n = counter[0]
+            counter[0] += 1
+            if not _alpha(v1, v2, {**env1, getattr(t, binder): n},
+                          {**env2, getattr(u, binder): n}, counter):
                 return False
         elif role == NAMESET:
-            # entries are bound-binder indices (int) or ("free", name)
-            key = (lambda e: (0, e, "") if isinstance(e, int)
-                   else (1, -1, e[1]))
-            s1 = tuple(sorted((env1.get(k, ("free", k)) for k in v1),
-                              key=key))
-            s2 = tuple(sorted((env2.get(k, ("free", k)) for k in v2),
-                              key=key))
+            s1 = sorted((env1.get(k, ("free", k)) for k in v1),
+                        key=_nameset_key)
+            s2 = sorted((env2.get(k, ("free", k)) for k in v2),
+                        key=_nameset_key)
             if s1 != s2:
                 return False
-        elif role in _BIND_ROLES:
-            continue
-        else:
+        elif role == ATOM:
             if v1 != v2:
                 return False
+        elif env1.get(v1, ("free", v1)) != env2.get(v2, ("free", v2)):
+            return False
     return True
 
 

@@ -12,7 +12,7 @@ _CONSTS = ["tt", "refl", "unit", "empty", "ptop", "pbot",
            "fix", "tirr", "cirr", "force"]
 
 
-def terms(max_leaves: int = 12):
+def terms(max_leaves: int = 12, names=names):
     base = st.one_of(
         names.map(T.Var),
         st.sampled_from(_CONSTS).map(T.Const),

@@ -71,6 +71,30 @@ def test_eval_parse_error():
     assert run(["eval", "(tt"]) == 2
 
 
+def _assert_too_deep(code, doc, capsys):
+    assert code == 3
+    (entry,) = doc["checks"]
+    assert entry["verdict"] == "unknown"
+    assert "recursion limit" in entry["evidence"]["reason"]
+    assert list(entry["evidence"]) == ["reason"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_nesting_beyond_recursion_limit_is_unknown(tmp_path, capsys):
+    t = "tt"
+    for _ in range(200):
+        t = f"((fun x -> x) : unit -> unit) ({t})"
+    f = tmp_path / "deep.clott"
+    f.write_text(f"def r : unit = {t}\n")
+    code, doc = run_json(["check", str(f)], tmp_path)
+    _assert_too_deep(code, doc, capsys)
+
+
+def test_eval_nesting_beyond_recursion_limit_is_unknown(tmp_path, capsys):
+    code, doc = run_json(["eval", "(" * 3000 + "tt" + ")" * 3000], tmp_path)
+    _assert_too_deep(code, doc, capsys)
+
+
 # -- model ---------------------------------------------------------------------
 
 def test_model_invariance_suite(tmp_path):
@@ -194,6 +218,23 @@ def test_coalg_final(tmp_path):
     code, doc = run_json(["coalg", "final", "const{a,b}"], tmp_path)
     assert code == 0
     assert doc["checks"][0]["evidence"]["carrier_size"] == 2
+
+
+def test_coalg_final_refuses_oversized_finality_check(tmp_path):
+    # 1 + 22*22 + (22*22)^2 + (22*22)^3 candidate maps over coalgebras on
+    # at most 3 states, for a 22-element F(n) and a 22-element carrier
+    code, doc = run_json(["coalg", "final", "df(const{a,b,c})",
+                          "--steps", "3"], tmp_path)
+    assert code == 3
+    evidence = doc["checks"][0]["evidence"]
+    assert evidence["coalgebras_checked"] == 0
+    assert "113614645 candidate maps" in evidence["reason"]
+    assert "budget 1000000" in evidence["reason"]
+    # 1 + 49 + 49^2 + 49^3 = 120,100 maps stay within the budget
+    code, doc = run_json(["coalg", "final", "df(const{a,b})",
+                          "--steps", "3"], tmp_path, "small.json")
+    assert code == 0
+    assert doc["checks"][0]["evidence"]["coalgebras_checked"] == 400
 
 
 def test_coalg_bad_functor_is_usage_error():
