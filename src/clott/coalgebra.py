@@ -237,8 +237,10 @@ def functor_map_all(f: FunctorExpr, fn: dict, values) -> dict:
 
     Elements of F(X) share their X-level members heavily (a powerset fiber
     reuses the same few members in every subset), so mapping them one by
-    one with functor_map repeats work quadratically."""
-    cache: dict = {}
+    one with functor_map repeats work quadratically.  F is compiled once
+    into one mapping function per prod, sum, pf or df node, each with its
+    own cache; an id child is mapped as fn[x] and a const child is kept as
+    it is, with no call of their own."""
     keys: dict = {}
 
     def ckey(v):
@@ -247,34 +249,60 @@ def functor_map_all(f: FunctorExpr, fn: dict, values) -> dict:
             k = keys[v] = theories.canon_key(v)
         return k
 
-    def go(fx, v, pos):
-        if isinstance(fx, FId):
-            return fn[v]
-        if isinstance(fx, FConst):
-            return v
-        key = (pos, v)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(fx, FProd):
-            r = ("pair", go(fx.left, v[1], pos + "l"),
-                 go(fx.right, v[2], pos + "r"))
-        elif isinstance(fx, FSum):
-            tag, u = v
-            side = fx.left if tag == "inl" else fx.right
-            r = (tag, go(side, u, pos + tag))
-        elif v[0] == "set":
-            mapped = {go(fx.inner, x, pos + "i") for x in v[1]}
-            r = ("set", tuple(sorted(mapped, key=ckey)))
-        else:
-            theory = BUILTINS[fx.theory]
-            members = [x for x, _ in v[1]] if v[0] == "dist" else v[1]
-            inner_fn = {x: go(fx.inner, x, pos + "i") for x in members}
-            r = theories.fmap(theory, inner_fn, v)
-        cache[key] = r
-        return r
+    act = _node_map(f, fn, ckey)
+    if act is None:
+        return {v: v for v in values}
+    return {v: act(v) for v in values}
 
-    return {v: go(f, v, "") for v in values}
+
+def _node_map(fx: FunctorExpr, fn: dict, ckey):
+    """fx(fn) as a function on fx(X): fn.__getitem__ for id and None (the
+    identity) for const; the mapping functions of inner nodes test for
+    None instead of calling an identity."""
+    if isinstance(fx, FId):
+        return fn.__getitem__
+    if isinstance(fx, FConst):
+        return None
+    cache: dict = {}
+    if isinstance(fx, FProd):
+        left = _node_map(fx.left, fn, ckey)
+        right = _node_map(fx.right, fn, ckey)
+
+        def act(v):
+            r = cache.get(v)
+            if r is None:
+                _, a, b = v
+                r = cache[v] = ("pair", a if left is None else left(a),
+                                b if right is None else right(b))
+            return r
+    elif isinstance(fx, FSum):
+        sides = {"inl": _node_map(fx.left, fn, ckey),
+                 "inr": _node_map(fx.right, fn, ckey)}
+
+        def act(v):
+            r = cache.get(v)
+            if r is None:
+                tag, u = v
+                side = sides[tag]
+                r = cache[v] = (tag, u if side is None else side(u))
+            return r
+    else:
+        inner = _node_map(fx.inner, fn, ckey)
+        theory = BUILTINS[fx.theory]
+
+        def act(v):
+            r = cache.get(v)
+            if r is None:
+                if v[0] == "set":
+                    mapped = set(v[1] if inner is None else map(inner, v[1]))
+                    r = ("set", tuple(sorted(mapped, key=ckey)))
+                else:
+                    r = theories.fmap(theory, {
+                        x: x if inner is None else inner(x)
+                        for x, _ in v[1]}, v)
+                cache[v] = r
+            return r
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +349,8 @@ def terminal_sequence(f: FunctorExpr, max_steps: int,
         if k == 0:
             conn = {i: 0 for i in range(len(nxt))}
         else:
-            conn = {index[v]: indices[k][functor_map(
-                f, raw_connectors[k - 1], v)] for v in nxt}
+            mapped = functor_map_all(f, raw_connectors[k - 1], nxt)
+            conn = {index[v]: indices[k][mapped[v]] for v in nxt}
         stages.append(nxt)
         indices.append(index)
         raw_connectors.append(conn)

@@ -516,10 +516,12 @@ def _rename(t: Term, mapping: dict[str, str]) -> Term:
 
 def subst(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding substitution of the term u for the variable x."""
-    return _subst(t, x, u, free_names(u).all() | {x})
+    return _subst(t, x, u, [])
 
 
-def _subst(t: Term, x: str, u: Term, avoid: frozenset[str]) -> Term:
+def _subst(t: Term, x: str, u: Term, avoid: list[frozenset[str]]) -> Term:
+    # avoid holds the names a binder must not capture, free_names(u) and x,
+    # computed when the first binder other than x needs them
     cls = type(t)
     if cls is Var:
         return u if t.name == x else t
@@ -539,12 +541,14 @@ def _subst(t: Term, x: str, u: Term, avoid: frozenset[str]) -> Term:
         if b == x:
             scope_skip.update(scope)
             continue
-        if b in avoid:
+        if not avoid:
+            avoid.append(free_names(u).all() | {x})
+        if b in avoid[0]:
             scope_free: set[str] = set()
             for sf in scope:
                 scope_free |= free_names(getattr(t, sf)).all()
             if any(x in free_names(getattr(t, sf)).vars for sf in scope):
-                b2 = fresh(b, avoid | scope_free)
+                b2 = fresh(b, avoid[0] | scope_free)
                 updates[field] = b2
                 for sf in scope:
                     scope_pre[sf] = {b: b2}

@@ -456,15 +456,15 @@ def _term_size(term: AlgTerm) -> int:
 def _congruence_classes(t: Theory, base, budget: Budget) -> list[AlgTerm]:
     universe = enumerate_terms(t, base, budget.term_size, budget.max_terms)
     index = {u: i for i, u in enumerate(universe)}
+    sized = [(u, _term_size(u)) for u in universe]
     uf = _UnionFind(len(universe))
 
     # equation instances whose two sides both fall inside the universe
     for lhs, rhs in t.equations:
         variables = sorted(alg_free_vars(lhs) | alg_free_vars(rhs))
-        occ = {v: max(_occurrences(lhs, v), 1) for v in variables}
         head = max(_term_size(lhs), _term_size(rhs))
         room = budget.term_size - head
-        for assign in _assignments(variables, universe, occ, room,
+        for assign in _assignments(variables, sized, room,
                                    _occurrences_map(lhs, rhs, variables)):
             li = index.get(_subst_vars(lhs, assign))
             ri = index.get(_subst_vars(rhs, assign))
@@ -507,11 +507,12 @@ def _occurrences_map(lhs, rhs, variables):
             for v in variables}
 
 
-def _assignments(variables, universe, occ, room, occmap):
+def _assignments(variables, sized, room, occmap):
     """Assignments of universe terms to equation variables such that both
-    instantiated sides stay within the size budget."""
-    lhs_head = room  # placeholder; budgets rechecked per side below
-    del lhs_head, occ
+    instantiated sides stay within the size budget (a side that leaves
+    the universe could not be looked up anyway).  `sized` lists (term,
+    size) pairs by ascending size, so the scan for one variable stops at
+    the first term that overflows a side: every later term does too."""
 
     def rec(i, assign, lsize, rsize):
         if i == len(variables):
@@ -519,15 +520,10 @@ def _assignments(variables, universe, occ, room, occmap):
             return
         v = variables[i]
         lo, ro = occmap[v]
-        for u in universe:
-            s = _term_size(u)
+        for u, s in sized:
             nl, nr = lsize + lo * s, rsize + ro * s
-            if nl > room and nr > room:
-                continue
             if nl > room or nr > room:
-                # one side would leave the universe; its instance lookup
-                # would fail anyway, so prune
-                continue
+                break
             assign.append((v, u))
             yield from rec(i + 1, assign, nl, nr)
             assign.pop()
@@ -624,22 +620,38 @@ def check_preserves_pullbacks_of_monos(
         budget: Budget | None = None) -> CheckResult:
     """Exhaustively compare T(f^{-1}Z) with the pullback of T(X) -> T(Y)
     <- T(Z) over all f: X -> Y and subsets Z of Y with |X|, |Y| at most
-    size_bound.  First counterexample in canonical enumeration order."""
+    size_bound.  First counterexample in canonical enumeration order.
+
+    Each free model is built once per call.  The pullback is a hash
+    join: T(Z) is indexed once per Z by its image under T(incl), and each
+    u in T(X) is mapped once per f and paired with the v under its
+    image."""
     budget = budget or Budget()
+    models: dict = {}
+
+    def model(base):
+        m = models.get(base)
+        if m is None:
+            m = models[base] = free_model(t, base, budget)
+        return m
+
     for y in _sets_upto(size_bound):
         for z in _subsets(y):
-            mz = free_model(t, z, budget)
+            mz = model(z)
             incl = {v: v for v in z}
+            # T(Z) indexed by its image in T(Y)
+            over: dict = {}
+            for v in mz.elements:
+                over.setdefault(fmap(t, incl, v), []).append(v)
             for x in _sets_upto(size_bound):
-                mx = free_model(t, x, budget)
+                mx = model(x)
                 for f_images in itertools.product(y, repeat=len(x)):
                     f = dict(zip(x, f_images))
                     p = tuple(v for v in x if f[v] in z)
-                    mp = free_model(t, p, budget)
+                    mp = model(p)
                     # pullback of T(X) --T(f)--> T(Y) <--T(incl)-- T(Z)
-                    pb = {(u, v)
-                          for u in mx.elements for v in mz.elements
-                          if fmap(t, f, u) == fmap(t, incl, v)}
+                    pb = {(u, v) for u in mx.elements
+                          for v in over.get(fmap(t, f, u), ())}
                     # image of the canonical map T(P) -> T(X) x T(Z)
                     can = [(fmap(t, {v: v for v in p}, e),
                             fmap(t, {v: f[v] for v in p}, e))

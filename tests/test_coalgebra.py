@@ -13,7 +13,8 @@ from clott.coalgebra import (BOT, Budget, BudgetExceeded, Coalgebra,
                              FunctorParseError, NotConverged, bisimilarity,
                              brute_force_bisimilarity, delay_depth,
                              final_coalgebra, functor_eval, functor_map,
-                             functor_size, now, parse_coalgebra_file,
+                             functor_map_all, functor_size, now,
+                             parse_coalgebra_file,
                              parse_functor, show_functor, step,
                              terminal_sequence, weak_bisim_delay)
 from clott.theories import canon_key, csorted
@@ -274,6 +275,26 @@ def _draw_element(data, f, states):
     weights = [data.draw(st.integers(1, 3)) for _ in members]
     return ("dist", tuple(csorted(
         (x, Fraction(w, sum(weights))) for x, w in zip(members, weights))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_functor_map_all_matches_functor_map(data):
+    # non-injective maps, into ints or into strings, on elements drawn
+    # from a few states so that members are shared between elements
+    f = data.draw(_FUNCTORS)
+    n = data.draw(st.integers(2, 5))
+    states = tuple(range(n)) if data.draw(st.booleans()) \
+        else tuple(f"s{i}" for i in range(n))
+    k = data.draw(st.integers(1, n - 1))
+    targets = list(range(k)) if data.draw(st.booleans()) \
+        else [f"t{j}" for j in range(k)]
+    fn = {s: data.draw(st.sampled_from(targets)) for s in states}
+    vs = [_draw_element(data, f, states)
+          for _ in range(data.draw(st.integers(1, 6)))]
+    mapped = functor_map_all(f, fn, vs)
+    assert list(mapped.items()) == \
+        [(v, functor_map(f, fn, v)) for v in dict.fromkeys(vs)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,16 +3,23 @@ support, and the finite preservation checks."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clott.terms import AOp, AVar
+from clott import theories
+from clott.terms import AOp, AVar, alg_free_vars
 from clott.theories import (BUILTINS, Budget, BudgetExceeded, CheckResult,
-                            Theory, TheoryError, _compositions,
+                            Theory, TheoryError, _assignments,
+                            _compositions, _congruence_classes,
+                            _occurrences_map, _term_size,
                             check_preserves_monos,
                             check_preserves_pullbacks_of_monos, class_equal,
                             drop_equations, fmap, free_model,
                             has_drop_equations, interpret, is_drop_equation,
                             csorted, minimal_support, mult,
                             theory_from_file, unit)
+
+from .strategies import alg_terms
 
 LEFTZERO = theory_from_file(
     {"f": 2}, [(AOp("f", (AVar("x"), AVar("y"))), AVar("x"))], None,
@@ -300,3 +307,161 @@ def test_leftzero_preservation_checks_run_on_custom_theories():
     pullbacks = check_preserves_pullbacks_of_monos(
         LEFTZERO, size_bound=2, budget=Budget(term_size=2))
     assert monos.ok and pullbacks.ok
+
+
+def test_leftzero_pullbacks_at_size_three():
+    # the nested-loop join over T(X) x T(Z) took minutes at this size; a
+    # return of it shows up as a hung run
+    r = check_preserves_pullbacks_of_monos(LEFTZERO, size_bound=3)
+    assert r.ok and r.counterexample is None
+
+
+# -- the pullback check against the nested-loop reference -------------------
+
+def reference_pullbacks_of_monos(t, size_bound=3, budget=None):
+    """Oracle: the pullback of T(X) -> T(Y) <- T(Z) by a nested loop over
+    T(X) x T(Z) that maps both sides of every pair, with every free model
+    rebuilt where it is used."""
+    budget = budget or Budget()
+    for y in theories._sets_upto(size_bound):
+        for z in theories._subsets(y):
+            mz = theories.free_model(t, z, budget)
+            incl = {v: v for v in z}
+            for x in theories._sets_upto(size_bound):
+                mx = theories.free_model(t, x, budget)
+                for f_images in itertools.product(y, repeat=len(x)):
+                    f = dict(zip(x, f_images))
+                    p = tuple(v for v in x if f[v] in z)
+                    mp = theories.free_model(t, p, budget)
+                    pb = {(u, v)
+                          for u in mx.elements for v in mz.elements
+                          if theories.fmap(t, f, u) ==
+                          theories.fmap(t, incl, v)}
+                    can = [(theories.fmap(t, {v: v for v in p}, e),
+                            theories.fmap(t, {v: f[v] for v in p}, e))
+                           for e in mp.elements]
+                    if len(set(can)) == len(can) and set(can) == pb:
+                        continue
+                    square = {"X": x, "Y": y, "Z": z, "P": p,
+                              "f": tuple(sorted(f.items()))}
+                    return CheckResult(False, tuple(sorted(square.items())),
+                                       {"size_bound": size_bound})
+    return CheckResult(True, None, {"size_bound": size_bound})
+
+
+@pytest.mark.parametrize("size_bound", [1, 2, 3])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_pullbacks_match_nested_loop_reference(name, size_bound):
+    t = BUILTINS[name]
+    assert check_preserves_pullbacks_of_monos(t, size_bound) == \
+        reference_pullbacks_of_monos(t, size_bound)
+
+
+def test_leftzero_pullbacks_match_nested_loop_reference():
+    assert check_preserves_pullbacks_of_monos(LEFTZERO, 2) == \
+        reference_pullbacks_of_monos(LEFTZERO, 2)
+
+
+def _perturbed_fmap(elem, wrong, maps):
+    """fmap with the image of elem replaced by wrong under the maps that
+    maps selects: the identities (T(incl) and T(P) -> T(X)), the others,
+    or all of them."""
+    fmap = theories.fmap
+
+    def mutant(t, f, e):
+        image = fmap(t, f, e)
+        identity = all(k == v for k, v in f.items())
+        if e == elem and maps in ("all", "identity" if identity else "other"):
+            return wrong
+        return image
+
+    return mutant
+
+
+def test_perturbed_image_is_a_counterexample(monkeypatch):
+    t = BUILTINS["semilattice"]
+    monkeypatch.setattr(theories, "fmap",
+                        _perturbed_fmap(("set", (0,)), ("set", ()), "other"))
+    r = check_preserves_pullbacks_of_monos(t, 2)
+    assert not r.ok
+    assert r == reference_pullbacks_of_monos(t, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_perturbed_fmap_gives_the_reference_counterexample(data):
+    name = data.draw(st.sampled_from(BUILTIN_NAMES[:4]))
+    t = BUILTINS[name]
+    budget = Budget(max_len=2, max_denominator=2)
+    carrier = free_model(t, (0, 1), budget).elements
+    elem = data.draw(st.sampled_from(carrier))
+    wrong = data.draw(st.sampled_from(carrier))
+    maps = data.draw(st.sampled_from(["all", "identity", "other"]))
+    mutant = _perturbed_fmap(elem, wrong, maps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theories, "fmap", mutant)
+        assert check_preserves_pullbacks_of_monos(t, 2, budget) == \
+            reference_pullbacks_of_monos(t, 2, budget)
+
+
+# -- congruence closure against the unsized scan ----------------------------
+
+def reference_assignments(variables, universe, room, occmap):
+    """Oracle: every universe term is tried for every variable, its size
+    recomputed each time, with no early stop."""
+
+    def rec(i, assign, lsize, rsize):
+        if i == len(variables):
+            yield dict(assign)
+            return
+        v = variables[i]
+        lo, ro = occmap[v]
+        for u in universe:
+            s = _term_size(u)
+            nl, nr = lsize + lo * s, rsize + ro * s
+            if nl > room or nr > room:
+                continue
+            assign.append((v, u))
+            yield from rec(i + 1, assign, nl, nr)
+            assign.pop()
+
+    yield from rec(0, [], 0, 0)
+
+
+def _assert_closure_matches_reference(t, base, budget):
+    universe = theories.enumerate_terms(t, base, budget.term_size,
+                                        budget.max_terms)
+    sized = [(u, _term_size(u)) for u in universe]
+    for lhs, rhs in t.equations:
+        variables = sorted(alg_free_vars(lhs) | alg_free_vars(rhs))
+        room = budget.term_size - max(_term_size(lhs), _term_size(rhs))
+        occmap = _occurrences_map(lhs, rhs, variables)
+        assert list(_assignments(variables, sized, room, occmap)) == \
+            list(reference_assignments(variables, universe, room, occmap))
+    classes = _congruence_classes(t, base, budget)
+
+    def unsized(variables, sized, room, occmap):
+        return reference_assignments(variables, [u for u, _ in sized], room,
+                                     occmap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theories, "_assignments", unsized)
+        assert classes == _congruence_classes(t, base, budget)
+
+
+@pytest.mark.parametrize("size,depth", [(2, 4), (3, 3)])
+def test_leftzero_closure_matches_unsized_scan(size, depth):
+    _assert_closure_matches_reference(LEFTZERO, tuple(range(size)),
+                                      Budget(term_size=depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(alg_terms(max_leaves=4), alg_terms(max_leaves=4)),
+                min_size=1, max_size=2),
+       st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]))
+def test_generated_closure_matches_unsized_scan(equations, shape):
+    t = theory_from_file({"f": 2, "g": 1, "c": 0}, equations, None,
+                         "generated")
+    size, depth = shape
+    _assert_closure_matches_reference(t, tuple(range(size)),
+                                      Budget(term_size=depth))
