@@ -12,17 +12,15 @@ import sys
 from importlib import resources
 
 from . import coalgebra, kernel, theories
-from .coalgebra import (BOT, Coalgebra, bisimilarity, final_coalgebra,
-                        now, parse_coalgebra_file, parse_functor,
-                        show_functor, step, terminal_sequence,
-                        weak_bisim_delay)
+from .coalgebra import (BOT, bisimilarity, final_coalgebra, now,
+                        parse_coalgebra_file, parse_functor, show_functor,
+                        step, terminal_sequence, weak_bisim_delay)
 from .kernel import Context, Fuel, TypeCheckError, UnknownConversion, whnf
 from .model import (FreshClockExhausted, MArrow, MClk, MEq, MExists, MFin,
                     MForall, MLater, MMu, MProd, MSum, MTop, Model,
-                    check_forall_prod_dist,
-                    check_forall_sum_dist, check_functoriality,
-                    check_force, check_invariance, clk_psh, const_psh,
-                    eval_type, exists_forall_experiment, mu,
+                    check_forall_prod_dist, check_forall_sum_dist,
+                    check_functoriality, check_force, check_invariance,
+                    const_psh, eval_type, exists_forall_experiment, mu,
                     unique_exists_check)
 from .parser import (ParseError, parse_declarations, parse_term,
                      parse_theory_file)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..theories import Budget, BudgetExceeded, csorted
-from .timecat import (ElObj, FinCategory, TimeMor, TimeObj,
-                      enumerate_category, mor_key, obj_key, pool_names,
-                      slice_category)
+from .timecat import (ElObj, FinCategory, TimeMor, TimeObj, _id_sigma,
+                      _time_of, enumerate_category, mor_key, obj_key,
+                      pool_names, slice_category)
 
 
 class FreshClockExhausted(Exception):
@@ -96,18 +96,17 @@ def align(a: Psh, b: Psh) -> tuple[Psh, Psh]:
 
 @dataclass
 class Psh:
+    """Fibers and action; the action dicts are read-only (may be shared)."""
     cat: FinCategory
     fib: dict      # obj -> tuple of elements, canonical order
     act: dict      # TimeMor -> dict element -> element
 
-    def restrict(self, m: TimeMor, x):
-        return self.act[m][x]
-
 
 def const_psh(cat: FinCategory, elems) -> Psh:
     elems = tuple(csorted(elems))
+    ident = {x: x for x in elems}
     return Psh(cat, {o: elems for o in cat.objects},
-               {m: {x: x for x in elems} for m in cat.morphisms})
+               dict.fromkeys(cat.morphisms, ident))
 
 
 def clk_psh(cat: FinCategory) -> Psh:
@@ -312,13 +311,26 @@ class CheckOutcome:
 
 
 def check_functoriality(x: Psh) -> CheckOutcome:
+    """Whether x(id) = id and x(g∘f) = x(g)∘x(f); the counterexample is the
+    first failure over the identities, then the pairs by f's and g's ids.
+
+    The pairs with g a generator (`timecat._is_generator`) decide it.  A
+    morphism σ : (E,θ) → (E',θ') is merges to one clock per fiber of σ at
+    the fiber's least stage, a rename onto σ(E), decrements to θ', adds of
+    E' ∖ σ(E) at the top stage and decrements to θ'; no object on the way
+    has more clocks than E or E', so inner subcategories contain it, and
+    in a slice each factor carries the marked clock.  By induction on h
+    as a word in generators, x((g∘h)∘f) = x(g)∘x(h∘f) = x(g)∘x(h)∘x(f)
+    = x(g∘h)∘x(f).  Only a failing generator pair starts the full scan."""
     cat = x.cat
     for o in cat.objects:
         ident = cat.identity(o)
         for e in x.fib[o]:
             if x.act[ident][e] != e:
                 return CheckOutcome(False, ("identity", obj_key(o), e))
-    # the composable pairs (g, f) in the order of cat.composable_pairs()
+    if _generators_commute(x):
+        return CheckOutcome(True)
+    # the composable pairs (g, f) by f's id, then g's id
     acts = [x.act[m] for m in cat.morphisms]
     succ, table, dst = cat.succ, cat.table, cat.dst_ids
     for fi, f in enumerate(cat.morphisms):
@@ -333,26 +345,34 @@ def check_functoriality(x: Psh) -> CheckOutcome:
     return CheckOutcome(True)
 
 
+def _generators_commute(x: Psh) -> bool:
+    """Whether x(g∘f) = x(g)∘x(f) for every generator g, compared on the
+    positions of images in their fibers (False if one lies outside)."""
+    cat = x.cat
+    where = [{e: i for i, e in enumerate(x.fib[o])} for o in cat.objects]
+    try:
+        acts = [list(map(where[d].__getitem__,
+                         map(x.act[m].__getitem__, x.fib[m.src])))
+                for m, d in zip(cat.morphisms, cat.dst_ids)]
+    except KeyError:
+        return False
+    return all([acts[g][i] for i in act_f] == acts[gf]
+               for act_f, d, row in zip(acts, cat.dst_ids, cat.gen_table)
+               for g, gf in zip(cat.gens[d], row))
+
+
 def clock_intros(model: Model, kind: str):
     """All clock-introduction morphisms ι : o → o+λ@α with λ fresh."""
     out = []
-    if kind == "time":
-        for o in model.time.objects:
-            for lam in model.names:
-                if lam in o.names:
-                    continue
-                for alpha in range(model.bound):
-                    out.append(TimeMor(o, o.add_clock(lam, alpha),
-                                       tuple((n, n) for n in o.names)))
-    else:
-        for o in model.slice.objects:
-            for lam in model.names:
-                if lam in o.time.names:
-                    continue
-                for alpha in range(model.bound):
-                    out.append(TimeMor(
-                        o, ElObj(o.time.add_clock(lam, alpha), o.clock),
-                        tuple((n, n) for n in o.time.names)))
+    for o in model.cat(kind).objects:
+        t = _time_of(o)
+        for lam in model.names:
+            if lam in t.names:
+                continue
+            for alpha in range(model.bound):
+                wide = t.add_clock(lam, alpha)
+                out.append(TimeMor(o, wide if kind == "time" else
+                                   ElObj(wide, o.clock), _id_sigma(t)))
     return out
 
 

@@ -9,9 +9,10 @@ Objects and morphisms hash once and keep the hash.  The id of an object or
 morphism of a `FinCategory` is its position in `objects` or `morphisms`.
 The tables over ids are built on first use and shared by every later call
 on the category: per-object out-lists (`succ` in id order, `out` sorted by
-`mor_key`), the composition table `table` and, for slice categories, the
-stage-shift map `stage_shift` from an object or morphism to the same one
-with the marked clock at each stage.
+`mor_key`, `gens` the generators), the composites `table` of all
+composable pairs and `gen_table` of those with a generator second and,
+for slice categories, the stage-shift map `stage_shift` from an object or
+morphism to the same one with the marked clock at each stage.
 """
 from __future__ import annotations
 
@@ -99,14 +100,6 @@ class FinCategory:
         return TimeMor(f.src, g.dst,
                        tuple((a, g.apply(b)) for a, b in f.sigma))
 
-    def composable_pairs(self):
-        by_src: dict = {}
-        for m in self.morphisms:
-            by_src.setdefault(m.src, []).append(m)
-        for f in self.morphisms:
-            for g in by_src.get(f.dst, []):
-                yield g, f
-
     # -- dense ids and the tables over them (built on first use) ------------
 
     @cached_property
@@ -143,19 +136,38 @@ class FinCategory:
         return {j: i for row in self.out for i, j in enumerate(row)}
 
     @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        # a morphism is keyed by its ends and the positions of its images
-        # among the target's names, so a composite is one tuple lookup
-        obj_id, succ, dst = self.obj_id, self.succ, self.dst_ids
-        images = [tuple(_time_of(m.dst).names.index(b) for _, b in m.sigma)
-                  for m in self.morphisms]
-        key_id = {(obj_id[m.src], dst[j], images[j]): j
-                  for j, m in enumerate(self.morphisms)}
+    def key_id(self) -> dict:
+        """Morphism ids, in order, by key: (source id, target id, positions
+        of the images among the target's names)."""
+        obj_id = self.obj_id
+        return {(obj_id[m.src], d, tuple(_time_of(m.dst).names.index(b)
+                                         for _, b in m.sigma)): j
+                for j, (m, d) in enumerate(zip(self.morphisms, self.dst_ids))}
+
+    def _composites(self, outs) -> tuple[tuple[int, ...], ...]:
+        """Per morphism f, the ids of g∘f for g in outs[dst f]."""
+        key_id = self.key_id
+        keys = tuple(key_id)
         return tuple(
-            tuple(key_id[obj_id[f.src], dst[g],
-                         tuple([images[g][i] for i in images[j]])]
-                  for g in succ[dst[j]])
-            for j, f in enumerate(self.morphisms))
+            tuple(key_id[s, keys[g][1], tuple([keys[g][2][i] for i in img])]
+                  for g in outs[d])
+            for s, d, img in keys)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return self._composites(self.succ)
+
+    @cached_property
+    def gens(self) -> tuple[tuple[int, ...], ...]:
+        top = max((s for o in self.objects for s in _time_of(o).stages),
+                  default=0)
+        return tuple(tuple(j for j in row
+                           if _is_generator(self.morphisms[j], top))
+                     for row in self.succ)
+
+    @cached_property
+    def gen_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._composites(self.gens)
 
     @cached_property
     def stage_shift(self) -> tuple[tuple, tuple, tuple]:
@@ -217,10 +229,30 @@ def enumerate_category(pool: int, bound: int) -> FinCategory:
 
 
 def _homs(a: TimeObj, b: TimeObj):
-    for images in itertools.product(b.names, repeat=len(a.names)):
-        if all(b.theta(img) <= a.theta(n)
-               for n, img in zip(a.names, images)):
-            yield TimeMor(a, b, tuple(zip(a.names, images)))
+    # admissible images in the order of b's names: lexicographic output
+    admissible = [[y for y, t in zip(b.names, b.stages) if t <= s]
+                  for s in a.stages]
+    for images in itertools.product(*admissible):
+        yield TimeMor(a, b, tuple(zip(a.names, images)))
+
+
+def _is_generator(m: TimeMor, top: int) -> bool:
+    """Whether m is a stage decrement (identity σ, one clock lowered by 1),
+    a merge (one clock sent to another, at the lower of their stages), a
+    bijective rename carrying the stages, or an add of one clock at top."""
+    a, b = _time_of(m.src), _time_of(m.dst)
+    moved = sum(x != y for x, y in m.sigma)
+    if not moved:
+        if b.names == a.names:
+            return sum(a.stages) - sum(b.stages) == 1
+        new = set(b.names).difference(a.names)
+        return len(new) == 1 and b == a.add_clock(new.pop(), top)
+    low: dict = {}      # each image at the least stage of its preimages
+    for (_, y), s in zip(m.sigma, a.stages):
+        low[y] = min(s, low.get(y, s))
+    names = tuple(sorted(low))
+    return (moved == 1 or len(low) == len(a.names)) and \
+        b == TimeObj(names, tuple(low[y] for y in names))
 
 
 def slice_category(t: FinCategory) -> FinCategory:

@@ -169,7 +169,8 @@ def eval_type(model: Model, e: TypeExprM, slice_: bool = False) -> Psh:
 
 
 def _prop_psh(cat, fib) -> Psh:
-    act = {m: ({PRF: PRF} if fib[m.src] else {}) for m in cat.morphisms}
+    proof, empty = {PRF: PRF}, {}
+    act = {m: (proof if fib[m.src] else empty) for m in cat.morphisms}
     bad = [m for m in cat.morphisms if fib[m.src] and not fib[m.dst]]
     if bad:
         raise ValueError("predicate family is not monotone along "

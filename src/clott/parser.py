@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .terms import (
     AOp, AVar, Ann, App, Case, ClockAbs, ClockApp, Const, CONSTANTS, El,
@@ -480,7 +479,3 @@ def parse_theory_file(text: str):
             continue
         raise ParseError(f"unrecognised line {line!r}", lineno, 1)
     return ops, equations, builtin
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)

@@ -456,7 +456,8 @@ def _term_size(term: AlgTerm) -> int:
 def _congruence_classes(t: Theory, base, budget: Budget) -> list[AlgTerm]:
     universe = enumerate_terms(t, base, budget.term_size, budget.max_terms)
     index = {u: i for i, u in enumerate(universe)}
-    sized = [(u, _term_size(u)) for u in universe]
+    keys = _term_keys(universe, index)
+    sized = [(u, k[0]) for u, k in zip(universe, keys)]
     uf = _UnionFind(len(universe))
 
     # equation instances whose two sides both fall inside the universe
@@ -487,13 +488,14 @@ def _congruence_classes(t: Theory, base, budget: Budget) -> list[AlgTerm]:
             elif uf.union(i, j):
                 changed = True
 
-    classes: dict[int, AlgTerm] = {}
-    for i, u in enumerate(universe):
+    classes: dict[int, int] = {}
+    for i in range(len(universe)):
         r = uf.find(i)
         cur = classes.get(r)
-        if cur is None or _term_key(u) < _term_key(cur):
-            classes[r] = u
-    return sorted(classes.values(), key=_term_key)
+        if cur is None or keys[i] < keys[cur]:
+            classes[r] = i
+    return [universe[i] for i in sorted(classes.values(),
+                                        key=keys.__getitem__)]
 
 
 def _occurrences(term: AlgTerm, v: str) -> int:
@@ -537,11 +539,17 @@ def _subst_vars(term: AlgTerm, assign: dict) -> AlgTerm:
     return AOp(term.op, tuple(_subst_vars(a, assign) for a in term.args))
 
 
-def _term_key(term: AlgTerm):
-    if isinstance(term, AVar):
-        return (_term_size(term), 0, canon_key(term.name[1]))
-    return (_term_size(term), 1, term.op,
-            tuple(_term_key(a) for a in term.args))
+def _term_keys(universe, index) -> list:
+    """The sort key (size, 0, name) or (size, 1, op, argument keys) of each
+    universe term, built bottom-up: a term's arguments come before it."""
+    keys: list = []
+    for u in universe:
+        if isinstance(u, AVar):
+            keys.append((0, 0, canon_key(u.name[1])))
+        else:
+            args = tuple([keys[index[a]] for a in u.args])
+            keys.append((1 + sum(k[0] for k in args), 1, u.op, args))
+    return keys
 
 
 def class_equal(model: FreeModel, a, b) -> str:

@@ -1,4 +1,5 @@
 """Finite presheaf model over the truncated time category."""
+import functools
 import itertools
 
 import pytest
@@ -47,12 +48,42 @@ def test_morphisms_respect_stage_order():
                 assert m.dst.theta(img) <= m.src.theta(n)
 
 
+def composable_pairs(cat):
+    """Oracle: every composable pair (g, f), by f's id and then g's id."""
+    by_src: dict = {}
+    for m in cat.morphisms:
+        by_src.setdefault(m.src, []).append(m)
+    for f in cat.morphisms:
+        for g in by_src.get(f.dst, []):
+            yield g, f
+
+
+def reference_homs(a, b):
+    """Oracle: every function between the clock sets, filtered by θ'∘σ ≤ θ."""
+    for images in itertools.product(b.names, repeat=len(a.names)):
+        if all(b.theta(img) <= a.theta(n)
+               for n, img in zip(a.names, images)):
+            yield TimeMor(a, b, tuple(zip(a.names, images)))
+
+
+# the (pool, bound) sizes of the benchmark's model jobs
+MODEL_GRID = ([(1, b) for b in range(2, 7)] + [(2, b) for b in range(2, 5)]
+              + [(3, 2)])
+
+
+@pytest.mark.parametrize("pool,bound", MODEL_GRID)
+def test_homs_match_filtered_product(pool, bound):
+    cat = enumerate_category(pool, bound)
+    assert cat.morphisms == tuple(m for a in cat.objects for b in cat.objects
+                                  for m in reference_homs(a, b))
+
+
 def test_category_laws():
     cat = enumerate_category(1, 3)
     for o in cat.objects:
         i = cat.identity(o)
         assert i.src == o and i.dst == o
-    for g, f in cat.composable_pairs():
+    for g, f in composable_pairs(cat):
         gf = cat.compose(g, f)
         assert gf in cat.morphisms
 
@@ -86,9 +117,86 @@ def test_composition_table_matches_compose(pool, bound):
                   for fi, f in enumerate(mors)
                   for g, gf in zip(cat.succ[cat.dst_ids[fi]], cat.table[fi]))
         for (g, f, gf), pair in itertools.zip_longest(
-                walked, cat.composable_pairs()):
+                walked, composable_pairs(cat)):
             assert (g, f) == pair
             assert gf == cat.compose(g, f)
+
+
+@pytest.mark.parametrize("pool,bound", GRID)
+def test_generator_table_matches_compose(pool, bound):
+    for cat in _categories(pool, bound):
+        mors = cat.morphisms
+        for fi, f in enumerate(mors):
+            outs = cat.gens[cat.dst_ids[fi]]
+            assert len(outs) == len(cat.gen_table[fi])
+            for g, gf in zip(outs, cat.gen_table[fi]):
+                assert mors[g].src == f.dst
+                assert mors[gf] == cat.compose(mors[g], f)
+
+
+def _time_generators(cat, top):
+    """The generators of the time category cat, built from their
+    definition: decrements, merges, bijective renames and adds."""
+    names = sorted({n for o in cat.objects for n in o.names})
+    for a in cat.objects:
+        ident = tuple((n, n) for n in a.names)
+        for k, s in enumerate(a.stages):
+            if s > 0:
+                lower = a.stages[:k] + (s - 1,) + a.stages[k + 1:]
+                yield TimeMor(a, TimeObj(a.names, lower), ident)
+        for x in a.names:
+            for y in a.names:
+                if x != y:
+                    kept = [(n, min(s, a.theta(x)) if n == y else s)
+                            for n, s in zip(a.names, a.stages) if n != x]
+                    yield TimeMor(a, TimeObj(*map(tuple, zip(*kept))),
+                                  tuple((n, y if n == x else n)
+                                        for n in a.names))
+        for perm in itertools.permutations(names, len(a.names)):
+            if perm != a.names:
+                pairs = sorted(zip(perm, a.stages))
+                yield TimeMor(a, TimeObj(tuple(n for n, _ in pairs),
+                                         tuple(s for _, s in pairs)),
+                              tuple(zip(a.names, perm)))
+        for c in names:
+            if c not in a.names:
+                yield TimeMor(a, a.add_clock(c, top), ident)
+
+
+def _underlying(m):
+    """The time morphism under a slice morphism."""
+    return TimeMor(getattr(m.src, "time", m.src),
+                   getattr(m.dst, "time", m.dst), m.sigma)
+
+
+GEN_GRID = [(1, b) for b in range(2, 6)] + [(2, b) for b in range(2, 5)] \
+    + [(3, 2)]
+
+
+@pytest.mark.parametrize("pool,bound", GEN_GRID)
+def test_generators_generate(pool, bound):
+    """Every non-identity morphism is a composite of generators, in the
+    time category, its slice and both inner subcategories; and the
+    generators are exactly the morphisms of the four kinds."""
+    model = Model(pool=pool, bound=bound)
+    built = set(_time_generators(model.time, bound - 1))
+    for cat in _categories(pool, bound):
+        mors = cat.morphisms
+        gens = {mors[j] for row in cat.gens for j in row}
+        assert {_underlying(m) for m in gens} == \
+            built.intersection(map(_underlying, mors))
+        out: dict = {}
+        for g in gens:
+            out.setdefault(g.src, []).append(g)
+        reached, todo = set(gens), list(gens)
+        while todo:
+            f = todo.pop()
+            for g in out.get(f.dst, ()):
+                gf = cat.compose(g, f)
+                if gf not in reached:
+                    reached.add(gf)
+                    todo.append(gf)
+        assert reached | {cat.identity(o) for o in cat.objects} == set(mors)
 
 
 @pytest.mark.parametrize("pool,bound", GRID)
@@ -134,12 +242,13 @@ def test_stage_shift_matches_construction(pool, bound):
 
 
 def _reference_functoriality(x):
-    """check_functoriality written over composable_pairs() and compose."""
+    """check_functoriality written over every composable pair and
+    compose."""
     for o in x.cat.objects:
         for e in x.fib[o]:
             if x.act[_ident(o)][e] != e:
                 return CheckOutcome(False, ("identity", obj_key(o), e))
-    for g, f in x.cat.composable_pairs():
+    for g, f in composable_pairs(x.cat):
         gf = x.cat.compose(g, f)
         for e in x.fib[f.src]:
             if x.act[gf][e] != x.act[g][x.act[f][e]]:
@@ -148,19 +257,31 @@ def _reference_functoriality(x):
     return CheckOutcome(True)
 
 
-SMALL = {(1, 3): Model(pool=1, bound=3), (2, 2): Model(pool=2, bound=2)}
+SMALL = {(1, 3): Model(pool=1, bound=3), (2, 2): Model(pool=2, bound=2),
+         (2, 3): Model(pool=2, bound=3)}
 SMALL_TYPES = [(MFin(3), False), (MClk(), False), (MClk(), True),
                (MSum(MFin(1), MClk()), True), (MLater(MFin(2)), True),
                (MProd(MFin(2), MClk()), False),
                (MMu(parse_functor("sum(const{u},id)")), True)]
 
 
+@functools.cache
+def _evaluated(pb, t):
+    return eval_type(SMALL[pb], *SMALL_TYPES[t])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(SMALL)), st.sampled_from(SMALL_TYPES),
-       st.data())
-def test_planted_error_gives_reference_counterexample(pb, typ, data):
-    x = eval_type(SMALL[pb], *typ)
-    m = data.draw(st.sampled_from(x.cat.morphisms))
+@given(st.sampled_from(sorted(SMALL)), st.integers(0, len(SMALL_TYPES) - 1),
+       st.booleans(), st.data())
+def test_planted_error_gives_reference_counterexample(pb, t, generator,
+                                                      data):
+    """A wrong image planted at one morphism, a generator or not, gives
+    the reference's first counterexample."""
+    x = _evaluated(pb, t)
+    gens = {j for row in x.cat.gens for j in row}
+    m = data.draw(st.sampled_from([
+        m for j, m in enumerate(x.cat.morphisms) if (j in gens) == generator
+    ]))
     assume(x.fib[m.src] and len(x.fib[m.dst]) >= 2)
     e = data.draw(st.sampled_from(x.fib[m.src]))
     wrong = data.draw(st.sampled_from(
@@ -172,6 +293,15 @@ def test_planted_error_gives_reference_counterexample(pb, typ, data):
     assert found == _reference_functoriality(planted)
     if m == _ident(m.src):
         assert found.counterexample[0] == "identity"
+
+
+def test_functoriality_leaves_composition_table_unbuilt():
+    model = Model(pool=2, bound=3)
+    for x in (const_psh(model.time, (0, 1)),
+              later(model, const_psh(model.slice, (0, 1)))):
+        assert check_functoriality(x).ok
+        assert "table" not in x.cat.__dict__
+        assert "gen_table" in x.cat.__dict__
 
 
 def test_invalid_parameters_rejected():

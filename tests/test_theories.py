@@ -11,7 +11,7 @@ from clott.terms import AOp, AVar, alg_free_vars
 from clott.theories import (BUILTINS, Budget, BudgetExceeded, CheckResult,
                             Theory, TheoryError, _assignments,
                             _compositions, _congruence_classes,
-                            _occurrences_map, _term_size,
+                            _occurrences_map, _term_keys, _term_size,
                             check_preserves_monos,
                             check_preserves_pullbacks_of_monos, class_equal,
                             drop_equations, fmap, free_model,
@@ -465,3 +465,28 @@ def test_generated_closure_matches_unsized_scan(equations, shape):
     size, depth = shape
     _assert_closure_matches_reference(t, tuple(range(size)),
                                       Budget(term_size=depth))
+
+
+# -- term keys built bottom-up against the recursive key ---------------------
+
+def _term_key(term):
+    """Oracle: the sort key of a term, recomputing sizes at every level."""
+    if isinstance(term, AVar):
+        return (_term_size(term), 0, theories.canon_key(term.name[1]))
+    return (_term_size(term), 1, term.op,
+            tuple(_term_key(a) for a in term.args))
+
+
+@pytest.mark.parametrize("size,depth", [(2, 4), (3, 3), (2, 5)])
+def test_leftzero_term_keys_match_recursive_keys(size, depth):
+    budget = Budget(term_size=depth)
+    universe = theories.enumerate_terms(LEFTZERO, tuple(range(size)),
+                                        budget.term_size, budget.max_terms)
+    index = {u: i for i, u in enumerate(universe)}
+    assert _term_keys(universe, index) == [_term_key(u) for u in universe]
+    classes = _congruence_classes(LEFTZERO, tuple(range(size)), budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theories, "_term_keys",
+                   lambda universe, index: [_term_key(u) for u in universe])
+        assert classes == _congruence_classes(LEFTZERO, tuple(range(size)),
+                                              budget)
