@@ -122,10 +122,6 @@ TYPE_CORPUS = (
     ("exists", MExists(MFin(3), lambda o, e: e >= 1), False),
 )
 
-MODEL_SUITES = ("invariance", "force", "distribution", "experiments",
-                "fixpoints", "all")
-
-
 def _suite_invariance(model: Model, rep: Report) -> None:
     for name, expr, sliced in TYPE_CORPUS:
         psh = eval_type(model, expr, slice_=sliced)
@@ -231,6 +227,14 @@ def _suite_fixpoints(model: Model, rep: Report) -> None:
                        "terminal stage")
 
 
+_MODEL_SUITE_RUNNERS = {"invariance": _suite_invariance,
+                        "force": _suite_force,
+                        "distribution": _suite_distribution,
+                        "experiments": _suite_experiments,
+                        "fixpoints": _suite_fixpoints}
+MODEL_SUITES = (*_MODEL_SUITE_RUNNERS, "all")
+
+
 def _model_args_ok(cmd: str, args) -> bool:
     """The time category needs a clock pool and at least two stages."""
     if args.pool >= 1 and args.bound >= 2:
@@ -243,13 +247,9 @@ def _model_args_ok(cmd: str, args) -> bool:
 def run_model_suite(model: Model, suite: str, rep: Report) -> int:
     """Run one model suite (or all of them) into rep.  A budget overrun
     ends the run with an unknown verdict that carries the reason."""
-    suites = {"invariance": _suite_invariance, "force": _suite_force,
-              "distribution": _suite_distribution,
-              "experiments": _suite_experiments,
-              "fixpoints": _suite_fixpoints}
-    for name in suites if suite == "all" else (suite,):
+    for name in _MODEL_SUITE_RUNNERS if suite == "all" else (suite,):
         try:
-            suites[name](model, rep)
+            _MODEL_SUITE_RUNNERS[name](model, rep)
         except (BudgetExceeded, FreshClockExhausted) as exc:
             rep.add(f"{name}/budget", UNKNOWN,
                     {"reason": f"{type(exc).__name__}: {exc}"})
@@ -319,7 +319,10 @@ def cmd_theory(args) -> tuple[int, Report]:
 # coalg
 # ---------------------------------------------------------------------------
 
-_DELAY_TOKEN = re.compile(r"now\(([A-Za-z0-9_]+)\)|step\(|\)|bot")
+def _steps(d, k):
+    for _ in range(k):
+        d = step(d)
+    return d
 
 
 def parse_delay(text: str):
@@ -339,9 +342,7 @@ def parse_delay(text: str):
         if not m:
             raise ValueError(f"bad delay term {text!r}")
         core = now(m.group(1))
-    for _ in range(depth):
-        core = step(core)
-    return core
+    return _steps(core, depth)
 
 
 def cmd_coalg(args) -> tuple[int, Report]:
@@ -416,9 +417,6 @@ def _coalg(args, rep: Report) -> tuple[int, Report]:
 # suites
 # ---------------------------------------------------------------------------
 
-SUITES = ("requirements", "figures", "theories", "coalgebra")
-
-
 def _suite_requirements(args, rep: Report) -> None:
     budget = Budget(term_size=args.depth)
     for name in ("semilattice", "convex"):
@@ -489,10 +487,10 @@ def _suite_coalgebra(args, rep: Report) -> None:
             anchor="now(a) weakly bisimilar to step^k(now(a))")
 
 
-def _steps(d, k):
-    for _ in range(k):
-        d = step(d)
-    return d
+_SUITE_RUNNERS = {"requirements": _suite_requirements,
+                  "figures": _suite_figures, "theories": _suite_theories,
+                  "coalgebra": _suite_coalgebra}
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def cmd_suite(args) -> tuple[int, Report]:
@@ -505,9 +503,7 @@ def cmd_suite(args) -> tuple[int, Report]:
         return EXIT_USAGE, rep
     if args.name == "requirements" and not _model_args_ok("suite", args):
         return EXIT_USAGE, rep
-    {"requirements": _suite_requirements, "figures": _suite_figures,
-     "theories": _suite_theories,
-     "coalgebra": _suite_coalgebra}[args.name](args, rep)
+    _SUITE_RUNNERS[args.name](args, rep)
     return rep.exit_code(), rep
 
 

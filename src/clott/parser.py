@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer and recursive-descent parser.
+"""Concrete syntax: tokenizer, syntax table and precedence-climbing parser.
 
 Surface syntax (see README for the grammar):
 
@@ -25,6 +25,14 @@ Files use `--` line comments and `def NAME : TYPE = TERM` declarations.
 The tokenizer matches one compiled regular expression, an alternation of
 every token kind, at each position; columns count characters from the
 start of the line.
+
+One table below lists the binder keywords by shape, the prefix keywords
+and the infix symbols with their precedence; the printer reads it too.
+`term` parses a binder form or a dependent function or pair type, and
+otherwise climbs precedence over the infix symbols with applications as
+operands (Pratt, "Top down operator precedence", POPL 1973).  A level of
+parentheses costs four Python frames (atom, term, app, postfix), so
+about 240 levels parse under the default recursion limit.
 """
 from __future__ import annotations
 
@@ -96,12 +104,32 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-_BINDER_KEYWORDS = {"fun", "tick", "clock", "later", "forall-clk", "clater",
-                    "cforall", "exists", "all", "plater", "pforall-clk",
-                    "case", "cpi", "csig"}
-_PREFIX_KEYWORDS = {"fst", "snd", "inl", "inr", "El", "Prf", "Id", "peq",
-                    "cid", "csum", "In", "U", "Prop"}
-KEYWORDS = _BINDER_KEYWORDS | _PREFIX_KEYWORDS | {"def"}
+# -- the concrete syntax: read by the parser below and by the printer -------
+
+# `KW k -> body`
+CLOCK_BINDERS = {"clock": ClockAbs, "forall-clk": Forall,
+                 "cforall": ForallCode, "pforall-clk": PForallClk}
+# `KW (x : dom) -> body`
+TYPED_BINDERS = {"exists": PExists, "all": PForall, "cpi": PiCode,
+                 "csig": SigmaCode}
+# `KW (a : k) -> body`, or `KW k A` binding the tick `_tick`
+DELAYS = {"later": Later, "clater": LaterCode, "plater": PLater}
+# `KW a1 .. an`: the arguments are postfix terms in constructor order
+PREFIX = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "El": El,
+          "Prf": Prf, "Id": Id, "peq": PEq, "cid": IdCode, "csum": SumCode}
+# Infix symbols, loosest first: (symbol, class, right-associative).  Pi and
+# Sigma bind the name `_` when written infix, and x in the dependent forms
+# `(x : A) -> B` and `(x : A) * B`.
+INFIX = (("->", Pi, True), ("*", Sigma, True), ("+", Sum, False),
+         ("\\/", POr, False), ("/\\", PAnd, False))
+
+_BINDER_KEYWORDS = {"fun", "tick", "case", *CLOCK_BINDERS, *TYPED_BINDERS,
+                    *DELAYS}
+KEYWORDS = _BINDER_KEYWORDS | {*PREFIX, "In", "U", "Prop", "def"}
+_NOT_ARGUMENTS = _BINDER_KEYWORDS | {"def", "of"}
+_ARITY = {cls: len(cls.__match_args__) for cls in PREFIX.values()}
+_PRECEDENCE = {sym: (prec, cls, right)
+               for prec, (sym, cls, right) in enumerate(INFIX, 1)}
 
 
 class _Parser:
@@ -145,18 +173,24 @@ class _Parser:
         t = self.toks[self.pos]
         return t.kind == "name" and t.value == s
 
+    def expect_keyword(self, s: str) -> None:
+        if not self.at_name(s):
+            raise self.error(f"expected {s!r}")
+        self.next()
+
     # -- terms ------------------------------------------------------------
 
-    def term(self) -> Term:
+    def term(self, prec: int = 0) -> Term:
+        """A term whose infix operators have precedence `prec` or more; at
+        0 also a binder form or a dependent function or pair type."""
         t = self.peek()
-        if t.kind == "name":
+        if prec == 0 and t.kind == "name":
             kw = t.value
             if kw == "fun":
                 self.next()
                 names = [self.expect_name()]
-                while self.peek().kind == "name" and not self.at_sym("->"):
-                    if self.peek().value in KEYWORDS:
-                        break
+                while self.peek().kind == "name" \
+                        and self.peek().value not in KEYWORDS:
                     names.append(self.expect_name())
                 self.expect_sym("->")
                 body = self.term()
@@ -170,21 +204,12 @@ class _Parser:
                 k = self.expect_name()
                 self.expect_sym("->")
                 return TickAbs(a, k, self.term())
-            if kw == "clock":
+            if kw in CLOCK_BINDERS:
                 self.next()
                 k = self.expect_name()
                 self.expect_sym("->")
-                return ClockAbs(k, self.term())
-            if kw in ("forall-clk", "cforall", "pforall-clk"):
-                cls = {"forall-clk": Forall, "cforall": ForallCode,
-                       "pforall-clk": PForallClk}[kw]
-                self.next()
-                k = self.expect_name()
-                self.expect_sym("->")
-                return cls(k, self.term())
-            if kw in ("exists", "all", "cpi", "csig"):
-                cls = {"exists": PExists, "all": PForall,
-                       "cpi": PiCode, "csig": SigmaCode}[kw]
+                return CLOCK_BINDERS[kw](k, self.term())
+            if kw in TYPED_BINDERS:
                 self.next()
                 self.expect_sym("(")
                 x = self.expect_name()
@@ -192,30 +217,24 @@ class _Parser:
                 dom = self.term()
                 self.expect_sym(")")
                 self.expect_sym("->")
-                return cls(x, dom, self.term())
+                return TYPED_BINDERS[kw](x, dom, self.term())
             if kw == "case":
                 self.next()
                 scrut = self.term()
                 self.expect_sym("{")
-                if not self.at_name("inl"):
-                    raise self.error("expected 'inl'")
-                self.next()
+                self.expect_keyword("inl")
                 x = self.expect_name()
                 self.expect_sym("->")
                 left = self.term()
                 self.expect_sym("|")
-                if not self.at_name("inr"):
-                    raise self.error("expected 'inr'")
-                self.next()
+                self.expect_keyword("inr")
                 y = self.expect_name()
                 self.expect_sym("->")
                 right = self.term()
                 self.expect_sym("}")
                 return Case(scrut, x, left, y, right)
-        return self.arrow()
-
-    def arrow(self) -> Term:
-        if self.at_sym("(") and self.peek(1).kind == "name" \
+        elif prec == 0 and t.kind == "sym" and t.value == "(" \
+                and self.peek(1).kind == "name" \
                 and self.peek(1).value not in KEYWORDS \
                 and self.peek(1).value not in CONSTANTS \
                 and self.peek(2).kind == "sym" and self.peek(2).value == ":":
@@ -225,57 +244,29 @@ class _Parser:
             self.expect_sym(":")
             dom = self.term()
             self.expect_sym(")")
-            if self.at_sym("->"):
-                self.next()
-                return Pi(x, dom, self.term())
-            if self.at_sym("*"):
-                self.next()
-                return Sigma(x, dom, self.term())
+            if self.at_sym("->") or self.at_sym("*"):
+                cls = Pi if self.next().value == "->" else Sigma
+                return cls(x, dom, self.term())
             self.pos = save  # plain annotation; reparse as an atom
-        left = self.sigma()
-        if self.at_sym("->"):
-            self.next()
-            return Pi("_", left, self.term())
-        return left
-
-    def sigma(self) -> Term:
-        left = self.sum()
-        if self.at_sym("*"):
-            self.next()
-            return Sigma("_", left, self.sigma())
-        return left
-
-    def sum(self) -> Term:
-        left = self.por()
-        while self.at_sym("+"):
-            self.next()
-            left = Sum(left, self.por())
-        return left
-
-    def por(self) -> Term:
-        left = self.pand()
-        while self.at_sym("\\/"):
-            self.next()
-            left = POr(left, self.pand())
-        return left
-
-    def pand(self) -> Term:
         left = self.app()
-        while self.at_sym("/\\"):
+        while True:
+            # only a symbol token can spell an infix symbol
+            op = _PRECEDENCE.get(self.toks[self.pos].value)
+            if op is None or op[0] < prec:
+                return left
             self.next()
-            left = PAnd(left, self.app())
-        return left
-
-    def _at_atom_start(self) -> bool:
-        t = self.peek()
-        if t.kind == "name":
-            return t.value not in _BINDER_KEYWORDS and t.value != "def" \
-                and t.value != "of"
-        return t.kind == "sym" and t.value in ("(",)
+            op_prec, cls, right_assoc = op
+            if op_prec == 1:
+                # the loosest symbol, `->`, takes a whole term on its right
+                return cls("_", left, self.term())
+            right = self.term(op_prec if right_assoc else op_prec + 1)
+            left = cls("_", left, right) if cls is Sigma else cls(left, right)
 
     def app(self) -> Term:
         head = self.postfix()
-        while self._at_atom_start():
+        # an argument starts with `(` or with a name that opens no binder
+        while (t := self.peek()).value == "(" or (
+                t.kind == "name" and t.value not in _NOT_ARGUMENTS):
             head = App(head, self.postfix())
         return head
 
@@ -294,10 +285,10 @@ class _Parser:
             else:
                 return t
 
-    def _clockset(self) -> tuple[str, ...]:
-        self.expect_sym("{")
+    def _names(self, *ends: str) -> tuple[str, ...]:
+        """Names, each optionally followed by a comma, up to one of `ends`."""
         names: list[str] = []
-        while not self.at_sym("}") and not self.at_sym("=>"):
+        while self.peek().value not in ends:
             names.append(self.expect_name())
             if self.at_sym(","):
                 self.next()
@@ -325,22 +316,20 @@ class _Parser:
         kw = t.value
         if kw == "U" or kw == "Prop":
             self.next()
-            names = self._clockset()
+            self.expect_sym("{")
+            names = self._names("}", "=>")
             self.expect_sym("}")
             return Univ(names) if kw == "U" else PropU(names)
         if kw == "In":
             self.next()
-            small = self._clockset()
+            self.expect_sym("{")
+            small = self._names("}", "=>")
             self.expect_sym("=>")
-            big: list[str] = []
-            while not self.at_sym("}"):
-                big.append(self.expect_name())
-                if self.at_sym(","):
-                    self.next()
+            big = self._names("}")
             self.expect_sym("}")
-            return Incl(small, tuple(big), self.postfix())
-        if kw in ("later", "clater", "plater"):
-            cls = {"later": Later, "clater": LaterCode, "plater": PLater}[kw]
+            return Incl(small, big, self.postfix())
+        if kw in DELAYS:
+            cls = DELAYS[kw]
             self.next()
             if self.at_sym("("):
                 self.next()
@@ -352,18 +341,10 @@ class _Parser:
                 return cls(a, k, self.term())
             k = self.expect_name()
             return cls("_tick", k, self.postfix())
-        if kw in ("fst", "snd", "inl", "inr", "El", "Prf"):
+        if kw in PREFIX:
             self.next()
-            cls = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr,
-                   "El": El, "Prf": Prf}[kw]
-            return cls(self.postfix())
-        if kw in ("Id", "peq", "cid"):
-            self.next()
-            cls = {"Id": Id, "peq": PEq, "cid": IdCode}[kw]
-            return cls(self.postfix(), self.postfix(), self.postfix())
-        if kw == "csum":
-            self.next()
-            return SumCode(self.postfix(), self.postfix())
+            cls = PREFIX[kw]
+            return cls(*[self.postfix() for _ in range(_ARITY[cls])])
         if kw in CONSTANTS:
             self.next()
             return Const(kw)
@@ -394,9 +375,7 @@ def parse_declarations(text: str) -> list[Declaration]:
     p = _Parser(tokenize(text))
     decls: list[Declaration] = []
     while p.peek().kind != "eof":
-        if not p.at_name("def"):
-            raise p.error("expected 'def'")
-        p.next()
+        p.expect_keyword("def")
         name = p.expect_name()
         p.expect_sym(":")
         ty = p.term()
@@ -465,9 +444,12 @@ def parse_theory_file(text: str):
             name, _, arity = rest.rpartition("/")
             name = name.strip()
             try:
-                ops[name] = int(arity.strip())
+                n = int(arity.strip())
             except ValueError:
+                n = -1
+            if n < 0:
                 raise ParseError(f"bad arity {arity.strip()!r}", lineno, 1)
+            ops[name] = n
             continue
         if line.startswith("eq "):
             rest = line[3:]

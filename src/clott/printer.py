@@ -1,129 +1,96 @@
-"""Canonical pretty-printer; round-trips with the parser up to alpha-equivalence."""
+"""Canonical pretty-printer; round-trips with the parser up to alpha-equivalence.
+
+It reads the parser's syntax table in reverse: an infix form is
+parenthesised from its precedence and associativity, a prefix form prints
+its fields in constructor order, and a binder prints by its shape.
+"""
 from __future__ import annotations
 
-from .terms import (
-    AOp, AVar, Ann, App, Case, ClockAbs, ClockApp, Const, El, Forall,
-    ForallCode, Fst, Id, IdCode, Incl, Inl, Inr, Lam, Later, LaterCode,
-    PAnd, PEq, PExists, PForall, PForallClk, PLater, POr, Pair, Pi, PiCode,
-    Prf, PropU, Sigma, SigmaCode, Snd, Sum, SumCode, Term, TickAbs, TickApp,
-    Univ, Var,
-)
+from operator import attrgetter
 
-# precedence levels, loosest first
-_TERM = 0      # binder forms
-_ARROW = 1
-_SIGMA = 2
-_SUM = 3
-_POR = 4
-_PAND = 5
-_APP = 6
-_POSTFIX = 7
-_ATOM = 8
+from .parser import CLOCK_BINDERS, DELAYS, INFIX, PREFIX, TYPED_BINDERS
+from .terms import (AOp, AVar, Ann, App, Case, ClockApp, Const, Incl, Lam,
+                    Pair, PropU, Term, TickAbs, TickApp, Univ, Var)
+
+# Precedence levels: 0 for the binder forms, 1 .. len(INFIX) for the infix
+# symbols loosest first, then application and postfix.
+_APP = len(INFIX) + 1
+_POSTFIX = _APP + 1
+
+
+# class -> (shape, keyword or symbol, field getter[, precedence, left and
+# right operand levels]); the field order is read once, here
+_FORMS: dict[type, tuple] = {
+    **{cls: ("clock", kw, None) for kw, cls in CLOCK_BINDERS.items()},
+    **{cls: ("typed", kw, attrgetter(*cls.__match_args__))
+       for kw, cls in TYPED_BINDERS.items()},
+    **{cls: ("delay", kw, None) for kw, cls in DELAYS.items()},
+    **{cls: ("prefix", kw, tuple(map(attrgetter, cls.__match_args__)))
+       for kw, cls in PREFIX.items()},
+    **{cls: ("infix", sym, attrgetter(*cls.__match_args__), prec,
+             *((prec + 1, prec) if right else (prec, prec + 1)))
+       for prec, (sym, cls, right) in enumerate(INFIX, 1)},
+}
 
 
 def show_term(t: Term) -> str:
-    return _show(t, _TERM)
+    return _show(t, 0)
 
 
 def _wrap(s: str, level: int, minimum: int) -> str:
     return f"({s})" if level < minimum else s
 
 
-def _clockset(names: tuple[str, ...]) -> str:
-    return "{" + ", ".join(names) + "}"
-
-
 def _show(t: Term, minimum: int) -> str:
-    if isinstance(t, Var):
+    cls = type(t)
+    form = _FORMS.get(cls)
+    if form is not None:
+        shape, kw, get = form[:3]
+        if shape == "infix":
+            prec, lp, rp = form[3:]
+            *name, left, right = get(t)
+            lhs = (f"({name[0]} : {_show(left, 0)})" if name and name[0] != "_"
+                   else _show(left, lp))
+            return _wrap(f"{lhs} {kw} {_show(right, rp)}", prec, minimum)
+        if shape == "prefix":
+            args = " ".join([_show(g(t), _POSTFIX) for g in get])
+            return _wrap(f"{kw} {args}", _APP, minimum)
+        if shape == "clock":
+            s = f"{kw} {t.clock} -> {_show(t.body, 0)}"
+        elif shape == "delay":
+            s = f"{kw} ({t.tick} : {t.clock}) -> {_show(t.body, 0)}"
+        else:
+            x, dom, body = get(t)
+            s = f"{kw} ({x} : {_show(dom, 0)}) -> {_show(body, 0)}"
+        return _wrap(s, 0, minimum)
+    if cls is Var or cls is Const:
         return t.name
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Lam):
-        return _wrap(f"fun {t.name} -> {_show(t.body, _TERM)}", _TERM, minimum)
-    if isinstance(t, TickAbs):
-        return _wrap(f"tick {t.tick} : {t.clock} -> {_show(t.body, _TERM)}",
-                     _TERM, minimum)
-    if isinstance(t, ClockAbs):
-        return _wrap(f"clock {t.clock} -> {_show(t.body, _TERM)}", _TERM, minimum)
-    if isinstance(t, (Later, LaterCode, PLater)):
-        kw = {Later: "later", LaterCode: "clater", PLater: "plater"}[type(t)]
-        return _wrap(f"{kw} ({t.tick} : {t.clock}) -> {_show(t.body, _TERM)}",
-                     _TERM, minimum)
-    if isinstance(t, (Forall, ForallCode, PForallClk)):
-        kw = {Forall: "forall-clk", ForallCode: "cforall",
-              PForallClk: "pforall-clk"}[type(t)]
-        return _wrap(f"{kw} {t.clock} -> {_show(t.body, _TERM)}", _TERM, minimum)
-    if isinstance(t, Pi):
-        if t.name == "_":
-            return _wrap(f"{_show(t.dom, _SIGMA)} -> {_show(t.cod, _ARROW)}",
-                         _ARROW, minimum)
-        return _wrap(f"({t.name} : {_show(t.dom, _TERM)}) -> {_show(t.cod, _ARROW)}",
-                     _ARROW, minimum)
-    if isinstance(t, Sigma):
-        if t.name == "_":
-            return _wrap(f"{_show(t.dom, _SUM)} * {_show(t.cod, _SIGMA)}",
-                         _SIGMA, minimum)
-        return _wrap(f"({t.name} : {_show(t.dom, _TERM)}) * {_show(t.cod, _SIGMA)}",
-                     _SIGMA, minimum)
-    if isinstance(t, (PiCode, SigmaCode)):
-        kw = "cpi" if isinstance(t, PiCode) else "csig"
-        return _wrap(f"{kw} ({t.name} : {_show(t.dom, _TERM)}) -> {_show(t.cod, _TERM)}",
-                     _TERM, minimum)
-    if isinstance(t, (PExists, PForall)):
-        kw = "exists" if isinstance(t, PExists) else "all"
-        return _wrap(f"{kw} ({t.name} : {_show(t.dom, _TERM)}) -> {_show(t.body, _TERM)}",
-                     _TERM, minimum)
-    if isinstance(t, Sum):
-        return _wrap(f"{_show(t.left, _SUM)} + {_show(t.right, _POR)}",
-                     _SUM, minimum)
-    if isinstance(t, POr):
-        return _wrap(f"{_show(t.left, _POR)} \\/ {_show(t.right, _PAND)}",
-                     _POR, minimum)
-    if isinstance(t, PAnd):
-        return _wrap(f"{_show(t.left, _PAND)} /\\ {_show(t.right, _APP)}",
-                     _PAND, minimum)
-    if isinstance(t, App):
+    if cls is Lam:
+        return _wrap(f"fun {t.name} -> {_show(t.body, 0)}", 0, minimum)
+    if cls is TickAbs:
+        return _wrap(f"tick {t.tick} : {t.clock} -> {_show(t.body, 0)}",
+                     0, minimum)
+    if cls is App:
         return _wrap(f"{_show(t.fn, _APP)} {_show(t.arg, _POSTFIX)}",
                      _APP, minimum)
-    if isinstance(t, TickApp):
+    if cls is TickApp:
         return _wrap(f"{_show(t.fn, _POSTFIX)} [{t.tick}]", _POSTFIX, minimum)
-    if isinstance(t, ClockApp):
+    if cls is ClockApp:
         return _wrap(f"{_show(t.fn, _POSTFIX)} @ {t.clock}", _POSTFIX, minimum)
-    if isinstance(t, (Fst, Snd, Inl, Inr)):
-        kw = {Fst: "fst", Snd: "snd", Inl: "inl", Inr: "inr"}[type(t)]
-        return _wrap(f"{kw} {_show(t.arg, _POSTFIX)}", _APP, minimum)
-    if isinstance(t, El):
-        return _wrap(f"El {_show(t.code, _POSTFIX)}", _APP, minimum)
-    if isinstance(t, Prf):
-        return _wrap(f"Prf {_show(t.prop, _POSTFIX)}", _APP, minimum)
-    if isinstance(t, Id):
-        return _wrap(f"Id {_show(t.type_, _POSTFIX)} {_show(t.lhs, _POSTFIX)} "
-                     f"{_show(t.rhs, _POSTFIX)}", _APP, minimum)
-    if isinstance(t, IdCode):
-        return _wrap(f"cid {_show(t.code, _POSTFIX)} {_show(t.lhs, _POSTFIX)} "
-                     f"{_show(t.rhs, _POSTFIX)}", _APP, minimum)
-    if isinstance(t, PEq):
-        return _wrap(f"peq {_show(t.code, _POSTFIX)} {_show(t.lhs, _POSTFIX)} "
-                     f"{_show(t.rhs, _POSTFIX)}", _APP, minimum)
-    if isinstance(t, SumCode):
-        return _wrap(f"csum {_show(t.left, _POSTFIX)} {_show(t.right, _POSTFIX)}",
-                     _APP, minimum)
-    if isinstance(t, Incl):
+    if cls is Incl:
         return _wrap(f"In{{{', '.join(t.small)} => {', '.join(t.big)}}} "
                      f"{_show(t.code, _POSTFIX)}", _APP, minimum)
-    if isinstance(t, Univ):
-        return "U" + _clockset(t.clocks)
-    if isinstance(t, PropU):
-        return "Prop" + _clockset(t.clocks)
-    if isinstance(t, Pair):
-        return f"({_show(t.fst, _TERM)}, {_show(t.snd, _TERM)})"
-    if isinstance(t, Ann):
-        return f"({_show(t.term, _TERM)} : {_show(t.type_, _TERM)})"
-    if isinstance(t, Case):
-        return _wrap(f"case {_show(t.scrut, _TERM)} {{ inl {t.lname} -> "
-                     f"{_show(t.left, _TERM)} | inr {t.rname} -> "
-                     f"{_show(t.right, _TERM)} }}", _TERM, minimum)
-    raise AssertionError(f"unhandled term node {type(t).__name__}")
+    if cls is Univ or cls is PropU:
+        return f"{'U' if cls is Univ else 'Prop'}{{{', '.join(t.clocks)}}}"
+    if cls is Pair:
+        return f"({_show(t.fst, 0)}, {_show(t.snd, 0)})"
+    if cls is Ann:
+        return f"({_show(t.term, 0)} : {_show(t.type_, 0)})"
+    if cls is Case:
+        return _wrap(f"case {_show(t.scrut, 0)} {{ inl {t.lname} -> "
+                     f"{_show(t.left, 0)} | inr {t.rname} -> "
+                     f"{_show(t.right, 0)} }}", 0, minimum)
+    raise AssertionError(f"unhandled term node {cls.__name__}")
 
 
 def show_alg_term(t: AVar | AOp) -> str:

@@ -424,9 +424,7 @@ class FreeNames:
         return self.vars | self.clocks | self.ticks
 
 
-def free_names(t) -> FreeNames:
-    if isinstance(t, (AVar, AOp)):
-        return FreeNames(alg_free_vars(t), frozenset(), frozenset())
+def free_names(t: Term) -> FreeNames:
     vs: set[str] = set()
     cs: set[str] = set()
     ts: set[str] = set()
@@ -647,15 +645,3 @@ def alg_free_vars(t: AlgTerm) -> frozenset[str]:
     for a in t.args:
         out |= alg_free_vars(a)
     return frozenset(out)
-
-
-def alg_subst(t: AlgTerm, env: dict[str, AlgTerm]) -> AlgTerm:
-    if isinstance(t, AVar):
-        return env.get(t.name, t)
-    return AOp(t.op, tuple(alg_subst(a, env) for a in t.args))
-
-
-def alg_size(t: AlgTerm) -> int:
-    if isinstance(t, AVar):
-        return 1
-    return 1 + sum(alg_size(a) for a in t.args)

@@ -80,14 +80,26 @@ def _assert_too_deep(code, doc, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_check_nesting_beyond_recursion_limit_is_unknown(tmp_path, capsys):
+def _redex_chain(n):
     t = "tt"
-    for _ in range(200):
+    for _ in range(n):
         t = f"((fun x -> x) : unit -> unit) ({t})"
+    return f"def r : unit = {t}\n"
+
+
+def test_check_nesting_beyond_recursion_limit_is_unknown(tmp_path, capsys):
     f = tmp_path / "deep.clott"
-    f.write_text(f"def r : unit = {t}\n")
+    f.write_text(_redex_chain(1000))
     code, doc = run_json(["check", str(f)], tmp_path)
     _assert_too_deep(code, doc, capsys)
+
+
+def test_check_redex_chain_of_200_passes(tmp_path):
+    f = tmp_path / "chain.clott"
+    f.write_text(_redex_chain(200))
+    code, doc = run_json(["check", str(f)], tmp_path)
+    assert code == 0
+    assert [c["verdict"] for c in doc["checks"]] == ["pass"]
 
 
 def test_eval_nesting_beyond_recursion_limit_is_unknown(tmp_path, capsys):
@@ -190,6 +202,15 @@ def test_theory_custom_free_model_is_unknown(tmp_path):
 
 def test_theory_missing_file():
     assert run(["theory", "drop", "/no/such.thy"]) == 2
+
+
+@pytest.mark.parametrize("action", ["free", "pullbacks"])
+def test_theory_negative_arity_is_a_parse_error(tmp_path, capsys, action):
+    f = tmp_path / "neg.thy"
+    f.write_text("op f/-1\nop c/0\n")
+    assert run(["theory", action, str(f), "--size", "1", "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "bad arity '-1'" in err and "Traceback" not in err
 
 
 # -- coalg ---------------------------------------------------------------------

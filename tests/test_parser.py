@@ -1,16 +1,27 @@
-"""Parser and printer: round trips and error reporting."""
+"""Parser and printer: round trips, error reporting, and agreement with
+the recursive-descent parser and per-class printer they replaced."""
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clott.parser import (ParseError, Token, parse_alg_term,
+import clott
+from clott.parser import (KEYWORDS, _BINDER_KEYWORDS, Declaration,
+                          ParseError, Token, _Parser, parse_alg_term,
                           parse_declarations, parse_term, parse_theory_file,
                           tokenize)
 from clott.printer import show_alg_term, show_term
-from clott.terms import (AOp, AVar, App, Lam, Later, Pi, Sigma, TickAbs,
-                         Var)
+from clott.terms import (
+    AOp, AVar, Ann, App, Case, ClockAbs, ClockApp, Const, CONSTANTS, El,
+    Forall, ForallCode, Fst, Id, IdCode, Incl, Inl, Inr, Lam, Later,
+    LaterCode, PAnd, PEq, PExists, PForall, PForallClk, PLater, POr, Pair,
+    Pi, PiCode, Prf, PropU, Sigma, SigmaCode, Snd, Sum, SumCode, Term,
+    TickAbs, TickApp, Univ, Var,
+)
 
 from .strategies import alg_terms, terms
 
@@ -195,3 +206,487 @@ def test_data_files_tokenize_as_reference():
         if path.name.endswith(".clott"):
             text = path.read_text(encoding="utf-8")
             assert tokenize(text) == reference_tokenize(text)
+
+
+# -- reference parser and printer -----------------------------------------------
+
+_REF_BINDER_KEYWORDS = {"fun", "tick", "clock", "later", "forall-clk", "clater",
+                        "cforall", "exists", "all", "plater", "pforall-clk",
+                        "case", "cpi", "csig"}
+_REF_PREFIX_KEYWORDS = {"fst", "snd", "inl", "inr", "El", "Prf", "Id", "peq",
+                        "cid", "csum", "In", "U", "Prop"}
+_REF_KEYWORDS = _REF_BINDER_KEYWORDS | _REF_PREFIX_KEYWORDS | {"def"}
+
+
+class _ReferenceParser(_Parser):
+    """The nine-level recursive descent (term, arrow, sigma, sum, por, pand,
+    app, postfix, atom) that precedence climbing replaced, kept as its
+    oracle; only the token helpers are shared."""
+
+    def expect_name(self) -> str:
+        t = self.peek()
+        if t.kind == "name" and t.value not in _REF_KEYWORDS \
+                and t.value not in CONSTANTS:
+            return self.next().value
+        raise self.error("expected a name")
+
+    def term(self) -> Term:
+        t = self.peek()
+        if t.kind == "name":
+            kw = t.value
+            if kw == "fun":
+                self.next()
+                names = [self.expect_name()]
+                while self.peek().kind == "name" and not self.at_sym("->"):
+                    if self.peek().value in _REF_KEYWORDS:
+                        break
+                    names.append(self.expect_name())
+                self.expect_sym("->")
+                body = self.term()
+                for x in reversed(names):
+                    body = Lam(x, body)
+                return body
+            if kw == "tick":
+                self.next()
+                a = self.expect_name()
+                self.expect_sym(":")
+                k = self.expect_name()
+                self.expect_sym("->")
+                return TickAbs(a, k, self.term())
+            if kw == "clock":
+                self.next()
+                k = self.expect_name()
+                self.expect_sym("->")
+                return ClockAbs(k, self.term())
+            if kw in ("forall-clk", "cforall", "pforall-clk"):
+                cls = {"forall-clk": Forall, "cforall": ForallCode,
+                       "pforall-clk": PForallClk}[kw]
+                self.next()
+                k = self.expect_name()
+                self.expect_sym("->")
+                return cls(k, self.term())
+            if kw in ("exists", "all", "cpi", "csig"):
+                cls = {"exists": PExists, "all": PForall,
+                       "cpi": PiCode, "csig": SigmaCode}[kw]
+                self.next()
+                self.expect_sym("(")
+                x = self.expect_name()
+                self.expect_sym(":")
+                dom = self.term()
+                self.expect_sym(")")
+                self.expect_sym("->")
+                return cls(x, dom, self.term())
+            if kw == "case":
+                self.next()
+                scrut = self.term()
+                self.expect_sym("{")
+                if not self.at_name("inl"):
+                    raise self.error("expected 'inl'")
+                self.next()
+                x = self.expect_name()
+                self.expect_sym("->")
+                left = self.term()
+                self.expect_sym("|")
+                if not self.at_name("inr"):
+                    raise self.error("expected 'inr'")
+                self.next()
+                y = self.expect_name()
+                self.expect_sym("->")
+                right = self.term()
+                self.expect_sym("}")
+                return Case(scrut, x, left, y, right)
+        return self.arrow()
+
+    def arrow(self) -> Term:
+        if self.at_sym("(") and self.peek(1).kind == "name" \
+                and self.peek(1).value not in _REF_KEYWORDS \
+                and self.peek(1).value not in CONSTANTS \
+                and self.peek(2).kind == "sym" and self.peek(2).value == ":":
+            save = self.pos
+            self.next()
+            x = self.expect_name()
+            self.expect_sym(":")
+            dom = self.term()
+            self.expect_sym(")")
+            if self.at_sym("->"):
+                self.next()
+                return Pi(x, dom, self.term())
+            if self.at_sym("*"):
+                self.next()
+                return Sigma(x, dom, self.term())
+            self.pos = save  # plain annotation; reparse as an atom
+        left = self.sigma()
+        if self.at_sym("->"):
+            self.next()
+            return Pi("_", left, self.term())
+        return left
+
+    def sigma(self) -> Term:
+        left = self.sum()
+        if self.at_sym("*"):
+            self.next()
+            return Sigma("_", left, self.sigma())
+        return left
+
+    def sum(self) -> Term:
+        left = self.por()
+        while self.at_sym("+"):
+            self.next()
+            left = Sum(left, self.por())
+        return left
+
+    def por(self) -> Term:
+        left = self.pand()
+        while self.at_sym("\\/"):
+            self.next()
+            left = POr(left, self.pand())
+        return left
+
+    def pand(self) -> Term:
+        left = self.app()
+        while self.at_sym("/\\"):
+            self.next()
+            left = PAnd(left, self.app())
+        return left
+
+    def _at_atom_start(self) -> bool:
+        t = self.peek()
+        if t.kind == "name":
+            return t.value not in _REF_BINDER_KEYWORDS and t.value != "def" \
+                and t.value != "of"
+        return t.kind == "sym" and t.value in ("(",)
+
+    def app(self) -> Term:
+        head = self.postfix()
+        while self._at_atom_start():
+            head = App(head, self.postfix())
+        return head
+
+    def postfix(self) -> Term:
+        t = self.atom()
+        while True:
+            if self.at_sym("["):
+                self.next()
+                a = self.expect_name()
+                self.expect_sym("]")
+                t = TickApp(t, a)
+            elif self.at_sym("@"):
+                self.next()
+                k = self.expect_name()
+                t = ClockApp(t, k)
+            else:
+                return t
+
+    def _clockset(self) -> tuple[str, ...]:
+        self.expect_sym("{")
+        names: list[str] = []
+        while not self.at_sym("}") and not self.at_sym("=>"):
+            names.append(self.expect_name())
+            if self.at_sym(","):
+                self.next()
+        return tuple(names)
+
+    def atom(self) -> Term:
+        t = self.peek()
+        if t.kind == "sym" and t.value == "(":
+            self.next()
+            inner = self.term()
+            if self.at_sym(","):
+                self.next()
+                snd = self.term()
+                self.expect_sym(")")
+                return Pair(inner, snd)
+            if self.at_sym(":"):
+                self.next()
+                ty = self.term()
+                self.expect_sym(")")
+                return Ann(inner, ty)
+            self.expect_sym(")")
+            return inner
+        if t.kind != "name":
+            raise self.error("expected a term")
+        kw = t.value
+        if kw == "U" or kw == "Prop":
+            self.next()
+            names = self._clockset()
+            self.expect_sym("}")
+            return Univ(names) if kw == "U" else PropU(names)
+        if kw == "In":
+            self.next()
+            small = self._clockset()
+            self.expect_sym("=>")
+            big: list[str] = []
+            while not self.at_sym("}"):
+                big.append(self.expect_name())
+                if self.at_sym(","):
+                    self.next()
+            self.expect_sym("}")
+            return Incl(small, tuple(big), self.postfix())
+        if kw in ("later", "clater", "plater"):
+            cls = {"later": Later, "clater": LaterCode, "plater": PLater}[kw]
+            self.next()
+            if self.at_sym("("):
+                self.next()
+                a = self.expect_name()
+                self.expect_sym(":")
+                k = self.expect_name()
+                self.expect_sym(")")
+                self.expect_sym("->")
+                return cls(a, k, self.term())
+            k = self.expect_name()
+            return cls("_tick", k, self.postfix())
+        if kw in ("fst", "snd", "inl", "inr", "El", "Prf"):
+            self.next()
+            cls = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr,
+                   "El": El, "Prf": Prf}[kw]
+            return cls(self.postfix())
+        if kw in ("Id", "peq", "cid"):
+            self.next()
+            cls = {"Id": Id, "peq": PEq, "cid": IdCode}[kw]
+            return cls(self.postfix(), self.postfix(), self.postfix())
+        if kw == "csum":
+            self.next()
+            return SumCode(self.postfix(), self.postfix())
+        if kw in CONSTANTS:
+            self.next()
+            return Const(kw)
+        if kw in _REF_KEYWORDS:
+            raise self.error(f"unexpected keyword {kw!r}")
+        self.next()
+        return Var(kw)
+
+
+
+def reference_parse_term(text: str) -> Term:
+    p = _ReferenceParser(tokenize(text))
+    t = p.term()
+    if p.peek().kind != "eof":
+        raise p.error("trailing input after term")
+    return t
+
+
+def reference_parse_declarations(text: str) -> list[Declaration]:
+    p = _ReferenceParser(tokenize(text))
+    decls: list[Declaration] = []
+    while p.peek().kind != "eof":
+        if not p.at_name("def"):
+            raise p.error("expected 'def'")
+        p.next()
+        name = p.expect_name()
+        p.expect_sym(":")
+        ty = p.term()
+        p.expect_sym("=")
+        body = p.term()
+        decls.append(Declaration(name, ty, body))
+    return decls
+
+
+# precedence levels, loosest first
+_TERM = 0      # binder forms
+_ARROW = 1
+_SIGMA = 2
+_SUM = 3
+_POR = 4
+_PAND = 5
+_APP = 6
+_POSTFIX = 7
+_ATOM = 8
+
+
+
+def reference_show_term(t: Term) -> str:
+    """The per-class printer that the syntax table replaced, kept as its
+    oracle."""
+    return _show(t, _TERM)
+
+
+def _wrap(s: str, level: int, minimum: int) -> str:
+    return f"({s})" if level < minimum else s
+
+
+def _clockset(names: tuple[str, ...]) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
+def _show(t: Term, minimum: int) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return t.name
+    if isinstance(t, Lam):
+        return _wrap(f"fun {t.name} -> {_show(t.body, _TERM)}", _TERM, minimum)
+    if isinstance(t, TickAbs):
+        return _wrap(f"tick {t.tick} : {t.clock} -> {_show(t.body, _TERM)}",
+                     _TERM, minimum)
+    if isinstance(t, ClockAbs):
+        return _wrap(f"clock {t.clock} -> {_show(t.body, _TERM)}", _TERM, minimum)
+    if isinstance(t, (Later, LaterCode, PLater)):
+        kw = {Later: "later", LaterCode: "clater", PLater: "plater"}[type(t)]
+        return _wrap(f"{kw} ({t.tick} : {t.clock}) -> {_show(t.body, _TERM)}",
+                     _TERM, minimum)
+    if isinstance(t, (Forall, ForallCode, PForallClk)):
+        kw = {Forall: "forall-clk", ForallCode: "cforall",
+              PForallClk: "pforall-clk"}[type(t)]
+        return _wrap(f"{kw} {t.clock} -> {_show(t.body, _TERM)}", _TERM, minimum)
+    if isinstance(t, Pi):
+        if t.name == "_":
+            return _wrap(f"{_show(t.dom, _SIGMA)} -> {_show(t.cod, _ARROW)}",
+                         _ARROW, minimum)
+        return _wrap(f"({t.name} : {_show(t.dom, _TERM)}) -> {_show(t.cod, _ARROW)}",
+                     _ARROW, minimum)
+    if isinstance(t, Sigma):
+        if t.name == "_":
+            return _wrap(f"{_show(t.dom, _SUM)} * {_show(t.cod, _SIGMA)}",
+                         _SIGMA, minimum)
+        return _wrap(f"({t.name} : {_show(t.dom, _TERM)}) * {_show(t.cod, _SIGMA)}",
+                     _SIGMA, minimum)
+    if isinstance(t, (PiCode, SigmaCode)):
+        kw = "cpi" if isinstance(t, PiCode) else "csig"
+        return _wrap(f"{kw} ({t.name} : {_show(t.dom, _TERM)}) -> {_show(t.cod, _TERM)}",
+                     _TERM, minimum)
+    if isinstance(t, (PExists, PForall)):
+        kw = "exists" if isinstance(t, PExists) else "all"
+        return _wrap(f"{kw} ({t.name} : {_show(t.dom, _TERM)}) -> {_show(t.body, _TERM)}",
+                     _TERM, minimum)
+    if isinstance(t, Sum):
+        return _wrap(f"{_show(t.left, _SUM)} + {_show(t.right, _POR)}",
+                     _SUM, minimum)
+    if isinstance(t, POr):
+        return _wrap(f"{_show(t.left, _POR)} \\/ {_show(t.right, _PAND)}",
+                     _POR, minimum)
+    if isinstance(t, PAnd):
+        return _wrap(f"{_show(t.left, _PAND)} /\\ {_show(t.right, _APP)}",
+                     _PAND, minimum)
+    if isinstance(t, App):
+        return _wrap(f"{_show(t.fn, _APP)} {_show(t.arg, _POSTFIX)}",
+                     _APP, minimum)
+    if isinstance(t, TickApp):
+        return _wrap(f"{_show(t.fn, _POSTFIX)} [{t.tick}]", _POSTFIX, minimum)
+    if isinstance(t, ClockApp):
+        return _wrap(f"{_show(t.fn, _POSTFIX)} @ {t.clock}", _POSTFIX, minimum)
+    if isinstance(t, (Fst, Snd, Inl, Inr)):
+        kw = {Fst: "fst", Snd: "snd", Inl: "inl", Inr: "inr"}[type(t)]
+        return _wrap(f"{kw} {_show(t.arg, _POSTFIX)}", _APP, minimum)
+    if isinstance(t, El):
+        return _wrap(f"El {_show(t.code, _POSTFIX)}", _APP, minimum)
+    if isinstance(t, Prf):
+        return _wrap(f"Prf {_show(t.prop, _POSTFIX)}", _APP, minimum)
+    if isinstance(t, Id):
+        return _wrap(f"Id {_show(t.type_, _POSTFIX)} {_show(t.lhs, _POSTFIX)} "
+                     f"{_show(t.rhs, _POSTFIX)}", _APP, minimum)
+    if isinstance(t, IdCode):
+        return _wrap(f"cid {_show(t.code, _POSTFIX)} {_show(t.lhs, _POSTFIX)} "
+                     f"{_show(t.rhs, _POSTFIX)}", _APP, minimum)
+    if isinstance(t, PEq):
+        return _wrap(f"peq {_show(t.code, _POSTFIX)} {_show(t.lhs, _POSTFIX)} "
+                     f"{_show(t.rhs, _POSTFIX)}", _APP, minimum)
+    if isinstance(t, SumCode):
+        return _wrap(f"csum {_show(t.left, _POSTFIX)} {_show(t.right, _POSTFIX)}",
+                     _APP, minimum)
+    if isinstance(t, Incl):
+        return _wrap(f"In{{{', '.join(t.small)} => {', '.join(t.big)}}} "
+                     f"{_show(t.code, _POSTFIX)}", _APP, minimum)
+    if isinstance(t, Univ):
+        return "U" + _clockset(t.clocks)
+    if isinstance(t, PropU):
+        return "Prop" + _clockset(t.clocks)
+    if isinstance(t, Pair):
+        return f"({_show(t.fst, _TERM)}, {_show(t.snd, _TERM)})"
+    if isinstance(t, Ann):
+        return f"({_show(t.term, _TERM)} : {_show(t.type_, _TERM)})"
+    if isinstance(t, Case):
+        return _wrap(f"case {_show(t.scrut, _TERM)} {{ inl {t.lname} -> "
+                     f"{_show(t.left, _TERM)} | inr {t.rname} -> "
+                     f"{_show(t.right, _TERM)} }}", _TERM, minimum)
+    raise AssertionError(f"unhandled term node {type(t).__name__}")
+
+
+def test_keywords_match_reference():
+    assert KEYWORDS == _REF_KEYWORDS
+    assert _BINDER_KEYWORDS == _REF_BINDER_KEYWORDS
+
+
+@settings(max_examples=200)
+@given(terms())
+def test_printer_and_parser_match_reference_on_terms(t):
+    shown = show_term(t)
+    assert shown == reference_show_term(t)
+    assert _outcome(parse_term, shown) == _outcome(reference_parse_term, shown)
+
+
+# the grammar's keywords, constants and symbols, some names, and fragments
+# that make whole binder forms likely
+_SOUP = (sorted(_REF_KEYWORDS) + sorted(CONSTANTS) + _SYMBOLS
+         + ["x", "y", "k", "a", "of", "1", "_", "x'", "fun x ->", "(x : A)",
+            "later k", "case x {", "inl a ->", "| inr b ->", "f x"])
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_SOUP), max_size=14).map(" ".join))
+def test_parser_matches_reference_on_token_soup(text):
+    assert _outcome(parse_term, text) == _outcome(reference_parse_term, text)
+    decls = "def d : " + text
+    assert (_outcome(parse_declarations, decls)
+            == _outcome(reference_parse_declarations, decls))
+
+
+_INFIX_SYMBOLS = ["->", "*", "+", "\\/", "/\\"]
+_OPERANDS = ["f x", "fst x y", "Id A x y", "later k x", "later (a : k) -> x",
+             "fun y -> y", "fun y fst -> y", "fun y tt -> y", "(x : A)",
+             "(x : A) -> B", "(x : A) * B", "cpi (x : A) -> B", "clock k -> x",
+             "case x { inl a -> a | inr b -> b }", "(x, y)", "x [a] @ k",
+             "In{k => l} x", "U{k}", "tt", "", "( x"]
+
+
+def _precedence_corpus():
+    """Every pair and triple of infix symbols between plain operands, and
+    every pair with one operand replaced by another form."""
+    ops = _INFIX_SYMBOLS
+    yield from (f"x {o} y {p} z {q} w" for o in ops for p in ops for q in ops)
+    for o in ops:
+        for p in ops:
+            for u in _OPERANDS:
+                yield f"{u} {o} y {p} z"
+                yield f"x {o} {u} {p} z"
+                yield f"x {o} y {p} {u}"
+
+
+def test_parser_matches_reference_on_operator_combinations():
+    for text in _precedence_corpus():
+        assert (_outcome(parse_term, text)
+                == _outcome(reference_parse_term, text)), text
+
+
+@pytest.mark.parametrize("text", [
+    "", "(", ")", "->", "A ->", "(x : A)", "(x : A) + B", "(x :", "(x : A) ->",
+    "fun x y -> x", "fun -> x", "fst", "Id A B", "later k", "later (a : k)",
+    "In{k => } x", "In{k => l => m} x", "A + fun x -> x", "f later k A",
+    "A -> case c { inl x -> x | inr y -> y } + B",
+])
+def test_parser_matches_reference_on_edge_cases(text):
+    assert _outcome(parse_term, text) == _outcome(reference_parse_term, text)
+
+
+def test_data_files_parse_as_reference():
+    from importlib import resources
+    for path in resources.files("clott.data").iterdir():
+        if path.name.endswith(".clott"):
+            text = path.read_text(encoding="utf-8")
+            decls = parse_declarations(text)
+            assert decls == reference_parse_declarations(text)
+            for d in decls:
+                for t in (d.type_, d.body):
+                    assert show_term(t) == reference_show_term(t)
+
+
+def test_nested_parentheses_cost_four_frames_per_level():
+    # a fresh interpreter, so that pytest's own stack depth does not count:
+    # 230 levels fit under the default recursion limit of 1,000 frames
+    # only at four frames (atom, term, app, postfix) per level
+    src = os.path.dirname(os.path.dirname(clott.__file__))
+    code = ("from clott.parser import parse_term\n"
+            "parse_term('(' * 230 + 'tt' + ')' * 230)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
