@@ -289,6 +289,16 @@ def cmd_theory(args) -> tuple[int, Report]:
         print(f"clott theory: {exc}", file=sys.stderr)
         return EXIT_USAGE, rep
     budget = Budget(term_size=args.depth)
+    try:
+        _theory_action(args, t, budget, rep)
+    except BudgetExceeded as exc:
+        name = "free-model" if args.action == "free" \
+            else f"preserves-{args.action}"
+        rep.add(name, UNKNOWN, {"reason": f"{type(exc).__name__}: {exc}"})
+    return rep.exit_code(), rep
+
+
+def _theory_action(args, t, budget: Budget, rep: Report) -> None:
     if args.action == "drop":
         drops = drop_equations(t)
         rep.add("drop-equations", PASS,
@@ -312,7 +322,6 @@ def cmd_theory(args) -> tuple[int, Report]:
         rep.add(f"preserves-{args.action}", PASS if r.ok else FAIL,
                 {"counterexample": r.counterexample, "bounds": r.bounds},
                 anchor="preservation of monos / pullbacks of monos")
-    return rep.exit_code(), rep
 
 
 # ---------------------------------------------------------------------------

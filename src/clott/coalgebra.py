@@ -4,8 +4,21 @@ and bisimilarity engines.
 The functor grammar is `const{a,b} | id | prod(F,G) | sum(F,G) | pf(F) |
 df(F)` where pf is the finite-powerset monad (free semilattice) and df
 the finitely-supported-distribution monad (free convex algebra).
-`functor_size` predicts |F(X)| from |X| so that oversized stages are
-refused before they are built.
+
+Carrier-level actions run on integer positions.  `functor_plan` gives F
+over the labels 0..n-1: its size in closed form (so oversized stages are
+refused before they are built), its elements numbered in canonical order
+by construction, and F(fn) for a label map given as a list, as a list of
+positions (`functor_map_all`): pf elements are bitmasks over the inner
+positions, df elements integer masses over a common denominator, prod
+positions i·|R| + j and sum positions offset.  The boundary rule of the
+theories module holds here: `functor_eval` sorts a user-given base once
+with `csorted` and decodes positions over it, and the relabelled stages
+of `terminal_sequence` and of `mu` never call `canon_key` per element.
+Plain `sorted` is canonical on the data inside, where each position holds
+one atom type (int labels, const strings, Fraction masses, tags first),
+so the single-value action `functor_map`, which `bisimilarity` applies
+to its signatures, sorts with it.
 
 Bisimilarity is the coarsest stable partition, computed by signature
 refinement: a state's signature is recomputed only after one of its
@@ -16,6 +29,7 @@ block change id (O(m log n) signatures in all);
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -144,70 +158,184 @@ def show_functor(f: FunctorExpr) -> str:
 # ---------------------------------------------------------------------------
 
 def functor_eval(f: FunctorExpr, base, budget: Budget | None = None) -> tuple:
-    """The set F(X) in canonical order."""
+    """The set F(X) in canonical order.  X is sorted once (a range of ints
+    already is) and the positions of F's plan are decoded over it."""
     budget = budget or Budget()
-    base = tuple(csorted(base))
-    if isinstance(f, FId):
-        return base
-    if isinstance(f, FConst):
-        return f.elems
-    if isinstance(f, FProd):
-        ls = functor_eval(f.left, base, budget)
-        rs = functor_eval(f.right, base, budget)
-        _guard(len(ls) * len(rs), budget)
-        return tuple(("pair", l, r) for l in ls for r in rs)
-    if isinstance(f, FSum):
-        ls = functor_eval(f.left, base, budget)
-        rs = functor_eval(f.right, base, budget)
-        _guard(len(ls) + len(rs), budget)
-        return tuple(itertools.chain((("inl", l) for l in ls),
-                                     (("inr", r) for r in rs)))
-    if isinstance(f, FFree):
-        inner = functor_eval(f.inner, base, budget)
-        _free_size(f.theory, len(inner), budget)
-        model = theories.free_model(BUILTINS[f.theory], inner, budget)
-        return model.elements
-    raise AssertionError(type(f).__name__)
+    base = tuple(base) if isinstance(base, range) and base.step > 0 \
+        else tuple(csorted(base))
+    return functor_plan(f, len(base), budget).elements(base)
 
 
 def functor_size(f: FunctorExpr, n: int, budget: Budget) -> int:
-    """|F(X)| for |X| = n without building F(X): exact for const, id,
-    prod, sum and pf, a lower bound for df.  Raises functor_eval's
-    BudgetExceeded where functor_eval on an n-element set would (for df,
-    where the lower bound already exceeds the budget)."""
+    """|F(X)| for |X| = n without building F(X), refused where
+    functor_eval on an n-element set would refuse."""
+    return functor_plan(f, n, budget).size
+
+
+def functor_plan(f: FunctorExpr, n: int, budget: Budget):
+    """The plan of F over the labels 0..n-1: its `size`, its elements in
+    canonical order by construction (`elements(base)` decodes them over a
+    canonically sorted base of n elements), and `act(fn, dst)`, the action
+    F(fn) on positions for a label map fn given as a list of labels of
+    dst's base.  Sizes are closed forms, so a plan is cheap to build, and
+    an oversized stage is refused before any element exists; the tables
+    behind pf and df actions are built on first use."""
     if isinstance(f, FId):
-        return n
+        return _IdPlan(n)
     if isinstance(f, FConst):
-        return len(f.elems)
-    if isinstance(f, FProd):
-        return _guard(functor_size(f.left, n, budget)
-                      * functor_size(f.right, n, budget), budget)
-    if isinstance(f, FSum):
-        return _guard(functor_size(f.left, n, budget)
-                      + functor_size(f.right, n, budget), budget)
+        return _ConstPlan(f.elems)
+    if isinstance(f, (FProd, FSum)):
+        left = functor_plan(f.left, n, budget)
+        right = functor_plan(f.right, n, budget)
+        plan = (_ProdPlan if isinstance(f, FProd) else _SumPlan)(left, right)
+        if plan.size > budget.max_elements:
+            raise BudgetExceeded(f"functor stage of size {plan.size} exceeds "
+                                 f"budget {budget.max_elements}")
+        return plan
     if isinstance(f, FFree):
-        return _free_size(f.theory, functor_size(f.inner, n, budget),
-                          budget)
+        inner = functor_plan(f.inner, n, budget)
+        if f.theory == "semilattice":
+            if inner.size > 64 or 2 ** inner.size > budget.max_elements:
+                raise BudgetExceeded(
+                    f"powerset of a {inner.size}-element set exceeds "
+                    f"budget {budget.max_elements}")
+            return _PfPlan(inner, budget)
+        return _DfPlan(inner, budget)
     raise AssertionError(type(f).__name__)
 
 
-def _guard(size: int, budget: Budget) -> int:
-    if size > budget.max_elements:
-        raise BudgetExceeded(f"functor stage of size {size} exceeds "
-                             f"budget {budget.max_elements}")
-    return size
+class _IdPlan:
+    def __init__(self, n: int):
+        self.size = n
+
+    def elements(self, base) -> tuple:
+        return tuple(base)
+
+    def act(self, fn, dst):
+        return fn
 
 
-def _free_size(theory: str, n: int, budget: Budget) -> int:
-    """The size of the free model over n generators (a lower bound for
-    convex), refused when it exceeds the budget."""
-    if theory == "semilattice":
-        if n > 64 or 2 ** n > budget.max_elements:
-            raise BudgetExceeded(
-                f"powerset of a {n}-element set exceeds "
-                f"budget {budget.max_elements}")
-        return 2 ** n
-    return theories.check_convex_size(n, budget)
+class _ConstPlan:
+    def __init__(self, elems: tuple):
+        self.elems, self.size = elems, len(elems)
+
+    def elements(self, base) -> tuple:
+        return self.elems
+
+    def act(self, fn, dst):
+        return range(self.size)
+
+
+class _ProdPlan:
+    """("pair", l, r) sits at i·|R| + j for l at i and r at j."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.size = left.size * right.size
+
+    def elements(self, base) -> tuple:
+        rs = self.right.elements(base)
+        return tuple(("pair", l, r) for l in self.left.elements(base)
+                     for r in rs)
+
+    def act(self, fn, dst):
+        width = dst.right.size
+        rf = self.right.act(fn, dst.right)
+        return [i * width + j for i in self.left.act(fn, dst.left)
+                for j in rf]
+
+
+class _SumPlan:
+    """("inl", l) keeps l's position; ("inr", r) is offset by |L|."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.size = left.size + right.size
+
+    def elements(self, base) -> tuple:
+        return tuple(itertools.chain(
+            (("inl", l) for l in self.left.elements(base)),
+            (("inr", r) for r in self.right.elements(base))))
+
+    def act(self, fn, dst):
+        off = dst.left.size
+        return [*self.left.act(fn, dst.left),
+                *(off + j for j in self.right.act(fn, dst.right))]
+
+
+class _FreePlan:
+    """A free-model node over the inner node's elements; the tables behind
+    its action are built on first use."""
+
+    def __init__(self, inner, budget: Budget):
+        self.inner, self.budget = inner, budget
+        self._tables = None
+
+    def tables(self) -> tuple:
+        if self._tables is None:
+            self._tables = self.build_tables()
+        return self._tables
+
+
+class _PfPlan(_FreePlan):
+    """Subsets as bitmasks over the inner positions, in the lexicographic
+    order of their sorted member tuples (`theories._subsets_lex`), with
+    rank[mask] the position of mask."""
+
+    def __init__(self, inner, budget: Budget):
+        super().__init__(inner, budget)
+        self.size = 2 ** inner.size
+
+    def elements(self, base) -> tuple:
+        return theories.free_model(BUILTINS["semilattice"],
+                                   self.inner.elements(base),
+                                   self.budget).elements
+
+    def build_tables(self) -> tuple[list, list]:
+        bits = tuple(1 << j for j in range(self.inner.size))
+        masks = theories._subsets_lex(bits, 0, operator.or_)
+        return masks, sorted(range(self.size), key=masks.__getitem__)
+
+    def act(self, fn, dst):
+        # img[m] = img[m ^ low] | bit(fn[low]), filled a bit at a time: the
+        # masks below 2^(i+1) with bit i set are those below 2^i plus bit i
+        img = [0]
+        for j in self.inner.act(fn, dst.inner):
+            bit = 1 << j
+            img += [m | bit for m in img]
+        rank = dst.tables()[1]
+        return [rank[img[m]] for m in self.tables()[0]]
+
+
+class _DfPlan(_FreePlan):
+    """Distributions over the inner positions with integer masses over a
+    common denominator (`theories.convex_codes`), with a rank dict; the
+    codes are built once, for decoding and for the action."""
+
+    def __init__(self, inner, budget: Budget):
+        super().__init__(inner, budget)
+        self.size = theories.convex_size(inner.size, budget)
+
+    def build_tables(self) -> tuple[int, list, dict]:
+        denom, codes = theories.convex_codes(self.inner.size, self.budget)
+        return denom, codes, {c: i for i, c in enumerate(codes)}
+
+    def elements(self, base) -> tuple:
+        denom, codes, _ = self.tables()
+        return theories.convex_elements(self.inner.elements(base), denom,
+                                        codes)
+
+    def act(self, fn, dst):
+        fi = self.inner.act(fn, dst.inner)
+        rank = dst.tables()[2]
+        out = []
+        for code in self.tables()[1]:
+            acc: dict = {}
+            for x, m in code:
+                y = fi[x]
+                acc[y] = acc.get(y, 0) + m
+            out.append(rank[tuple(sorted(acc.items()))])
+        return out
 
 
 def functor_map(f: FunctorExpr, fn: dict, value):
@@ -232,77 +360,12 @@ def functor_map(f: FunctorExpr, fn: dict, value):
     raise AssertionError(type(f).__name__)
 
 
-def functor_map_all(f: FunctorExpr, fn: dict, values) -> dict:
-    """F(fn) over a whole fiber, caching shared sub-results.
-
-    Elements of F(X) share their X-level members heavily (a powerset fiber
-    reuses the same few members in every subset), so mapping them one by
-    one with functor_map repeats work quadratically.  F is compiled once
-    into one mapping function per prod, sum, pf or df node, each with its
-    own cache; an id child is mapped as fn[x] and a const child is kept as
-    it is, with no call of their own."""
-    keys: dict = {}
-
-    def ckey(v):
-        k = keys.get(v)
-        if k is None:
-            k = keys[v] = theories.canon_key(v)
-        return k
-
-    act = _node_map(f, fn, ckey)
-    if act is None:
-        return {v: v for v in values}
-    return {v: act(v) for v in values}
-
-
-def _node_map(fx: FunctorExpr, fn: dict, ckey):
-    """fx(fn) as a function on fx(X): fn.__getitem__ for id and None (the
-    identity) for const; the mapping functions of inner nodes test for
-    None instead of calling an identity."""
-    if isinstance(fx, FId):
-        return fn.__getitem__
-    if isinstance(fx, FConst):
-        return None
-    cache: dict = {}
-    if isinstance(fx, FProd):
-        left = _node_map(fx.left, fn, ckey)
-        right = _node_map(fx.right, fn, ckey)
-
-        def act(v):
-            r = cache.get(v)
-            if r is None:
-                _, a, b = v
-                r = cache[v] = ("pair", a if left is None else left(a),
-                                b if right is None else right(b))
-            return r
-    elif isinstance(fx, FSum):
-        sides = {"inl": _node_map(fx.left, fn, ckey),
-                 "inr": _node_map(fx.right, fn, ckey)}
-
-        def act(v):
-            r = cache.get(v)
-            if r is None:
-                tag, u = v
-                side = sides[tag]
-                r = cache[v] = (tag, u if side is None else side(u))
-            return r
-    else:
-        inner = _node_map(fx.inner, fn, ckey)
-        theory = BUILTINS[fx.theory]
-
-        def act(v):
-            r = cache.get(v)
-            if r is None:
-                if v[0] == "set":
-                    mapped = set(v[1] if inner is None else map(inner, v[1]))
-                    r = ("set", tuple(sorted(mapped, key=ckey)))
-                else:
-                    r = theories.fmap(theory, {
-                        x: x if inner is None else inner(x)
-                        for x, _ in v[1]}, v)
-                cache[v] = r
-            return r
-    return act
+def functor_map_all(src, dst, fn) -> list:
+    """F(fn) over a whole fiber, on positions: src and dst are the plans of
+    F over n and m labels, fn lists the image in range(m) of each label,
+    and the result lists the position in dst of the image of each
+    position of src."""
+    return src.act(fn, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +378,10 @@ UNIT = ("unit",)
 @dataclass(frozen=True)
 class TerminalSeq:
     """Stages are relabelled: stage k+1 is computed as F applied to the
-    integer labels 0..len(stage k)-1, and `labels[k]` maps each raw
-    element of stage k to its label.  Connectors are label-to-label."""
+    integer labels 0..len(stage k)-1, so position i of stage k is label i.
+    Connectors are label-to-label."""
     stages: tuple            # stages[k] = tuple of raw elements of F^k(1)
-    connectors: tuple        # connectors[k]: dict label(k+1) -> label(k)
+    connectors: tuple        # connectors[k][label(k+1)] = label(k)
     convergence: int | None  # first k with connectors[k] bijective
     budget_hit: bool = False
 
@@ -334,32 +397,29 @@ def terminal_sequence(f: FunctorExpr, max_steps: int,
                       budget: Budget | None = None) -> TerminalSeq:
     budget = budget or Budget()
     stages: list[tuple] = [(UNIT,)]
-    indices: list[dict] = [{UNIT: 0}]
-    raw_connectors: list[dict] = []   # label(k+1) -> label(k)
+    connectors: list[tuple] = []
+    plan = None             # F's plan over the labels of the last stage
     convergence = None
     budget_hit = False
     for k in range(max_steps):
-        labels_k = tuple(range(len(stages[k])))
+        n = len(stages[k])
         try:
-            nxt = functor_eval(f, labels_k, budget)
+            nxt_plan = functor_plan(f, n, budget)
+            nxt = functor_eval(f, range(n), budget)
         except BudgetExceeded:
             budget_hit = True
             break
-        index = {v: i for i, v in enumerate(nxt)}
-        if k == 0:
-            conn = {i: 0 for i in range(len(nxt))}
-        else:
-            mapped = functor_map_all(f, raw_connectors[k - 1], nxt)
-            conn = {index[v]: indices[k][mapped[v]] for v in nxt}
+        # connector k is F(connector k-1); connector 0 is F(1) -> 1
+        conn = tuple(functor_map_all(nxt_plan, plan, connectors[-1])
+                     if k else [0] * len(nxt))
         stages.append(nxt)
-        indices.append(index)
-        raw_connectors.append(conn)
-        if convergence is None and len(nxt) == len(stages[k]) \
-                and len(set(conn.values())) == len(stages[k]):
+        connectors.append(conn)
+        plan = nxt_plan
+        if convergence is None and len(nxt) == n and len(set(conn)) == n:
             convergence = k
             break
-    return TerminalSeq(tuple(tuple(s) for s in stages),
-                       tuple(raw_connectors), convergence, budget_hit)
+    return TerminalSeq(tuple(stages), tuple(connectors), convergence,
+                       budget_hit)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..coalgebra import (FunctorExpr, functor_eval, functor_map_all,
-                         functor_size)
+                         functor_plan, functor_size)
 from .presheaf import (Model, Psh, _chain_limit, arrow, clk_psh,
                        coproduct, const_psh, forall_clk, later, product,
                        weaken)
@@ -189,16 +189,20 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
 
     The ▷-fibers are relabelled with small integers before F is applied,
     so the elements stay shallow even when the fibers blow up (compare the
-    relabelled terminal sequences in the coalgebra module)."""
+    relabelled terminal sequences in the coalgebra module).  Objects with
+    equally many labels share one fiber and one plan of F, and each action
+    is computed on positions and read off the fibers' own elements."""
     cat = model.slice
     chains = cat.stage_shift[0]
     fib: dict = {}          # object -> tuple of F(labels) elements
-    lat_decode: dict = {}   # object -> label -> family tuple of fib elems
+    plan: dict = {}         # object -> F's plan over its labels
+    lat_decode: dict = {}   # object -> families of fib elems, by label
     lat_encode: dict = {}   # object -> family tuple -> label
+    by_labels: dict = {}    # number of labels -> (plan, fiber)
     memo: dict = {}
 
     def act(j: int) -> dict:
-        return _mu_act(f, fib, lat_decode, lat_encode, model, j, memo)
+        return _mu_act(fib, plan, lat_decode, lat_encode, model, j, memo)
 
     stage = [o.time.theta(o.clock) for o in cat.objects]
     for i in sorted(range(len(stage)), key=stage.__getitem__):
@@ -209,32 +213,37 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
         functor_size(f, len(fib[cat.objects[chain[-1]]]) if chain else 1,
                      model.budget)
         families = _chain_limit(cat, fib, act, chain)
-        lat_decode[o] = dict(enumerate(families))
+        lat_decode[o] = families
         lat_encode[o] = {fam: n for n, fam in enumerate(families)}
-        labels = tuple(range(len(families)))
-        fib[o] = tuple(functor_eval(f, labels, model.budget))
+        n = len(families)
+        if n not in by_labels:
+            by_labels[n] = (functor_plan(f, n, model.budget),
+                            functor_eval(f, range(n), model.budget))
+        plan[o], fib[o] = by_labels[n]
 
     act_all = {m: act(j) for j, m in enumerate(cat.morphisms)}
     return Psh(cat, fib, act_all)
 
 
-def _mu_act(f: FunctorExpr, fib, lat_decode, lat_encode, model: Model,
-            j: int, memo: dict):
+def _mu_act(fib, plan, lat_decode, lat_encode, model: Model, j: int,
+            memo: dict):
     if j in memo:
         return memo[j]
     cat = model.slice
     m = cat.morphisms[j]
     k2 = m.dst.time.theta(m.dst.clock)
-    stage_acts = [_mu_act(f, fib, lat_decode, lat_encode, model, s, memo)
+    stage_acts = [_mu_act(fib, plan, lat_decode, lat_encode, model, s, memo)
                   for s in cat.stage_shift[2][j][:k2]]
-    label_map = {}
-    for lbl, fam in lat_decode[m.src].items():
-        mapped = tuple(stage_acts[beta][fam[beta]] for beta in range(k2))
-        label_map[lbl] = lat_encode[m.dst][mapped]
-    if all(k == v for k, v in label_map.items()) and m.src == m.dst:
-        out = {v: v for v in fib[m.src]}
+    encode = lat_encode[m.dst]
+    label_map = [encode[tuple(stage_acts[beta][fam[beta]]
+                              for beta in range(k2))]
+                 for fam in lat_decode[m.src]]
+    src, dst = fib[m.src], fib[m.dst]
+    if m.src == m.dst and label_map == list(range(len(label_map))):
+        out = dict(zip(src, src))
     else:
-        out = functor_map_all(f, label_map, fib[m.src])
+        out = dict(zip(src, map(dst.__getitem__, functor_map_all(
+            plan[m.src], plan[m.dst], label_map))))
     memo[j] = out
     return out
 

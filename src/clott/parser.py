@@ -51,6 +51,7 @@ from .terms import (
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -406,10 +407,13 @@ def _alg_term(p: _Parser, ops: dict[str, int]) -> AVar | AOp:
         args: list = []
         if p.at_sym("("):
             p.next()
-            while not p.at_sym(")"):
+            if not p.at_sym(")"):
                 args.append(_alg_term(p, ops))
-                if p.at_sym(","):
+                while p.at_sym(","):
                     p.next()
+                    args.append(_alg_term(p, ops))
+            if not p.at_sym(")"):
+                raise p.error("expected ',' or ')' after an argument")
             p.next()
         if len(args) != ops[name]:
             raise ParseError(
@@ -417,6 +421,14 @@ def _alg_term(p: _Parser, ops: dict[str, int]) -> AVar | AOp:
                 tok.line, tok.col)
         return AOp(name, tuple(args))
     return AVar(name)
+
+
+def _eq_side(text: str, ops: dict[str, int], line: int, col: int):
+    """One side of an equation that starts at line:col of its file."""
+    try:
+        return parse_alg_term(text, ops)
+    except ParseError as exc:
+        raise ParseError(exc.message, line, col + exc.col - 1) from None
 
 
 def parse_theory_file(text: str):
@@ -456,8 +468,11 @@ def parse_theory_file(text: str):
             if "=" not in rest:
                 raise ParseError("expected 'eq LHS = RHS'", lineno, 1)
             lhs_s, _, rhs_s = rest.partition("=")
-            equations.append((parse_alg_term(lhs_s, ops),
-                              parse_alg_term(rhs_s, ops)))
+            # columns of the two sides in the raw line
+            col = len(raw) - len(raw.lstrip()) + len(line) - len(rest) + 1
+            equations.append((_eq_side(lhs_s, ops, lineno, col),
+                              _eq_side(rhs_s, ops, lineno,
+                                       col + len(lhs_s) + 1)))
             continue
         raise ParseError(f"unrecognised line {line!r}", lineno, 1)
     return ops, equations, builtin

@@ -6,11 +6,30 @@ truncation) come with exact canonical normal forms.  Custom theories fall
 back on bounded term enumeration plus congruence closure, with
 three-valued equality: distinct classes are only `unknown` apart, never
 `apart`, since a bigger budget might merge them.
+
+Canonical order and the boundary rule.  Carriers are listed in the order
+of `canon_key`, a total order across numbers (ints and Fractions by
+value), strings, tuples and frozensets; it costs a call per atom, so it
+runs only at the boundary.
+Each public entry point sorts its base once with `csorted`, builds the
+carrier on the positions 0..n-1, and decodes positions over the sorted
+base only where elements are needed; positions are order-isomorphic to
+the sorted base, so decoding keeps the order.  Inside, plain `sorted` is
+already the canonical order: on data whose atoms are int labels, const
+strings and Fraction masses, every encoding has one atom type per
+position (tags at index 0, ("inl", x) and ("inr", y) decided by their
+tags, set and distribution tuples compared lexicographically with the
+shorter-prefix rule under Python's order and under `canon_key` alike),
+so sorted(xs) == csorted(xs) there, and wherever plain comparison is
+defined on numbers, strings and tuples of them.  Bases of mixed type stay
+part of the API: `psorted` falls back to `csorted` when plain comparison
+fails on them.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,14 +182,14 @@ def has_drop_equations(t: Theory) -> bool:
 # ---------------------------------------------------------------------------
 
 def canon_key(v):
-    """Total order key across the mixed canonical encodings (ints, strings,
-    fractions, tagged tuples)."""
+    """Total order key across the mixed canonical encodings (numbers,
+    strings, tagged tuples).  Ints and Fractions are one kind, ordered by
+    value as Python orders them, so plain comparison, wherever it is
+    defined, orders numbers, strings and tuples of them as canon_key does."""
     if isinstance(v, bool):
         return (0, int(v))
-    if isinstance(v, int):
+    if isinstance(v, (int, Fraction)):
         return (0, v)
-    if isinstance(v, Fraction):
-        return (1, v)
     if isinstance(v, str):
         return (2, v)
     if isinstance(v, tuple):
@@ -182,6 +201,19 @@ def canon_key(v):
 
 def csorted(xs):
     return sorted(xs, key=canon_key)
+
+
+def psorted(xs):
+    """csorted by plain comparison, which agrees with canon_key wherever it
+    is defined on numbers, strings and tuples of them (see canon_key);
+    csorted where a mixed-type base makes plain comparison fail.
+    Frozensets compare by inclusion, a partial order, so fmap, apply_op
+    and mult list frozenset members in no fixed order; free_model and
+    functor_eval, which use csorted, order them canonically."""
+    try:
+        return sorted(xs)
+    except TypeError:
+        return csorted(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,37 +254,32 @@ def _v_of(x) -> AlgTerm:
 
 def free_model(t: Theory, base, budget: Budget | None = None) -> FreeModel:
     """The carrier of T(X) in canonical normal forms (builtins) or as
-    congruence classes of bounded terms (custom)."""
+    congruence classes of bounded terms (custom).  The base is sorted once;
+    builtin carriers are built on its positions and decoded."""
     budget = budget or Budget()
     base = tuple(csorted(base))
     b = t.builtin
     if b == "semilattice":
-        return FreeModel(t, base, tuple(("set", s)
-                                        for s in _subsets_lex(base)), True)
+        subsets = _subsets_lex([(x,) for x in base], (), operator.add)
+        return FreeModel(t, base, tuple(("set", s) for s in subsets), True)
     if b == "convex":
-        check_convex_size(len(base), budget)
-        elems = set()
-        for d in range(1, budget.max_denominator + 1):
-            for masses in _compositions(d, len(base)):
-                dist = tuple((x, Fraction(m, d))
-                             for x, m in zip(base, masses) if m)
-                if dist:
-                    elems.add(("dist", dist))
-            if len(elems) > budget.max_elements:
-                raise BudgetExceeded("convex carrier too large")
-        return FreeModel(t, base, tuple(csorted(elems)), True)
+        return FreeModel(t, base, convex_elements(
+            base, *convex_codes(len(base), budget)), True)
     if b in ("monoid", "commutative-monoid"):
         tag = "list" if b == "monoid" else "bag"
-        elems = []
+        words = []
         for n in range(budget.max_len + 1):
-            words = itertools.product(base, repeat=n) if tag == "list" \
-                else itertools.combinations_with_replacement(base, n)
-            elems.extend((tag, tuple(w)) for w in words)
-            if len(elems) > budget.max_elements:
+            words.extend(itertools.product(range(len(base)), repeat=n)
+                         if tag == "list" else
+                         itertools.combinations_with_replacement(
+                             range(len(base)), n))
+            if len(words) > budget.max_elements:
                 raise BudgetExceeded(f"{b} carrier too large")
         # length-capped slice of an infinite free monoid: still exact
         # equality on the listed elements
-        return FreeModel(t, base, tuple(csorted(set(elems))), True)
+        words.sort()
+        return FreeModel(t, base, tuple(
+            (tag, tuple(base[i] for i in w)) for w in words), True)
     if b == "truncation":
         return FreeModel(t, base, (STAR,) if base else (), True)
     classes = _congruence_classes(t, base, budget)
@@ -260,27 +287,54 @@ def free_model(t: Theory, base, budget: Budget | None = None) -> FreeModel:
     return FreeModel(t, base, elems, False)
 
 
-def _subsets_lex(base: tuple) -> list:
-    """The subsets of a canonically sorted base as sorted tuples, in
-    lexicographic order, which is their canonical order: the subsets of
-    base[i:] are (), then base[i] prepended to each subset of base[i+1:],
-    then the nonempty subsets of base[i+1:]."""
-    subsets = [()]
-    for x in reversed(base):
-        subsets = [()] + [(x,) + s for s in subsets] + subsets[1:]
+def _subsets_lex(units, empty, join) -> list:
+    """The subsets of a canonically sorted base in the lexicographic order
+    of their sorted member tuples, which is their canonical order: the
+    subsets of base[i:] are the empty one, then base[i] joined to each
+    subset of base[i+1:], then the nonempty subsets of base[i+1:].  A
+    subset is built from `empty` by `join(unit, subset)` over the units
+    of its members: 1-tuples and `operator.add` give sorted tuples, bits
+    and `operator.or_` bitmasks."""
+    subsets = [empty]
+    for u in reversed(units):
+        subsets = [empty] + [join(u, s) for s in subsets] + subsets[1:]
     return subsets
 
 
-def check_convex_size(n: int, budget: Budget) -> int:
-    """A lower bound on the size of the convex carrier over n generators,
-    refused before enumeration when it exceeds the budget: the
-    C(n + d - 1, d) distributions with masses in (1/d)N for d =
-    max_denominator are pairwise distinct."""
-    d = budget.max_denominator
-    size = math.comb(n + d - 1, d) if n and d > 0 else 0
-    if size > budget.max_elements:
+def convex_size(n: int, budget: Budget) -> int:
+    """The size of the convex carrier over n generators, refused before
+    enumeration when it exceeds the budget.  The grid (1/d)N^n holds
+    C(d + n - 1, n - 1) distributions, and a distribution lies on the grids
+    of the multiples of its least denominator; so the distributions with
+    least denominator d are the grid's less those of d's proper divisors."""
+    least: list[int] = []
+    for d in range(1, budget.max_denominator + 1 if n else 1):
+        least.append(math.comb(d + n - 1, n - 1) - sum(
+            least[e - 1] for e in range(1, d) if d % e == 0))
+    if sum(least) > budget.max_elements:
         raise BudgetExceeded("convex carrier too large")
-    return size
+    return sum(least)
+
+
+def convex_codes(n: int, budget: Budget) -> tuple[int, list]:
+    """The convex carrier over the positions 0..n-1 in canonical order, as
+    (D, codes): a code is a tuple of (position, mass) pairs with integer
+    masses over the common denominator D = lcm(1..max_denominator)."""
+    convex_size(n, budget)
+    denom = math.lcm(*range(1, budget.max_denominator + 1))
+    codes = set()
+    for d in range(1, budget.max_denominator + 1):
+        for masses in _compositions(d, n):
+            codes.add(tuple((x, m * (denom // d))
+                            for x, m in enumerate(masses) if m))
+    return denom, sorted(codes)
+
+
+def convex_elements(base: tuple, denom: int, codes: list) -> tuple:
+    """The convex codes decoded over a canonically sorted base."""
+    mass = [Fraction(m, denom) for m in range(denom + 1)]
+    return tuple(("dist", tuple((base[x], mass[m]) for x, m in code))
+                 for code in codes)
 
 
 def _compositions(total: int, parts: int):
@@ -323,7 +377,7 @@ def apply_op(t: Theory, op: str, args: list):
         acc = set()
         for _, xs in args:
             acc.update(xs)
-        return ("set", tuple(csorted(acc)))
+        return ("set", tuple(psorted(acc)))
     if b == "convex":
         p = CONVEX_WEIGHTS[op]
         (_, d1), (_, d2) = args
@@ -332,13 +386,13 @@ def apply_op(t: Theory, op: str, args: list):
             acc[x] = acc.get(x, Fraction(0)) + p * m
         for x, m in d2:
             acc[x] = acc.get(x, Fraction(0)) + (1 - p) * m
-        return ("dist", tuple(csorted([(x, m) for x, m in acc.items() if m])))
+        return ("dist", tuple(psorted([(x, m) for x, m in acc.items() if m])))
     if b in ("monoid", "commutative-monoid"):
         if op == "e":
             return ("list" if b == "monoid" else "bag", ())
         (tag, w1), (_, w2) = args
         w = w1 + w2
-        return (tag, w if tag == "list" else tuple(csorted(w)))
+        return (tag, w if tag == "list" else tuple(psorted(w)))
     if b == "truncation":
         raise TheoryError("truncation has no operations")
     raise TheoryError(f"interpret: custom theory {t.name!r}; use the "
@@ -349,16 +403,16 @@ def fmap(t: Theory, f: dict, elem):
     """Functor action T(f): rename the free variables of a normal form."""
     tag = elem[0]
     if tag == "set":
-        return ("set", tuple(csorted({f[x] for x in elem[1]})))
+        return ("set", tuple(psorted({f[x] for x in elem[1]})))
     if tag == "dist":
         acc: dict = {}
         for x, m in elem[1]:
             acc[f[x]] = acc.get(f[x], Fraction(0)) + m
-        return ("dist", tuple(csorted(acc.items())))
+        return ("dist", tuple(psorted(acc.items())))
     if tag == "list":
         return ("list", tuple(f[x] for x in elem[1]))
     if tag == "bag":
-        return ("bag", tuple(csorted(f[x] for x in elem[1])))
+        return ("bag", tuple(psorted(f[x] for x in elem[1])))
     if tag == "star":
         return elem
     if tag == "class":
@@ -380,20 +434,20 @@ def mult(t: Theory, elem):
         acc = set()
         for inner in elem[1]:
             acc.update(inner[1])
-        return ("set", tuple(csorted(acc)))
+        return ("set", tuple(psorted(acc)))
     if tag == "dist":
         acc: dict = {}
         for inner, m in elem[1]:
             for x, mx in inner[1]:
                 acc[x] = acc.get(x, Fraction(0)) + m * mx
-        return ("dist", tuple(csorted(acc.items())))
+        return ("dist", tuple(psorted(acc.items())))
     if tag == "list":
         return ("list", tuple(x for inner in elem[1] for x in inner[1]))
     if tag == "bag":
         out = []
         for inner in elem[1]:
             out.extend(inner[1])
-        return ("bag", tuple(csorted(out)))
+        return ("bag", tuple(psorted(out)))
     if tag == "star":
         return STAR
     raise TheoryError("mult is only defined for builtin theories")
@@ -426,11 +480,18 @@ class _UnionFind:
 def enumerate_terms(t: Theory, base, size_budget: int,
                     max_terms: int) -> list[AlgTerm]:
     """All ground terms over the carrier with at most size_budget
-    operation nodes, smallest first."""
+    operation nodes, smallest first.  Each size layer is counted before it
+    is built, and a layer that would take the universe past max_terms is
+    refused unbuilt."""
     by_size: list[list[AlgTerm]] = [[_v_of(x) for x in csorted(base)]]
     nullary = [AOp(o, ()) for o, n in t.ops if n == 0]
     total = len(by_size[0])
     for size in range(1, size_budget + 1):
+        total += (len(nullary) if size == 1 else 0) + sum(
+            math.prod(len(by_size[s]) for s in sizes)
+            for _, n in t.ops if n for sizes in _compositions(size - 1, n))
+        if total > max_terms:
+            raise BudgetExceeded(f"term universe exceeds {max_terms}")
         layer: list[AlgTerm] = list(nullary) if size == 1 else []
         for o, n in t.ops:
             if n == 0:
@@ -441,9 +502,6 @@ def enumerate_terms(t: Theory, base, size_budget: int,
                 for args in itertools.product(*pools):
                     layer.append(AOp(o, tuple(args)))
         by_size.append(layer)
-        total += len(layer)
-        if total > max_terms:
-            raise BudgetExceeded(f"term universe exceeds {max_terms}")
     return [u for layer in by_size for u in layer]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report shape, determinism."""
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,37 @@ def test_theory_negative_arity_is_a_parse_error(tmp_path, capsys, action):
     assert run(["theory", action, str(f), "--size", "1", "--depth", "2"]) == 2
     err = capsys.readouterr().err
     assert "bad arity '-1'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("op f/2\nop c/0\neq f(x, y) = x\n",
+     ["free", "--size", "60", "--depth", "2"]),
+    ("op f/14\nop c/0\n", ["free", "--size", "2", "--depth", "3"]),
+    ("op f/14\nop c/0\n", ["pullbacks", "--size", "2", "--depth", "3"])])
+def test_theory_term_budget_overrun_is_unknown(tmp_path, text, argv):
+    # the size layer that would pass max_terms is counted, not built, so
+    # the overrun is reported at once; f/14 over three leaves alone has
+    # 3^14 size-1 terms
+    f = tmp_path / "big.thy"
+    f.write_text(text)
+    t0 = time.perf_counter()
+    code, doc = run_json(["theory", argv[0], str(f), *argv[1:]], tmp_path)
+    assert time.perf_counter() - t0 < 5
+    assert code == 3
+    [check] = doc["checks"]
+    assert check["verdict"] == "unknown"
+    assert check["evidence"]["reason"] == \
+        "BudgetExceeded: term universe exceeds 200000"
+
+
+@pytest.mark.parametrize("eq, where", [("f(x y) = f(y, x)", "2:8:"),
+                                       ("f(x,y,) = x", "2:10:")])
+def test_theory_argument_commas_are_required(tmp_path, capsys, eq, where):
+    f = tmp_path / "commas.thy"
+    f.write_text(f"op f/2\neq {eq}\n")
+    assert run(["theory", "drop", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 # -- coalg ---------------------------------------------------------------------

@@ -5,18 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clott.coalgebra import (BOT, Budget, BudgetExceeded, Coalgebra,
                              FConst, FFree, FId, FProd, FSum,
-                             FunctorParseError, NotConverged, bisimilarity,
+                             FunctorParseError, NotConverged, UNIT,
+                             bisimilarity,
                              brute_force_bisimilarity, delay_depth,
                              final_coalgebra, functor_eval, functor_map,
-                             functor_map_all, functor_size, now,
+                             functor_map_all, functor_plan, functor_size,
+                             now,
                              parse_coalgebra_file,
                              parse_functor, show_functor, step,
                              terminal_sequence, weak_bisim_delay)
+from clott import theories
 from clott.theories import canon_key, csorted
 
 
@@ -95,6 +98,197 @@ def test_functor_map_identity_and_composition(f):
         assert functor_map(f, ident, v) == v
         assert functor_map(f, {x: h[g[x]] for x in base}, v) == \
             functor_map(f, h, functor_map(f, g, v))
+
+
+# -- carriers built element by element: the oracles of the plans ---------------
+
+def reference_functor_eval(f, base, budget=None):
+    """F(X) built element by element and sorted with canon_key at every
+    node, as before positional plans (no size guards)."""
+    budget = budget or Budget()
+    base = tuple(csorted(base))
+    if isinstance(f, FId):
+        return base
+    if isinstance(f, FConst):
+        return f.elems
+    if isinstance(f, (FProd, FSum)):
+        ls = reference_functor_eval(f.left, base, budget)
+        rs = reference_functor_eval(f.right, base, budget)
+        if isinstance(f, FProd):
+            return tuple(("pair", l, r) for l in ls for r in rs)
+        return tuple([("inl", l) for l in ls] + [("inr", r) for r in rs])
+    inner = reference_functor_eval(f.inner, base, budget)
+    if f.theory == "semilattice":
+        return tuple(csorted(("set", tuple(csorted(s)))
+                             for r in range(len(inner) + 1)
+                             for s in itertools.combinations(inner, r)))
+    elems = set()
+    for d in range(1, budget.max_denominator + 1):
+        for masses in theories._compositions(d, len(inner)):
+            elems.add(("dist", tuple((x, Fraction(m, d))
+                                     for x, m in zip(inner, masses) if m)))
+    return tuple(csorted(elems))
+
+
+def reference_functor_map_all(f, fn: dict, values) -> dict:
+    """F(fn) over a fiber by one compiled mapping function per node, each
+    caching its results and sorting pf images with canon_key, as before
+    positional plans."""
+    keys: dict = {}
+
+    def ckey(v):
+        if v not in keys:
+            keys[v] = canon_key(v)
+        return keys[v]
+
+    act = _reference_node_map(f, fn, ckey)
+    return {v: v if act is None else act(v) for v in values}
+
+
+def _reference_node_map(fx, fn: dict, ckey):
+    if isinstance(fx, FId):
+        return fn.__getitem__
+    if isinstance(fx, FConst):
+        return None
+    cache: dict = {}
+    if isinstance(fx, FProd):
+        left = _reference_node_map(fx.left, fn, ckey)
+        right = _reference_node_map(fx.right, fn, ckey)
+
+        def act(v):
+            if v not in cache:
+                _, a, b = v
+                cache[v] = ("pair", a if left is None else left(a),
+                            b if right is None else right(b))
+            return cache[v]
+    elif isinstance(fx, FSum):
+        sides = {"inl": _reference_node_map(fx.left, fn, ckey),
+                 "inr": _reference_node_map(fx.right, fn, ckey)}
+
+        def act(v):
+            if v not in cache:
+                tag, u = v
+                side = sides[tag]
+                cache[v] = (tag, u if side is None else side(u))
+            return cache[v]
+    else:
+        inner = _reference_node_map(fx.inner, fn, ckey)
+
+        def act(v):
+            if v not in cache:
+                if v[0] == "set":
+                    mapped = set(v[1] if inner is None else map(inner, v[1]))
+                    cache[v] = ("set", tuple(sorted(mapped, key=ckey)))
+                else:
+                    acc: dict = {}
+                    for x, m in v[1]:
+                        y = x if inner is None else inner(x)
+                        acc[y] = acc.get(y, Fraction(0)) + m
+                    cache[v] = ("dist", tuple(sorted(acc.items(), key=ckey)))
+            return cache[v]
+    return act
+
+
+def reference_terminal_sequence(f, max_steps: int, budget=None):
+    """Stages by reference_functor_eval and connectors, as dicts, by
+    reference_functor_map_all and index lookups."""
+    budget = budget or Budget()
+    stages, indices, connectors = [(UNIT,)], [{UNIT: 0}], []
+    convergence = None
+    for k in range(max_steps):
+        nxt = reference_functor_eval(f, range(len(stages[k])), budget)
+        index = {v: i for i, v in enumerate(nxt)}
+        if k == 0:
+            conn = {i: 0 for i in range(len(nxt))}
+        else:
+            mapped = reference_functor_map_all(f, connectors[k - 1], nxt)
+            conn = {index[v]: indices[k][mapped[v]] for v in nxt}
+        stages.append(nxt)
+        indices.append(index)
+        connectors.append(conn)
+        if len(nxt) == len(stages[k]) and \
+                len(set(conn.values())) == len(stages[k]):
+            convergence = k
+            break
+    return stages, connectors, convergence
+
+
+# the functors of the carriers benchmark
+BENCH_FUNCTORS = ["const{a,b}", "sum(const{u},id)", "prod(const{a,b},id)",
+                  "pf(id)", "df(const{a,b})", "pf(prod(const{l},id))",
+                  "df(prod(const{a,b},id))", "prod(const{a},id)",
+                  "sum(const{a,b},const{c})", "df(const{a})"]
+
+
+@pytest.mark.parametrize("text", BENCH_FUNCTORS)
+def test_plan_elements_match_reference(text):
+    f = parse_functor(text)
+    for n in range(4):
+        for base in (range(n), tuple(f"s{i}" for i in reversed(range(n))),
+                     (7, 3, 11)[:n]):
+            for budget in (Budget(), Budget(max_denominator=3)):
+                elems = functor_eval(f, base, budget)
+                assert elems == reference_functor_eval(f, base, budget)
+                assert len(elems) == functor_size(f, n, budget)
+
+
+@pytest.mark.parametrize("text", BENCH_FUNCTORS + ["df(id)",
+                                                   "pf(sum(id, const{u}))"])
+def test_functor_map_all_matches_functor_map_on_fixed_maps(text):
+    # permutations, collapses and maps into fewer labels, which reorder
+    # the members of pf and df images
+    f = parse_functor(text)
+    budget = Budget(max_denominator=3)
+    for fn in ([2, 1, 0], [1, 0, 1], [0, 0, 0], [1, 2, 0], [1, 0]):
+        k = max(fn) + 1
+        src, dst = functor_plan(f, len(fn), budget), functor_plan(f, k, budget)
+        xs = functor_eval(f, range(len(fn)), budget)
+        ys = functor_eval(f, range(k), budget)
+        assert [ys[p] for p in functor_map_all(src, dst, fn)] == \
+            [functor_map(f, dict(enumerate(fn)), x) for x in xs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_plan_elements_match_reference_random(data):
+    f = data.draw(_FUNCTORS)
+    n = data.draw(st.integers(0, 3))
+    base = tuple(range(n)) if data.draw(st.booleans()) \
+        else tuple(f"s{i}" for i in range(n))
+    budget = Budget(max_elements=3000,
+                    max_denominator=data.draw(st.integers(1, 4)))
+    try:
+        size = functor_size(f, n, budget)
+    except BudgetExceeded:
+        assume(False)
+    elems = functor_eval(f, base, budget)
+    assert elems == reference_functor_eval(f, base, budget)
+    assert len(elems) == size
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_plain_sort_is_canonical_on_functor_elements(data):
+    # one atom type per position: int or string states, string consts,
+    # Fraction masses, tags first
+    f = data.draw(_FUNCTORS)
+    states = tuple(range(4)) if data.draw(st.booleans()) \
+        else tuple(f"s{i}" for i in range(4))
+    xs = [_draw_element(data, f, states)
+          for _ in range(data.draw(st.integers(0, 8)))]
+    assert sorted(xs) == csorted(xs)
+
+
+@pytest.mark.parametrize("text", BENCH_FUNCTORS)
+def test_terminal_sequence_matches_reference(text):
+    f = parse_functor(text)
+    # the next stage of df(prod(...)) is over the budget
+    steps = 2 if text.startswith("df(prod") else 3 if "pf" in text else 4
+    seq = terminal_sequence(f, steps)
+    stages, connectors, convergence = reference_terminal_sequence(f, steps)
+    assert seq.stages == tuple(stages)
+    assert [dict(enumerate(c)) for c in seq.connectors] == connectors
+    assert seq.convergence == convergence and not seq.budget_hit
 
 
 # -- terminal sequences -------------------------------------------------------
@@ -280,21 +474,34 @@ def _draw_element(data, f, states):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_functor_map_all_matches_functor_map(data):
-    # non-injective maps, into ints or into strings, on elements drawn
-    # from a few states so that members are shared between elements
+    # non-injective maps, into ints or into strings.  Elements drawn from a
+    # few states, so that members are shared between elements, go through
+    # the single-value action and the compiled action it replaced, also
+    # where F is too large to enumerate; where the fibers fit the budget,
+    # the positional action is compared with both over the whole fiber
     f = data.draw(_FUNCTORS)
     n = data.draw(st.integers(2, 5))
     states = tuple(range(n)) if data.draw(st.booleans()) \
         else tuple(f"s{i}" for i in range(n))
     k = data.draw(st.integers(1, n - 1))
-    targets = list(range(k)) if data.draw(st.booleans()) \
-        else [f"t{j}" for j in range(k)]
+    targets = tuple(range(k)) if data.draw(st.booleans()) \
+        else tuple(f"t{j}" for j in range(k))
     fn = {s: data.draw(st.sampled_from(targets)) for s in states}
     vs = [_draw_element(data, f, states)
           for _ in range(data.draw(st.integers(1, 6)))]
-    mapped = functor_map_all(f, fn, vs)
-    assert list(mapped.items()) == \
+    assert list(reference_functor_map_all(f, fn, vs).items()) == \
         [(v, functor_map(f, fn, v)) for v in dict.fromkeys(vs)]
+    budget = Budget(max_elements=3000)
+    try:
+        src, dst = functor_plan(f, n, budget), functor_plan(f, k, budget)
+    except BudgetExceeded:
+        return
+    xs, ys = functor_eval(f, states, budget), functor_eval(f, targets, budget)
+    label = {t: j for j, t in enumerate(targets)}
+    positions = functor_map_all(src, dst, [label[fn[s]] for s in states])
+    images = [ys[p] for p in positions]
+    assert images == [functor_map(f, fn, x) for x in xs]
+    assert images == list(reference_functor_map_all(f, fn, xs).values())
 
 
 @settings(max_examples=150, deadline=None)

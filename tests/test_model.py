@@ -18,7 +18,10 @@ from clott.model import (CheckOutcome, FreshClockExhausted, MArrow, MClk,
                          later, mor_key, mu, obj_key, product, restrict_to,
                          slice_category, unique_exists_check, weaken)
 from clott.coalgebra import functor_eval
+from clott.model.presheaf import _chain_limit
 from clott.theories import Budget
+
+from .test_coalgebra import reference_functor_eval, reference_functor_map_all
 
 
 MODEL = Model(pool=2, bound=4)
@@ -463,6 +466,52 @@ def test_mu_stage_law(fs):
         oracle[k] = n
     assert sizes == oracle
     assert check_functoriality(p).ok
+
+
+def reference_mu(model, f):
+    """μX.F(▷X) with fibers by reference_functor_eval and actions by
+    reference_functor_map_all, one fresh fiber per object, as before
+    positional plans."""
+    cat = model.slice
+    chains = cat.stage_shift[0]
+    fib, lat_decode, lat_encode, memo = {}, {}, {}, {}
+
+    def act(j):
+        if j in memo:
+            return memo[j]
+        m = cat.morphisms[j]
+        k2 = m.dst.time.theta(m.dst.clock)
+        stage_acts = [act(s) for s in cat.stage_shift[2][j][:k2]]
+        label_map = {lbl: lat_encode[m.dst][tuple(
+            stage_acts[beta][fam[beta]] for beta in range(k2))]
+            for lbl, fam in lat_decode[m.src].items()}
+        memo[j] = reference_functor_map_all(f, label_map, fib[m.src])
+        return memo[j]
+
+    stage = [o.time.theta(o.clock) for o in cat.objects]
+    for i in sorted(range(len(stage)), key=stage.__getitem__):
+        o = cat.objects[i]
+        families = _chain_limit(cat, fib, act, chains[i][:stage[i]])
+        lat_decode[o] = dict(enumerate(families))
+        lat_encode[o] = {fam: n for n, fam in enumerate(families)}
+        fib[o] = reference_functor_eval(f, range(len(families)),
+                                        model.budget)
+    return fib, {m: act(j) for j, m in enumerate(cat.morphisms)}
+
+
+@pytest.mark.parametrize("fs", ["pf(id)", "pf(prod(const{l},id))",
+                                "sum(const{u},id)", "prod(const{a,b},id)",
+                                "df(const{a,b})"])
+@pytest.mark.parametrize("pool, bound", [(1, 2), (1, 3), (2, 3)])
+def test_mu_matches_reference(fs, pool, bound):
+    # every fiber and every action dict, element by element and in order
+    model = Model(pool=pool, bound=bound)
+    p = mu(model, parse_functor(fs))
+    fib, act = reference_mu(model, parse_functor(fs))
+    for o in model.slice.objects:
+        assert p.fib[o] == fib[o]
+    for m in model.slice.morphisms:
+        assert list(p.act[m].items()) == list(act[m].items())
 
 
 # -- force ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Parser and printer: round trips, error reporting, and agreement with
 the recursive-descent parser and per-class printer they replaced."""
+import importlib
 import os
 import re
 import subprocess
@@ -104,6 +105,28 @@ def test_theory_file_builtin():
 def test_theory_file_bad_line():
     with pytest.raises(ParseError):
         parse_theory_file("nonsense here\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("op f/2\neq f(x y) = f(y, x)\n", (2, 8)),
+    ("op f/2\n  eq f(x, y) = f(x,y,)\n", (2, 22)),
+    ("op f/2\neq f(x,) = x\n", (2, 8)),
+    ("op f/2\neq f(x, y = x\n", (2, 11)),
+    ("op f/1\neq f(,x) = x\n", (2, 6))])
+def test_theory_file_argument_commas_are_required(text, where):
+    # a missing comma, a trailing comma or a leading one is an error at
+    # its place in the file, not a silently accepted argument list
+    with pytest.raises(ParseError) as err:
+        parse_theory_file(text)
+    assert (err.value.line, err.value.col) == where
+
+
+def test_data_theory_files_parse():
+    data = os.path.join(os.path.dirname(clott.__file__), "data")
+    for name in sorted(os.listdir(data)):
+        if name.endswith(".thy"):
+            with open(os.path.join(data, name), encoding="utf-8") as fh:
+                parse_theory_file(fh.read())
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -677,6 +700,17 @@ def test_data_files_parse_as_reference():
             for d in decls:
                 for t in (d.type_, d.body):
                     assert show_term(t) == reference_show_term(t)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(clott.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "clott", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: clott" in done.stdout
+    # importing the module, as a walk over the package does, runs nothing
+    importlib.import_module("clott.__main__")
 
 
 def test_nested_parentheses_cost_four_frames_per_level():

@@ -1,6 +1,8 @@
 """Algebraic theories: drop equations, free-model monads, minimal
 support, and the finite preservation checks."""
 import itertools
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from clott.theories import (BUILTINS, Budget, BudgetExceeded, CheckResult,
                             _occurrences_map, _term_keys, _term_size,
                             check_preserves_monos,
                             check_preserves_pullbacks_of_monos, class_equal,
+                            convex_size, enumerate_terms,
                             drop_equations, fmap, free_model,
                             has_drop_equations, interpret, is_drop_equation,
                             csorted, minimal_support, mult,
@@ -120,6 +123,89 @@ def test_convex_carrier_denominator_bound():
     assert ("dist", ((0, __import__("fractions").Fraction(1, 2)),
                      (1, __import__("fractions").Fraction(1, 2)))) \
         in m.elements
+
+
+def reference_free_model(t, base, budget):
+    """Builtin carriers built on the raw base and sorted with canon_key,
+    as before they were built on positions."""
+    base = tuple(csorted(base))
+    b = t.builtin
+    if b == "semilattice":
+        return tuple(csorted(("set", s) for r in range(len(base) + 1)
+                             for s in itertools.combinations(base, r)))
+    if b == "convex":
+        return tuple(csorted({
+            ("dist", tuple((x, Fraction(m, d))
+                           for x, m in zip(base, masses) if m))
+            for d in range(1, budget.max_denominator + 1)
+            for masses in _compositions(d, len(base))}))
+    words = [w for n in range(budget.max_len + 1) for w in (
+        itertools.product(base, repeat=n) if b == "monoid" else
+        itertools.combinations_with_replacement(base, n))]
+    return tuple(csorted({("list" if b == "monoid" else "bag", tuple(w))
+                          for w in words}))
+
+
+@pytest.mark.parametrize("name", ["semilattice", "convex", "monoid",
+                                  "commutative-monoid"])
+@pytest.mark.parametrize("base", [
+    tuple(range(4)), tuple("dcba"), (3, "b", ("pair", 1, 2), "a"),
+    (("inr", 2), ("inl", "u"), ("inl", "t"))])
+def test_builtin_carriers_match_reference(name, base):
+    # positions decoded over the sorted base, in canonical order, also
+    # over bases of mixed type
+    t = BUILTINS[name]
+    for budget in (Budget(max_len=2, max_denominator=3),
+                   Budget(max_len=3, max_denominator=4)):
+        assert free_model(t, base, budget).elements == \
+            reference_free_model(t, base, budget)
+
+
+def test_convex_size_is_exact():
+    for n in range(6):
+        for d in range(7):
+            budget = Budget(max_denominator=d)
+            assert convex_size(n, budget) == len(
+                reference_free_model(BUILTINS["convex"], range(n), budget))
+
+
+@pytest.mark.parametrize("xs", [
+    [3, 1, 2], ["b", "a"], [("set", (1, 2)), ("set", (1,)), ("set", ())],
+    [("dist", ((0, Fraction(1, 2)), (1, Fraction(1, 2)))),
+     ("dist", ((0, Fraction(1)),))],
+    [("inr", 0), ("inl", "a")], [3, "b", ("pair", 1, 2), 0, "a"],
+    [("pair", "a", 1), ("pair", 0, 1)],
+    # ints and Fractions at one position are ordered by value
+    [1, Fraction(1, 2), 0, Fraction(3, 2)],
+    [("pair", 1, "x"), ("pair", Fraction(1, 2), "y")],
+    [("set", (1,)), ("set", (Fraction(1, 2),))]])
+def test_psorted_is_csorted(xs):
+    # plain order on one atom type per position; csorted on mixed bases
+    assert theories.psorted(xs) == csorted(xs)
+
+
+@pytest.mark.parametrize("name", ["semilattice", "convex",
+                                  "commutative-monoid"])
+def test_operations_stay_in_carrier_over_ints_and_fractions(name):
+    # fmap, apply_op and mult sort plainly; on a base mixing ints and
+    # Fractions their results are the carrier's own elements
+    t = BUILTINS[name]
+    base = (1, Fraction(1, 2), 0, Fraction(3, 2))
+    budget = Budget(max_len=2, max_denominator=2)
+    elems = set(free_model(t, base, budget).elements)
+    ident = {x: x for x in base}
+    for e in elems:
+        assert fmap(t, ident, e) in elems
+        assert mult(t, unit(t, e)) in elems
+    op = {"semilattice": "or", "convex": "c12",
+          "commutative-monoid": "mul"}[name]
+    for x, y in itertools.product(base, repeat=2):
+        joined = theories.apply_op(t, op, [unit(t, x), unit(t, y)])
+        assert joined in elems
+    semilattice = BUILTINS["semilattice"]
+    assert theories.apply_op(semilattice, "or", [
+        ("set", (1,)), ("set", (Fraction(1, 2),))]) in \
+        free_model(semilattice, (1, Fraction(1, 2))).elements
 
 
 # -- custom theories: congruence oracle --------------------------------------
@@ -402,6 +488,55 @@ def test_perturbed_fmap_gives_the_reference_counterexample(data):
         mp.setattr(theories, "fmap", mutant)
         assert check_preserves_pullbacks_of_monos(t, 2, budget) == \
             reference_pullbacks_of_monos(t, 2, budget)
+
+
+# -- term enumeration: layers counted before they are built ------------------
+
+def reference_enumerate_terms(t, base, size_budget, max_terms):
+    """Each size layer built in full, then checked against max_terms."""
+    by_size = [[theories._v_of(x) for x in csorted(base)]]
+    nullary = [AOp(o, ()) for o, n in t.ops if n == 0]
+    total = len(by_size[0])
+    for size in range(1, size_budget + 1):
+        layer = list(nullary) if size == 1 else []
+        for o, n in t.ops:
+            for sizes in (_compositions(size - 1, n) if n else ()):
+                for args in itertools.product(*[by_size[s] for s in sizes]):
+                    layer.append(AOp(o, tuple(args)))
+        by_size.append(layer)
+        total += len(layer)
+        if total > max_terms:
+            raise BudgetExceeded(f"term universe exceeds {max_terms}")
+    return [u for layer in by_size for u in layer]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ops", [{"f": 2}, {"f": 2, "c": 0},
+                                 {"g": 1, "h": 3, "c": 0}, {"c": 0}])
+def test_enumerate_terms_refuses_like_reference(ops):
+    t = theory_from_file(ops, [], None)
+    for n in range(3):
+        for depth in range(4):
+            for max_terms in (5, 40, 300, 200_000):
+                args = (t, tuple(range(n)), depth, max_terms)
+                assert _outcome(enumerate_terms, *args) == \
+                    _outcome(reference_enumerate_terms, *args)
+
+
+def test_enumerate_terms_refuses_wide_layer_unbuilt():
+    # 3^14 size-1 terms of f/14 over two generators and c: counted, not
+    # built
+    t = theory_from_file({"f": 14, "c": 0}, [], None)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="term universe exceeds 200000"):
+        enumerate_terms(t, (0, 1), 3, 200_000)
+    assert time.perf_counter() - t0 < 2
 
 
 # -- congruence closure against the unsized scan ----------------------------
