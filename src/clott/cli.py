@@ -267,7 +267,12 @@ def cmd_model(args) -> tuple[int, Report]:
         return EXIT_USAGE, rep
     if not _model_args_ok("model verify", args):
         return EXIT_USAGE, rep
-    model = Model(pool=args.pool, bound=args.bound)
+    try:
+        model = Model(pool=args.pool, bound=args.bound)
+    except BudgetExceeded as exc:
+        rep.add("model/budget", UNKNOWN,
+                {"reason": f"{type(exc).__name__}: {exc}"})
+        return rep.exit_code(), rep
     return run_model_suite(model, args.suite, rep), rep
 
 
@@ -512,7 +517,11 @@ def cmd_suite(args) -> tuple[int, Report]:
         return EXIT_USAGE, rep
     if args.name == "requirements" and not _model_args_ok("suite", args):
         return EXIT_USAGE, rep
-    _SUITE_RUNNERS[args.name](args, rep)
+    try:
+        _SUITE_RUNNERS[args.name](args, rep)
+    except BudgetExceeded as exc:
+        rep.add(f"{args.name}/budget", UNKNOWN,
+                {"reason": f"{type(exc).__name__}: {exc}"})
     return rep.exit_code(), rep
 
 

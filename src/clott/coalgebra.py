@@ -338,25 +338,26 @@ class _DfPlan(_FreePlan):
         return out
 
 
-def functor_map(f: FunctorExpr, fn: dict, value):
-    """The function F(fn) applied to one element of F(X)."""
+def functor_map(f: FunctorExpr, fn: dict, value, sort=theories.psorted):
+    """The function F(fn) applied to one element of F(X); sort orders the
+    members of free-theory layers, as in `theories.fmap`."""
     if isinstance(f, FId):
         return fn[value]
     if isinstance(f, FConst):
         return value
     if isinstance(f, FProd):
         _, l, r = value
-        return ("pair", functor_map(f.left, fn, l),
-                functor_map(f.right, fn, r))
+        return ("pair", functor_map(f.left, fn, l, sort),
+                functor_map(f.right, fn, r, sort))
     if isinstance(f, FSum):
         tag, v = value
         side = f.left if tag == "inl" else f.right
-        return (tag, functor_map(side, fn, v))
+        return (tag, functor_map(side, fn, v, sort))
     if isinstance(f, FFree):
         theory = BUILTINS[f.theory]
         members = value[1] if value[0] == "set" else [x for x, _ in value[1]]
-        inner_fn = {m: functor_map(f.inner, fn, m) for m in members}
-        return theories.fmap(theory, inner_fn, value)
+        inner_fn = {m: functor_map(f.inner, fn, m, sort) for m in members}
+        return theories.fmap(theory, inner_fn, value, sort)
     raise AssertionError(type(f).__name__)
 
 
@@ -495,6 +496,26 @@ def _coalgebra_homs(f: FunctorExpr, source: Coalgebra,
 # Bisimilarity by signature refinement (smaller-half rule)
 # ---------------------------------------------------------------------------
 
+def _signature_sort(f: FunctorExpr):
+    """How bisimilarity sorts the members of signatures.  A signature holds
+    block ids (ints), tags and constants of f, the structure being an
+    element of F(states), so it sorts plainly unless a constant is or
+    holds a frozenset."""
+    if theories.holds_frozenset(_constants(f)):
+        return theories.psorted
+    return theories.sorted_plain
+
+
+def _constants(f: FunctorExpr) -> tuple:
+    if isinstance(f, FConst):
+        return f.elems
+    if isinstance(f, (FProd, FSum)):
+        return _constants(f.left) + _constants(f.right)
+    if isinstance(f, FFree):
+        return _constants(f.inner)
+    return ()
+
+
 def bisimilarity(coalg: Coalgebra) -> tuple:
     """Coarsest partition P with P = ker(F(quotient) ∘ ξ), as a tuple of
     canonically sorted state blocks ordered by their least member.
@@ -512,6 +533,7 @@ def bisimilarity(coalg: Coalgebra) -> tuple:
         for t in _id_leaves(f, xi[s], []):
             preds[t].append(s)
     class_of = dict.fromkeys(states, 0)
+    sort = _signature_sort(f)
     members = {0: set(states)}
     # block id -> the signature shared by its states that are not dirty
     block_sig: dict = {}
@@ -521,7 +543,7 @@ def bisimilarity(coalg: Coalgebra) -> tuple:
         regroup: dict = {}
         for s in dirty:
             regroup.setdefault(class_of[s], {}).setdefault(
-                functor_map(f, class_of, xi[s]), []).append(s)
+                functor_map(f, class_of, xi[s], sort), []).append(s)
         todo, dirty = dirty, set()
         for b, groups in regroup.items():
             block = members[b]

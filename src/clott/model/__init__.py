@@ -1,7 +1,7 @@
 """Finite presheaf model over the truncated time category."""
 from .timecat import (ElObj, FinCategory, TimeMor, TimeObj,
-                      enumerate_category, mor_key, obj_key, pool_names,
-                      slice_category)
+                      category_sizes, enumerate_category, mor_key, obj_key,
+                      pool_names, slice_category)
 from .presheaf import (CheckOutcome, FreshClockExhausted, Model, Psh,
                        align, arrow, check_functoriality, check_invariance,
                        clk_psh, clock_intros, const_psh, coproduct,
@@ -15,8 +15,9 @@ from .experiments import (DistReport, FiberVerdict,
                           exists_forall_experiment, unique_exists_check)
 
 __all__ = [
-    "ElObj", "FinCategory", "TimeMor", "TimeObj", "enumerate_category",
-    "mor_key", "obj_key", "pool_names", "slice_category",
+    "ElObj", "FinCategory", "TimeMor", "TimeObj", "category_sizes",
+    "enumerate_category", "mor_key", "obj_key", "pool_names",
+    "slice_category",
     "CheckOutcome", "FreshClockExhausted", "Model", "Psh", "align",
     "arrow", "check_functoriality", "check_invariance", "clk_psh",
     "clock_intros", "const_psh", "coproduct", "forall_clk", "later",

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presheaf import Model, Psh, coproduct, forall_clk, product
-from .timecat import ElObj, TimeMor, obj_key
+from .presheaf import (Model, Psh, clock_intro, coproduct, forall_clk,
+                       product)
+from .timecat import ElObj, obj_key
 
 
 @dataclass(frozen=True)
@@ -19,11 +20,16 @@ class FiberVerdict:
     witness: object    # least uniform witness in canonical order, or None
 
 
-def _intros(model: Model, o) -> tuple[str, list[TimeMor]]:
-    fresh = model.fresh_clock(o)
-    ident = tuple((n, n) for n in o.names)
-    return fresh, [TimeMor(o, o.add_clock(fresh, alpha), ident)
-                   for alpha in range(model.bound)]
+def _intros(model: Model, i: int) -> list[tuple[ElObj, int]]:
+    """Per stage α of the fresh clock of time object i: the target of
+    the introduction of that clock at α, marked, and the morphism's id."""
+    cat = model.time
+    fresh = model.fresh_clock(cat.objects[i])
+    out = []
+    for alpha in range(model.bound):
+        j = clock_intro(cat, i, fresh, alpha)
+        out.append((ElObj(cat.objects[cat.mors[j][1]], fresh), j))
+    return out
 
 
 def exists_forall_experiment(model: Model, x: Psh, phi) -> dict:
@@ -36,18 +42,19 @@ def exists_forall_experiment(model: Model, x: Psh, phi) -> dict:
     fresh clock; the right side asks for a (possibly different) element at
     each stage.
     """
-    assert x.cat.kind == "time"
+    assert x.cat is model.time
     out = {}
-    for o in model.time_inner.objects:
-        fresh, intros = _intros(model, o)
+    for i in model.time_inner.parent[1]:
+        intros = _intros(model, i)
         witness = None
-        for e in x.fib[o]:
-            if all(phi(ElObj(m.dst, fresh), x.act[m][e]) for m in intros):
+        for e in x.fibs[i]:
+            if all(phi(u, x.acts[j][e]) for u, j in intros):
                 witness = e
                 break
-        rhs = all(any(phi(ElObj(m.dst, fresh), e2) for e2 in x.fib[m.dst])
-                  for m in intros)
-        out[obj_key(o)] = FiberVerdict(witness is not None, rhs, witness)
+        rhs = all(any(phi(u, e2) for e2 in x.fibs[x.cat.mors[j][1]])
+                  for u, j in intros)
+        out[obj_key(x.cat.objects[i])] = FiberVerdict(witness is not None,
+                                                     rhs, witness)
     return out
 
 
@@ -58,12 +65,12 @@ def unique_exists_check(model: Model, x: Psh, phi, n: int) -> dict:
     coincide unless the marked clock's stage is below n.  commutes: the two
     quantifier orders of exists_forall_experiment agree everywhere.
     """
-    assert x.cat.kind == "time"
+    assert x.cat is model.time
     hypothesis = True
     counterexample = None
-    for u in model.slice.objects:
-        stage = u.time.theta(u.clock)
-        sats = [e for e in x.fib[u.time] if phi(u, e)]
+    slc = model.slice
+    for u, t, stage in zip(slc.objects, slc.over[1], slc.marked_stage):
+        sats = [e for e in x.fibs[t] if phi(u, e)]
         for i, e1 in enumerate(sats):
             for e2 in sats[i + 1:]:
                 if e1 != e2 and stage >= n:
@@ -92,16 +99,18 @@ class DistReport:
 
 
 def _check_canonical(src: Psh, dst: Psh, mapping) -> DistReport:
-    """mapping: per-object dict element -> element; check it is a natural
-    bijection."""
+    """mapping: per object id a dict element -> element; check it is a
+    natural bijection."""
     bijective = True
-    for o in src.cat.objects:
-        img = [mapping[o][e] for e in src.fib[o]]
-        if len(set(img)) != len(src.fib[o]) or set(img) != set(dst.fib[o]):
+    for fib, to, dst_fib in zip(src.fibs, mapping, dst.fibs):
+        img = [to[e] for e in fib]
+        if len(set(img)) != len(fib) or set(img) != set(dst_fib):
             bijective = False
     natural = all(
-        dst.act[m][mapping[m.src][e]] == mapping[m.dst][src.act[m][e]]
-        for m in src.cat.morphisms for e in src.fib[m.src])
+        dst_act[mapping[s][e]] == mapping[d][src_act[e]]
+        for (s, d, _), src_act, dst_act in zip(src.cat.mors, src.acts,
+                                                dst.acts)
+        for e in src.fibs[s])
     return DistReport(bijective, natural)
 
 
@@ -114,7 +123,7 @@ def check_forall_sum_dist(model: Model, a: Psh, b: Psh) -> DistReport:
         tag, fam = e
         return ("tup", tuple((alpha, (tag, comp)) for alpha, comp in fam[1]))
 
-    mapping = {o: {e: send(e) for e in lhs.fib[o]} for o in lhs.cat.objects}
+    mapping = [{e: send(e) for e in fib} for fib in lhs.fibs]
     return _check_canonical(lhs, rhs, mapping)
 
 
@@ -129,5 +138,5 @@ def check_forall_prod_dist(model: Model, a: Psh, b: Psh) -> DistReport:
         fam_b = tuple((alpha, pair[2]) for alpha, pair in entries)
         return ("pair", ("tup", fam_a), ("tup", fam_b))
 
-    mapping = {o: {e: send(e) for e in lhs.fib[o]} for o in lhs.cat.objects}
+    mapping = [{e: send(e) for e in fib} for fib in lhs.fibs]
     return _check_canonical(lhs, rhs, mapping)

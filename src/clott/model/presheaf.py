@@ -1,21 +1,26 @@
 """Finite presheaves over the truncated time category.
 
-Covariant presheaves carry explicit fibers and an action for every
-morphism of the enumerated category.  The delay modality and clock
-quantification are computed as honest chain limits (families compatible
-along the stage-lowering morphisms); at finite truncation these limits
-collapse to the top-stage fiber, which is exactly the truncation artifact
-the force checker reports.
+A `Psh` holds its fibers as a tuple by object id and its action as a
+tuple by morphism id (see the integer encoding in `timecat`); each action
+is a dict element -> element, read-only and often shared between ids.
+`Psh.fib` maps each object to its fiber, for readers at the boundary.
+The delay modality and clock quantification are computed as honest chain
+limits (families compatible along the stage-lowering morphisms); at
+finite truncation these limits collapse to the top-stage fiber, which is
+exactly the truncation artifact the force checker reports.
+
+A `Model` refuses a category larger than its budget before enumerating
+it (`timecat.check_size`).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from ..theories import Budget, BudgetExceeded, csorted
-from .timecat import (ElObj, FinCategory, TimeMor, TimeObj, _id_sigma,
-                      _time_of, enumerate_category, mor_key, obj_key,
+from .timecat import (ElObj, FinCategory, TimeObj, _time_of, check_size,
+                      enumerate_category, full_subcat, mor_key, obj_key,
                       pool_names, slice_category)
 
 
@@ -31,15 +36,17 @@ class Model:
     budget: Budget = field(default_factory=Budget)
 
     def __post_init__(self):
+        check_size(self.pool, self.bound, self.budget.max_elements)
         self.names = pool_names(self.pool)
         self.time = enumerate_category(self.pool, self.bound)
         self.slice = slice_category(self.time)
         # full subcategories of objects that keep a clock name in reserve;
         # clock quantification produces presheaves over these
-        self.time_inner = _full_subcat(
+        self.time_inner = full_subcat(
             self.time, lambda o: len(o.names) < self.pool)
-        self.slice_inner = _full_subcat(
-            self.slice, lambda o: len(o.time.names) < self.pool)
+        self.slice_inner = full_subcat(
+            self.slice, lambda o: len(o.time.names) < self.pool,
+            self.time_inner)
 
     def fresh_clock(self, e: TimeObj) -> str:
         for n in self.names:
@@ -58,35 +65,40 @@ class Model:
         the slice's stage shift gives the lower stages."""
         top = self.bound - 1
         obj_id, mor_id = self.slice.obj_id, self.slice.mor_id
-        fresh = {o: self.fresh_clock(o) for o in self.time_inner.objects}
+        objs, places = [], []
+        for o in self.time_inner.objects:
+            fresh = self.fresh_clock(o)
+            wide = o.add_clock(fresh, top)
+            objs.append(obj_id[ElObj(wide, fresh)])
+            # the positions in wide of o's names, then of the fresh clock
+            places.append([wide.names.index(n) for n in o.names + (fresh,)])
 
-        def marked(o: TimeObj) -> ElObj:
-            return ElObj(o.add_clock(fresh[o], top), fresh[o])
-        objs = tuple(obj_id[marked(o)] for o in self.time_inner.objects)
-        mors = tuple(
-            mor_id[TimeMor(marked(m.src), marked(m.dst), tuple(sorted(
-                m.sigma + ((fresh[m.src], fresh[m.dst]),))))]
-            for m in self.time_inner.morphisms)
-        return objs, mors
+        def widened(s, d, images):
+            wide_images = [0] * len(places[s])
+            for k, y in zip(places[s], images + (-1,)):
+                wide_images[k] = places[d][y]
+            return mor_id[objs[s], objs[d], tuple(wide_images)]
+        return tuple(objs), tuple(widened(*m) for m in self.time_inner.mors)
 
 
-def _full_subcat(cat: FinCategory, keep) -> FinCategory:
-    objs = tuple(o for o in cat.objects if keep(o))
-    kept = set(objs)
-    mors = tuple(m for m in cat.morphisms
-                 if m.src in kept and m.dst in kept)
-    return FinCategory(objs, mors, cat.kind)
+def _reindex(x: Psh, cat: FinCategory, link) -> Psh:
+    """The presheaf over cat with, by link = (x.cat, object ids, morphism
+    ids), x's fiber at objs[i] at object i and x's action at mors[j] at
+    morphism j."""
+    base, objs, mors = link
+    assert base is x.cat
+    return Psh(cat, tuple(map(x.fibs.__getitem__, objs)),
+               tuple(map(x.acts.__getitem__, mors)))
 
 
 def restrict_to(x: Psh, sub: FinCategory) -> Psh:
-    """Restrict a presheaf to a full subcategory of its base."""
-    return Psh(sub, {o: x.fib[o] for o in sub.objects},
-               {m: x.act[m] for m in sub.morphisms})
+    """Restrict a presheaf to an inner subcategory of its base."""
+    return _reindex(x, sub, sub.parent)
 
 
 def align(a: Psh, b: Psh) -> tuple[Psh, Psh]:
     """Put two presheaves over the same base by restricting the larger
-    one to the smaller's (full sub)category."""
+    one to the smaller's (inner sub)category."""
     if len(a.cat.objects) > len(b.cat.objects):
         return restrict_to(a, b.cat), b
     if len(b.cat.objects) > len(a.cat.objects):
@@ -96,49 +108,71 @@ def align(a: Psh, b: Psh) -> tuple[Psh, Psh]:
 
 @dataclass
 class Psh:
-    """Fibers and action; the action dicts are read-only (may be shared)."""
+    """Fibers by object id, actions by morphism id; the action dicts are
+    read-only (may be shared)."""
     cat: FinCategory
-    fib: dict      # obj -> tuple of elements, canonical order
-    act: dict      # TimeMor -> dict element -> element
+    fibs: tuple    # per object id: tuple of elements, canonical order
+    acts: tuple    # per morphism id: dict element -> element
+
+    @cached_property
+    def fib(self):
+        """The fibers by object, read-only."""
+        return MappingProxyType(dict(zip(self.cat.objects, self.fibs)))
 
 
 def const_psh(cat: FinCategory, elems) -> Psh:
     elems = tuple(csorted(elems))
-    ident = {x: x for x in elems}
-    return Psh(cat, {o: elems for o in cat.objects},
-               dict.fromkeys(cat.morphisms, ident))
+    return Psh(cat, (elems,) * len(cat.objects),
+               ({x: x for x in elems},) * len(cat.mors))
 
 
 def clk_psh(cat: FinCategory) -> Psh:
     """The presheaf of clocks in scope — the canonical non-example for
     invariance under clock introduction."""
     assert cat.kind == "time"
-    return Psh(cat, {o: o.names for o in cat.objects},
-               {m: {a: m.apply(a) for a in m.src.names}
-                for m in cat.morphisms})
+    objs = cat.objects
+    return Psh(cat, tuple(o.names for o in objs), tuple(
+        dict(zip(objs[s].names, map(objs[d].names.__getitem__, images)))
+        for s, d, images in cat.mors))
+
+
+def _shared(memo: dict, f, *args):
+    """f(*args), computed once per memo for arguments equal by identity;
+    the arguments outlive memo, so their ids are not reused meanwhile."""
+    key = (f, *map(id, args))
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = f(*args)
+    return out
+
+
+def _pointwise(a: Psh, b: Psh, fiber, action) -> Psh:
+    """The fibers fiber(fa, fb) over those of a and b and the actions
+    action(act_a, act_b, fa, fb) at the source fibers, each shared."""
+    a, b = align(a, b)
+    memo: dict = {}
+    fibs = tuple(_shared(memo, fiber, fa, fb)
+                 for fa, fb in zip(a.fibs, b.fibs))
+    return Psh(a.cat, fibs, tuple(
+        _shared(memo, action, act_a, act_b, a.fibs[s], b.fibs[s])
+        for s, act_a, act_b in zip(a.cat.src_ids, a.acts, b.acts)))
 
 
 def product(a: Psh, b: Psh) -> Psh:
-    a, b = align(a, b)
-    fib = {o: tuple(("pair", x, y) for x in a.fib[o] for y in b.fib[o])
-           for o in a.cat.objects}
-    act = {m: {("pair", x, y): ("pair", a.act[m][x], b.act[m][y])
-               for x in a.fib[m.src] for y in b.fib[m.src]}
-           for m in a.cat.morphisms}
-    return Psh(a.cat, fib, act)
+    return _pointwise(
+        a, b, lambda fa, fb: tuple(("pair", x, y) for x in fa for y in fb),
+        lambda act_a, act_b, fa, fb: {
+            ("pair", x, y): ("pair", act_a[x], act_b[y])
+            for x in fa for y in fb})
 
 
 def coproduct(a: Psh, b: Psh) -> Psh:
-    a, b = align(a, b)
-    fib = {o: tuple(itertools.chain((("inl", x) for x in a.fib[o]),
-                                    (("inr", y) for y in b.fib[o])))
-           for o in a.cat.objects}
-    act = {}
-    for m in a.cat.morphisms:
-        d = {("inl", x): ("inl", a.act[m][x]) for x in a.fib[m.src]}
-        d.update({("inr", y): ("inr", b.act[m][y]) for y in b.fib[m.src]})
-        act[m] = d
-    return Psh(a.cat, fib, act)
+    return _pointwise(
+        a, b, lambda fa, fb: (*(("inl", x) for x in fa),
+                              *(("inr", y) for y in fb)),
+        lambda act_a, act_b, fa, fb: {
+            **{("inl", x): ("inl", act_a[x]) for x in fa},
+            **{("inr", y): ("inr", act_b[y]) for y in fb}})
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +186,26 @@ def arrow(a: Psh, b: Psh, budget: Budget | None = None) -> Psh:
     budget = budget or Budget()
     a, b = align(a, b)
     cat = a.cat
-    a_act = [a.act[m] for m in cat.morphisms]
-    b_act = [b.act[m] for m in cat.morphisms]
-    fib = {c: tuple(_nats_at(i, a, b, a_act, b_act, budget))
-           for i, c in enumerate(cat.objects)}
+    fibs = tuple(_nats_at(i, a, b, budget) for i in range(len(cat.objects)))
     succ, table, out, pos = cat.succ, cat.table, cat.out, cat.pos
-    act = {}
-    for j, m in enumerate(cat.morphisms):
-        d = cat.dst_ids[j]
+    acts = []
+    for j, (s, d, _) in enumerate(cat.mors):
         # entry of f (out of dst m) in the image: the entry of f∘m in φ
         place = [0] * len(out[d])
         for f, fm in zip(succ[d], table[j]):
             place[pos[f]] = pos[fm]
-        act[m] = {phi: ("nat", tuple([phi[1][p] for p in place]))
-                  for phi in fib[m.src]}
-    return Psh(cat, fib, act)
+        acts.append({phi: ("nat", tuple([phi[1][p] for p in place]))
+                     for phi in fibs[s]})
+    return Psh(cat, fibs, tuple(acts))
 
 
-def _nats_at(c: int, a: Psh, b: Psh, a_act, b_act, budget: Budget):
+def _nats_at(c: int, a: Psh, b: Psh, budget: Budget):
     cat = a.cat
     succ, table, pos, dst = cat.succ, cat.table, cat.pos, cat.dst_ids
+    a_act, b_act = a.acts, b.acts
     mors = cat.out[c]
-    dst_objs = [cat.objects[dst[f]] for f in mors]
-    variables = [(i, x) for i, d in enumerate(dst_objs) for x in a.fib[d]]
+    dsts = [dst[f] for f in mors]
+    variables = [(i, x) for i, d in enumerate(dsts) for x in a.fibs[d]]
 
     def propagate(assign, queue):
         # assign is closed under naturality except for the queued entries
@@ -200,7 +231,7 @@ def _nats_at(c: int, a: Psh, b: Psh, a_act, b_act, budget: Budget):
         for v in variables:
             if v not in assign:
                 i, x = v
-                for y in b.fib[dst_objs[i]]:
+                for y in b.fibs[dsts[i]]:
                     trial = dict(assign)
                     trial[v] = y
                     if propagate(trial, [(v, y)]):
@@ -209,30 +240,37 @@ def _nats_at(c: int, a: Psh, b: Psh, a_act, b_act, budget: Budget):
         # encode positionally: per morphism f (sorted), the images of
         # A(dst f) in canonical fiber order
         results.append(("nat", tuple(
-            tuple(assign[(i, x)] for x in a.fib[d])
-            for i, d in enumerate(dst_objs))))
+            tuple(assign[(i, x)] for x in a.fibs[d])
+            for i, d in enumerate(dsts))))
 
     search({})
-    return csorted(set(results))
+    return tuple(csorted(set(results)))
 
 
 # ---------------------------------------------------------------------------
 # Chain limits, delay, clock quantification
 # ---------------------------------------------------------------------------
 
-def _chain_limit(cat: FinCategory, fib: dict, act, chain) -> list:
-    """Limit of a finite inverse chain o_0 ← o_1 ← … of slice objects, given
-    by their ids in cat (one object at marked stages 0, 1, …), over the
-    fibers fib and the action act(morphism id) -> dict: the families
-    (x_0, x_1, …) compatible with the stage-lowering maps, in canonical
-    order.  The top element determines the family; the empty chain has one
-    empty family."""
-    if not chain:
-        return [()]
+def _chain(cat: FinCategory, fibs, act, chain) -> tuple:
+    """A finite inverse chain o_0 ← o_1 ← … of slice objects, given by
+    their ids in cat (one object at marked stages 0, 1, …), over the
+    fibers fibs (by object id) and the action act(morphism id) -> dict:
+    the fiber at its top (None if it is empty) and the stage-lowering
+    actions from the top down."""
     downs = cat.stage_shift[1]
-    steps = [act(downs[i]) for i in reversed(chain[1:])]
+    return (fibs[chain[-1]] if chain else None,
+            [act(downs[i]) for i in reversed(chain[1:])])
+
+
+def _chain_limit(top, steps) -> list:
+    """The limit of a chain given by `_chain`: the families (x_0, x_1, …)
+    compatible with the stage-lowering maps, in canonical order.  The top
+    element determines the family; the empty chain has one empty
+    family."""
+    if top is None:
+        return [()]
     families = []
-    for x in fib[cat.objects[chain[-1]]]:
+    for x in top:
         family = [x]
         for step in steps:
             family.append(step[family[-1]])
@@ -240,19 +278,30 @@ def _chain_limit(cat: FinCategory, fib: dict, act, chain) -> list:
     return csorted(set(families))
 
 
-def _families(x: Psh, chain) -> tuple:
-    """The chain limit of x over chain, encoded ("tup", ((0,x_0), …))."""
-    return tuple(("tup", tuple(enumerate(fam))) for fam in _chain_limit(
-        x.cat, x.fib, lambda j: x.act[x.cat.morphisms[j]], chain))
+def _families(top, *steps) -> tuple:
+    """The chain limit encoded ("tup", ((0,x_0), …))."""
+    return tuple(("tup", tuple(enumerate(fam)))
+                 for fam in _chain_limit(top, steps))
 
 
-def _stagewise(x: Psh, fams, stage_mors) -> dict:
-    """Act on encoded families stage by stage along stage_mors (ids in
-    x.cat, one per stage of the target)."""
-    acts = [x.act[x.cat.morphisms[j]] for j in stage_mors]
+def _stagewise(fams, *acts) -> dict:
+    """Act on encoded families stage by stage, one action per stage of
+    the target."""
     return {fam: ("tup", tuple((beta, act[e]) for (beta, e), act
                                in zip(fam[1], acts)))
             for fam in fams}
+
+
+def _limits(x: Psh, chains, stage_mors, srcs) -> tuple[tuple, tuple]:
+    """Fibers: the encoded chain limits of x over chains; actions: per
+    morphism, _stagewise on the fiber at its source srcs[j] along
+    stage_mors[j].  Equal arguments, by identity, share one result."""
+    memo: dict = {}
+    fibs = tuple(_shared(memo, _families, top, *steps) for top, steps in (
+        _chain(x.cat, x.fibs, x.acts.__getitem__, c) for c in chains))
+    return fibs, tuple(
+        _shared(memo, _stagewise, fibs[s], *map(x.acts.__getitem__, js))
+        for s, js in zip(srcs, stage_mors))
 
 
 def later(model: Model, x: Psh) -> Psh:
@@ -261,12 +310,10 @@ def later(model: Model, x: Psh) -> Psh:
     assert x.cat.kind == "slice"
     cat = x.cat
     chains, _, shifted = cat.stage_shift
-    fib = {o: _families(x, chains[i][:o.time.theta(o.clock)])
-           for i, o in enumerate(cat.objects)}
-    act = {m: _stagewise(x, fib[m.src],
-                         shifted[j][:m.dst.time.theta(m.dst.clock)])
-           for j, m in enumerate(cat.morphisms)}
-    return Psh(cat, fib, act)
+    stage = cat.marked_stage
+    return Psh(cat, *_limits(
+        x, [chain[:k] for chain, k in zip(chains, stage)],
+        [js[:stage[d]] for js, d in zip(shifted, cat.dst_ids)], cat.src_ids))
 
 
 def forall_clk(model: Model, x: Psh) -> Psh:
@@ -282,11 +329,8 @@ def forall_clk(model: Model, x: Psh) -> Psh:
     cat = model.time_inner
     chains, _, shifted = x.cat.stage_shift
     top_objs, top_mors = model.fresh_tops
-    fib = {o: _families(x, chains[top_objs[i]])
-           for i, o in enumerate(cat.objects)}
-    act = {m: _stagewise(x, fib[m.src], shifted[top_mors[j]])
-           for j, m in enumerate(cat.morphisms)}
-    return Psh(cat, fib, act)
+    return Psh(cat, *_limits(x, [chains[i] for i in top_objs],
+                             [shifted[j] for j in top_mors], cat.src_ids))
 
 
 def weaken(model: Model, x: Psh) -> Psh:
@@ -294,10 +338,7 @@ def weaken(model: Model, x: Psh) -> Psh:
     the slice (forget the marked clock)."""
     assert x.cat.kind == "time"
     cat = model.slice if x.cat is model.time else model.slice_inner
-    fib = {o: x.fib[o.time] for o in cat.objects}
-    act = {m: x.act[TimeMor(m.src.time, m.dst.time, m.sigma)]
-           for m in cat.morphisms}
-    return Psh(cat, fib, act)
+    return _reindex(x, cat, cat.over)
 
 
 # ---------------------------------------------------------------------------
@@ -322,68 +363,97 @@ def check_functoriality(x: Psh) -> CheckOutcome:
     in a slice each factor carries the marked clock.  By induction on h
     as a word in generators, x((g∘h)∘f) = x(g)∘x(h∘f) = x(g)∘x(h)∘x(f)
     = x(g∘h)∘x(f).  Only a failing generator pair starts the full scan."""
-    cat = x.cat
-    for o in cat.objects:
-        ident = cat.identity(o)
-        for e in x.fib[o]:
-            if x.act[ident][e] != e:
-                return CheckOutcome(False, ("identity", obj_key(o), e))
+    cat, acts = x.cat, x.acts
+    for i, fib in enumerate(x.fibs):
+        ident = acts[cat.identity(i)]
+        for e in fib:
+            if ident[e] != e:
+                return CheckOutcome(False, ("identity",
+                                            obj_key(cat.objects[i]), e))
     if _generators_commute(x):
         return CheckOutcome(True)
     # the composable pairs (g, f) by f's id, then g's id
-    acts = [x.act[m] for m in cat.morphisms]
-    succ, table, dst = cat.succ, cat.table, cat.dst_ids
-    for fi, f in enumerate(cat.morphisms):
-        act_f, elems = acts[fi], x.fib[f.src]
-        for gi, gfi in zip(succ[dst[fi]], table[fi]):
+    succ, table = cat.succ, cat.table
+    for fi, (s, d, _) in enumerate(cat.mors):
+        act_f, elems = acts[fi], x.fibs[s]
+        for gi, gfi in zip(succ[d], table[fi]):
             act_g, act_gf = acts[gi], acts[gfi]
             for e in elems:
                 if act_gf[e] != act_g[act_f[e]]:
                     return CheckOutcome(False, (
-                        "composition", mor_key(f),
-                        mor_key(cat.morphisms[gi]), e))
+                        "composition", mor_key(cat.decode(fi)),
+                        mor_key(cat.decode(gi)), e))
     return CheckOutcome(True)
 
 
 def _generators_commute(x: Psh) -> bool:
     """Whether x(g∘f) = x(g)∘x(f) for every generator g, compared on the
-    positions of images in their fibers (False if one lies outside)."""
+    positions of images in their fibers (False if one lies outside).
+    Actions and fibers equal by identity share one position list, and
+    morphisms f with the same lists for f, the g and the g∘f are compared
+    once."""
     cat = x.cat
-    where = [{e: i for i, e in enumerate(x.fib[o])} for o in cat.objects]
+    where: dict = {}
+    for fib in x.fibs:
+        if id(fib) not in where:
+            where[id(fib)] = {e: i for i, e in enumerate(fib)}
+    lists, index, cls = [], {}, []    # cls[j]: the position list of x(j)
     try:
-        acts = [list(map(where[d].__getitem__,
-                         map(x.act[m].__getitem__, x.fib[m.src])))
-                for m, d in zip(cat.morphisms, cat.dst_ids)]
+        for (s, d, _), act in zip(cat.mors, x.acts):
+            src, dst = x.fibs[s], x.fibs[d]
+            key = id(act), id(src), id(dst)
+            if key not in index:
+                index[key] = len(lists)
+                lists.append(list(map(where[id(dst)].__getitem__,
+                                      map(act.__getitem__, src))))
+            cls.append(index[key])
     except KeyError:
         return False
-    return all([acts[g][i] for i in act_f] == acts[gf]
-               for act_f, d, row in zip(acts, cat.dst_ids, cat.gen_table)
-               for g, gf in zip(cat.gens[d], row))
+    gens = [tuple(map(cls.__getitem__, row)) for row in cat.gens]
+    seen = set()
+    for c, d, row in zip(cls, cat.dst_ids, cat.gen_table):
+        key = c, gens[d], tuple(map(cls.__getitem__, row))
+        if key not in seen:
+            seen.add(key)
+            place = lists[c]
+            if any([lists[g][i] for i in place] != lists[gf]
+                   for g, gf in zip(key[1], key[2])):
+                return False
+    return True
 
 
-def clock_intros(model: Model, kind: str):
-    """All clock-introduction morphisms ι : o → o+λ@α with λ fresh."""
-    out = []
-    for o in model.cat(kind).objects:
-        t = _time_of(o)
+def clock_intro(cat: FinCategory, i: int, lam: str, alpha: int):
+    """The id in cat of the clock introduction from object i that adds
+    the clock lam at stage alpha, or None where cat lacks its target."""
+    o = cat.objects[i]
+    t = _time_of(o)
+    wide = t.add_clock(lam, alpha)
+    d = cat.obj_id.get(wide if cat.kind == "time" else ElObj(wide, o.clock))
+    if d is None:
+        return None
+    return cat.mor_id[i, d, tuple(map(wide.names.index, t.names))]
+
+
+def clock_intros(model: Model, cat: FinCategory):
+    """The ids of all clock-introduction morphisms ι : o → o+λ@α of cat
+    with λ fresh, by o, λ and α."""
+    for i, o in enumerate(cat.objects):
         for lam in model.names:
-            if lam in t.names:
+            if lam in _time_of(o).names:
                 continue
             for alpha in range(model.bound):
-                wide = t.add_clock(lam, alpha)
-                out.append(TimeMor(o, wide if kind == "time" else
-                                   ElObj(wide, o.clock), _id_sigma(t)))
-    return out
+                j = clock_intro(cat, i, lam, alpha)
+                if j is not None:
+                    yield j
 
 
 def check_invariance(model: Model, x: Psh) -> CheckOutcome:
     """Def.-1 invariance: every clock-introduction map acts bijectively."""
-    domain = set(x.cat.objects)
-    for m in clock_intros(model, x.cat.kind):
-        if m.src not in domain or m.dst not in domain:
-            continue
-        img = [x.act[m][e] for e in x.fib[m.src]]
-        if len(set(img)) != len(x.fib[m.src]) or \
-                set(img) != set(x.fib[m.dst]):
-            return CheckOutcome(False, mor_key(m))
+    cat = x.cat
+    for j in clock_intros(model, cat):
+        s, d, _ = cat.mors[j]
+        act, src = x.acts[j], x.fibs[s]
+        img = [act[e] for e in src]
+        if len(set(img)) != len(src) or set(img) != set(x.fibs[d]):
+            return CheckOutcome(False, mor_key(cat.decode(j)))
     return CheckOutcome(True)

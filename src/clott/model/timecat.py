@@ -5,42 +5,48 @@ with a stage assignment θ : E → {0, …, N−1}; morphisms σ : (E,θ) → (E
 are functions with θ'∘σ ≤ θ pointwise.  The slice category by Clk has
 objects (E, θ, λ) with λ ∈ E and morphisms preserving the marked clock.
 
-Objects and morphisms hash once and keep the hash.  The id of an object or
-morphism of a `FinCategory` is its position in `objects` or `morphisms`.
+Integer encoding.  A `FinCategory` lists its objects (`TimeObj` or
+`ElObj`, a few hundred at most) in `obj_key` order, and an object's id is
+its position.  A morphism is the tuple (source id, target id, images),
+where images[k] is the position of the image of the k-th source name
+among the target's names; the tuple is also its key in `mor_id`, and its
+position in `mors` is its id.  Composition is index arithmetic: g∘f has
+images tuple(g_images[i] for i in f_images).  A slice object's id is the
+first slice id of its time object plus the marked clock's position; each
+slice morphism records the time morphism it lies over (`over`), and an
+inner subcategory the ids of its objects and morphisms in its parent
+(`parent`).  `TimeMor` objects exist only at the boundary: `decode` builds
+one, `morphisms` all of them on first use, for counterexamples and tests.
+
 The tables over ids are built on first use and shared by every later call
 on the category: per-object out-lists (`succ` in id order, `out` sorted by
 `mor_key`, `gens` the generators), the composites `table` of all
 composable pairs and `gen_table` of those with a generator second and,
 for slice categories, the stage-shift map `stage_shift` from an object or
 morphism to the same one with the marked clock at each stage.
+
+Sizes in closed form (`category_sizes`), so that `check_size` can refuse
+a category over budget before it is enumerated.  With a pool of P clocks
+and N stages there are (N+1)^P objects.  A source clock at stage s may go
+to any y of a target b with θ_b(y) ≤ s, which gives
+S_b = Σ_{y∈b} (N − θ_b(y)) choices of stage and image per present clock,
+so there are Σ_b (1+S_b)^P time morphisms and, with one of the P clocks
+marked, Σ_b P·S_b·(1+S_b)^(P−1) slice morphisms.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import repeat
 
-
-class _Hashed:
-    """Keeps the hash in a slot outside the dataclass fields, so that it is
-    neither compared nor pickled."""
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self._fields(self))
-            object.__setattr__(self, "_hash", h)
-        return h
+from ..theories import BudgetExceeded
 
 
 @dataclass(frozen=True, slots=True)
-class TimeObj(_Hashed):
+class TimeObj:
     names: tuple[str, ...]          # E, sorted
     stages: tuple[int, ...]         # θ(names[i]) = stages[i]
-    __hash__ = _Hashed.__hash__
-    _fields = attrgetter("names", "stages")
 
     def theta(self, name: str) -> int:
         return self.stages[self.names.index(name)]
@@ -53,54 +59,59 @@ class TimeObj(_Hashed):
 
 
 @dataclass(frozen=True, slots=True)
-class ElObj(_Hashed):
+class ElObj:
     """Object of the category of elements of Clk: a time object with a
     marked clock."""
     time: TimeObj
     clock: str
-    __hash__ = _Hashed.__hash__
-    _fields = attrgetter("time", "clock")
 
 
 @dataclass(frozen=True, slots=True)
-class TimeMor(_Hashed):
+class TimeMor:
+    """A decoded morphism, for reports and tests."""
     src: object       # TimeObj or ElObj
     dst: object
     sigma: tuple[tuple[str, str], ...]    # graph of σ, sorted by source
-    __hash__ = _Hashed.__hash__
-    _fields = attrgetter("src", "dst", "sigma")
-
-    def apply(self, name: str) -> str:
-        for a, b in self.sigma:
-            if a == name:
-                return b
-        raise KeyError(name)
 
 
 def _time_of(o) -> TimeObj:
     return o.time if isinstance(o, ElObj) else o
 
 
-def _id_sigma(o) -> tuple[tuple[str, str], ...]:
-    return tuple((n, n) for n in _time_of(o).names)
-
-
-@dataclass
+@dataclass(eq=False)
 class FinCategory:
     objects: tuple
-    morphisms: tuple          # all TimeMors
+    mors: tuple               # (source id, target id, images) by id
     kind: str                 # "time" | "slice"
+    # a slice category: (time category, the id there of the time object
+    # under each object, of the time morphism under each morphism)
+    over: tuple | None = None
+    # an inner subcategory: (parent category, the parent id of each
+    # object, of each morphism)
+    parent: tuple | None = None
 
-    def identity(self, o) -> TimeMor:
-        return self.morphisms[self.mor_id[TimeMor(o, o, _id_sigma(o))]]
+    def identity(self, i: int) -> int:
+        """The id of the identity on object i."""
+        n = len(_time_of(self.objects[i]).names)
+        return self.mor_id[i, i, tuple(range(n))]
+
+    def decode(self, j: int) -> TimeMor:
+        s, d, images = self.mors[j]
+        a, b = self.objects[s], self.objects[d]
+        return TimeMor(a, b, tuple(zip(_time_of(a).names, map(
+            _time_of(b).names.__getitem__, images))))
+
+    @cached_property
+    def morphisms(self) -> tuple:
+        return tuple(map(self.decode, range(len(self.mors))))
 
     def compose(self, g: TimeMor, f: TimeMor) -> TimeMor:
-        """g ∘ f for f : A → B, g : B → C."""
+        """g ∘ f for f : A → B, g : B → C, on decoded morphisms."""
         assert f.dst == g.src
-        return TimeMor(f.src, g.dst,
-                       tuple((a, g.apply(b)) for a, b in f.sigma))
+        image = dict(g.sigma)
+        return TimeMor(f.src, g.dst, tuple((a, image[b]) for a, b in f.sigma))
 
-    # -- dense ids and the tables over them (built on first use) ------------
+    # -- the tables over ids (built on first use) ----------------------------
 
     @cached_property
     def obj_id(self) -> dict:
@@ -108,66 +119,88 @@ class FinCategory:
 
     @cached_property
     def mor_id(self) -> dict:
-        return {m: i for i, m in enumerate(self.morphisms)}
+        return {m: j for j, m in enumerate(self.mors)}
+
+    @cached_property
+    def src_ids(self) -> tuple[int, ...]:
+        return tuple(m[0] for m in self.mors)
 
     @cached_property
     def dst_ids(self) -> tuple[int, ...]:
-        obj_id = self.obj_id
-        return tuple(obj_id[m.dst] for m in self.morphisms)
+        return tuple(m[1] for m in self.mors)
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
-        rows: dict = {o: [] for o in self.objects}
-        for j, m in enumerate(self.morphisms):
-            rows[m.src].append(j)
-        return tuple(map(tuple, rows.values()))
+        rows: list = [[] for _ in self.objects]
+        for j, s in enumerate(self.src_ids):
+            rows[s].append(j)
+        return tuple(map(tuple, rows))
 
     @cached_property
     def out(self) -> tuple[tuple[int, ...], ...]:
-        keys = [obj_key(o) for o in self.objects]
-        mors, dst = self.morphisms, self.dst_ids
-        return tuple(tuple(sorted(row, key=lambda j: (keys[dst[j]],
-                                                      mors[j].sigma)))
+        # ids order as obj_key and, within one target, image positions as
+        # image names, so the morphism tuples order as mor_key
+        return tuple(tuple(sorted(row, key=self.mors.__getitem__))
                      for row in self.succ)
 
     @cached_property
-    def pos(self) -> dict:
+    def pos(self) -> list[int]:
         """The place of each morphism id in the out-list of its source."""
-        return {j: i for row in self.out for i, j in enumerate(row)}
-
-    @cached_property
-    def key_id(self) -> dict:
-        """Morphism ids, in order, by key: (source id, target id, positions
-        of the images among the target's names)."""
-        obj_id = self.obj_id
-        return {(obj_id[m.src], d, tuple(_time_of(m.dst).names.index(b)
-                                         for _, b in m.sigma)): j
-                for j, (m, d) in enumerate(zip(self.morphisms, self.dst_ids))}
+        pos = [0] * len(self.mors)
+        for row in self.out:
+            for i, j in enumerate(row):
+                pos[j] = i
+        return pos
 
     def _composites(self, outs) -> tuple[tuple[int, ...], ...]:
-        """Per morphism f, the ids of g∘f for g in outs[dst f]."""
-        key_id = self.key_id
-        keys = tuple(key_id)
-        return tuple(
-            tuple(key_id[s, keys[g][1], tuple([keys[g][2][i] for i in img])]
-                  for g in outs[d])
-            for s, d, img in keys)
+        """Per morphism f, the ids of g∘f for g in outs[dst f].  The
+        targets and images of the composites depend only on f's target
+        and images, so they are computed once per such pair."""
+        mors, mor_id = self.mors, self.mor_id
+        after: dict = {}
+        rows = []
+        for s, d, images in mors:
+            ends = after.get((d, images))
+            if ends is None:
+                gs = [mors[g] for g in outs[d]]
+                ends = after[d, images] = (
+                    [e for _, e, _ in gs],
+                    [tuple([g_images[i] for i in images])
+                     for _, _, g_images in gs])
+            rows.append(tuple(map(mor_id.__getitem__,
+                                  zip(repeat(s), *ends))))
+        return tuple(rows)
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
         return self._composites(self.succ)
 
     @cached_property
+    def gen_flags(self) -> tuple[bool, ...]:
+        """Whether each morphism is a generator (`_is_generator`), read off
+        the parent or, in a slice, the time morphism under it."""
+        link = self.parent or self.over
+        if link is not None:
+            cat, _, ids = link
+            return tuple(map(cat.gen_flags.__getitem__, ids))
+        objs = self.objects
+        top = max((s for o in objs for s in o.stages), default=0)
+        return tuple(_is_generator(objs[s], objs[d], images, top)
+                     for s, d, images in self.mors)
+
+    @cached_property
     def gens(self) -> tuple[tuple[int, ...], ...]:
-        top = max((s for o in self.objects for s in _time_of(o).stages),
-                  default=0)
-        return tuple(tuple(j for j in row
-                           if _is_generator(self.morphisms[j], top))
-                     for row in self.succ)
+        flags = self.gen_flags
+        return tuple(tuple(j for j in row if flags[j]) for row in self.succ)
 
     @cached_property
     def gen_table(self) -> tuple[tuple[int, ...], ...]:
         return self._composites(self.gens)
+
+    @cached_property
+    def marked_stage(self) -> tuple[int, ...]:
+        """The stage of the marked clock of each object of a slice."""
+        return tuple(o.time.theta(o.clock) for o in self.objects)
 
     @cached_property
     def stage_shift(self) -> tuple[tuple, tuple, tuple]:
@@ -178,33 +211,25 @@ class FinCategory:
         β = 0 … θ(marked clock of dst m), the id of the morphism with m's
         σ between m's ends with their marked clocks at stage β."""
         assert self.kind == "slice"
-        stage, groups = [], {}
+        stage, groups = self.marked_stage, {}
         for i, o in enumerate(self.objects):
             t = o.time
             k = t.names.index(o.clock)
-            stage.append(t.stages[k])
-            groups.setdefault(
-                (t.names, t.stages[:k] + t.stages[k + 1:], o.clock),
-                {})[t.stages[k]] = i
+            groups.setdefault((t.names, t.stages[:k] + t.stages[k + 1:], k),
+                              {})[stage[i]] = i
         chains: list = [None] * len(self.objects)
         for by_stage in groups.values():
             chain = tuple(by_stage[a] for a in range(len(by_stage)))
             for i in chain:
                 chains[i] = chain
-        # morphisms that differ only in their marked stages, by those stages
-        obj_id, dst = self.obj_id, self.dst_ids
-        by_ends: dict = {}
-        for j, m in enumerate(self.morphisms):
-            s, d = obj_id[m.src], dst[j]
-            by_ends.setdefault((chains[s], chains[d], m.sigma),
-                               {})[stage[s], stage[d]] = j
-        downs = tuple(None if stage[i] == 0 else by_ends[
-            chains[i], chains[i], _id_sigma(o)][stage[i], stage[i] - 1]
+        mor_id = self.mor_id
+        downs = tuple(None if stage[i] == 0 else mor_id[
+            i, chains[i][stage[i] - 1], tuple(range(len(o.time.names)))]
             for i, o in enumerate(self.objects))
         shifted = tuple(
-            tuple(by_ends[chains[obj_id[m.src]], chains[dst[j]], m.sigma][b, b]
-                  for b in range(stage[dst[j]] + 1))
-            for j, m in enumerate(self.morphisms))
+            tuple(map(mor_id.__getitem__, zip(
+                chains[s][:stage[d] + 1], chains[d], repeat(images))))
+            for s, d, images in self.mors)
         return tuple(chains), downs, shifted
 
 
@@ -212,43 +237,79 @@ def pool_names(pool: int) -> tuple[str, ...]:
     return tuple(f"l{i}" for i in range(pool))
 
 
+def _check_size_args(pool: int, bound: int) -> None:
+    if pool < 1 or bound < 2:
+        raise ValueError("need pool >= 1 and bound >= 2")
+
+
+def category_sizes(pool: int, bound: int) -> tuple[int, int, int]:
+    """(objects, time morphisms, slice morphisms) of the truncated time
+    category, from the closed forms in the module docstring."""
+    _check_size_args(pool, bound)
+    # targets by S_b: each clock is absent (adds 0) or at stage t (adds
+    # bound - t)
+    count = {0: 1}
+    for _ in range(pool):
+        step: dict = {}
+        for s, c in count.items():
+            for add in range(bound + 1):
+                step[s + add] = step.get(s + add, 0) + c
+        count = step
+    time = sum(c * (1 + s) ** pool for s, c in count.items())
+    slice_ = sum(c * pool * s * (1 + s) ** (pool - 1)
+                 for s, c in count.items())
+    return (bound + 1) ** pool, time, slice_
+
+
+def check_size(pool: int, bound: int, limit: int) -> None:
+    """Refuse, before it is enumerated, a category with more than limit
+    objects or slice morphisms."""
+    _check_size_args(pool, bound)
+    where = f"time category with pool {pool} and bound {bound}"
+    # exact for small pools; else at least 3^bit_length(limit) > limit
+    objects = (bound + 1) ** min(pool, limit.bit_length())
+    if objects > limit:
+        raise BudgetExceeded(f"{where} has {bound + 1}^{pool} objects, "
+                             f"over the max_elements budget {limit}")
+    slice_mors = category_sizes(pool, bound)[2]
+    if slice_mors > limit:
+        raise BudgetExceeded(
+            f"{where} has {objects} objects and {slice_mors} slice "
+            f"morphisms, over the max_elements budget {limit}")
+
+
 def enumerate_category(pool: int, bound: int) -> FinCategory:
     """All objects and morphisms of the truncated time category with clock
     pool size `pool` and stages below `bound`."""
-    if pool < 1 or bound < 2:
-        raise ValueError("need pool >= 1 and bound >= 2")
+    _check_size_args(pool, bound)
     names = pool_names(pool)
-    objects = []
-    for r in range(pool + 1):
-        for sub in itertools.combinations(names, r):
-            for stages in itertools.product(range(bound), repeat=r):
-                objects.append(TimeObj(sub, stages))
-    morphisms = [m for a in objects for b in objects
-                 for m in _homs(a, b)]
-    return FinCategory(tuple(objects), tuple(morphisms), "time")
+    objects = tuple(TimeObj(sub, stages) for r in range(pool + 1)
+                    for sub in itertools.combinations(names, r)
+                    for stages in itertools.product(range(bound), repeat=r))
+    # per target and source stage, the positions of the admissible images
+    admissible = [[tuple(y for y, t in enumerate(b.stages) if t <= s)
+                   for s in range(bound)] for b in objects]
+    mors = tuple((i, d, images) for i, a in enumerate(objects)
+                 for d, adm in enumerate(admissible)
+                 for images in itertools.product(
+                     *map(adm.__getitem__, a.stages)))
+    return FinCategory(objects, mors, "time")
 
 
-def _homs(a: TimeObj, b: TimeObj):
-    # admissible images in the order of b's names: lexicographic output
-    admissible = [[y for y, t in zip(b.names, b.stages) if t <= s]
-                  for s in a.stages]
-    for images in itertools.product(*admissible):
-        yield TimeMor(a, b, tuple(zip(a.names, images)))
-
-
-def _is_generator(m: TimeMor, top: int) -> bool:
-    """Whether m is a stage decrement (identity σ, one clock lowered by 1),
-    a merge (one clock sent to another, at the lower of their stages), a
-    bijective rename carrying the stages, or an add of one clock at top."""
-    a, b = _time_of(m.src), _time_of(m.dst)
-    moved = sum(x != y for x, y in m.sigma)
+def _is_generator(a: TimeObj, b: TimeObj, images, top: int) -> bool:
+    """Whether a → b with these images is a stage decrement (identity σ,
+    one clock lowered by 1), a merge (one clock sent to another, at the
+    lower of their stages), a bijective rename carrying the stages, or an
+    add of one clock at top."""
+    targets = [b.names[y] for y in images]
+    moved = sum(x != y for x, y in zip(a.names, targets))
     if not moved:
         if b.names == a.names:
             return sum(a.stages) - sum(b.stages) == 1
         new = set(b.names).difference(a.names)
         return len(new) == 1 and b == a.add_clock(new.pop(), top)
     low: dict = {}      # each image at the least stage of its preimages
-    for (_, y), s in zip(m.sigma, a.stages):
+    for y, s in zip(targets, a.stages):
         low[y] = min(s, low.get(y, s))
     names = tuple(sorted(low))
     return (moved == 1 or len(low) == len(a.names)) and \
@@ -258,14 +319,40 @@ def _is_generator(m: TimeMor, top: int) -> bool:
 def slice_category(t: FinCategory) -> FinCategory:
     """Category of elements of the presheaf Clk (fiber E): objects gain a
     marked clock, morphisms must map it to the target's marked clock."""
-    objects = tuple(ElObj(o, n) for o in t.objects for n in o.names)
-    marked = {(o.time, o.clock): o for o in objects}
-    morphisms = []
-    for m in t.morphisms:
-        for n, img in m.sigma:
-            morphisms.append(TimeMor(marked[m.src, n], marked[m.dst, img],
-                                     m.sigma))
-    return FinCategory(objects, tuple(morphisms), "slice")
+    objects, first, under = [], [], []
+    for i, o in enumerate(t.objects):
+        first.append(len(objects))
+        objects.extend(ElObj(o, n) for n in o.names)
+        under.extend(repeat(i, len(o.names)))
+    mors = tuple((first[s] + k, first[d] + y, images)
+                 for s, d, images in t.mors for k, y in enumerate(images))
+    mors_under = tuple(j for j, (_, _, images) in enumerate(t.mors)
+                       for _ in images)
+    return FinCategory(tuple(objects), mors, "slice",
+                       over=(t, tuple(under), mors_under))
+
+
+def full_subcat(cat: FinCategory, keep,
+                base: FinCategory | None = None) -> FinCategory:
+    """The full subcategory of cat on the objects that satisfy keep.  For
+    a slice cat, base is the inner subcategory of cat's time category that
+    the result lies over."""
+    obj_ids = tuple(i for i, o in enumerate(cat.objects) if keep(o))
+    new = {p: i for i, p in enumerate(obj_ids)}
+    mor_ids = tuple(j for j, (s, d, _) in enumerate(cat.mors)
+                    if s in new and d in new)
+    mors = tuple((new[s], new[d], images)
+                 for s, d, images in map(cat.mors.__getitem__, mor_ids))
+    over = None
+    if base is not None:
+        _, objs_under, mors_under = cat.over
+        _, base_objs, base_mors = base.parent
+        to_obj = {p: i for i, p in enumerate(base_objs)}
+        to_mor = {p: j for j, p in enumerate(base_mors)}
+        over = (base, tuple(to_obj[objs_under[i]] for i in obj_ids),
+                tuple(to_mor[mors_under[j]] for j in mor_ids))
+    return FinCategory(tuple(map(cat.objects.__getitem__, obj_ids)), mors,
+                       cat.kind, over=over, parent=(cat, obj_ids, mor_ids))
 
 
 def obj_key(o):

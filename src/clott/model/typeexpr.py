@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from ..coalgebra import (FunctorExpr, functor_eval, functor_map_all,
                          functor_plan, functor_size)
-from .presheaf import (Model, Psh, _chain_limit, arrow, clk_psh,
-                       coproduct, const_psh, forall_clk, later, product,
-                       weaken)
+from .presheaf import (Model, Psh, _chain, _chain_limit, align, arrow,
+                       clk_psh, coproduct, const_psh, forall_clk, later,
+                       product, weaken)
 from .timecat import obj_key
 
 
@@ -145,37 +145,35 @@ def eval_type(model: Model, e: TypeExprM, slice_: bool = False) -> Psh:
     if isinstance(e, MBot):
         return const_psh(cat, ())
     if isinstance(e, (MAnd, MOr)):
-        l = eval_type(model, e.left, slice_)
-        r = eval_type(model, e.right, slice_)
-        fib = {o: (PRF,) if (bool(l.fib[o]) and bool(r.fib[o])
-                             if isinstance(e, MAnd)
-                             else bool(l.fib[o]) or bool(r.fib[o])) else ()
-               for o in cat.objects}
-        return _prop_psh(cat, fib)
+        l, r = align(eval_type(model, e.left, slice_),
+                     eval_type(model, e.right, slice_))
+        both = isinstance(e, MAnd)
+        return _prop_psh(l.cat, tuple(
+            (PRF,) if (bool(a) and bool(b) if both else bool(a) or bool(b))
+            else () for a, b in zip(l.fibs, r.fibs)))
     if isinstance(e, MEq):
         x = eval_type(model, e.arg, slice_)
-        fib = {o: tuple(("pair", a, a) for a in x.fib[o])
-               for o in cat.objects}
-        act = {m: {("pair", a, a): ("pair", x.act[m][a], x.act[m][a])
-                   for a in x.fib[m.src]} for m in cat.morphisms}
-        return Psh(cat, fib, act)
+        fibs = tuple(tuple(("pair", a, a) for a in fib) for fib in x.fibs)
+        acts = tuple({("pair", a, a): ("pair", act[a], act[a])
+                      for a in x.fibs[s]}
+                     for s, act in zip(x.cat.src_ids, x.acts))
+        return Psh(x.cat, fibs, acts)
     if isinstance(e, (MExists, MForallFam)):
         x = eval_type(model, e.arg, slice_)
         quant = any if isinstance(e, MExists) else all
-        fib = {o: (PRF,) if quant(e.pred(o, a) for a in x.fib[o]) else ()
-               for o in cat.objects}
-        return _prop_psh(cat, fib)
+        return _prop_psh(x.cat, tuple(
+            (PRF,) if quant(e.pred(o, a) for a in fib) else ()
+            for o, fib in zip(x.cat.objects, x.fibs)))
     raise TypeError(f"unknown type expression {type(e).__name__}")
 
 
-def _prop_psh(cat, fib) -> Psh:
+def _prop_psh(cat, fibs) -> Psh:
     proof, empty = {PRF: PRF}, {}
-    act = {m: (proof if fib[m.src] else empty) for m in cat.morphisms}
-    bad = [m for m in cat.morphisms if fib[m.src] and not fib[m.dst]]
-    if bad:
+    if any(fibs[s] and not fibs[d] for s, d, _ in cat.mors):
         raise ValueError("predicate family is not monotone along "
                          "restriction; not a presheaf")
-    return Psh(cat, fib, act)
+    return Psh(cat, fibs, tuple(proof if fibs[s] else empty
+                                for s in cat.src_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -194,56 +192,52 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     is computed on positions and read off the fibers' own elements."""
     cat = model.slice
     chains = cat.stage_shift[0]
-    fib: dict = {}          # object -> tuple of F(labels) elements
-    plan: dict = {}         # object -> F's plan over its labels
-    lat_decode: dict = {}   # object -> families of fib elems, by label
-    lat_encode: dict = {}   # object -> family tuple -> label
+    stage = cat.marked_stage
+    n_obj = len(cat.objects)
+    fibs: list = [None] * n_obj     # F(labels) elements, by object id
+    plans: list = [None] * n_obj    # F's plan over the labels
+    lat_decode: list = [None] * n_obj   # families of fib elems, by label
+    lat_encode: list = [None] * n_obj   # family tuple -> label
     by_labels: dict = {}    # number of labels -> (plan, fiber)
     memo: dict = {}
 
     def act(j: int) -> dict:
-        return _mu_act(fib, plan, lat_decode, lat_encode, model, j, memo)
+        return _mu_act(cat, fibs, plans, lat_decode, lat_encode, j, memo)
 
-    stage = [o.time.theta(o.clock) for o in cat.objects]
-    for i in sorted(range(len(stage)), key=stage.__getitem__):
-        o = cat.objects[i]
+    for i in sorted(range(n_obj), key=stage.__getitem__):
         chain = chains[i][:stage[i]]
         # the chain limit is as large as the fiber at its top, so an
         # oversized stage is refused before the chain is mapped
-        functor_size(f, len(fib[cat.objects[chain[-1]]]) if chain else 1,
-                     model.budget)
-        families = _chain_limit(cat, fib, act, chain)
-        lat_decode[o] = families
-        lat_encode[o] = {fam: n for n, fam in enumerate(families)}
+        functor_size(f, len(fibs[chain[-1]]) if chain else 1, model.budget)
+        families = _chain_limit(*_chain(cat, fibs, act, chain))
+        lat_decode[i] = families
+        lat_encode[i] = {fam: n for n, fam in enumerate(families)}
         n = len(families)
         if n not in by_labels:
             by_labels[n] = (functor_plan(f, n, model.budget),
                             functor_eval(f, range(n), model.budget))
-        plan[o], fib[o] = by_labels[n]
+        plans[i], fibs[i] = by_labels[n]
 
-    act_all = {m: act(j) for j, m in enumerate(cat.morphisms)}
-    return Psh(cat, fib, act_all)
+    return Psh(cat, tuple(fibs), tuple(map(act, range(len(cat.mors)))))
 
 
-def _mu_act(fib, plan, lat_decode, lat_encode, model: Model, j: int,
-            memo: dict):
+def _mu_act(cat, fibs, plans, lat_decode, lat_encode, j: int, memo: dict):
     if j in memo:
         return memo[j]
-    cat = model.slice
-    m = cat.morphisms[j]
-    k2 = m.dst.time.theta(m.dst.clock)
-    stage_acts = [_mu_act(fib, plan, lat_decode, lat_encode, model, s, memo)
-                  for s in cat.stage_shift[2][j][:k2]]
-    encode = lat_encode[m.dst]
+    s, d, _ = cat.mors[j]
+    k2 = cat.marked_stage[d]
+    stage_acts = [_mu_act(cat, fibs, plans, lat_decode, lat_encode, t, memo)
+                  for t in cat.stage_shift[2][j][:k2]]
+    encode = lat_encode[d]
     label_map = [encode[tuple(stage_acts[beta][fam[beta]]
                               for beta in range(k2))]
-                 for fam in lat_decode[m.src]]
-    src, dst = fib[m.src], fib[m.dst]
-    if m.src == m.dst and label_map == list(range(len(label_map))):
+                 for fam in lat_decode[s]]
+    src, dst = fibs[s], fibs[d]
+    if s == d and label_map == list(range(len(label_map))):
         out = dict(zip(src, src))
     else:
         out = dict(zip(src, map(dst.__getitem__, functor_map_all(
-            plan[m.src], plan[m.dst], label_map))))
+            plans[s], plans[d], label_map))))
     memo[j] = out
     return out
 
@@ -272,22 +266,21 @@ def check_force(model: Model, a: Psh) -> ForceReport:
     lhs = forall_clk(model, a)
     rhs = forall_clk(model, later(model, a))
     n = model.bound
-    slc = model.slice
-    chains, downs, _ = slc.stage_shift
+    chains, downs, _ = model.slice.stage_shift
     stabilized = True
     failure = None
-    for i, o in enumerate(model.time_inner.objects):
+    for i, top_obj in enumerate(model.fresh_tops[0]):
         # the fresh clock, marked, at stages 0 … N−1
-        chain = chains[model.fresh_tops[0][i]]
-        top, below = slc.objects[chain[n - 1]], slc.objects[chain[n - 2]]
-        step = a.act[slc.morphisms[downs[chain[n - 1]]]]
-        img = [step[e] for e in a.fib[top]]
-        if len(set(img)) != len(a.fib[top]) or set(img) != set(a.fib[below]):
+        chain = chains[top_obj]
+        top, below = a.fibs[chain[n - 1]], a.fibs[chain[n - 2]]
+        step = a.acts[downs[chain[n - 1]]]
+        img = [step[e] for e in top]
+        if len(set(img)) != len(top) or set(img) != set(below):
             stabilized = False
         # canonical map: truncate each family
         image = set()
         injective = True
-        for fam in lhs.fib[o]:
+        for fam in lhs.fibs[i]:
             entries = dict(fam[1])
             trunc = ("tup", tuple(
                 (alpha, ("tup", tuple((b, entries[b]) for b in range(alpha))))
@@ -295,11 +288,12 @@ def check_force(model: Model, a: Psh) -> ForceReport:
             if trunc in image:
                 injective = False
             image.add(trunc)
-        if injective and image == set(rhs.fib[o]):
+        if injective and image == set(rhs.fibs[i]):
             continue
         if failure is None:
-            sizes = [len(a.fib[slc.objects[u]]) for u in chain]
-            failure = (obj_key(o), _first_failure_stage(sizes))
+            sizes = [len(a.fibs[u]) for u in chain]
+            failure = (obj_key(model.time_inner.objects[i]),
+                       _first_failure_stage(sizes))
     if failure is None:
         return ForceReport(True, None, False, stabilized)
     return ForceReport(False, failure, not stabilized, stabilized)

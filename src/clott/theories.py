@@ -21,9 +21,9 @@ position (tags at index 0, ("inl", x) and ("inr", y) decided by their
 tags, set and distribution tuples compared lexicographically with the
 shorter-prefix rule under Python's order and under `canon_key` alike),
 so sorted(xs) == csorted(xs) there, and wherever plain comparison is
-defined on numbers, strings and tuples of them.  Bases of mixed type stay
-part of the API: `psorted` falls back to `csorted` when plain comparison
-fails on them.
+defined on numbers, strings and tuples of them.  Bases of mixed type and
+of frozensets stay part of the API: `psorted` falls back to `csorted` when
+plain comparison fails on them or a member holds a frozenset.
 """
 from __future__ import annotations
 
@@ -206,14 +206,36 @@ def csorted(xs):
 def psorted(xs):
     """csorted by plain comparison, which agrees with canon_key wherever it
     is defined on numbers, strings and tuples of them (see canon_key);
-    csorted where a mixed-type base makes plain comparison fail.
-    Frozensets compare by inclusion, a partial order, so fmap, apply_op
-    and mult list frozenset members in no fixed order; free_model and
-    functor_eval, which use csorted, order them canonically."""
+    csorted where a mixed-type base makes plain comparison fail, and where
+    a member is or holds a frozenset, since frozensets compare by
+    inclusion, a partial order.  Members differ in shape (sum tags,
+    tuples of any length), so each is checked.  A caller that has found
+    once per base that no member can hold a frozenset uses sorted_plain."""
+    out = sorted_plain(xs)
+    if len(out) > 1 and any(map(holds_frozenset, out)):
+        return csorted(out)
+    return out
+
+
+def sorted_plain(xs):
+    """psorted for members that hold no frozenset."""
     try:
         return sorted(xs)
     except TypeError:
         return csorted(xs)
+
+
+_NESTED = frozenset((tuple, frozenset))
+
+
+def holds_frozenset(v) -> bool:
+    """Whether v is or holds a frozenset, by type."""
+    if type(v) is tuple:
+        for x in v:
+            if type(x) in _NESTED and holds_frozenset(x):
+                return True
+        return False
+    return type(v) is frozenset
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +421,22 @@ def apply_op(t: Theory, op: str, args: list):
                       "congruence-class model")
 
 
-def fmap(t: Theory, f: dict, elem):
-    """Functor action T(f): rename the free variables of a normal form."""
+def fmap(t: Theory, f: dict, elem, sort=psorted):
+    """Functor action T(f): rename the free variables of a normal form.
+    sort orders the images: psorted, or sorted_plain where no image of f
+    holds a frozenset."""
     tag = elem[0]
     if tag == "set":
-        return ("set", tuple(psorted({f[x] for x in elem[1]})))
+        return ("set", tuple(sort({f[x] for x in elem[1]})))
     if tag == "dist":
         acc: dict = {}
         for x, m in elem[1]:
             acc[f[x]] = acc.get(f[x], Fraction(0)) + m
-        return ("dist", tuple(psorted(acc.items())))
+        return ("dist", tuple(sort(acc.items())))
     if tag == "list":
         return ("list", tuple(f[x] for x in elem[1]))
     if tag == "bag":
-        return ("bag", tuple(psorted(f[x] for x in elem[1])))
+        return ("bag", tuple(sort(f[x] for x in elem[1])))
     if tag == "star":
         return elem
     if tag == "class":
@@ -691,8 +715,14 @@ def check_preserves_pullbacks_of_monos(
     Each free model is built once per call.  The pullback is a hash
     join: T(Z) is indexed once per Z by its image under T(incl), and each
     u in T(X) is mapped once per f and paired with the v under its
-    image."""
+    image.  A work budget refuses more than max_elements squares before
+    any free model is built."""
     budget = budget or Budget()
+    squares = _pullback_squares(size_bound, budget.max_elements)
+    if squares > budget.max_elements:
+        raise BudgetExceeded(
+            f"pullback check up to size {size_bound} has at least {squares} "
+            f"squares, over the max_elements budget {budget.max_elements}")
     models: dict = {}
 
     def model(base):
@@ -729,6 +759,19 @@ def check_preserves_pullbacks_of_monos(
                     return CheckResult(False, tuple(sorted(square.items())),
                                        {"size_bound": size_bound})
     return CheckResult(True, None, {"size_bound": size_bound})
+
+
+def _pullback_squares(size_bound: int, cap: int) -> int:
+    """The number of squares (f: X -> Y, Z ⊆ Y) with |X|, |Y| at most
+    size_bound, Σ_{|Y|} 2^|Y| · Σ_{|X|} |Y|^|X|, or a partial sum past
+    cap: sizes beyond cap's bit length add at least 2^that > cap."""
+    n = min(size_bound, cap.bit_length()) + 1
+    total = 0
+    for y in range(n):
+        total += sum(y ** x for x in range(n)) << y
+        if total > cap:
+            break
+    return total
 
 
 def _subsets(y):

@@ -148,14 +148,16 @@ def test_model_invalid_parameters_are_usage_errors(argv, capsys):
 
 
 def test_model_budget_overrun_is_unknown():
-    # the guarded fixpoint of prod(const{a,b},id) has 4 elements at stage 1
-    model = Model(pool=1, bound=3, budget=Budget(max_elements=3))
+    # the guarded fixpoint of prod(const{a,b},id) has 8 elements at stage
+    # 2; 6 is the least budget that admits the category itself (4 objects,
+    # 6 slice morphisms)
+    model = Model(pool=1, bound=3, budget=Budget(max_elements=6))
     rep = Report("model verify")
     assert run_model_suite(model, "fixpoints", rep) == 3
     last = rep.checks[-1]
     assert last.name == "fixpoints/budget" and last.verdict == "unknown"
     assert "BudgetExceeded" in last.evidence["reason"]
-    assert "exceeds budget 3" in last.evidence["reason"]
+    assert "exceeds budget 6" in last.evidence["reason"]
 
 
 def test_model_oversized_fixpoint_stage_refused_early(tmp_path):
@@ -167,6 +169,23 @@ def test_model_oversized_fixpoint_stage_refused_early(tmp_path):
     last = doc["checks"][-1]
     assert last["name"] == "fixpoints/budget"
     assert "powerset of a 65536-element set" in last["evidence"]["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "verify", "invariance", "--pool", "5", "--bound", "8"],
+    ["model", "verify", "all", "--pool", "60", "--bound", "9"],
+    ["suite", "requirements", "--pool", "5", "--bound", "8"]])
+def test_model_oversized_category_is_unknown(tmp_path, capsys, argv):
+    # (5, 8) has 59,049 objects; the category is refused before it is
+    # enumerated
+    t0 = time.perf_counter()
+    code, doc = run_json(argv, tmp_path)
+    assert time.perf_counter() - t0 < 5
+    assert code == 3
+    last = doc["checks"][-1]
+    assert last["name"].endswith("/budget") and last["verdict"] == "unknown"
+    assert "max_elements budget 1000000" in last["evidence"]["reason"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- theory --------------------------------------------------------------------
@@ -233,6 +252,21 @@ def test_theory_term_budget_overrun_is_unknown(tmp_path, text, argv):
     assert check["verdict"] == "unknown"
     assert check["evidence"]["reason"] == \
         "BudgetExceeded: term universe exceeds 200000"
+
+
+def test_theory_pullbacks_square_budget_is_unknown(tmp_path, capsys):
+    f = tmp_path / "convex.thy"
+    f.write_text("builtin convex\n")
+    t0 = time.perf_counter()
+    code, doc = run_json(["theory", "pullbacks", str(f), "--size", "80"],
+                         tmp_path)
+    assert time.perf_counter() - t0 < 5
+    assert code == 3
+    [check] = doc["checks"]
+    assert check["verdict"] == "unknown"
+    assert "over the max_elements budget 1000000" in \
+        check["evidence"]["reason"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eq, where", [("f(x y) = f(y, x)", "2:8:"),

@@ -19,7 +19,7 @@ from clott.coalgebra import (BOT, Budget, BudgetExceeded, Coalgebra,
                              parse_coalgebra_file,
                              parse_functor, show_functor, step,
                              terminal_sequence, weak_bisim_delay)
-from clott import theories
+from clott import coalgebra, theories
 from clott.theories import canon_key, csorted
 
 
@@ -410,6 +410,22 @@ def test_bisimilarity_matches_brute_force_three_states():
     f = parse_functor("pf(prod(const{a}, id))")
     for co in _all_coalgebras(f, (0, 1, 2)):
         assert bisimilarity(co) == brute_force_bisimilarity(co)
+
+
+def test_bisimilarity_with_frozenset_constants():
+    # frozensets compare by inclusion, so signatures that hold them are
+    # sorted canonically, not plainly
+    labels = (frozenset({2}), frozenset({1, 3}), frozenset())
+    f = FFree("semilattice", FProd(FConst(labels), FId()))
+    for co in _all_coalgebras(f, (0, 1)):
+        assert bisimilarity(co) == brute_force_bisimilarity(co)
+    value = ("set", (("pair", frozenset({2}), 0),
+                     ("pair", frozenset({1, 3}), 1)))
+    sig = functor_map(f, {0: 0, 1: 0}, value)
+    assert list(sig[1]) == csorted(sig[1])
+    assert coalgebra._signature_sort(f) is theories.psorted
+    assert coalgebra._signature_sort(parse_functor("pf(prod(const{a}, id))")) \
+        is theories.sorted_plain
 
 
 @settings(max_examples=60, deadline=None)

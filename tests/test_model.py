@@ -1,6 +1,8 @@
 """Finite presheaf model over the truncated time category."""
 import functools
+import hashlib
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,16 +12,17 @@ from clott.coalgebra import parse_functor
 from clott.model import (CheckOutcome, FreshClockExhausted, MArrow, MClk,
                          MEq, MExists, MFin, MForall, MForallFam, MLater, MMu, MProd,
                          MSum, MTop, Model, ElObj, Psh, TimeMor, TimeObj,
-                         align, arrow, check_forall_prod_dist,
+                         align, arrow, category_sizes, check_forall_prod_dist,
                          check_forall_sum_dist,
                          check_force, check_functoriality, check_invariance,
                          clk_psh, const_psh, coproduct, enumerate_category,
                          eval_type, exists_forall_experiment, forall_clk,
-                         later, mor_key, mu, obj_key, product, restrict_to,
-                         slice_category, unique_exists_check, weaken)
+                         later, mor_key, mu, obj_key, pool_names, product,
+                         restrict_to, slice_category, unique_exists_check,
+                         weaken)
 from clott.coalgebra import functor_eval
-from clott.model.presheaf import _chain_limit
-from clott.theories import Budget
+from clott.model.presheaf import _chain, _chain_limit
+from clott.theories import Budget, BudgetExceeded
 
 from .test_coalgebra import reference_functor_eval, reference_functor_map_all
 
@@ -83,8 +86,8 @@ def test_homs_match_filtered_product(pool, bound):
 
 def test_category_laws():
     cat = enumerate_category(1, 3)
-    for o in cat.objects:
-        i = cat.identity(o)
+    for k, o in enumerate(cat.objects):
+        i = cat.morphisms[cat.identity(k)]
         assert i.src == o and i.dst == o
     for g, f in composable_pairs(cat):
         gf = cat.compose(g, f)
@@ -95,7 +98,7 @@ def test_slice_category_preserves_marked_clock():
     cat = enumerate_category(2, 2)
     sl = slice_category(cat)
     for m in sl.morphisms:
-        assert m.apply(m.src.clock) == m.dst.clock
+        assert dict(m.sigma)[m.src.clock] == m.dst.clock
 
 
 # -- the interned category against the plain one -------------------------------
@@ -199,7 +202,8 @@ def test_generators_generate(pool, bound):
                 if gf not in reached:
                     reached.add(gf)
                     todo.append(gf)
-        assert reached | {cat.identity(o) for o in cat.objects} == set(mors)
+        assert reached | {mors[cat.identity(i)]
+                          for i in range(len(cat.objects))} == set(mors)
 
 
 @pytest.mark.parametrize("pool,bound", GRID)
@@ -211,9 +215,9 @@ def test_ids_and_out_lists(pool, bound):
                          key=mor_key)
             assert [cat.morphisms[j] for j in cat.out[i]] == out
             assert [cat.pos[j] for j in cat.out[i]] == list(range(len(out)))
-            assert cat.identity(o) == _ident(o)
+            assert cat.morphisms[cat.identity(i)] == _ident(o)
         for j, m in enumerate(cat.morphisms):
-            assert cat.mor_id[m] == j
+            assert cat.mor_id[cat.mors[j]] == j
             assert cat.objects[cat.dst_ids[j]] == m.dst
 
 
@@ -246,15 +250,16 @@ def test_stage_shift_matches_construction(pool, bound):
 
 def _reference_functoriality(x):
     """check_functoriality written over every composable pair and
-    compose."""
+    compose, on decoded morphisms."""
+    act = dict(zip(x.cat.morphisms, x.acts))
     for o in x.cat.objects:
         for e in x.fib[o]:
-            if x.act[_ident(o)][e] != e:
+            if act[_ident(o)][e] != e:
                 return CheckOutcome(False, ("identity", obj_key(o), e))
     for g, f in composable_pairs(x.cat):
         gf = x.cat.compose(g, f)
         for e in x.fib[f.src]:
-            if x.act[gf][e] != x.act[g][x.act[f][e]]:
+            if act[gf][e] != act[g][act[f][e]]:
                 return CheckOutcome(False, ("composition", mor_key(f),
                                             mor_key(g), e))
     return CheckOutcome(True)
@@ -282,16 +287,16 @@ def test_planted_error_gives_reference_counterexample(pb, t, generator,
     the reference's first counterexample."""
     x = _evaluated(pb, t)
     gens = {j for row in x.cat.gens for j in row}
-    m = data.draw(st.sampled_from([
-        m for j, m in enumerate(x.cat.morphisms) if (j in gens) == generator
-    ]))
+    j = data.draw(st.sampled_from([
+        j for j in range(len(x.cat.mors)) if (j in gens) == generator]))
+    m = x.cat.morphisms[j]
     assume(x.fib[m.src] and len(x.fib[m.dst]) >= 2)
     e = data.draw(st.sampled_from(x.fib[m.src]))
     wrong = data.draw(st.sampled_from(
-        [y for y in x.fib[m.dst] if y != x.act[m][e]]))
-    act = dict(x.act)
-    act[m] = {**act[m], e: wrong}
-    planted = Psh(x.cat, x.fib, act)
+        [y for y in x.fib[m.dst] if y != x.acts[j][e]]))
+    acts = list(x.acts)
+    acts[j] = {**acts[j], e: wrong}
+    planted = Psh(x.cat, x.fibs, tuple(acts))
     found = check_functoriality(planted)
     assert found == _reference_functoriality(planted)
     if m == _ident(m.src):
@@ -300,8 +305,18 @@ def test_planted_error_gives_reference_counterexample(pb, t, generator,
 
 def test_functoriality_leaves_composition_table_unbuilt():
     model = Model(pool=2, bound=3)
+    # over {} -> {l0@0}, {l0@1}: one action dict shared by both inclusions
+    # of the empty object, whose image sits at different positions of
+    # their target fibers
+    cat = Model(pool=1, bound=2).time
+    inc = {1: 1}
+    acts = {(0, 0, ()): {1: 1}, (0, 1, ()): inc, (0, 2, ()): inc,
+            (1, 1, (0,)): {0: 0, 1: 1}, (2, 1, (0,)): {1: 1, 2: 0},
+            (2, 2, (0,)): {1: 1, 2: 2}}
+    shared = Psh(cat, ((1,), (0, 1), (1, 2)),
+                 tuple(map(acts.__getitem__, cat.mors)))
     for x in (const_psh(model.time, (0, 1)),
-              later(model, const_psh(model.slice, (0, 1)))):
+              later(model, const_psh(model.slice, (0, 1))), shared):
         assert check_functoriality(x).ok
         assert "table" not in x.cat.__dict__
         assert "gen_table" in x.cat.__dict__
@@ -312,6 +327,215 @@ def test_invalid_parameters_rejected():
         enumerate_category(0, 4)
     with pytest.raises(ValueError):
         enumerate_category(1, 1)
+
+
+# -- the integer encoding against the object-based constructions --------------
+
+def reference_enumerate_category(pool, bound):
+    """Oracle: the objects and TimeMors of the time category, built from
+    the definition."""
+    objects = [TimeObj(sub, stages) for r in range(pool + 1)
+               for sub in itertools.combinations(pool_names(pool), r)
+               for stages in itertools.product(range(bound), repeat=r)]
+    return objects, [m for a in objects for b in objects
+                     for m in reference_homs(a, b)]
+
+
+def reference_slice_category(objects, morphisms):
+    """Oracle: the category of elements of Clk over the objects and
+    morphisms of a time category."""
+    return ([ElObj(o, n) for o in objects for n in o.names],
+            [TimeMor(ElObj(m.src, n), ElObj(m.dst, img), m.sigma)
+             for m in morphisms for n, img in m.sigma])
+
+
+def reference_full_subcat(objects, morphisms, keep):
+    objs = [o for o in objects if keep(o)]
+    kept = set(objs)
+    return objs, [m for m in morphisms if m.src in kept and m.dst in kept]
+
+
+def reference_categories(pool, bound):
+    """The time category, its slice and both inner subcategories, as
+    (objects, morphisms) in the order of Model's categories."""
+    time_ = reference_enumerate_category(pool, bound)
+    slc = reference_slice_category(*time_)
+    return [time_, slc,
+            reference_full_subcat(*time_, lambda o: len(o.names) < pool),
+            reference_full_subcat(*slc, lambda o: len(o.time.names) < pool)]
+
+
+def _compose(g, f):
+    image = dict(g.sigma)
+    return TimeMor(f.src, g.dst, tuple((a, image[b]) for a, b in f.sigma))
+
+
+def reference_tables(objects, morphisms, generators):
+    """succ, out, table, gens and gen_table of the old object-based
+    FinCategory: out-lists by source, composites by composition of
+    decoded morphisms, generators by their underlying time morphism."""
+    mor_id = {m: j for j, m in enumerate(morphisms)}
+    by_src = {o: [] for o in objects}
+    for j, m in enumerate(morphisms):
+        by_src[m.src].append(j)
+    succ = list(by_src.values())
+    out = [sorted(row, key=lambda j: mor_key(morphisms[j])) for row in succ]
+    gens = [[j for j in row if _underlying(morphisms[j]) in generators]
+            for row in succ]
+    obj_id = {o: i for i, o in enumerate(objects)}
+
+    def composites(outs):
+        return [[mor_id[_compose(morphisms[g], f)]
+                 for g in outs[obj_id[f.dst]]] for f in morphisms]
+    return succ, out, composites(succ), gens, composites(gens)
+
+
+def reference_fresh_tops(model):
+    """The old fresh_tops: the fresh clock added at the top stage and
+    marked, looked up as objects and TimeMors."""
+    top = model.bound - 1
+    obj_id = {o: i for i, o in enumerate(model.slice.objects)}
+    mor_id = {m: j for j, m in enumerate(model.slice.morphisms)}
+    fresh = {o: model.fresh_clock(o) for o in model.time_inner.objects}
+
+    def marked(o):
+        return ElObj(o.add_clock(fresh[o], top), fresh[o])
+    return (tuple(obj_id[marked(o)] for o in model.time_inner.objects),
+            tuple(mor_id[TimeMor(marked(m.src), marked(m.dst), tuple(sorted(
+                m.sigma + ((fresh[m.src], fresh[m.dst]),))))]
+                for m in model.time_inner.morphisms))
+
+
+REFERENCE_GRID = [(1, b) for b in range(2, 6)] + \
+    [(2, b) for b in range(2, 5)] + [(3, 2)]
+
+
+@pytest.mark.parametrize("pool,bound", REFERENCE_GRID)
+def test_integer_categories_match_reference(pool, bound):
+    model = Model(pool=pool, bound=bound)
+    generators = set(_time_generators(model.time, bound - 1))
+    for cat, (objects, morphisms) in zip(
+            _categories(pool, bound), reference_categories(pool, bound)):
+        assert list(cat.objects) == objects
+        assert list(cat.morphisms) == morphisms
+        succ, out, table, gens, gen_table = reference_tables(
+            objects, morphisms, generators)
+        assert list(map(list, cat.succ)) == succ
+        assert list(map(list, cat.out)) == out
+        assert list(map(list, cat.gens)) == gens
+        assert list(map(list, cat.gen_table)) == gen_table
+        assert list(map(list, cat.table)) == table
+    assert model.fresh_tops == reference_fresh_tops(model)
+
+
+@pytest.mark.parametrize("pool,bound", [(1, 2), (2, 3), (2, 10), (3, 2),
+                                        (3, 3)])
+def test_category_sizes_closed_form(pool, bound):
+    model = Model(pool=pool, bound=bound)
+    assert category_sizes(pool, bound) == (
+        len(model.time.objects), len(model.time.mors), len(model.slice.mors))
+
+
+def test_oversized_category_refused_before_enumeration():
+    start = time.monotonic()
+    # 59,049 objects and far more slice morphisms
+    with pytest.raises(BudgetExceeded, match="59049 objects"):
+        Model(pool=5, bound=8)
+    with pytest.raises(BudgetExceeded, match="max_elements budget"):
+        Model(pool=40, bound=1000)
+    assert time.monotonic() - start < 2
+    # (2, 4) has 25 objects and 1,200 slice morphisms
+    with pytest.raises(BudgetExceeded, match="1200 slice morphisms"):
+        Model(pool=2, bound=4, budget=Budget(max_elements=1199))
+    Model(pool=2, bound=4, budget=Budget(max_elements=1200))
+    with pytest.raises(BudgetExceeded, match=r"5\^2 objects"):
+        Model(pool=2, bound=4, budget=Budget(max_elements=24))
+    with pytest.raises(ValueError):
+        Model(pool=0, bound=4)
+
+
+def test_boundary_mappings():
+    """What readers outside the model rely on: fibers by object and
+    decoded morphisms."""
+    model = Model(pool=1, bound=3)
+    p = mu(model, parse_functor("sum(const{u},id)"))
+    cat = model.slice
+    assert [p.fib[o] for o in cat.objects] == list(p.fibs)
+    assert list(p.fib.values()) == list(p.fibs)
+    with pytest.raises(TypeError):
+        p.fib[cat.objects[0]] = ()
+    for j, (s, d, images) in enumerate(cat.mors):
+        m = cat.morphisms[j]
+        assert m == cat.decode(j)
+        assert (m.src, m.dst) == (cat.objects[s], cat.objects[d])
+        assert m.sigma == tuple(zip(m.src.time.names, (
+            m.dst.time.names[y] for y in images)))
+
+
+def _digest(p):
+    """Fibers by object key and actions by morphism key, in order."""
+    h = hashlib.sha256()
+    for o in p.cat.objects:
+        h.update(repr((obj_key(o), p.fib[o])).encode())
+    for m, act in zip(p.cat.morphisms, p.acts):
+        h.update(repr((mor_key(m), list(act.items()))).encode())
+    return h.hexdigest()[:16]
+
+
+def _type_expr(e):
+    if e[0] == "fin":
+        return MFin(e[1])
+    return {"prod": MProd, "sum": MSum, "arrow": MArrow, "later": MLater,
+            "forall": MForall}[e[0]](*map(_type_expr, e[1:]))
+
+
+_F1, _F2 = ["fin", 1], ["fin", 2]
+# The closed types of the benchmark's type catalogue, in both operand
+# orders, at pool 2 and bound 3, with whether they are evaluated over the
+# slice; and the digests of their fibers and actions as the object-keyed
+# presheaves computed them.
+CATALOGUE = [
+    (["prod", _F2, _F2], False, "30d03da0be5f0fb3"),
+    (["sum", _F2, _F2], False, "3dd5d7c5bc7a2037"),
+    (["later", _F1], True, "705ec17e83d9e2be"),
+    (["arrow", _F1, _F1], False, "2791eed89965714d"),
+    (["sum", ["sum", _F1, _F1], _F2], False, "808374b5c1c53fe0"),
+    (["sum", _F2, ["sum", _F1, _F1]], False, "c5ea6830db77802d"),
+    (["prod", ["sum", _F1, _F1], _F2], False, "628671484dd81fe1"),
+    (["prod", _F2, ["sum", _F1, _F1]], False, "ee729388e65bc9f1"),
+    (["forall", _F2], False, "eb9db7bea19a4030"),
+    (["forall", ["later", _F2]], False, "38d3bb7ee75428e0"),
+    (["later", _F2], True, "2fca7a81d7707062"),
+    (["arrow", _F1, _F2], False, "880ee5c4c37d14a4"),
+    (["prod", ["later", _F1], _F2], True, "44b4257df28cbfb0"),
+    (["prod", _F2, ["later", _F1]], True, "8b76913d8f4a42b7"),
+    (["forall", ["prod", _F2, _F2]], False, "5c7a325f03071046"),
+]
+
+
+@pytest.mark.parametrize("expr,sliced,digest", CATALOGUE,
+                         ids=[repr(c[0]) for c in CATALOGUE])
+def test_catalogue_fibers_and_actions_unchanged(expr, sliced, digest):
+    p = eval_type(SMALL[2, 3], _type_expr(expr), slice_=sliced)
+    assert _digest(p) == digest
+
+
+# The benchmark's guarded fixpoints at pool 1, with the digests of the
+# object-keyed presheaves.
+MU_DIGESTS = [("pf(id)", 4, "78d168e56eb52f4c"),
+              ("pf(prod(const{l},id))", 3, "63a96af0f7195af3"),
+              ("pf(id)", 3, "2f56829220099adb"),
+              ("sum(const{u},id)", 4, "310b06c42fe2b324"),
+              ("sum(const{u},id)", 6, "dd1913bd30e68b27"),
+              ("prod(const{a,b},id)", 4, "7d5ccbe5b66d1941"),
+              ("prod(const{a,b},id)", 6, "371df0d4c3285fd3"),
+              ("df(const{a,b})", 4, "b9d6ecf818ac49b4")]
+
+
+@pytest.mark.parametrize("fs,bound,digest", MU_DIGESTS)
+def test_mu_fibers_and_actions_unchanged(fs, bound, digest):
+    assert _digest(mu(Model(pool=1, bound=bound), parse_functor(fs))) == \
+        digest
 
 
 # -- presheaf constructions ----------------------------------------------------
@@ -346,8 +570,9 @@ def _brute_nats(a, b):
     for choice in itertools.product(*pools):
         comp = {o: dict(zip(a.fib[o], images))
                 for o, images in zip(objs, choice)}
-        if all(comp[m.dst][a.act[m][e]] == b.act[m][comp[m.src][e]]
-               for m in a.cat.morphisms for e in a.fib[m.src]):
+        if all(comp[m.dst][act_a[e]] == act_b[comp[m.src][e]]
+               for m, act_a, act_b in zip(a.cat.morphisms, a.acts, b.acts)
+               for e in a.fib[m.src]):
             out.append(comp)
     return out
 
@@ -474,29 +699,30 @@ def reference_mu(model, f):
     positional plans."""
     cat = model.slice
     chains = cat.stage_shift[0]
+    # keyed by object and morphism id
     fib, lat_decode, lat_encode, memo = {}, {}, {}, {}
 
     def act(j):
         if j in memo:
             return memo[j]
         m = cat.morphisms[j]
+        s, d = cat.obj_id[m.src], cat.obj_id[m.dst]
         k2 = m.dst.time.theta(m.dst.clock)
-        stage_acts = [act(s) for s in cat.stage_shift[2][j][:k2]]
-        label_map = {lbl: lat_encode[m.dst][tuple(
+        stage_acts = [act(t) for t in cat.stage_shift[2][j][:k2]]
+        label_map = {lbl: lat_encode[d][tuple(
             stage_acts[beta][fam[beta]] for beta in range(k2))]
-            for lbl, fam in lat_decode[m.src].items()}
-        memo[j] = reference_functor_map_all(f, label_map, fib[m.src])
+            for lbl, fam in lat_decode[s].items()}
+        memo[j] = reference_functor_map_all(f, label_map, fib[s])
         return memo[j]
 
     stage = [o.time.theta(o.clock) for o in cat.objects]
     for i in sorted(range(len(stage)), key=stage.__getitem__):
-        o = cat.objects[i]
-        families = _chain_limit(cat, fib, act, chains[i][:stage[i]])
-        lat_decode[o] = dict(enumerate(families))
-        lat_encode[o] = {fam: n for n, fam in enumerate(families)}
-        fib[o] = reference_functor_eval(f, range(len(families)),
+        families = _chain_limit(*_chain(cat, fib, act, chains[i][:stage[i]]))
+        lat_decode[i] = dict(enumerate(families))
+        lat_encode[i] = {fam: n for n, fam in enumerate(families)}
+        fib[i] = reference_functor_eval(f, range(len(families)),
                                         model.budget)
-    return fib, {m: act(j) for j, m in enumerate(cat.morphisms)}
+    return fib, {j: act(j) for j in range(len(cat.mors))}
 
 
 @pytest.mark.parametrize("fs", ["pf(id)", "pf(prod(const{l},id))",
@@ -508,10 +734,10 @@ def test_mu_matches_reference(fs, pool, bound):
     model = Model(pool=pool, bound=bound)
     p = mu(model, parse_functor(fs))
     fib, act = reference_mu(model, parse_functor(fs))
-    for o in model.slice.objects:
-        assert p.fib[o] == fib[o]
-    for m in model.slice.morphisms:
-        assert list(p.act[m].items()) == list(act[m].items())
+    for i, o in enumerate(model.slice.objects):
+        assert p.fib[o] == fib[i]
+    for j in range(len(model.slice.mors)):
+        assert list(p.acts[j].items()) == list(act[j].items())
 
 
 # -- force ---------------------------------------------------------------------

@@ -178,10 +178,35 @@ def test_convex_size_is_exact():
     # ints and Fractions at one position are ordered by value
     [1, Fraction(1, 2), 0, Fraction(3, 2)],
     [("pair", 1, "x"), ("pair", Fraction(1, 2), "y")],
-    [("set", (1,)), ("set", (Fraction(1, 2),))]])
+    [("set", (1,)), ("set", (Fraction(1, 2),))],
+    # frozensets compare by inclusion, a partial order
+    [frozenset({2}), frozenset({1, 3})],
+    [frozenset({1, 3}), frozenset(), frozenset({2}), frozenset({0, 1})],
+    [(frozenset({2}), Fraction(1, 2)), (frozenset({1, 3}), Fraction(1, 2))],
+    [("set", (frozenset({2}),)), ("set", (frozenset({1, 3}),))],
+    # members of different shapes: the first sorted member holds none
+    [("set", (frozenset({2}),)), ("set", ()), ("set", (frozenset({1, 3}),))],
+    [("inl", 1), ("inr", frozenset({2})), ("inr", frozenset({1, 3}))]])
 def test_psorted_is_csorted(xs):
     # plain order on one atom type per position; csorted on mixed bases
+    # and where members hold frozensets
     assert theories.psorted(xs) == csorted(xs)
+
+
+def test_operations_order_frozenset_members_as_free_model():
+    t = BUILTINS["semilattice"]
+    base = (frozenset({2}), frozenset({1, 3}))
+    elems = free_model(t, base).elements
+    f = {0: frozenset({2}), 1: frozenset({1, 3})}
+    assert fmap(t, f, ("set", (0, 1))) == \
+        ("set", (frozenset({1, 3}), frozenset({2})))
+    assert fmap(t, f, ("set", (0, 1))) in elems
+    joined = theories.apply_op(t, "or", [unit(t, x) for x in base])
+    assert joined in elems
+    assert mult(t, ("set", tuple(unit(t, x) for x in base))) == joined
+    convex = BUILTINS["convex"]
+    half = theories.apply_op(convex, "c12", [unit(convex, x) for x in base])
+    assert half in free_model(convex, base, Budget(max_denominator=2)).elements
 
 
 @pytest.mark.parametrize("name", ["semilattice", "convex",
@@ -441,6 +466,23 @@ def test_pullbacks_match_nested_loop_reference(name, size_bound):
     t = BUILTINS[name]
     assert check_preserves_pullbacks_of_monos(t, size_bound) == \
         reference_pullbacks_of_monos(t, size_bound)
+
+
+def test_pullback_square_count_and_budget():
+    # Σ_{|Y|<=s} 2^|Y| · Σ_{|X|<=s} |Y|^|X|, counted by the nested loops
+    for s in range(5):
+        squares = sum(1 for y in theories._sets_upto(s)
+                      for _ in theories._subsets(y)
+                      for x in theories._sets_upto(s)
+                      for _ in itertools.product(y, repeat=len(x)))
+        assert theories._pullback_squares(s, 10 ** 6) == squares
+    assert theories._pullback_squares(3, 10 ** 6) == 389
+    assert theories._pullback_squares(4, 10 ** 6) == 6559
+    t = BUILTINS["semilattice"]
+    assert check_preserves_pullbacks_of_monos(
+        t, 3, Budget(max_elements=389)).ok
+    with pytest.raises(BudgetExceeded, match="389 squares"):
+        check_preserves_pullbacks_of_monos(t, 3, Budget(max_elements=388))
 
 
 def test_leftzero_pullbacks_match_nested_loop_reference():
