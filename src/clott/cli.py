@@ -3,6 +3,14 @@
 Subcommands: check, eval, model verify, theory {drop,free,monos,pullbacks},
 coalg {terminal,final,bisim,weakbisim}, suite.  Exit codes: 0 all pass,
 1 any fail, 2 usage/parse error, 3 unknown verdicts with no fail.
+
+Boundary rule: a command adds its records and raises when it cannot
+decide; `args.check` names the check it is deciding.  Only `main` maps
+exceptions: parse and I/O errors (and integer options below their least
+value) to a one-line usage error, exit 2; `UNDECIDED` ones (recursion
+overflow, budgets, fresh clocks, no convergence, blocked conversion) to
+an unknown record under `args.check`; a type error to a fail record.
+Commands catch only to write a record that says more than the exception.
 """
 from __future__ import annotations
 
@@ -10,11 +18,13 @@ import argparse
 import re
 import sys
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from . import coalgebra, kernel, theories
-from .coalgebra import (BOT, bisimilarity, final_coalgebra, now,
-                        parse_coalgebra_file, parse_functor, show_functor,
-                        step, terminal_sequence, weak_bisim_delay)
+from .coalgebra import (BOT, FunctorParseError, NotConverged, bisimilarity,
+                        final_coalgebra, now, parse_coalgebra_file,
+                        parse_functor, show_functor, step, terminal_sequence,
+                        weak_bisim_delay)
 from .kernel import Context, Fuel, TypeCheckError, UnknownConversion, whnf
 from .model import (FreshClockExhausted, MArrow, MClk, MEq, MExists, MFin,
                     MForall, MLater, MMu, MProd, MSum, MTop, Model,
@@ -26,12 +36,22 @@ from .parser import (ParseError, parse_declarations, parse_term,
                      parse_theory_file)
 from .printer import show_alg_term, show_term
 from .report import (FAIL, PASS, TRUNCATION_ARTIFACT, UNKNOWN, Report)
-from .theories import (BUILTINS, Budget, BudgetExceeded, CheckResult,
+from .theories import (BUILTINS, Budget, BudgetExceeded, TheoryError,
                        check_preserves_monos,
                        check_preserves_pullbacks_of_monos, drop_equations,
                        free_model, theory_from_file)
 
 EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """Arguments that parse but that no command accepts."""
+
+
+USAGE_ERRORS = (OSError, UnicodeDecodeError, ParseError, FunctorParseError,
+                TheoryError, UsageError)
+UNDECIDED = (RecursionError, BudgetExceeded, FreshClockExhausted,
+             NotConverged, UnknownConversion)
 
 
 def data_path(name: str):
@@ -43,61 +63,31 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _reason(exc: Exception) -> str:
+    """The reason of an unknown verdict: `<Exception>: <message>`."""
+    message = (f"input nesting exceeds the recursion limit "
+               f"({sys.getrecursionlimit()} frames)"
+               if isinstance(exc, RecursionError) else exc)
+    return f"{type(exc).__name__}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # check / eval
 # ---------------------------------------------------------------------------
 
-def _too_deep(rep: Report, check: str) -> tuple[int, Report]:
-    """A term nested deeper than the recursive parser, checker or printer
-    can follow: the verdict is unknown, not a crash."""
-    rep.add(check, UNKNOWN,
-            {"reason": "term nesting exceeds the recursion limit "
-                       f"({sys.getrecursionlimit()} frames)"})
-    return 3, rep
-
-
-def cmd_check(args) -> tuple[int, Report]:
-    rep = Report("check", {"file": args.file, "fuel": args.fuel})
-    try:
-        decls = parse_declarations(_read(args.file))
-    except (OSError, ParseError) as exc:
-        print(f"clott check: {exc}", file=sys.stderr)
-        return EXIT_USAGE, rep
-    except RecursionError:
-        return _too_deep(rep, "declarations")
-    try:
-        kernel.check_declarations(decls, args.fuel)
-    except UnknownConversion as exc:
-        rep.add("declarations", UNKNOWN, {"reason": str(exc)})
-        return 3, rep
-    except TypeCheckError as exc:
-        rep.add("declarations", FAIL, {"rule": exc.rule, "message": str(exc)})
-        return 1, rep
-    except RecursionError:
-        return _too_deep(rep, "declarations")
+def cmd_check(args, rep: Report) -> None:
+    decls = parse_declarations(_read(args.file))
+    kernel.check_declarations(decls, args.fuel)
     rep.add("declarations", PASS, {"count": len(decls)})
-    return 0, rep
 
 
-def cmd_eval(args) -> tuple[int, Report]:
-    rep = Report("eval", {"fuel": args.fuel})
-    try:
-        t = parse_term(args.expr)
-    except ParseError as exc:
-        print(f"clott eval: {exc}", file=sys.stderr)
-        return EXIT_USAGE, rep
-    except RecursionError:
-        return _too_deep(rep, "eval")
-    try:
-        w, complete = whnf(Context(), t, Fuel(args.fuel))
-        shown = show_term(w)
-    except RecursionError:
-        return _too_deep(rep, "eval")
+def cmd_eval(args, rep: Report) -> None:
+    w, complete = whnf(Context(), parse_term(args.expr), Fuel(args.fuel))
+    shown = show_term(w)
     print(shown)
     rep.add("eval", PASS if complete else UNKNOWN,
             {"input": args.expr, "whnf": shown,
              "complete": complete})
-    return rep.exit_code(), rep
 
 
 # ---------------------------------------------------------------------------
@@ -235,86 +225,52 @@ _MODEL_SUITE_RUNNERS = {"invariance": _suite_invariance,
 MODEL_SUITES = (*_MODEL_SUITE_RUNNERS, "all")
 
 
-def _model_args_ok(cmd: str, args) -> bool:
-    """The time category needs a clock pool and at least two stages."""
-    if args.pool >= 1 and args.bound >= 2:
-        return True
-    print(f"clott {cmd}: need --pool >= 1 and --bound >= 2 "
-          f"(got --pool {args.pool} --bound {args.bound})", file=sys.stderr)
-    return False
+def _run_suites(args, rep: Report, runners: dict, name: str, target) -> None:
+    """The suite runner of `model verify` and `suite`: run suite `name`
+    (every one for "all") on target into rep.  An exception that leaves a
+    suite undecided ends the run as `<suite>/budget`."""
+    for suite in runners if name == "all" else (name,):
+        args.check = f"{suite}/budget"
+        runners[suite](target, rep)
 
 
 def run_model_suite(model: Model, suite: str, rep: Report) -> int:
-    """Run one model suite (or all of them) into rep.  A budget overrun
-    ends the run with an unknown verdict that carries the reason."""
-    for name in _MODEL_SUITE_RUNNERS if suite == "all" else (suite,):
-        try:
-            _MODEL_SUITE_RUNNERS[name](model, rep)
-        except (BudgetExceeded, FreshClockExhausted) as exc:
-            rep.add(f"{name}/budget", UNKNOWN,
-                    {"reason": f"{type(exc).__name__}: {exc}"})
-            break
-    return rep.exit_code()
+    """Run one model suite (or all of them) over model into rep, as
+    `model verify` does, and return the exit code."""
+    def run(args, rep):
+        _run_suites(args, rep, _MODEL_SUITE_RUNNERS, suite, model)
+    return _decide(run, argparse.Namespace(), rep)
 
 
-def cmd_model(args) -> tuple[int, Report]:
-    rep = Report("model verify",
-                 {"suite": args.suite, "pool": args.pool,
-                  "bound": args.bound})
-    if args.suite not in MODEL_SUITES:
-        print(f"clott model verify: unknown suite {args.suite!r} "
-              f"(choose from {', '.join(MODEL_SUITES)})", file=sys.stderr)
-        return EXIT_USAGE, rep
-    if not _model_args_ok("model verify", args):
-        return EXIT_USAGE, rep
-    try:
-        model = Model(pool=args.pool, bound=args.bound)
-    except BudgetExceeded as exc:
-        rep.add("model/budget", UNKNOWN,
-                {"reason": f"{type(exc).__name__}: {exc}"})
-        return rep.exit_code(), rep
-    return run_model_suite(model, args.suite, rep), rep
+def cmd_model(args, rep: Report) -> None:
+    _run_suites(args, rep, _MODEL_SUITE_RUNNERS, args.suite,
+                Model(pool=args.pool, bound=args.bound))
 
 
 # ---------------------------------------------------------------------------
 # theory
 # ---------------------------------------------------------------------------
 
-def _load_theory(path: str):
-    ops, eqs, builtin = parse_theory_file(_read(path))
-    return theory_from_file(ops, eqs, builtin)
+THEORY_CHECKS = {"drop": "drop-equations", "free": "free-model",
+                 "monos": "preserves-monos",
+                 "pullbacks": "preserves-pullbacks"}
 
 
-def cmd_theory(args) -> tuple[int, Report]:
-    rep = Report(f"theory {args.action}",
-                 {"file": args.file, "size": args.size, "depth": args.depth})
-    try:
-        t = _load_theory(args.file)
-    except (OSError, ParseError, theories.TheoryError) as exc:
-        print(f"clott theory: {exc}", file=sys.stderr)
-        return EXIT_USAGE, rep
+def cmd_theory(args, rep: Report) -> None:
+    args.check = THEORY_CHECKS[args.action]
+    ops, eqs, builtin = parse_theory_file(_read(args.file))
+    t = theory_from_file(ops, eqs, builtin)
     budget = Budget(term_size=args.depth)
-    try:
-        _theory_action(args, t, budget, rep)
-    except BudgetExceeded as exc:
-        name = "free-model" if args.action == "free" \
-            else f"preserves-{args.action}"
-        rep.add(name, UNKNOWN, {"reason": f"{type(exc).__name__}: {exc}"})
-    return rep.exit_code(), rep
-
-
-def _theory_action(args, t, budget: Budget, rep: Report) -> None:
     if args.action == "drop":
         drops = drop_equations(t)
-        rep.add("drop-equations", PASS,
+        rep.add(args.check, PASS,
                 {"drop": bool(drops), "count": len(drops),
                  "equations": [f"{show_alg_term(l)} = {show_alg_term(r)}"
                                for l, r in drops]},
                 anchor="drop equation: free variables differ across sides")
     elif args.action == "free":
-        base = tuple(range(args.size))
-        m = free_model(t, base, budget)
-        rep.add("free-model", PASS if m.exact else UNKNOWN,
+        m = free_model(t, tuple(range(args.size)), budget)
+        rep.add(args.check, PASS if m.exact else UNKNOWN,
                 {"base_size": args.size, "carrier_size": len(m.elements),
                  "exact": m.exact,
                  "note": None if m.exact else
@@ -323,8 +279,8 @@ def _theory_action(args, t, budget: Budget, rep: Report) -> None:
     else:
         checker = (check_preserves_monos if args.action == "monos"
                    else check_preserves_pullbacks_of_monos)
-        r: CheckResult = checker(t, size_bound=args.size, budget=budget)
-        rep.add(f"preserves-{args.action}", PASS if r.ok else FAIL,
+        r = checker(t, size_bound=args.size, budget=budget)
+        rep.add(args.check, PASS if r.ok else FAIL,
                 {"counterexample": r.counterexample, "bounds": r.bounds},
                 anchor="preservation of monos / pullbacks of monos")
 
@@ -339,92 +295,80 @@ def _steps(d, k):
     return d
 
 
+_DELAY_NAME = re.compile(r"[A-Za-z0-9_]+")
+_DELAY_TOKEN = re.compile(rf"{_DELAY_NAME.pattern}|\S")
+
+
 def parse_delay(text: str):
-    """Parse `step(step(now(a)))` / `bot` into a delay tree."""
-    text = text.replace(" ", "")
+    """Parse `step(step(now(a)))` / `bot` into a delay tree.  Spaces may
+    separate tokens but not split them."""
+    ts = _DELAY_TOKEN.findall(text)
     depth = 0
-    while text.startswith("step("):
+    while ts[2 * depth:2 * depth + 2] == ["step", "("]:
         depth += 1
-        text = text[len("step("):]
-    if depth and not text.endswith(")" * depth):
-        raise ValueError(f"unbalanced delay term {text!r}")
-    text = text[: len(text) - depth] if depth else text
-    if text == "bot":
-        core = BOT
-    else:
-        m = re.fullmatch(r"now\(([A-Za-z0-9_]+)\)", text)
-        if not m:
-            raise ValueError(f"bad delay term {text!r}")
-        core = now(m.group(1))
-    return _steps(core, depth)
+    core = ts[2 * depth:len(ts) - depth]
+    if ts[len(ts) - depth:] == [")"] * depth:
+        if core == ["bot"]:
+            return _steps(BOT, depth)
+        if len(core) == 4 and core[:2] == ["now", "("] and core[3] == ")" \
+                and _DELAY_NAME.fullmatch(core[2]):
+            return _steps(now(core[2]), depth)
+    raise FunctorParseError(f"bad delay term {text!r}")
 
 
-def cmd_coalg(args) -> tuple[int, Report]:
-    rep = Report(f"coalg {args.action}", {})
+def _functor(args, rep: Report):
+    f = parse_functor(args.functor)
+    rep.parameters["functor"] = show_functor(f)
+    return f
+
+
+def cmd_terminal(args, rep: Report) -> None:
+    seq = terminal_sequence(_functor(args, rep), args.steps)
+    rep.add("terminal-sequence",
+            PASS if seq.convergence is not None else UNKNOWN,
+            {"stage_sizes": seq.sizes(), "convergence": seq.convergence,
+             "budget_hit": seq.budget_hit},
+            anchor="terminal sequence 1 <- F(1) <- F^2(1) <- ...")
+
+
+def cmd_final(args, rep: Report) -> None:
+    f = _functor(args, rep)
     try:
-        return _coalg(args, rep)
-    except (coalgebra.FunctorParseError, ValueError, OSError) as exc:
-        print(f"clott coalg: {exc}", file=sys.stderr)
-        return EXIT_USAGE, rep
+        coalg, seq, finality = final_coalgebra(f, args.steps)
+    except BudgetExceeded as exc:
+        rep.add("final-coalgebra", UNKNOWN,
+                {"reason": _reason(exc), "coalgebras_checked": 0})
+        return
+    rep.add("final-coalgebra", PASS if finality.verified else UNKNOWN,
+            {"carrier_size": len(coalg.states), "stage_sizes": seq.sizes(),
+             "finality_bound": finality.size_bound,
+             "coalgebras_checked": finality.coalgebras_checked},
+            anchor="final coalgebra from the converged sequence")
 
 
-def _coalg(args, rep: Report) -> tuple[int, Report]:
-    if args.action in ("terminal", "final"):
-        f = parse_functor(args.functor)
-        rep.parameters.update({"functor": show_functor(f),
-                               "steps": args.steps})
-        if args.action == "terminal":
-            seq = terminal_sequence(f, args.steps)
-            verdict = PASS if seq.convergence is not None else UNKNOWN
-            rep.add("terminal-sequence", verdict,
-                    {"stage_sizes": seq.sizes(),
-                     "convergence": seq.convergence,
-                     "budget_hit": seq.budget_hit},
-                    anchor="terminal sequence 1 <- F(1) <- F^2(1) <- ...")
-        else:
-            try:
-                coalg, seq, finality = final_coalgebra(f, args.steps)
-            except coalgebra.NotConverged as exc:
-                rep.add("final-coalgebra", UNKNOWN, {"reason": str(exc)})
-                return rep.exit_code(), rep
-            except BudgetExceeded as exc:
-                rep.add("final-coalgebra", UNKNOWN,
-                        {"reason": str(exc), "coalgebras_checked": 0})
-                return rep.exit_code(), rep
-            rep.add("final-coalgebra",
-                    PASS if finality.verified else UNKNOWN,
-                    {"carrier_size": len(coalg.states),
-                     "stage_sizes": seq.sizes(),
-                     "finality_bound": finality.size_bound,
-                     "coalgebras_checked": finality.coalgebras_checked},
-                    anchor="final coalgebra from the converged sequence")
-    elif args.action == "bisim":
-        c = parse_coalgebra_file(_read(args.file))
-        rep.parameters["file"] = args.file
-        partition = bisimilarity(c)
-        evidence = {"blocks": [list(b) for b in partition]}
-        verdict = PASS
-        if args.states:
-            x, y = args.states
-            same = any(x in b and y in b for b in partition)
-            evidence["pair"] = [x, y]
-            evidence["bisimilar"] = same
-            verdict = PASS if same else FAIL
-        rep.add("bisimilarity", verdict, evidence,
-                anchor="partition refinement = coarsest bisimulation")
-    else:   # weakbisim
-        x = parse_delay(args.left)
-        y = parse_delay(args.right)
-        rep.parameters.update({"left": args.left, "right": args.right,
-                               "bound": args.bound})
-        stages = weak_bisim_delay(x, y, lambda a, b: a == b, args.bound)
-        rep.add("weak-bisimilarity",
-                PASS if stages["all"] else FAIL,
-                {"stages": {str(k): v for k, v in stages.items()
-                            if k != "all"},
-                 "all": stages["all"]},
-                anchor="weak bisimilarity on the truncated delay monad")
-    return rep.exit_code(), rep
+def cmd_bisim(args, rep: Report) -> None:
+    if len(args.states) not in (0, 2):
+        raise UsageError("supply zero or two states")
+    partition = bisimilarity(parse_coalgebra_file(_read(args.file)))
+    evidence = {"blocks": [list(b) for b in partition]}
+    verdict = PASS
+    if args.states:
+        x, y = args.states
+        same = any(x in b and y in b for b in partition)
+        evidence["pair"] = [x, y]
+        evidence["bisimilar"] = same
+        verdict = PASS if same else FAIL
+    rep.add("bisimilarity", verdict, evidence,
+            anchor="partition refinement = coarsest bisimulation")
+
+
+def cmd_weakbisim(args, rep: Report) -> None:
+    stages = weak_bisim_delay(parse_delay(args.left), parse_delay(args.right),
+                              lambda a, b: a == b, args.bound)
+    rep.add("weak-bisimilarity", PASS if stages["all"] else FAIL,
+            {"stages": {str(k): v for k, v in stages.items() if k != "all"},
+             "all": stages["all"]},
+            anchor="weak bisimilarity on the truncated delay monad")
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +391,16 @@ def _suite_requirements(args, rep: Report) -> None:
 
 def _suite_figures(args, rep: Report) -> None:
     for name in ("figures.clott", "next.clott"):
-        text = data_path(name).read_text(encoding="utf-8")
-        decls = parse_declarations(text)
+        decls = parse_declarations(data_path(name).read_text(encoding="utf-8"))
         try:
             kernel.check_declarations(decls, args.fuel)
-            rep.add(f"figures/{name}", PASS, {"declarations": len(decls)},
-                    anchor="Fig. 1/2 typing rules golden corpus")
+            verdict, evidence = PASS, {"declarations": len(decls)}
         except UnknownConversion as exc:
-            rep.add(f"figures/{name}", UNKNOWN, {"reason": str(exc)})
+            verdict, evidence = UNKNOWN, {"reason": _reason(exc)}
         except TypeCheckError as exc:
-            rep.add(f"figures/{name}", FAIL, {"message": str(exc)})
+            verdict, evidence = FAIL, {"message": str(exc)}
+        rep.add(f"figures/{name}", verdict, evidence,
+                anchor="Fig. 1/2 typing rules golden corpus")
 
 
 def _suite_theories(args, rep: Report) -> None:
@@ -468,7 +412,10 @@ def _suite_theories(args, rep: Report) -> None:
                 anchor="drop-equation detection")
         r = check_preserves_pullbacks_of_monos(t, size_bound=args.size,
                                                budget=budget)
-        rep.add(f"theories/{name}/pullbacks", PASS if r.ok else FAIL,
+        # Thm. 5: pullbacks of monos are preserved exactly when no equation
+        # drops a variable; a drop equation must show its non-example square
+        rep.add(f"theories/{name}/pullbacks",
+                PASS if r.ok != bool(drops) else FAIL,
                 {"counterexample": r.counterexample, "bounds": r.bounds},
                 anchor="Thm. 5 finite instances / non-example square")
 
@@ -507,126 +454,139 @@ _SUITE_RUNNERS = {"requirements": _suite_requirements,
 SUITES = tuple(_SUITE_RUNNERS)
 
 
-def cmd_suite(args) -> tuple[int, Report]:
-    rep = Report(f"suite {args.name}",
-                 {"pool": args.pool, "bound": args.bound, "fuel": args.fuel,
-                  "size": args.size, "depth": args.depth})
-    if args.name not in SUITES:
-        print(f"clott suite: unknown suite {args.name!r} "
-              f"(choose from {', '.join(SUITES)})", file=sys.stderr)
-        return EXIT_USAGE, rep
-    if args.name == "requirements" and not _model_args_ok("suite", args):
-        return EXIT_USAGE, rep
-    try:
-        _SUITE_RUNNERS[args.name](args, rep)
-    except BudgetExceeded as exc:
-        rep.add(f"{args.name}/budget", UNKNOWN,
-                {"reason": f"{type(exc).__name__}: {exc}"})
-    return rep.exit_code(), rep
+def cmd_suite(args, rep: Report) -> None:
+    _run_suites(args, rep, _SUITE_RUNNERS, args.name, args)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and the boundary
 # ---------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    """A row of the command table: subcommand words, handler fn(args, rep),
+    the check an exception escaping fn is recorded under (None: fn names
+    it), help, report title and parameters (formatted from and read from
+    args), positional arguments as (name, argparse keywords) and integer
+    options as (option, default, least value)."""
+    path: str
+    fn: Callable
+    check: str | None
+    help: str | None
+    title: str
+    params: tuple
+    positionals: tuple
+    ints: tuple = ()
+
+
+_FUEL = (("fuel", 32, 0),)
+_POOL_BOUND = (("pool", 2, 1), ("bound", 4, 2))
+_SIZE_DEPTH = (("size", 3, 0), ("depth", 4, 0))
+_FUNCTOR = (("functor", {}),)
+_STEPS = (("steps", 8, 0),)
+
+COMMANDS = (
+    Command("check", cmd_check, "declarations", "typecheck a .clott file",
+            "check", ("file", "fuel"), (("file", {}),), _FUEL),
+    Command("eval", cmd_eval, "eval", "weak-head normalize a term", "eval",
+            ("fuel",), (("expr", {}),), _FUEL),
+    Command("model verify", cmd_model, "model/budget", "run a model suite",
+            "model verify", ("suite", "pool", "bound"),
+            (("suite", {"choices": MODEL_SUITES}),), _POOL_BOUND),
+    Command("theory", cmd_theory, None, "algebraic theory checks",
+            "theory {action}", ("file", "size", "depth"),
+            (("action", {"choices": THEORY_CHECKS}),
+             ("file", {"help": "a .thy theory file"})), _SIZE_DEPTH),
+    Command("coalg terminal", cmd_terminal, "terminal-sequence", None,
+            "coalg terminal", ("steps",), _FUNCTOR, _STEPS),
+    Command("coalg final", cmd_final, "final-coalgebra", None, "coalg final",
+            ("steps",), _FUNCTOR, _STEPS),
+    Command("coalg bisim", cmd_bisim, "bisimilarity", None, "coalg bisim",
+            ("file",),
+            (("file", {"help": "a .coalg edge-list file"}),
+             ("states", {"nargs": "*", "metavar": "STATE",
+                         "help": "optional pair of states to compare"}))),
+    Command("coalg weakbisim", cmd_weakbisim, "weak-bisimilarity", None,
+            "coalg weakbisim", ("left", "right", "bound"),
+            (("left", {"help": "delay term, e.g. step(now(a))"}),
+             ("right", {})), (("bound", 4, 1),)),
+    Command("suite", cmd_suite, "{name}/budget", "run a curated battery",
+            "suite {name}", ("pool", "bound", "fuel", "size", "depth"),
+            (("name", {"choices": SUITES}),),
+            _POOL_BOUND + _FUEL + _SIZE_DEPTH),
+)
+_GROUPS = {"model": "presheaf model checks", "coalg": "coalgebra checks"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):           # one line, no usage block
+        self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="clott",
-        description="Workbench for Clocked Type Theory: typechecker, "
-                    "finite presheaf model, algebraic theories, coalgebra.")
+    p = _Parser(prog="clott",
+                description="Workbench for Clocked Type Theory: typechecker, "
+                            "finite presheaf model, algebraic theories, "
+                            "coalgebra.")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
+    groups = {}
+    for c in COMMANDS:
+        head, _, leaf = c.path.partition(" ")
+        if leaf and head not in groups:
+            groups[head] = sub.add_parser(head, help=_GROUPS[head]) \
+                .add_subparsers(dest="action", required=True)
+        sp = (groups[head] if leaf else sub).add_parser(leaf or head,
+                                                        help=c.help)
+        for name, kw in c.positionals:
+            sp.add_argument(name, **kw)
+        for name, default, least in c.ints:
+            sp.add_argument(f"--{name}", type=int, default=default,
+                            help=f"at least {least} (default {default})")
         sp.add_argument("--json", metavar="PATH",
                         help="write the JSON report to PATH ('-' = stdout)")
-
-    sp = sub.add_parser("check", help="typecheck a .clott file")
-    sp.add_argument("file")
-    sp.add_argument("--fuel", type=int, default=32)
-    common(sp)
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("eval", help="weak-head normalize a term")
-    sp.add_argument("expr")
-    sp.add_argument("--fuel", type=int, default=32)
-    common(sp)
-    sp.set_defaults(fn=cmd_eval)
-
-    sp = sub.add_parser("model", help="presheaf model checks")
-    msub = sp.add_subparsers(dest="model_cmd", required=True)
-    mv = msub.add_parser("verify", help="run a model suite")
-    mv.add_argument("suite", help=f"one of: {', '.join(MODEL_SUITES)}")
-    mv.add_argument("--pool", type=int, default=2)
-    mv.add_argument("--bound", type=int, default=4)
-    common(mv)
-    mv.set_defaults(fn=cmd_model)
-
-    sp = sub.add_parser("theory", help="algebraic theory checks")
-    sp.add_argument("action", choices=["drop", "free", "monos", "pullbacks"])
-    sp.add_argument("file", help="a .thy theory file")
-    sp.add_argument("--size", type=int, default=3)
-    sp.add_argument("--depth", type=int, default=4)
-    common(sp)
-    sp.set_defaults(fn=cmd_theory)
-
-    sp = sub.add_parser("coalg", help="coalgebra checks")
-    csub = sp.add_subparsers(dest="action", required=True)
-    ct = csub.add_parser("terminal")
-    ct.add_argument("functor")
-    ct.add_argument("--steps", type=int, default=8)
-    common(ct)
-    ct.set_defaults(fn=cmd_coalg, action="terminal")
-    cf = csub.add_parser("final")
-    cf.add_argument("functor")
-    cf.add_argument("--steps", type=int, default=8)
-    common(cf)
-    cf.set_defaults(fn=cmd_coalg, action="final")
-    cb = csub.add_parser("bisim")
-    cb.add_argument("file", help="a .coalg edge-list file")
-    cb.add_argument("states", nargs="*", metavar="STATE",
-                    help="optional pair of states to compare")
-    common(cb)
-    cb.set_defaults(fn=cmd_coalg, action="bisim")
-    cw = csub.add_parser("weakbisim")
-    cw.add_argument("left", help="delay term, e.g. step(now(a))")
-    cw.add_argument("right")
-    cw.add_argument("--bound", type=int, default=4)
-    common(cw)
-    cw.set_defaults(fn=cmd_coalg, action="weakbisim")
-
-    sp = sub.add_parser("suite", help="run a curated battery")
-    sp.add_argument("name", help=f"one of: {', '.join(SUITES)}")
-    sp.add_argument("--pool", type=int, default=2)
-    sp.add_argument("--bound", type=int, default=4)
-    sp.add_argument("--fuel", type=int, default=32)
-    sp.add_argument("--size", type=int, default=3)
-    sp.add_argument("--depth", type=int, default=4)
-    common(sp)
-    sp.set_defaults(fn=cmd_suite)
+        sp.set_defaults(command=c)
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _check_ints(c: Command, args) -> None:
+    low = [f"--{o} {getattr(args, o)}" for o, _, least in c.ints
+           if getattr(args, o) < least]
+    if low:
+        need = " and ".join(f"--{o} >= {least}" for o, _, least in c.ints)
+        raise UsageError(f"need {need} (got {', '.join(low)})")
+
+
+def _decide(fn, args, rep: Report) -> int:
+    """Run fn(args, rep); what it raises when it cannot decide becomes the
+    verdict of the check named by args.check."""
     try:
-        args = parser.parse_args(argv)
+        fn(args, rep)
+    except UNDECIDED as exc:
+        rep.add(args.check, UNKNOWN, {"reason": _reason(exc)})
+    except TypeCheckError as exc:
+        rep.add(args.check, FAIL, {"rule": exc.rule, "message": str(exc)})
+    return rep.exit_code()
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
-    if args.fn is cmd_coalg and getattr(args, "states", None) and \
-            len(args.states) not in (0, 2):
-        print("clott coalg bisim: supply zero or two states",
-              file=sys.stderr)
-        return EXIT_USAGE
-    code, rep = args.fn(args)
-    if code != EXIT_USAGE:
+        return 0 if exc.code == 0 else EXIT_USAGE
+    c, fields = args.command, vars(args)
+    rep = Report(c.title.format_map(fields), {k: fields[k] for k in c.params})
+    args.check = c.check and c.check.format_map(fields)
+    try:
+        _check_ints(c, args)
+        code = _decide(c.fn, args, rep)
         print(rep.summary())
-        if getattr(args, "json", None):
-            payload = rep.dumps()
-            if args.json == "-":
-                sys.stdout.write(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
+        if args.json == "-":
+            sys.stdout.write(rep.dumps())
+        elif args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(rep.dumps())
+    except USAGE_ERRORS as exc:
+        print(f"clott {c.path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -74,11 +74,11 @@ class FFree(FunctorExpr):
     inner: FunctorExpr
 
 
-_FUNCTOR_TOKEN = re.compile(r"\s*([a-z]+|[(){},]|[A-Za-z0-9_]+)")
+_FUNCTOR_TOKEN = re.compile(r"\s*([A-Za-z0-9_]+|[(){},])")
 
 
-class FunctorParseError(Exception):
-    pass
+class FunctorParseError(ValueError):
+    """Malformed functor, delay or edge-list syntax."""
 
 
 def parse_functor(text: str) -> FunctorExpr:
@@ -108,9 +108,14 @@ def _parse_functor(ts: list[str]) -> tuple[FunctorExpr, list[str]]:
         ts = ts[1:]
         elems = []
         while ts and ts[0] != "}":
-            if ts[0] == ",":
+            if elems:
+                if ts[0] != ",":
+                    raise FunctorParseError("const elements need commas")
                 ts = ts[1:]
-                continue
+            if not ts or ts[0] in ("(", ")", "{", "}", ","):
+                raise FunctorParseError("const expects element names")
+            if ts[0] in elems:
+                raise FunctorParseError(f"repeated const element {ts[0]!r}")
             elems.append(ts[0])
             ts = ts[1:]
         if not ts:

@@ -34,10 +34,16 @@ def test_parse_show_roundtrip():
 
 
 def test_parse_errors():
-    with pytest.raises(FunctorParseError):
-        parse_functor("sum(id")
-    with pytest.raises(FunctorParseError):
-        parse_functor("id id")
+    for text in ("sum(id", "id id", "const{a b}", "const{a b c}",
+                 "const{,a,,b,}", "const{a,}", "const{(}", "const{a",
+                 "const{a,b,a}"):
+        with pytest.raises(FunctorParseError):
+            parse_functor(text)
+
+
+def test_const_elements():
+    assert parse_functor("const{}") == FConst(())
+    assert parse_functor("const{ b1 , a_2 }") == FConst(("a_2", "b1"))
 
 
 @pytest.mark.parametrize("text", [
