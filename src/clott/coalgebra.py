@@ -15,16 +15,13 @@ positions i·|R| + j and sum positions offset.  The boundary rule of the
 theories module holds here: `functor_eval` sorts a user-given base once
 with `csorted` and decodes positions over it, and the relabelled stages
 of `terminal_sequence` and of `mu` never call `canon_key` per element.
-Plain `sorted` is canonical on the data inside, where each position holds
-one atom type (int labels, const strings, Fraction masses, tags first),
-so the single-value action `functor_map`, which `bisimilarity` applies
-to its signatures, sorts with it.
 
 Bisimilarity is the coarsest stable partition, computed by signature
-refinement: a state's signature is recomputed only after one of its
-successors changed block id, and only the smaller parts of a split
-block change id (O(m log n) signatures in all);
-`brute_force_bisimilarity` enumerates partitions as the oracle.
+refinement on state indices with a signature function compiled from F: a
+state's signature is recomputed only after one of its successors changed
+block id, and only the smaller parts of a split block change id
+(O(m log n) signatures in all); `brute_force_bisimilarity` enumerates
+partitions as the oracle.
 """
 from __future__ import annotations
 
@@ -83,8 +80,8 @@ class FunctorParseError(ValueError):
 
 def parse_functor(text: str) -> FunctorExpr:
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _FUNCTOR_TOKEN.match(text, pos)
         if not m:
             raise FunctorParseError(f"bad character at offset {pos}")
@@ -343,26 +340,26 @@ class _DfPlan(_FreePlan):
         return out
 
 
-def functor_map(f: FunctorExpr, fn: dict, value, sort=theories.psorted):
-    """The function F(fn) applied to one element of F(X); sort orders the
-    members of free-theory layers, as in `theories.fmap`."""
+def functor_map(f: FunctorExpr, fn: dict, value):
+    """The function F(fn) applied to one element of F(X), members of
+    free-theory layers ordered as `theories.fmap` orders them."""
     if isinstance(f, FId):
         return fn[value]
     if isinstance(f, FConst):
         return value
     if isinstance(f, FProd):
         _, l, r = value
-        return ("pair", functor_map(f.left, fn, l, sort),
-                functor_map(f.right, fn, r, sort))
+        return ("pair", functor_map(f.left, fn, l),
+                functor_map(f.right, fn, r))
     if isinstance(f, FSum):
         tag, v = value
         side = f.left if tag == "inl" else f.right
-        return (tag, functor_map(side, fn, v, sort))
+        return (tag, functor_map(side, fn, v))
     if isinstance(f, FFree):
         theory = BUILTINS[f.theory]
         members = value[1] if value[0] == "set" else [x for x, _ in value[1]]
-        inner_fn = {m: functor_map(f.inner, fn, m, sort) for m in members}
-        return theories.fmap(theory, inner_fn, value, sort)
+        inner_fn = {m: functor_map(f.inner, fn, m) for m in members}
+        return theories.fmap(theory, inner_fn, value)
     raise AssertionError(type(f).__name__)
 
 
@@ -501,54 +498,39 @@ def _coalgebra_homs(f: FunctorExpr, source: Coalgebra,
 # Bisimilarity by signature refinement (smaller-half rule)
 # ---------------------------------------------------------------------------
 
-def _signature_sort(f: FunctorExpr):
-    """How bisimilarity sorts the members of signatures.  A signature holds
-    block ids (ints), tags and constants of f, the structure being an
-    element of F(states), so it sorts plainly unless a constant is or
-    holds a frozenset."""
-    if theories.holds_frozenset(_constants(f)):
-        return theories.psorted
-    return theories.sorted_plain
-
-
-def _constants(f: FunctorExpr) -> tuple:
-    if isinstance(f, FConst):
-        return f.elems
-    if isinstance(f, (FProd, FSum)):
-        return _constants(f.left) + _constants(f.right)
-    if isinstance(f, FFree):
-        return _constants(f.inner)
-    return ()
-
-
 def bisimilarity(coalg: Coalgebra) -> tuple:
     """Coarsest partition P with P = ker(F(quotient) ∘ ξ), as a tuple of
     canonically sorted state blocks ordered by their least member.
 
     Worklist signature refinement after Paige and Tarjan, generic over the
-    functor as in Deifel, Milius, Schröder and Wißmann: a state's
-    signature F(class_of)(ξ(s)) is recomputed only when a state at an id
-    leaf of ξ(s) changed block id.  When a block splits, its largest part
-    keeps the id, so a state changes id at most log2(n) times and the
-    signature work is O(m log n) for m id leaves in all of ξ."""
-    f, xi = coalg.functor, coalg.structure
-    states = tuple(csorted(coalg.states))
-    preds: dict = {s: [] for s in states}
-    for s in states:
-        for t in _id_leaves(f, xi[s], []):
-            preds[t].append(s)
-    class_of = dict.fromkeys(states, 0)
-    sort = _signature_sort(f)
-    members = {0: set(states)}
+    functor as in Deifel, Milius, Schröder and Wißmann, on the indices of
+    the sorted states: ξ is encoded once over them, and the signature
+    F(class_of)(ξ(s)), compiled once from F (`_compile`), is recomputed
+    only when a state at an id leaf of ξ(s) changed block id.  When a
+    block splits, its largest part keeps the id, so a state changes id at
+    most log2(n) times: O(m log n) signatures for m id leaves in all."""
+    states = tuple(theories.psorted(coalg.states))
+    index = {s: i for i, s in enumerate(states)}
+    class_of = [0] * len(states)
+    leaves: list = []
+    encode, signature = _compile(coalg.functor, index, class_of, leaves)
+    signature = signature or (lambda code: code)
+    xi, preds = [], [[] for _ in states]
+    for i, s in enumerate(states):
+        xi.append(encode(coalg.structure[s]))
+        for t in leaves:
+            preds[t].append(i)
+        leaves.clear()
+    members = {0: set(range(len(states)))}
     # block id -> the signature shared by its states that are not dirty
     block_sig: dict = {}
-    dirty = set(states)
+    dirty = set(members[0])
     fresh = 1
     while dirty:
         regroup: dict = {}
         for s in dirty:
             regroup.setdefault(class_of[s], {}).setdefault(
-                functor_map(f, class_of, xi[s], sort), []).append(s)
+                signature(xi[s]), []).append(s)
         todo, dirty = dirty, set()
         for b, groups in regroup.items():
             block = members[b]
@@ -577,25 +559,55 @@ def bisimilarity(coalg: Coalgebra) -> tuple:
                     dirty.update(preds[s])
                 fresh += 1
     out: dict = {}
-    for s in states:
-        out.setdefault(class_of[s], []).append(s)
+    for i, s in enumerate(states):
+        out.setdefault(class_of[i], []).append(s)
     return tuple(tuple(b) for b in out.values())
 
 
-def _id_leaves(f: FunctorExpr, value, acc: list) -> list:
-    """Append to acc the elements of X at the id leaves of value ∈ F(X)."""
+def _compile(f: FunctorExpr, index: dict, class_of: list,
+             leaves: list) -> tuple:
+    """F compiled for `bisimilarity` as (encode, signature).  encode(v)
+    gives the code of v ∈ F(states): each state its index, also appended
+    to leaves, each constant its position in FConst.elems, sum tags 0/1,
+    pf and df elements tuples of member codes and of (code, mass) pairs.
+    signature(code) is F(class_of)(code) in the same encoding, with pf
+    members sorted and df masses summed per member: ints, tuples and
+    Fractions, which plain `sorted` orders canonically.  It is None where
+    f has no id leaf, as the code is then its own signature."""
     if isinstance(f, FId):
-        acc.append(value)
-    elif isinstance(f, FProd):
-        _id_leaves(f.left, value[1], acc)
-        _id_leaves(f.right, value[2], acc)
-    elif isinstance(f, FSum):
-        _id_leaves(f.left if value[0] == "inl" else f.right, value[1], acc)
-    elif isinstance(f, FFree):
-        members = value[1] if value[0] == "set" else [x for x, _ in value[1]]
-        for m in members:
-            _id_leaves(f.inner, m, acc)
-    return acc
+        def encode(v):
+            leaves.append(index[v])
+            return leaves[-1]
+        return encode, class_of.__getitem__
+    if isinstance(f, FConst):
+        return {e: i for i, e in enumerate(f.elems)}.__getitem__, None
+    if isinstance(f, FFree):
+        me, ms = _compile(f.inner, index, class_of, leaves)
+        if f.theory == "semilattice":
+            return (lambda v: tuple(map(me, v[1])),
+                    ms and (lambda v: tuple(sorted(set(map(ms, v))))))
+
+        def signature(v):
+            acc = theories.summed_masses((ms(x), p) for x, p in v)
+            return tuple(sorted(acc.items()))
+        return lambda v: tuple([(me(x), p) for x, p in v[1]]), ms and signature
+    (le, ls), (re_, rs) = (_compile(g, index, class_of, leaves)
+                           for g in (f.left, f.right))
+    if isinstance(f, FSum):
+        def encode(v):
+            return (0, le(v[1])) if v[0] == "inl" else (1, re_(v[1]))
+
+        def signature(v):
+            side = (ls, rs)[v[0]]
+            return v if side is None else (v[0], side(v[1]))
+    else:
+        def encode(v):
+            return le(v[1]), re_(v[2])
+
+        def signature(v):
+            return (v[0] if ls is None else ls(v[0]),
+                    v[1] if rs is None else rs(v[1]))
+    return encode, None if ls is None and rs is None else signature
 
 
 def brute_force_bisimilarity(coalg: Coalgebra) -> tuple:

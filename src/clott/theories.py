@@ -209,20 +209,15 @@ def psorted(xs):
     csorted where a mixed-type base makes plain comparison fail, and where
     a member is or holds a frozenset, since frozensets compare by
     inclusion, a partial order.  Members differ in shape (sum tags,
-    tuples of any length), so each is checked.  A caller that has found
-    once per base that no member can hold a frozenset uses sorted_plain."""
-    out = sorted_plain(xs)
+    tuples of any length), so each is checked."""
+    out = list(xs)      # an iterator would be spent by a failed sort
+    try:
+        out.sort()
+    except TypeError:
+        return csorted(out)
     if len(out) > 1 and any(map(holds_frozenset, out)):
         return csorted(out)
     return out
-
-
-def sorted_plain(xs):
-    """psorted for members that hold no frozenset."""
-    try:
-        return sorted(xs)
-    except TypeError:
-        return csorted(xs)
 
 
 _NESTED = frozenset((tuple, frozenset))
@@ -289,14 +284,18 @@ def free_model(t: Theory, base, budget: Budget | None = None) -> FreeModel:
             base, *convex_codes(len(base), budget)), True)
     if b in ("monoid", "commutative-monoid"):
         tag = "list" if b == "monoid" else "bag"
+        # n^k words or C(n+k-1, k) multisets of length k over n generators
+        # (one of length 0), summed before any layer is built
+        n = len(base)
+        layers = (n ** k if tag == "list" else math.comb(n + k - 1, k) if k
+                  else 1 for k in range(budget.max_len + 1))
+        if any(s > budget.max_elements for s in itertools.accumulate(layers)):
+            raise BudgetExceeded(f"{b} carrier too large")
         words = []
-        for n in range(budget.max_len + 1):
-            words.extend(itertools.product(range(len(base)), repeat=n)
+        for k in range(budget.max_len + 1):
+            words.extend(itertools.product(range(n), repeat=k)
                          if tag == "list" else
-                         itertools.combinations_with_replacement(
-                             range(len(base)), n))
-            if len(words) > budget.max_elements:
-                raise BudgetExceeded(f"{b} carrier too large")
+                         itertools.combinations_with_replacement(range(n), k))
         # length-capped slice of an infinite free monoid: still exact
         # equality on the listed elements
         words.sort()
@@ -382,6 +381,14 @@ def _compositions(total: int, parts: int):
         c[i + 1:] = [0] * (parts - i - 2) + [tail - 1]
 
 
+def summed_masses(pairs) -> dict:
+    """The masses of (member, mass) pairs added up per member."""
+    acc: dict = {}
+    for x, m in pairs:
+        acc[x] = acc.get(x, 0) + m
+    return acc
+
+
 def interpret(t: Theory, term: AlgTerm, env: dict) -> object:
     """Evaluate an algebraic term in T(X) with variables bound to elements
     of T(X) by env."""
@@ -403,11 +410,8 @@ def apply_op(t: Theory, op: str, args: list):
     if b == "convex":
         p = CONVEX_WEIGHTS[op]
         (_, d1), (_, d2) = args
-        acc: dict = {}
-        for x, m in d1:
-            acc[x] = acc.get(x, Fraction(0)) + p * m
-        for x, m in d2:
-            acc[x] = acc.get(x, Fraction(0)) + (1 - p) * m
+        acc = summed_masses([*((x, p * m) for x, m in d1),
+                             *((x, (1 - p) * m) for x, m in d2)])
         return ("dist", tuple(psorted([(x, m) for x, m in acc.items() if m])))
     if b in ("monoid", "commutative-monoid"):
         if op == "e":
@@ -421,22 +425,19 @@ def apply_op(t: Theory, op: str, args: list):
                       "congruence-class model")
 
 
-def fmap(t: Theory, f: dict, elem, sort=psorted):
-    """Functor action T(f): rename the free variables of a normal form.
-    sort orders the images: psorted, or sorted_plain where no image of f
-    holds a frozenset."""
+def fmap(t: Theory, f: dict, elem):
+    """Functor action T(f): rename the free variables of a normal form,
+    the images in canonical order by `psorted`."""
     tag = elem[0]
     if tag == "set":
-        return ("set", tuple(sort({f[x] for x in elem[1]})))
+        return ("set", tuple(psorted({f[x] for x in elem[1]})))
     if tag == "dist":
-        acc: dict = {}
-        for x, m in elem[1]:
-            acc[f[x]] = acc.get(f[x], Fraction(0)) + m
-        return ("dist", tuple(sort(acc.items())))
+        acc = summed_masses((f[x], m) for x, m in elem[1])
+        return ("dist", tuple(psorted(acc.items())))
     if tag == "list":
         return ("list", tuple(f[x] for x in elem[1]))
     if tag == "bag":
-        return ("bag", tuple(sort(f[x] for x in elem[1])))
+        return ("bag", tuple(psorted(f[x] for x in elem[1])))
     if tag == "star":
         return elem
     if tag == "class":
@@ -460,10 +461,8 @@ def mult(t: Theory, elem):
             acc.update(inner[1])
         return ("set", tuple(psorted(acc)))
     if tag == "dist":
-        acc: dict = {}
-        for inner, m in elem[1]:
-            for x, mx in inner[1]:
-                acc[x] = acc.get(x, Fraction(0)) + m * mx
+        acc = summed_masses((x, m * mx) for inner, m in elem[1]
+                            for x, mx in inner[1])
         return ("dist", tuple(psorted(acc.items())))
     if tag == "list":
         return ("list", tuple(x for inner in elem[1] for x in inner[1]))

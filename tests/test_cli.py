@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 import time
 from pathlib import Path
@@ -338,6 +339,17 @@ def test_coalg_bad_functor_is_usage_error(capsys):
         assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+def test_coalg_functor_with_surrounding_spaces(tmp_path):
+    # leading, inner and trailing spaces are not part of the functor
+    # (pf(id) does not converge within two steps: unknown)
+    for functor, exit_code, sizes in (("id ", 0, [1, 1]),
+                                      (" pf( id ) ", 3, [1, 2, 4])):
+        code, doc = run_json(["coalg", "terminal", functor, "--steps", "2"],
+                             tmp_path)
+        assert code == exit_code
+        assert doc["checks"][0]["evidence"]["stage_sizes"] == sizes
+
+
 def test_coalg_bisim_pair(tmp_path):
     assert run(["coalg", "bisim", f"{DATA}/stream.coalg", "p", "q"]) == 0
     assert run(["coalg", "bisim", f"{DATA}/stream.coalg", "p", "r"]) == 1
@@ -567,3 +579,45 @@ def test_json_to_stdout(capsys):
     out = capsys.readouterr().out
     doc = json.loads(out[out.index("{"):])
     assert doc["command"] == "coalg terminal"
+
+
+# -- golden bisimilarity reports ------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def planted_lts_text(quotient=50, copies=20, seed=11) -> str:
+    """An LTS on quotient * copies states: each state copies one state of
+    a random quotient LTS, and each quotient edge q -a-> t becomes an edge
+    from every copy of q to a random copy of t, so copies of one quotient
+    state are bisimilar.  Names are shuffled, so blocks interleave."""
+    rng = random.Random(seed)
+    edges = [[(rng.choice("abc"), rng.randrange(quotient))
+              for _ in range(rng.randrange(4))] for _ in range(quotient)]
+    names = [f"s{i:04d}" for i in range(quotient * copies)]
+    rng.shuffle(names)
+    lines = []
+    for q in range(quotient):
+        for c in range(copies):
+            src = names[q * copies + c]
+            lines.append(f"state {src}")
+            lines += [f"{src} {a} {names[t * copies + rng.randrange(copies)]}"
+                      for a, t in edges[q]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["stream", "planted-1000"])
+def test_bisim_report_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    # the bytes of `coalg bisim FILE --json -` are pinned, so that a
+    # faster partition refinement cannot change one
+    if name == "stream":
+        path = f"{DATA}/stream.coalg"
+    else:
+        monkeypatch.chdir(tmp_path)
+        path = "planted.coalg"
+        Path(path).write_text(planted_lts_text(), encoding="utf-8")
+    assert main(["coalg", "bisim", path, "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"bisim-{name}.out").read_text(
+        encoding="utf-8")

@@ -109,6 +109,27 @@ def test_commutative_monoid_carrier_counts():
     assert len(m.elements) == 10
 
 
+@pytest.mark.parametrize("name, layer, total", [
+    ("monoid", "product", 1 + 3 + 9 + 27),
+    ("commutative-monoid", "combinations_with_replacement", 1 + 3 + 6 + 10)])
+def test_monoid_carrier_refused_before_any_layer(monkeypatch, name, layer,
+                                                 total):
+    t, base = BUILTINS[name], (0, 1, 2)
+    built = []
+    real = getattr(itertools, layer)
+    monkeypatch.setattr(theories.itertools, layer,
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    m = free_model(t, base, Budget(max_len=3, max_elements=total))
+    assert len(m.elements) == total and len(built) == 4
+    built.clear()
+    with pytest.raises(BudgetExceeded, match=f"{name} carrier too large"):
+        free_model(t, base, Budget(max_len=3, max_elements=total - 1))
+    assert built == []
+    # the empty word alone over no generators
+    assert free_model(t, (), Budget(max_len=3, max_elements=1)).elements == \
+        (("list" if name == "monoid" else "bag", ()),)
+
+
 def test_truncation_carrier():
     t = BUILTINS["truncation"]
     assert free_model(t, ()).elements == ()
@@ -191,6 +212,15 @@ def test_psorted_is_csorted(xs):
     # plain order on one atom type per position; csorted on mixed bases
     # and where members hold frozensets
     assert theories.psorted(xs) == csorted(xs)
+    assert theories.psorted(iter(xs)) == csorted(xs)
+
+
+def test_fmap_bag_with_images_of_mixed_type():
+    # the images come as a generator, which the failed plain sort must not
+    # spend before csorted sees them
+    t = BUILTINS["commutative-monoid"]
+    assert fmap(t, {0: 1, 1: "a"}, ("bag", (1, 0, 1))) == \
+        ("bag", (1, "a", "a"))
 
 
 def test_operations_order_frozenset_members_as_free_model():
