@@ -349,7 +349,11 @@ def cmd_final(args, rep: Report) -> None:
 def cmd_bisim(args, rep: Report) -> None:
     if len(args.states) not in (0, 2):
         raise UsageError("supply zero or two states")
-    partition = bisimilarity(parse_coalgebra_file(_read(args.file)))
+    coalg = parse_coalgebra_file(_read(args.file))
+    for state in args.states:
+        if state not in coalg.states:
+            raise UsageError(f"unknown state {state!r}")
+    partition = bisimilarity(coalg)
     evidence = {"blocks": [list(b) for b in partition]}
     verdict = PASS
     if args.states:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presheaf import (Model, Psh, clock_intro, coproduct, forall_clk,
-                       product)
+from .presheaf import (Model, Psh, _bijective, clock_intro, coproduct,
+                       forall_clk, product)
 from .timecat import ElObj, obj_key
 
 
@@ -45,14 +45,14 @@ def exists_forall_experiment(model: Model, x: Psh, phi) -> dict:
     assert x.cat is model.time
     out = {}
     for i in model.time_inner.parent[1]:
-        intros = _intros(model, i)
+        intros = [(u, x.acts[j], x.fibs[x.cat.dst_ids[j]])
+                  for u, j in _intros(model, i)]
         witness = None
-        for e in x.fibs[i]:
-            if all(phi(u, x.acts[j][e]) for u, j in intros):
+        for p, e in enumerate(x.fibs[i]):
+            if all(phi(u, fib[act[p]]) for u, act, fib in intros):
                 witness = e
                 break
-        rhs = all(any(phi(u, e2) for e2 in x.fibs[x.cat.mors[j][1]])
-                  for u, j in intros)
+        rhs = all(any(phi(u, e2) for e2 in fib) for u, _, fib in intros)
         out[obj_key(x.cat.objects[i])] = FiberVerdict(witness is not None,
                                                      rhs, witness)
     return out
@@ -98,19 +98,20 @@ class DistReport:
         return self.bijective and self.natural
 
 
-def _check_canonical(src: Psh, dst: Psh, mapping) -> DistReport:
-    """mapping: per object id a dict element -> element; check it is a
-    natural bijection."""
-    bijective = True
-    for fib, to, dst_fib in zip(src.fibs, mapping, dst.fibs):
-        img = [to[e] for e in fib]
-        if len(set(img)) != len(fib) or set(img) != set(dst_fib):
-            bijective = False
+def _check_canonical(src: Psh, dst: Psh, send) -> DistReport:
+    """send(e): the element of dst that the canonical map sends e to;
+    check that the map is a natural bijection, on positions in dst."""
+    mapping = []
+    for fib, dst_fib in zip(src.fibs, dst.fibs):
+        where = {e: k for k, e in enumerate(dst_fib)}
+        mapping.append([where[send(e)] for e in fib])
+    bijective = all(_bijective(to, len(dst_fib))
+                    for to, dst_fib in zip(mapping, dst.fibs))
     natural = all(
-        dst_act[mapping[s][e]] == mapping[d][src_act[e]]
+        dst_act[mapping[s][p]] == mapping[d][q]
         for (s, d, _), src_act, dst_act in zip(src.cat.mors, src.acts,
                                                 dst.acts)
-        for e in src.fibs[s])
+        for p, q in enumerate(src_act))
     return DistReport(bijective, natural)
 
 
@@ -123,8 +124,7 @@ def check_forall_sum_dist(model: Model, a: Psh, b: Psh) -> DistReport:
         tag, fam = e
         return ("tup", tuple((alpha, (tag, comp)) for alpha, comp in fam[1]))
 
-    mapping = [{e: send(e) for e in fib} for fib in lhs.fibs]
-    return _check_canonical(lhs, rhs, mapping)
+    return _check_canonical(lhs, rhs, send)
 
 
 def check_forall_prod_dist(model: Model, a: Psh, b: Psh) -> DistReport:
@@ -138,5 +138,4 @@ def check_forall_prod_dist(model: Model, a: Psh, b: Psh) -> DistReport:
         fam_b = tuple((alpha, pair[2]) for alpha, pair in entries)
         return ("pair", ("tup", fam_a), ("tup", fam_b))
 
-    mapping = [{e: send(e) for e in fib} for fib in lhs.fibs]
-    return _check_canonical(lhs, rhs, mapping)
+    return _check_canonical(lhs, rhs, send)

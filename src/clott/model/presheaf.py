@@ -1,13 +1,22 @@
 """Finite presheaves over the truncated time category.
 
-A `Psh` holds its fibers as a tuple by object id and its action as a
-tuple by morphism id (see the integer encoding in `timecat`); each action
-is a dict element -> element, read-only and often shared between ids.
-`Psh.fib` maps each object to its fiber, for readers at the boundary.
-The delay modality and clock quantification are computed as honest chain
-limits (families compatible along the stage-lowering morphisms); at
-finite truncation these limits collapse to the top-stage fiber, which is
-exactly the truncation artifact the force checker reports.
+A `Psh` holds its fibers as a tuple by object id and its actions as a
+tuple by morphism id (see the integer encoding in `timecat`).  A fiber is
+a tuple of elements in canonical order; an action is a tuple of
+positions, the k-th the position in the target fiber of the image of the
+source fiber's k-th element (the C-set encoding of Patterson, Lynch and
+Fairbanks).  Every construction works on positions.  Since positions
+order as the elements they stand for, sorting tuples of positions gives
+canonical order, and elements are built only for the fibers and decoded
+only at the boundary: `Psh.fib` maps each object to its fiber, and
+counterexamples name elements.  Actions are read-only and often shared
+between ids.
+
+The delay modality, clock quantification and guarded fixpoints are
+computed as honest chain limits (families compatible along the
+stage-lowering morphisms, `_chain_limit`); at finite truncation these
+limits collapse to the top-stage fiber, which is exactly the truncation
+artifact the force checker reports.
 
 A `Model` refuses a category larger than its budget before enumerating
 it (`timecat.check_size`).
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem
 from types import MappingProxyType
 
 from ..theories import Budget, BudgetExceeded, csorted
@@ -108,11 +118,12 @@ def align(a: Psh, b: Psh) -> tuple[Psh, Psh]:
 
 @dataclass
 class Psh:
-    """Fibers by object id, actions by morphism id; the action dicts are
-    read-only (may be shared)."""
+    """Fibers by object id, actions by morphism id.  acts[j][k] is the
+    position in the fiber at j's target of the image of the k-th element
+    of the fiber at j's source; action tuples may be shared."""
     cat: FinCategory
     fibs: tuple    # per object id: tuple of elements, canonical order
-    acts: tuple    # per morphism id: dict element -> element
+    acts: tuple    # per morphism id: tuple of positions
 
     @cached_property
     def fib(self):
@@ -123,17 +134,15 @@ class Psh:
 def const_psh(cat: FinCategory, elems) -> Psh:
     elems = tuple(csorted(elems))
     return Psh(cat, (elems,) * len(cat.objects),
-               ({x: x for x in elems},) * len(cat.mors))
+               (tuple(range(len(elems))),) * len(cat.mors))
 
 
 def clk_psh(cat: FinCategory) -> Psh:
     """The presheaf of clocks in scope — the canonical non-example for
-    invariance under clock introduction."""
+    invariance under clock introduction.  A morphism acts by its images."""
     assert cat.kind == "time"
-    objs = cat.objects
-    return Psh(cat, tuple(o.names for o in objs), tuple(
-        dict(zip(objs[s].names, map(objs[d].names.__getitem__, images)))
-        for s, d, images in cat.mors))
+    return Psh(cat, tuple(o.names for o in cat.objects),
+               tuple(images for _, _, images in cat.mors))
 
 
 def _shared(memo: dict, f, *args):
@@ -148,31 +157,31 @@ def _shared(memo: dict, f, *args):
 
 def _pointwise(a: Psh, b: Psh, fiber, action) -> Psh:
     """The fibers fiber(fa, fb) over those of a and b and the actions
-    action(act_a, act_b, fa, fb) at the source fibers, each shared."""
+    action(act_a, act_b, fa, fb) with the target fibers, each shared."""
     a, b = align(a, b)
     memo: dict = {}
     fibs = tuple(_shared(memo, fiber, fa, fb)
                  for fa, fb in zip(a.fibs, b.fibs))
     return Psh(a.cat, fibs, tuple(
-        _shared(memo, action, act_a, act_b, a.fibs[s], b.fibs[s])
-        for s, act_a, act_b in zip(a.cat.src_ids, a.acts, b.acts)))
+        _shared(memo, action, act_a, act_b, a.fibs[d], b.fibs[d])
+        for d, act_a, act_b in zip(a.cat.dst_ids, a.acts, b.acts)))
 
 
 def product(a: Psh, b: Psh) -> Psh:
+    """Pairs in row-major order: (x, y) at position x·|B| + y."""
     return _pointwise(
         a, b, lambda fa, fb: tuple(("pair", x, y) for x in fa for y in fb),
-        lambda act_a, act_b, fa, fb: {
-            ("pair", x, y): ("pair", act_a[x], act_b[y])
-            for x in fa for y in fb})
+        lambda act_a, act_b, fa, fb: tuple(
+            x * len(fb) + y for x in act_a for y in act_b))
 
 
 def coproduct(a: Psh, b: Psh) -> Psh:
+    """The left summand's positions, then the right's shifted by |A|."""
     return _pointwise(
         a, b, lambda fa, fb: (*(("inl", x) for x in fa),
                               *(("inr", y) for y in fb)),
-        lambda act_a, act_b, fa, fb: {
-            **{("inl", x): ("inl", act_a[x]) for x in fa},
-            **{("inr", y): ("inr", act_b[y]) for y in fb}})
+        lambda act_a, act_b, fa, fb: (*act_a,
+                                      *(len(fa) + y for y in act_b)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +191,51 @@ def coproduct(a: Psh, b: Psh) -> Psh:
 def arrow(a: Psh, b: Psh, budget: Budget | None = None) -> Psh:
     """The exponential B^A: fiber at c is the set of natural families
     φ_f : A(d) → B(d) indexed by morphisms f : c → d.  Elements encode φ
-    positionally over the canonically sorted list of morphisms out of c."""
+    positionally over the canonically sorted list of morphisms out of c:
+    ("nat", per f the images of A(d) in canonical fiber order)."""
     budget = budget or Budget()
     a, b = align(a, b)
     cat = a.cat
-    fibs = tuple(_nats_at(i, a, b, budget) for i in range(len(cat.objects)))
     succ, table, out, pos = cat.succ, cat.table, cat.out, cat.pos
+    nats = [_nats_at(i, a, b, budget) for i in range(len(cat.objects))]
+    index = [{phi: k for k, phi in enumerate(fam)} for fam in nats]
+    fibs = []
+    for row, fam in zip(out, nats):
+        cods = [b.fibs[cat.dst_ids[f]] for f in row]
+        fibs.append(tuple(("nat", tuple(tuple(map(cod.__getitem__, images))
+                                        for cod, images in zip(cods, phi)))
+                          for phi in fam))
     acts = []
     for j, (s, d, _) in enumerate(cat.mors):
         # entry of f (out of dst m) in the image: the entry of f∘m in φ
         place = [0] * len(out[d])
         for f, fm in zip(succ[d], table[j]):
             place[pos[f]] = pos[fm]
-        acts.append({phi: ("nat", tuple([phi[1][p] for p in place]))
-                     for phi in fibs[s]})
-    return Psh(cat, fibs, tuple(acts))
+        acts.append(tuple(index[d][tuple([phi[p] for p in place])]
+                          for phi in nats[s]))
+    return Psh(cat, tuple(fibs), tuple(acts))
 
 
-def _nats_at(c: int, a: Psh, b: Psh, budget: Budget):
+def _nats_at(c: int, a: Psh, b: Psh, budget: Budget) -> list:
+    """The natural families at object c in canonical order: per morphism
+    f out of c (`cat.out[c]`), the positions in B(dst f) of the images of
+    A(dst f).  Naturality is propagated along generators only; as A and B
+    are functors, that gives it along every morphism (the induction in
+    `check_functoriality`)."""
     cat = a.cat
-    succ, table, pos, dst = cat.succ, cat.table, cat.pos, cat.dst_ids
+    gens, gen_table, pos, dst = cat.gens, cat.gen_table, cat.pos, cat.dst_ids
     a_act, b_act = a.acts, b.acts
     mors = cat.out[c]
     dsts = [dst[f] for f in mors]
-    variables = [(i, x) for i, d in enumerate(dsts) for x in a.fibs[d]]
+    variables = [(i, x) for i, d in enumerate(dsts)
+                 for x in range(len(a.fibs[d]))]
 
     def propagate(assign, queue):
         # assign is closed under naturality except for the queued entries
         while queue:
             (i, x), y = queue.pop()
             f = mors[i]
-            for g, gf in zip(succ[dst[f]], table[f]):
+            for g, gf in zip(gens[dst[f]], gen_table[f]):
                 j = pos[gf]
                 x2, y2 = a_act[g][x], b_act[g][y]
                 cur = assign.get((j, x2))
@@ -231,77 +254,78 @@ def _nats_at(c: int, a: Psh, b: Psh, budget: Budget):
         for v in variables:
             if v not in assign:
                 i, x = v
-                for y in b.fibs[dsts[i]]:
+                for y in range(len(b.fibs[dsts[i]])):
                     trial = dict(assign)
                     trial[v] = y
                     if propagate(trial, [(v, y)]):
                         search(trial)
                 return
-        # encode positionally: per morphism f (sorted), the images of
-        # A(dst f) in canonical fiber order
-        results.append(("nat", tuple(
-            tuple(assign[(i, x)] for x in a.fibs[d])
-            for i, d in enumerate(dsts))))
+        results.append(tuple(
+            tuple([assign[(i, x)] for x in range(len(a.fibs[d]))])
+            for i, d in enumerate(dsts)))
 
     search({})
-    return tuple(csorted(set(results)))
+    return sorted(results)
 
 
 # ---------------------------------------------------------------------------
 # Chain limits, delay, clock quantification
 # ---------------------------------------------------------------------------
 
-def _chain(cat: FinCategory, fibs, act, chain) -> tuple:
-    """A finite inverse chain o_0 ← o_1 ← … of slice objects, given by
-    their ids in cat (one object at marked stages 0, 1, …), over the
-    fibers fibs (by object id) and the action act(morphism id) -> dict:
-    the fiber at its top (None if it is empty) and the stage-lowering
-    actions from the top down."""
-    downs = cat.stage_shift[1]
-    return (fibs[chain[-1]] if chain else None,
-            [act(downs[i]) for i in reversed(chain[1:])])
-
-
-def _chain_limit(top, steps) -> list:
-    """The limit of a chain given by `_chain`: the families (x_0, x_1, …)
-    compatible with the stage-lowering maps, in canonical order.  The top
-    element determines the family; the empty chain has one empty
+def _chain_limit(cat: FinCategory, fibs, act, chain) -> tuple[list, dict]:
+    """The limit over a finite inverse chain o_0 ← o_1 ← … of slice
+    objects, given by their ids in cat (one object at marked stages 0, 1,
+    …), of the fibers fibs (by object id) along the stage-lowering actions
+    act(morphism id): the compatible families (x_0, x_1, …) as tuples of
+    positions, sorted and so in canonical order, and the index of each.
+    The top element determines the family; the empty chain has one empty
     family."""
-    if top is None:
-        return [()]
-    families = []
-    for x in top:
-        family = [x]
-        for step in steps:
-            family.append(step[family[-1]])
-        families.append(tuple(reversed(family)))
-    return csorted(set(families))
+    if not chain:
+        return [()], {(): 0}
+    downs = cat.stage_shift[1]
+    cols = [range(len(fibs[chain[-1]]))]
+    for o in reversed(chain[1:]):
+        cols.append(list(map(act(downs[o]).__getitem__, cols[-1])))
+    families = sorted(zip(*reversed(cols)))
+    return families, {fam: n for n, fam in enumerate(families)}
 
 
-def _families(top, *steps) -> tuple:
-    """The chain limit encoded ("tup", ((0,x_0), …))."""
-    return tuple(("tup", tuple(enumerate(fam)))
-                 for fam in _chain_limit(top, steps))
+def _stagewise(src: tuple, dst: tuple, *acts) -> tuple:
+    """The action between chain limits src and dst (as `_chain_limit`
+    gives them) stage by stage, one action per stage of dst: the position
+    in dst of the image of each family of src."""
+    families, index = src[0], dst[1]
+    if not acts:
+        return (0,) * len(families)
+    return tuple(map(index.__getitem__, zip(*[
+        list(map(act.__getitem__, col))
+        for act, col in zip(acts, zip(*families))])))
 
 
-def _stagewise(fams, *acts) -> dict:
-    """Act on encoded families stage by stage, one action per stage of
-    the target."""
-    return {fam: ("tup", tuple((beta, act[e]) for (beta, e), act
-                               in zip(fam[1], acts)))
-            for fam in fams}
-
-
-def _limits(x: Psh, chains, stage_mors, srcs) -> tuple[tuple, tuple]:
-    """Fibers: the encoded chain limits of x over chains; actions: per
-    morphism, _stagewise on the fiber at its source srcs[j] along
-    stage_mors[j].  Equal arguments, by identity, share one result."""
+def _limits(x: Psh, cat: FinCategory, chains, stage_mors) -> Psh:
+    """The presheaf over cat with, at object i, the chain limit of x over
+    chains[i], its families encoded ("tup", ((0, x_0), …)), and at
+    morphism j `_stagewise` along stage_mors[j].  Chains over the same
+    fibers and actions, by identity, share one limit, and morphisms
+    between the same limits along the same actions one action."""
+    downs = x.cat.stage_shift[1]
+    limits: dict = {}
+    lims, fibs = [], []
+    for chain in chains:
+        fibers = [x.fibs[o] for o in chain]
+        key = (*map(id, fibers), *(id(x.acts[downs[o]]) for o in chain[1:]))
+        if key not in limits:
+            lim = _chain_limit(x.cat, x.fibs, x.acts.__getitem__, chain)
+            limits[key] = lim, tuple(
+                ("tup", tuple(enumerate(map(getitem, fibers, fam))))
+                for fam in lim[0])
+        lims.append(limits[key][0])
+        fibs.append(limits[key][1])
     memo: dict = {}
-    fibs = tuple(_shared(memo, _families, top, *steps) for top, steps in (
-        _chain(x.cat, x.fibs, x.acts.__getitem__, c) for c in chains))
-    return fibs, tuple(
-        _shared(memo, _stagewise, fibs[s], *map(x.acts.__getitem__, js))
-        for s, js in zip(srcs, stage_mors))
+    return Psh(cat, tuple(fibs), tuple(
+        _shared(memo, _stagewise, lims[s], lims[d],
+                *map(x.acts.__getitem__, js))
+        for s, d, js in zip(cat.src_ids, cat.dst_ids, stage_mors)))
 
 
 def later(model: Model, x: Psh) -> Psh:
@@ -311,9 +335,8 @@ def later(model: Model, x: Psh) -> Psh:
     cat = x.cat
     chains, _, shifted = cat.stage_shift
     stage = cat.marked_stage
-    return Psh(cat, *_limits(
-        x, [chain[:k] for chain, k in zip(chains, stage)],
-        [js[:stage[d]] for js, d in zip(shifted, cat.dst_ids)], cat.src_ids))
+    return _limits(x, cat, [chain[:k] for chain, k in zip(chains, stage)],
+                   [js[:stage[d]] for js, d in zip(shifted, cat.dst_ids)])
 
 
 def forall_clk(model: Model, x: Psh) -> Psh:
@@ -326,11 +349,10 @@ def forall_clk(model: Model, x: Psh) -> Psh:
         raise FreshClockExhausted(
             "clock quantification needs a presheaf over the full slice "
             "(nested quantifiers exceed the clock pool)")
-    cat = model.time_inner
     chains, _, shifted = x.cat.stage_shift
     top_objs, top_mors = model.fresh_tops
-    return Psh(cat, *_limits(x, [chains[i] for i in top_objs],
-                             [shifted[j] for j in top_mors], cat.src_ids))
+    return _limits(x, model.time_inner, [chains[i] for i in top_objs],
+                   [shifted[j] for j in top_mors])
 
 
 def weaken(model: Model, x: Psh) -> Psh:
@@ -366,8 +388,8 @@ def check_functoriality(x: Psh) -> CheckOutcome:
     cat, acts = x.cat, x.acts
     for i, fib in enumerate(x.fibs):
         ident = acts[cat.identity(i)]
-        for e in fib:
-            if ident[e] != e:
+        for p, e in enumerate(fib):
+            if ident[p] != p:
                 return CheckOutcome(False, ("identity",
                                             obj_key(cat.objects[i]), e))
     if _generators_commute(x):
@@ -378,8 +400,8 @@ def check_functoriality(x: Psh) -> CheckOutcome:
         act_f, elems = acts[fi], x.fibs[s]
         for gi, gfi in zip(succ[d], table[fi]):
             act_g, act_gf = acts[gi], acts[gfi]
-            for e in elems:
-                if act_gf[e] != act_g[act_f[e]]:
+            for p, e in enumerate(elems):
+                if act_gf[p] != act_g[act_f[p]]:
                     return CheckOutcome(False, (
                         "composition", mor_key(cat.decode(fi)),
                         mor_key(cat.decode(gi)), e))
@@ -387,36 +409,20 @@ def check_functoriality(x: Psh) -> CheckOutcome:
 
 
 def _generators_commute(x: Psh) -> bool:
-    """Whether x(g∘f) = x(g)∘x(f) for every generator g, compared on the
-    positions of images in their fibers (False if one lies outside).
-    Actions and fibers equal by identity share one position list, and
-    morphisms f with the same lists for f, the g and the g∘f are compared
-    once."""
-    cat = x.cat
-    where: dict = {}
-    for fib in x.fibs:
-        if id(fib) not in where:
-            where[id(fib)] = {e: i for i, e in enumerate(fib)}
-    lists, index, cls = [], {}, []    # cls[j]: the position list of x(j)
-    try:
-        for (s, d, _), act in zip(cat.mors, x.acts):
-            src, dst = x.fibs[s], x.fibs[d]
-            key = id(act), id(src), id(dst)
-            if key not in index:
-                index[key] = len(lists)
-                lists.append(list(map(where[id(dst)].__getitem__,
-                                      map(act.__getitem__, src))))
-            cls.append(index[key])
-    except KeyError:
-        return False
+    """Whether x(g∘f) = x(g)∘x(f) for every generator g.  Actions equal
+    by identity are one class, and morphisms f with the same classes for
+    f, the g and the g∘f are compared once."""
+    cat, acts = x.cat, x.acts
+    index: dict = {}
+    cls = [index.setdefault(id(act), j) for j, act in enumerate(acts)]
     gens = [tuple(map(cls.__getitem__, row)) for row in cat.gens]
     seen = set()
     for c, d, row in zip(cls, cat.dst_ids, cat.gen_table):
         key = c, gens[d], tuple(map(cls.__getitem__, row))
         if key not in seen:
             seen.add(key)
-            place = lists[c]
-            if any([lists[g][i] for i in place] != lists[gf]
+            place = acts[c]
+            if any(tuple(map(acts[g].__getitem__, place)) != acts[gf]
                    for g, gf in zip(key[1], key[2])):
                 return False
     return True
@@ -451,9 +457,12 @@ def check_invariance(model: Model, x: Psh) -> CheckOutcome:
     """Def.-1 invariance: every clock-introduction map acts bijectively."""
     cat = x.cat
     for j in clock_intros(model, cat):
-        s, d, _ = cat.mors[j]
-        act, src = x.acts[j], x.fibs[s]
-        img = [act[e] for e in src]
-        if len(set(img)) != len(src) or set(img) != set(x.fibs[d]):
+        if not _bijective(x.acts[j], len(x.fibs[cat.dst_ids[j]])):
             return CheckOutcome(False, mor_key(cat.decode(j)))
     return CheckOutcome(True)
+
+
+def _bijective(act, n: int) -> bool:
+    """Whether a tuple of positions in a fiber of n elements is a
+    bijection onto it: injective, between fibers of one size."""
+    return len(act) == n == len(set(act))

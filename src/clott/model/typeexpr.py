@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from ..coalgebra import (FunctorExpr, functor_eval, functor_map_all,
                          functor_plan, functor_size)
-from .presheaf import (Model, Psh, _chain, _chain_limit, align, arrow,
-                       clk_psh, coproduct, const_psh, forall_clk, later,
-                       product, weaken)
+from .presheaf import (Model, Psh, _bijective, _chain_limit, _stagewise,
+                       align, arrow, clk_psh, coproduct, const_psh,
+                       forall_clk, later, product, weaken)
 from .timecat import obj_key
 
 
@@ -153,11 +153,8 @@ def eval_type(model: Model, e: TypeExprM, slice_: bool = False) -> Psh:
             else () for a, b in zip(l.fibs, r.fibs)))
     if isinstance(e, MEq):
         x = eval_type(model, e.arg, slice_)
-        fibs = tuple(tuple(("pair", a, a) for a in fib) for fib in x.fibs)
-        acts = tuple({("pair", a, a): ("pair", act[a], act[a])
-                      for a in x.fibs[s]}
-                     for s, act in zip(x.cat.src_ids, x.acts))
-        return Psh(x.cat, fibs, acts)
+        return Psh(x.cat, tuple(tuple(("pair", a, a) for a in fib)
+                                for fib in x.fibs), x.acts)
     if isinstance(e, (MExists, MForallFam)):
         x = eval_type(model, e.arg, slice_)
         quant = any if isinstance(e, MExists) else all
@@ -168,12 +165,10 @@ def eval_type(model: Model, e: TypeExprM, slice_: bool = False) -> Psh:
 
 
 def _prop_psh(cat, fibs) -> Psh:
-    proof, empty = {PRF: PRF}, {}
     if any(fibs[s] and not fibs[d] for s, d, _ in cat.mors):
         raise ValueError("predicate family is not monotone along "
                          "restriction; not a presheaf")
-    return Psh(cat, fibs, tuple(proof if fibs[s] else empty
-                                for s in cat.src_ids))
+    return Psh(cat, fibs, tuple((0,) if fibs[s] else () for s in cat.src_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +180,33 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     the fibers at stages below k, so stage k is F^{k+1}(1) up to
     isomorphism (the cross-module stage law).
 
-    The ▷-fibers are relabelled with small integers before F is applied,
-    so the elements stay shallow even when the fibers blow up (compare the
-    relabelled terminal sequences in the coalgebra module).  Objects with
-    equally many labels share one fiber and one plan of F, and each action
-    is computed on positions and read off the fibers' own elements."""
+    The ▷-families are relabelled by their positions in the chain limit
+    before F is applied, so the elements stay shallow even when the
+    fibers blow up (compare the relabelled terminal sequences in the
+    coalgebra module).  Objects with equally many labels share one fiber
+    and one plan of F.  An action is F's positional action
+    (`functor_map_all`) on the label map, and the label map is the chain
+    limit's own stage-by-stage action (`_stagewise`)."""
     cat = model.slice
     chains = cat.stage_shift[0]
     stage = cat.marked_stage
     n_obj = len(cat.objects)
     fibs: list = [None] * n_obj     # F(labels) elements, by object id
     plans: list = [None] * n_obj    # F's plan over the labels
-    lat_decode: list = [None] * n_obj   # families of fib elems, by label
-    lat_encode: list = [None] * n_obj   # family tuple -> label
+    lims: list = [None] * n_obj     # the ▷-families: the labels, by object
     by_labels: dict = {}    # number of labels -> (plan, fiber)
     memo: dict = {}
 
-    def act(j: int) -> dict:
-        return _mu_act(cat, fibs, plans, lat_decode, lat_encode, j, memo)
+    def act(j: int) -> tuple:
+        return _mu_act(cat, plans, lims, j, memo)
 
     for i in sorted(range(n_obj), key=stage.__getitem__):
         chain = chains[i][:stage[i]]
         # the chain limit is as large as the fiber at its top, so an
         # oversized stage is refused before the chain is mapped
         functor_size(f, len(fibs[chain[-1]]) if chain else 1, model.budget)
-        families = _chain_limit(*_chain(cat, fibs, act, chain))
-        lat_decode[i] = families
-        lat_encode[i] = {fam: n for n, fam in enumerate(families)}
-        n = len(families)
+        lims[i] = _chain_limit(cat, fibs, act, chain)
+        n = len(lims[i][0])
         if n not in by_labels:
             by_labels[n] = (functor_plan(f, n, model.budget),
                             functor_eval(f, range(n), model.budget))
@@ -221,23 +215,17 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     return Psh(cat, tuple(fibs), tuple(map(act, range(len(cat.mors)))))
 
 
-def _mu_act(cat, fibs, plans, lat_decode, lat_encode, j: int, memo: dict):
+def _mu_act(cat, plans, lims, j: int, memo: dict) -> tuple:
     if j in memo:
         return memo[j]
     s, d, _ = cat.mors[j]
-    k2 = cat.marked_stage[d]
-    stage_acts = [_mu_act(cat, fibs, plans, lat_decode, lat_encode, t, memo)
-                  for t in cat.stage_shift[2][j][:k2]]
-    encode = lat_encode[d]
-    label_map = [encode[tuple(stage_acts[beta][fam[beta]]
-                              for beta in range(k2))]
-                 for fam in lat_decode[s]]
-    src, dst = fibs[s], fibs[d]
-    if s == d and label_map == list(range(len(label_map))):
-        out = dict(zip(src, src))
+    label_map = _stagewise(lims[s], lims[d], *(
+        _mu_act(cat, plans, lims, t, memo)
+        for t in cat.stage_shift[2][j][:cat.marked_stage[d]]))
+    if s == d and label_map == tuple(range(len(label_map))):
+        out = tuple(range(plans[s].size))
     else:
-        out = dict(zip(src, map(dst.__getitem__, functor_map_all(
-            plans[s], plans[d], label_map))))
+        out = tuple(functor_map_all(plans[s], plans[d], label_map))
     memo[j] = out
     return out
 
@@ -272,23 +260,14 @@ def check_force(model: Model, a: Psh) -> ForceReport:
     for i, top_obj in enumerate(model.fresh_tops[0]):
         # the fresh clock, marked, at stages 0 … N−1
         chain = chains[top_obj]
-        top, below = a.fibs[chain[n - 1]], a.fibs[chain[n - 2]]
-        step = a.acts[downs[chain[n - 1]]]
-        img = [step[e] for e in top]
-        if len(set(img)) != len(top) or set(img) != set(below):
+        if not _bijective(a.acts[downs[chain[n - 1]]],
+                          len(a.fibs[chain[n - 2]])):
             stabilized = False
         # canonical map: truncate each family
-        image = set()
-        injective = True
-        for fam in lhs.fibs[i]:
-            entries = dict(fam[1])
-            trunc = ("tup", tuple(
-                (alpha, ("tup", tuple((b, entries[b]) for b in range(alpha))))
-                for alpha in range(n)))
-            if trunc in image:
-                injective = False
-            image.add(trunc)
-        if injective and image == set(rhs.fibs[i]):
+        image = {("tup", tuple((alpha, ("tup", fam[1][:alpha]))
+                               for alpha in range(n)))
+                 for fam in lhs.fibs[i]}
+        if len(image) == len(lhs.fibs[i]) and image == set(rhs.fibs[i]):
             continue
         if failure is None:
             sizes = [len(a.fibs[u]) for u in chain]

@@ -359,6 +359,15 @@ def test_coalg_bisim_wrong_state_count():
     assert run(["coalg", "bisim", f"{DATA}/stream.coalg", "p"]) == 2
 
 
+def test_coalg_bisim_unknown_state_is_usage_error(capsys):
+    assert run(["coalg", "bisim", f"{DATA}/stream.coalg", "p",
+                "nosuchstate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "clott coalg bisim: unknown state 'nosuchstate'"]
+
+
 def test_coalg_weakbisim():
     assert run(["coalg", "weakbisim", "now(a)", "step(step(now(a)))"]) == 0
     assert run(["coalg", "weakbisim", "now(a)", "now(b)"]) == 1
@@ -621,3 +630,15 @@ def test_bisim_report_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"bisim-{name}.out").read_text(
         encoding="utf-8")
+
+
+@pytest.mark.parametrize("pool,bound", [(1, 4), (2, 3), (2, 4)])
+def test_model_report_bytes_are_pinned(pool, bound, capsys):
+    # the bytes of `model verify all --json -` are pinned, so that a
+    # change of the presheaf encoding cannot change one
+    assert main(["model", "verify", "all", "--pool", str(pool),
+                 "--bound", str(bound), "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"model-all-{pool}-{bound}.out"
+                            ).read_text(encoding="utf-8")

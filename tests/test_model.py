@@ -21,8 +21,7 @@ from clott.model import (CheckOutcome, FreshClockExhausted, MArrow, MClk,
                          restrict_to, slice_category, unique_exists_check,
                          weaken)
 from clott.coalgebra import functor_eval
-from clott.model.presheaf import _chain, _chain_limit
-from clott.theories import Budget, BudgetExceeded
+from clott.theories import Budget, BudgetExceeded, csorted
 
 from .test_coalgebra import reference_functor_eval, reference_functor_map_all
 
@@ -248,10 +247,16 @@ def test_stage_shift_matches_construction(pool, bound):
                 for b in range(k2 + 1)]
 
 
+def _element_acts(x):
+    """x's actions decoded to dicts element -> element, by morphism id."""
+    return [dict(zip(x.fibs[s], map(x.fibs[d].__getitem__, act)))
+            for (s, d, _), act in zip(x.cat.mors, x.acts)]
+
+
 def _reference_functoriality(x):
     """check_functoriality written over every composable pair and
-    compose, on decoded morphisms."""
-    act = dict(zip(x.cat.morphisms, x.acts))
+    compose, on decoded morphisms and elements."""
+    act = dict(zip(x.cat.morphisms, _element_acts(x)))
     for o in x.cat.objects:
         for e in x.fib[o]:
             if act[_ident(o)][e] != e:
@@ -283,19 +288,19 @@ def _evaluated(pb, t):
        st.booleans(), st.data())
 def test_planted_error_gives_reference_counterexample(pb, t, generator,
                                                       data):
-    """A wrong image planted at one morphism, a generator or not, gives
-    the reference's first counterexample."""
+    """A wrong image position planted at one morphism, a generator or not,
+    gives the reference's first counterexample."""
     x = _evaluated(pb, t)
     gens = {j for row in x.cat.gens for j in row}
     j = data.draw(st.sampled_from([
         j for j in range(len(x.cat.mors)) if (j in gens) == generator]))
     m = x.cat.morphisms[j]
     assume(x.fib[m.src] and len(x.fib[m.dst]) >= 2)
-    e = data.draw(st.sampled_from(x.fib[m.src]))
+    p = data.draw(st.integers(0, len(x.fib[m.src]) - 1))
     wrong = data.draw(st.sampled_from(
-        [y for y in x.fib[m.dst] if y != x.acts[j][e]]))
+        [y for y in range(len(x.fib[m.dst])) if y != x.acts[j][p]]))
     acts = list(x.acts)
-    acts[j] = {**acts[j], e: wrong}
+    acts[j] = (*acts[j][:p], wrong, *acts[j][p + 1:])
     planted = Psh(x.cat, x.fibs, tuple(acts))
     found = check_functoriality(planted)
     assert found == _reference_functoriality(planted)
@@ -305,14 +310,14 @@ def test_planted_error_gives_reference_counterexample(pb, t, generator,
 
 def test_functoriality_leaves_composition_table_unbuilt():
     model = Model(pool=2, bound=3)
-    # over {} -> {l0@0}, {l0@1}: one action dict shared by both inclusions
-    # of the empty object, whose image sits at different positions of
-    # their target fibers
+    # over {} -> {l0@0}, {l0@1}: one action tuple shared by both
+    # inclusions of the empty object, whose image is 1 in one target fiber
+    # and 2 in the other
     cat = Model(pool=1, bound=2).time
-    inc = {1: 1}
-    acts = {(0, 0, ()): {1: 1}, (0, 1, ()): inc, (0, 2, ()): inc,
-            (1, 1, (0,)): {0: 0, 1: 1}, (2, 1, (0,)): {1: 1, 2: 0},
-            (2, 2, (0,)): {1: 1, 2: 2}}
+    inc = (1,)
+    acts = {(0, 0, ()): (0,), (0, 1, ()): inc, (0, 2, ()): inc,
+            (1, 1, (0,)): (0, 1), (2, 1, (0,)): (0, 1),
+            (2, 2, (0,)): (0, 1)}
     shared = Psh(cat, ((1,), (0, 1), (1, 2)),
                  tuple(map(acts.__getitem__, cat.mors)))
     for x in (const_psh(model.time, (0, 1)),
@@ -473,11 +478,12 @@ def test_boundary_mappings():
 
 
 def _digest(p):
-    """Fibers by object key and actions by morphism key, in order."""
+    """Fibers by object key and actions by morphism key, in order, each
+    action decoded to its pairs (element, image)."""
     h = hashlib.sha256()
     for o in p.cat.objects:
         h.update(repr((obj_key(o), p.fib[o])).encode())
-    for m, act in zip(p.cat.morphisms, p.acts):
+    for m, act in zip(p.cat.morphisms, _element_acts(p)):
         h.update(repr((mor_key(m), list(act.items()))).encode())
     return h.hexdigest()[:16]
 
@@ -566,12 +572,13 @@ def _brute_nats(a, b):
     objs = list(a.cat.objects)
     pools = [list(itertools.product(b.fib[o], repeat=len(a.fib[o])))
              for o in objs]
+    acts = list(zip(a.cat.morphisms, _element_acts(a), _element_acts(b)))
     out = []
     for choice in itertools.product(*pools):
         comp = {o: dict(zip(a.fib[o], images))
                 for o, images in zip(objs, choice)}
         if all(comp[m.dst][act_a[e]] == act_b[comp[m.src][e]]
-               for m, act_a, act_b in zip(a.cat.morphisms, a.acts, b.acts)
+               for m, act_a, act_b in acts
                for e in a.fib[m.src]):
             out.append(comp)
     return out
@@ -588,6 +595,71 @@ def test_arrow_fibers_match_brute_force_oracle():
     empty = TimeObj((), ())
     assert len(h.fib[empty]) == len(_brute_nats(a, b))
     assert check_functoriality(h).ok
+
+
+def reference_nats_at(c, a, b):
+    """The fiber of B^A at object c as `arrow` built it before positional
+    actions: a search over elements that propagates naturality along
+    every morphism (the full composition table), sorted with canon_key."""
+    cat = a.cat
+    succ, table, pos, dst = cat.succ, cat.table, cat.pos, cat.dst_ids
+    a_act, b_act = _element_acts(a), _element_acts(b)
+    mors = cat.out[c]
+    dsts = [dst[f] for f in mors]
+    variables = [(i, x) for i, d in enumerate(dsts) for x in a.fibs[d]]
+
+    def propagate(assign, queue):
+        while queue:
+            (i, x), y = queue.pop()
+            f = mors[i]
+            for g, gf in zip(succ[dst[f]], table[f]):
+                j = pos[gf]
+                x2, y2 = a_act[g][x], b_act[g][y]
+                cur = assign.get((j, x2))
+                if cur is None:
+                    assign[(j, x2)] = y2
+                    queue.append(((j, x2), y2))
+                elif cur != y2:
+                    return False
+        return True
+
+    results = []
+
+    def search(assign):
+        for v in variables:
+            if v not in assign:
+                i, x = v
+                for y in b.fibs[dsts[i]]:
+                    trial = dict(assign)
+                    trial[v] = y
+                    if propagate(trial, [(v, y)]):
+                        search(trial)
+                return
+        results.append(("nat", tuple(
+            tuple(assign[(i, x)] for x in a.fibs[d])
+            for i, d in enumerate(dsts))))
+
+    search({})
+    return tuple(csorted(set(results)))
+
+
+# the arrow types of CATALOGUE at (pool, bound) (2, 3) and (3, 2), and two
+# whose operands act non-trivially at (2, 3)
+ARROWS = [(_type_expr(e[1]), _type_expr(e[2]), pb)
+          for pb in ((2, 3), (3, 2)) for e, _, _ in CATALOGUE
+          if e[0] == "arrow"] + [
+    (MClk(), MClk(), (2, 3)), (MSum(MClk(), MFin(1)), MClk(), (2, 3))]
+
+
+@pytest.mark.parametrize("dom,cod,pb", ARROWS)
+def test_arrow_generator_search_matches_full_table_oracle(dom, cod, pb):
+    # propagating naturality along generators only finds the natural
+    # families that propagating it along every morphism finds
+    model = SMALL.get(pb) or Model(*pb)
+    a, b = eval_type(model, dom), eval_type(model, cod)
+    h = arrow(a, b)
+    assert [reference_nats_at(c, a, b) for c in range(len(h.fibs))] == \
+        list(h.fibs)
 
 
 def test_later_shifts_stages():
@@ -693,10 +765,27 @@ def test_mu_stage_law(fs):
     assert check_functoriality(p).ok
 
 
+def reference_chain_limit(cat, fib, act, chain):
+    """The compatible families of elements over a chain of slice object
+    ids, walked down from each top element along the dict actions
+    act(morphism id), in canonical order."""
+    if not chain:
+        return [()]
+    downs = cat.stage_shift[1]
+    families = set()
+    for x in fib[chain[-1]]:
+        family = [x]
+        for o in reversed(chain[1:]):
+            family.append(act(downs[o])[family[-1]])
+        families.add(tuple(reversed(family)))
+    return csorted(families)
+
+
 def reference_mu(model, f):
     """μX.F(▷X) with fibers by reference_functor_eval and actions by
-    reference_functor_map_all, one fresh fiber per object, as before
-    positional plans."""
+    reference_functor_map_all as dicts element -> element, chain limits
+    of elements, and one fresh fiber per object, as before positional
+    plans and actions."""
     cat = model.slice
     chains = cat.stage_shift[0]
     # keyed by object and morphism id
@@ -717,7 +806,8 @@ def reference_mu(model, f):
 
     stage = [o.time.theta(o.clock) for o in cat.objects]
     for i in sorted(range(len(stage)), key=stage.__getitem__):
-        families = _chain_limit(*_chain(cat, fib, act, chains[i][:stage[i]]))
+        families = reference_chain_limit(cat, fib, act,
+                                         chains[i][:stage[i]])
         lat_decode[i] = dict(enumerate(families))
         lat_encode[i] = {fam: n for n, fam in enumerate(families)}
         fib[i] = reference_functor_eval(f, range(len(families)),
@@ -730,14 +820,14 @@ def reference_mu(model, f):
                                 "df(const{a,b})"])
 @pytest.mark.parametrize("pool, bound", [(1, 2), (1, 3), (2, 3)])
 def test_mu_matches_reference(fs, pool, bound):
-    # every fiber and every action dict, element by element and in order
+    # every fiber and every action, element by element and in order
     model = Model(pool=pool, bound=bound)
     p = mu(model, parse_functor(fs))
     fib, act = reference_mu(model, parse_functor(fs))
     for i, o in enumerate(model.slice.objects):
         assert p.fib[o] == fib[i]
-    for j in range(len(model.slice.mors)):
-        assert list(p.acts[j].items()) == list(act[j].items())
+    for j, decoded in enumerate(_element_acts(p)):
+        assert list(decoded.items()) == list(act[j].items())
 
 
 # -- force ---------------------------------------------------------------------
