@@ -4,6 +4,13 @@ Identity types are intensional (refl only); the constants tirr, cirr and
 force are registered axioms.  Guarded fixed points unfold judgementally,
 but only within a fuel budget; conversion is three-valued and never
 reports `apart` when the budget ran out.
+
+Binders are opened by one rule, in conversion as in checking: a binder is
+renamed, and its body walked, only when its name is taken (Coquand, "An
+algorithm for type-checking dependent types", SCP 1996).  The parser
+rejects `_` as a variable, so `_` is never free in a parsed term, and
+renaming avoids capture: a variable binder `_` binds nothing, and
+instantiating it, like instantiating x with x, returns the body as it is.
 """
 from __future__ import annotations
 
@@ -141,7 +148,7 @@ def whnf(ctx: Context, t: Term, fuel: Fuel) -> tuple[Term, bool]:
             fn, c = whnf(ctx, t.fn, fuel)
             complete = complete and c
             if isinstance(fn, Lam):
-                t = subst(fn.body, fn.name, t.arg)
+                t = _instantiate(fn.body, fn.name, t.arg)
                 continue
             if isinstance(fn, Const) and fn.name == "fix":
                 unfolded = _unfold_fix(ctx, t.arg, fuel)
@@ -170,10 +177,10 @@ def whnf(ctx: Context, t: Term, fuel: Fuel) -> tuple[Term, bool]:
             s, c = whnf(ctx, t.scrut, fuel)
             complete = complete and c
             if isinstance(s, Inl):
-                t = subst(t.left, t.lname, s.arg)
+                t = _instantiate(t.left, t.lname, s.arg)
                 continue
             if isinstance(s, Inr):
-                t = subst(t.right, t.rname, s.arg)
+                t = _instantiate(t.right, t.rname, s.arg)
                 continue
             return Case(s, t.lname, t.left, t.rname, t.right), complete
         if isinstance(t, TickApp):
@@ -207,6 +214,13 @@ def whnf(ctx: Context, t: Term, fuel: Fuel) -> tuple[Term, bool]:
             t = decoded
             continue
         return t, complete
+
+
+def _instantiate(body: Term, x: str, u: Term) -> Term:
+    """body[x := u] for the body of a variable binder x."""
+    if x == "_" or (type(u) is Var and u.name == x):
+        return body
+    return subst(body, x, u)
 
 
 def _unfold_fix(ctx: Context, g: Term, fuel: Fuel):
@@ -277,8 +291,19 @@ def convert(ctx: Context, t: Term, u: Term, fuel: Fuel | None = None) -> Verdict
 
 
 def _open2(ctx: Context, x1: str, b1: Term, x2: str, b2: Term):
-    avoid = free_names(b1).all() | free_names(b2).all() | ctx.names()
-    z = fresh(x1, avoid)
+    """Open two binder bodies under one name z that ctx does not bind.  A
+    shared name keeps itself; otherwise a side keeps its name when the
+    other body does not mention it.  `rename` to the same name is free."""
+    taken = ctx.names()
+    if x1 == x2 and x1 not in taken:
+        return x1, b1, b2
+    fv1, fv2 = free_names(b1).all(), free_names(b2).all()
+    if x1 not in taken and x1 not in fv2:
+        z = x1
+    elif x2 not in taken and x2 not in fv1:
+        z = x2
+    else:
+        z = fresh(x1, fv1 | fv2 | taken)
     return z, rename(b1, {x1: z}), rename(b2, {x2: z})
 
 
@@ -425,7 +450,9 @@ def is_type(ctx: Context, a: Term, fuel: Fuel) -> None:
         return
     if isinstance(aw, Pi) or isinstance(aw, Sigma):
         is_type(ctx, aw.dom, fuel)
-        name, cod = _fresh_binder(ctx, aw.name, aw.cod)
+        # `_` binds nothing, so binding it twice shadows no reference
+        name, cod = ("_", aw.cod) if aw.name == "_" else \
+            _fresh_binder(ctx, aw.name, aw.cod)
         is_type(ctx.bind_var(name, aw.dom), cod, fuel)
         return
     if isinstance(aw, Sum):
@@ -553,7 +580,7 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
             raise TypeCheckError("app", f"applying a non-function of type "
                                  f"{show_term(fw)}")
         check(ctx, t.arg, fw.dom, fuel)
-        return subst(fw.cod, fw.name, t.arg)
+        return _instantiate(fw.cod, fw.name, t.arg)
     if isinstance(t, Fst):
         pty = infer(ctx, t.arg, fuel)
         pw, _ = whnf(ctx, pty, fuel)
@@ -567,7 +594,7 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
         if not isinstance(pw, Sigma):
             raise TypeCheckError("snd", f"projection from non-pair type "
                                  f"{show_term(pw)}")
-        return subst(pw.cod, pw.name, Fst(t.arg))
+        return _instantiate(pw.cod, pw.name, Fst(t.arg))
     if isinstance(t, TickAbs):
         if not ctx.has_clock(t.clock):
             raise TypeCheckError("tick-abs",
@@ -722,7 +749,7 @@ def check(ctx: Context, t: Term, a: Term, fuel: Fuel) -> None:
             raise TypeCheckError("lam", f"a function cannot have type "
                                  f"{show_term(aw)}")
         name, body = _fresh_binder(ctx, t.name, t.body)
-        cod = subst(aw.cod, aw.name, Var(name))
+        cod = _instantiate(aw.cod, aw.name, Var(name))
         check(ctx.bind_var(name, aw.dom), body, cod, fuel)
         return
     if isinstance(t, Pair):
@@ -730,7 +757,7 @@ def check(ctx: Context, t: Term, a: Term, fuel: Fuel) -> None:
             raise TypeCheckError("pair", f"a pair cannot have type "
                                  f"{show_term(aw)}")
         check(ctx, t.fst, aw.dom, fuel)
-        check(ctx, t.snd, subst(aw.cod, aw.name, t.fst), fuel)
+        check(ctx, t.snd, _instantiate(aw.cod, aw.name, t.fst), fuel)
         return
     if isinstance(t, Inl):
         if not isinstance(aw, Sum):

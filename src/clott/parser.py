@@ -56,7 +56,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: str          # 'name', 'num', 'sym', 'eof'
     value: str
@@ -64,44 +64,44 @@ class Token:
     col: int
 
 
-# One alternation, tried in this order at each position: blanks, a newline,
-# a `--` comment (up to the newline), a name, a number, a symbol (longest
-# first where one is a prefix of another), and any other character, which
-# is an error.
+# Blanks, then one alternation tried in this order: a newline, the end of
+# the text (after a `--` comment that reaches it), a `--` comment (up to
+# the newline), a name, a number, a symbol (longest first where one is a
+# prefix of another), and any other character, which is an error.
 _TOKEN_RE = re.compile(r"""
-    (?P<blank>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>--[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_'\-]*)
-  | (?P<num>[0-9]+)
-  | (?P<sym>/\\|\\/|->|=>|[(){}\[\],:*+@=|/])
-  | (?P<bad>.)
+    [ \t\r]*
+    (?:
+      (?P<newline>\n)
+    | (?P<eof>(?:--[^\n]*)?\Z)
+    | (?P<comment>--[^\n]*)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_'\-]*)
+    | (?P<num>[0-9]+)
+    | (?P<sym>/\\|\\/|->|=>|[(){}\[\],:*+@=|/])
+    | (?P<bad>.)
+    )
 """, re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokens with 1-based line and column; the eof token sits where the
-    last token or blank ended, or where a comment at the end began."""
+    text ends, or where a comment at the end began."""
     toks: list[Token] = []
     line, line_start = 1, 0
-    end = 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start = m.start()
-        end = m.end()
-        if kind == "blank":
-            continue
+        start, end = m.span(kind)
         if kind == "newline":
             line += 1
             line_start = end
-        elif kind == "comment":
-            end = start
+        elif kind == "eof":
+            toks.append(Token("eof", "", line, start - line_start + 1))
+            break
         elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line,
+            raise ParseError(f"unexpected character {m.group(kind)!r}", line,
                              start - line_start + 1)
-        else:
-            toks.append(Token(kind, m.group(), line, start - line_start + 1))
-    toks.append(Token("eof", "", line, end - line_start + 1))
+        elif kind != "comment":
+            toks.append(Token(kind, m.group(kind), line,
+                              start - line_start + 1))
     return toks
 
 
@@ -351,6 +351,8 @@ class _Parser:
             return Const(kw)
         if kw in KEYWORDS:
             raise self.error(f"unexpected keyword {kw!r}")
+        if kw == "_":
+            raise self.error("'_' only names a binder, never a variable")
         self.next()
         return Var(kw)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clott.cli import main, parse_delay, run_model_suite
+from clott.cli import data_path, main, parse_delay, run_model_suite
 from clott.coalgebra import BOT, now, step
 from clott.kernel import TypeCheckError, UnknownConversion
 from clott.model import Model
@@ -51,6 +51,16 @@ def test_check_parse_error(tmp_path):
     f = tmp_path / "broken.clott"
     f.write_text("def i : unit = (tt\n")
     assert run(["check", str(f)]) == 2
+
+
+def test_check_underscore_variable_is_usage_error(tmp_path, capsys):
+    # `El _ -> El _` once parsed as a Pi binding the user's `_`, so the
+    # declaration failed to check; `_` names binders only
+    f = tmp_path / "under.clott"
+    f.write_text("def f : (_ : U{}) -> El _ -> El _ = fun A -> fun x -> x\n")
+    assert run(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1:25: '_' only names a binder" in err
 
 
 def test_check_missing_file():
@@ -642,3 +652,130 @@ def test_model_report_bytes_are_pinned(pool, bound, capsys):
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"model-all-{pool}-{bound}.out"
                             ).read_text(encoding="utf-8")
+
+
+# -- golden typecheck reports ----------------------------------------------------
+
+def _church(n: int, A: str, s: str, z: str) -> str:
+    body = z
+    for _ in range(n):
+        body = f"{s} ({body})"
+    return f"(fun {A} -> fun {s} -> fun {z} -> {body})"
+
+
+def church_table_text(op: str, top: int, seed: int, wrong: bool = False) -> str:
+    """`def` lines stating m op n = value for the Church numerals 1..top,
+    with binder names drawn by `seed`; `wrong` appends a false equality."""
+    rng = random.Random(seed)
+    rows = [(a, b, a + b if op == "add" else a * b)
+            for a in range(1, top + 1) for b in range(1, top + 1)]
+    if wrong:
+        rows.append((top, top, rows[-1][2] + 1))
+    lines = []
+    for i, (a, b, c) in enumerate(rows):
+        A, s, z = (rng.choice(p) for p in (("A", "T", "X"), ("s", "f", "g"),
+                                           ("z", "o", "e")))
+        m, n = rng.choice((("m", "n"), ("p", "q"), ("u", "v")))
+        nat = f"(({A} : U{{}}) -> (El {A} -> El {A}) -> El {A} -> El {A})"
+        inner = f"{m} {A} {s} ({n} {A} {s} {z})" if op == "add" \
+            else f"{m} {A} ({n} {A} {s})"
+        lam = f"fun {m} -> fun {n} -> fun {A} -> fun {s} -> " + (
+            f"fun {z} -> {inner}" if op == "add" else inner)
+        fn = f"(({lam}) : {nat} -> {nat} -> {nat})"
+        lines.append(f"def {op}_{i} : Id {nat} ({fn} {_church(a, A, s, z)} "
+                     f"{_church(b, A, s, z)}) {_church(c, A, s, z)} = refl\n")
+    return "".join(lines)
+
+
+def fix_family_text(depth: int) -> str:
+    """`fix g` against `depth` of its unfoldings, at the universe level."""
+    g = ("((fun d -> csum (In{ => k} A) (clater (a : k) -> d [a])) : "
+         "(later (b : k) -> U{k}) -> U{k})")
+    rhs = f"fix {g}"
+    for _ in range(depth):
+        rhs = f"csum (In{{ => k}} A) (clater (a : k) -> {rhs})"
+    return (f"def q : (A : U{{}}) -> forall-clk k -> Id U{{k}} (fix {g}) "
+            f"({rhs}) = fun A -> clock k -> refl\n")
+
+
+# small files whose verdicts and messages depend on how binders are opened:
+# `_` binders, a taken `_`, an unbound `_1`, shared and differing names
+BINDER_CASES = (
+    "def f : (A : U{}) -> El A -> El A -> El A = fun _ -> fun x -> fun y -> tt",
+    "def g : U{} -> U{} -> El _1 = fun a -> fun b -> tt",
+    "def h : (A : U{}) -> (B : El A -> U{}) -> (x : El A) -> El (B x)"
+    " = fun A -> fun B -> fun _ -> tt",
+    "def i : (A : U{}) -> (x : El A) -> (y : El A) -> Id (El A) x y"
+    " = fun A -> fun _ -> fun _ -> refl",
+    "def j : unit -> unit -> Id (unit -> unit) (fun _ -> tt) (fun z -> z)"
+    " = fun a -> fun b -> refl",
+    "def k : (A : U{}) -> El A * El A -> El A = fun A -> fun p -> snd p",
+    "def l : unit + unit -> unit = fun s -> case s { inl _ -> tt | inr _ -> s }",
+    "def m : unit = ((fun _ -> tt) : unit -> unit) tt",
+    "def n : Id ((A : U{}) -> El A -> El A) (fun B -> fun y -> y)"
+    " (fun A -> fun x -> x) = refl",
+    "def o : Id ((A : U{}) -> El A -> El A) (fun B -> fun y -> y)"
+    " (fun A -> fun _ -> fun x -> x) = refl",
+    "def p : (A : U{}) -> (El A -> El A) -> El A -> El A"
+    " = fun A -> fun x -> fun x -> x",
+    "def r : (u : unit) -> (v : unit) -> Id (unit * unit) (u, v) (v, u)"
+    " = fun v -> fun u -> refl",
+)
+
+EVAL_TERMS = (
+    "(fun x -> x) x", "(fun x -> fun y -> x y) y", "(fun _ -> tt) refl",
+    "(fun x -> fun x1 -> x) x1", "case inl tt { inl _ -> refl | inr y -> y }",
+    "fst ((fun x -> (x, x)) tt)", "snd ((fun x -> fun y -> (y, x)) tt refl)",
+    "(fun x -> fun _ -> x) tt refl",
+    "(fun a -> fun b -> a) (fst (tt, refl)) (case inr tt { inl x -> refl"
+    " | inr y -> y })",
+)
+
+
+def _typecheck_cases(name: str, tmp_path: Path) -> list[list[str]]:
+    """The argv lists of one golden group; input files go to tmp_path."""
+    def write(fname: str, text: str) -> str:
+        (tmp_path / fname).write_text(text, encoding="utf-8")
+        return fname
+    if name == "corpora":
+        return [["check", write(corpus, data_path(corpus).read_text(
+            encoding="utf-8"))] for corpus in ("figures.clott", "next.clott")
+        ] + [["suite", "figures"]]
+    if name == "church":
+        return [["check", write(f"church-{op}-{wrong}.clott",
+                                church_table_text(op, 4, 13, wrong))]
+                for op in ("add", "mul") for wrong in (False, True)]
+    if name == "fix":
+        return [["check", write(f"fix-{depth}.clott", fix_family_text(depth)),
+                 "--fuel", str(fuel)]
+                for depth in (1, 2, 3, 4) for fuel in range(6)]
+    if name == "binders":
+        return [["check", write(f"binders-{i}.clott", text + "\n")]
+                for i, text in enumerate(BINDER_CASES)]
+    assert name == "eval"
+    return [["eval", term] for term in EVAL_TERMS]
+
+
+def typecheck_transcript(name: str, tmp_path: Path, capsys) -> str:
+    """Each command of the group with its exit code and `--json -` stdout;
+    run from tmp_path, so that the reports name the inputs relatively."""
+    out = []
+    for argv in _typecheck_cases(name, tmp_path):
+        code = main(argv + ["--json", "-"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out.append(f"$ clott {' '.join(argv)}\nexit {code}\n{captured.out}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", ["corpora", "church", "fix", "binders",
+                                  "eval"])
+def test_typecheck_report_bytes_are_pinned(name, tmp_path, monkeypatch,
+                                           capsys):
+    # exit codes and the bytes of `check`/`eval --json -` are pinned, so
+    # that a cheaper way of opening binders cannot change a verdict or a
+    # message
+    monkeypatch.chdir(tmp_path)
+    got = typecheck_transcript(name, tmp_path, capsys)
+    assert got == (GOLDEN / f"typecheck-{name}.out").read_text(
+        encoding="utf-8")

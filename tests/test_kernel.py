@@ -1,13 +1,22 @@
 """Typechecker: accepting tests per rule, rejecting tests per side
 condition, and the three-valued conversion."""
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clott.kernel import (Context, Fuel, TypeCheckError, Verdict, axioms,
-                          check, check_declarations, convert, infer,
-                          is_type, whnf)
+from clott import kernel
+from clott import terms as T
+from clott.cli import data_path
+from clott.kernel import (Context, Fuel, TypeCheckError, UnknownConversion,
+                          Verdict, axioms, check, check_declarations,
+                          convert, infer, is_type, whnf)
 from clott.parser import parse_declarations, parse_term
-from clott.terms import alpha_eq
+from clott.terms import alpha_eq, free_names, fresh, rename
+
+from .test_cli import church_table_text
+from .test_terms import _mappings, _rebind, _reference_rebuild, _terms
 
 
 def chk(src_term: str, src_type: str, fuel: int = 32, ctx=None):
@@ -239,3 +248,89 @@ def test_declarations_forward_reference_rejected():
         "def one : unit = two\ndef two : unit = tt\n")
     with pytest.raises(TypeCheckError):
         check_declarations(decls)
+
+
+# -- opening binders: the always-renaming oracle ------------------------------
+
+def reference_open2(ctx, x1, b1, x2, b2):
+    """The `_open2` that renamed both bodies to a fresh name at every pair
+    of binders, kept as the oracle of the one that keeps names."""
+    avoid = free_names(b1).all() | free_names(b2).all() | ctx.names()
+    z = fresh(x1, avoid)
+    return z, rename(b1, {x1: z}), rename(b2, {x2: z})
+
+
+class _Diverged(Exception):
+    pass
+
+
+def _convert_outcome(ctx, t, u, limit=2000):
+    """The verdict of convert, or how it failed to end: a run of more than
+    `limit` weak-head steps counts as divergence (beta steps spend no fuel,
+    so a self-application never finishes)."""
+    real, steps = kernel.whnf, [0]
+
+    def whnf(*args):
+        steps[0] += 1
+        if steps[0] > limit:
+            raise _Diverged
+        return real(*args)
+
+    with mock.patch.object(kernel, "whnf", whnf):
+        try:
+            return convert(ctx, t, u, Fuel(2))
+        except (_Diverged, RecursionError) as exc:
+            return type(exc).__name__
+
+
+def _blank_unused(t):
+    """t with every variable binder that binds nothing renamed to `_`."""
+    updates = {}
+    for field, role, scope in T._SPEC[type(t)]:
+        if role == T.TERM:
+            updates[field] = _blank_unused(getattr(t, field))
+        elif role == T.BIND_VAR and not any(
+                getattr(t, field) in free_names(getattr(t, sf)).vars
+                for sf in scope):
+            updates[field] = "_"
+    return _reference_rebuild(t, updates)
+
+
+_CONTEXTS = (Context(),
+             Context().bind_var("x", None).bind_var("y1", None)
+             .bind_clock("k1").bind_tick("a2", "k1"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, _mappings, st.randoms(use_true_random=False))
+def test_convert_matches_reference_open2(t, u, mapping, rnd):
+    pairs = [(t, u), (t, rename(t, mapping)), (t, _rebind(t, rnd)),
+             (_blank_unused(t), _rebind(t, rnd)),
+             (t, _blank_unused(_rebind(t, rnd)))]
+    for ctx in _CONTEXTS:
+        for a, b in pairs:
+            got = _convert_outcome(ctx, a, b)
+            with mock.patch.object(kernel, "_open2", reference_open2):
+                assert got == _convert_outcome(ctx, a, b), (ctx, a, b)
+
+
+def _declarations_outcome(text):
+    try:
+        check_declarations(parse_declarations(text))
+    except (TypeCheckError, UnknownConversion) as exc:
+        return type(exc).__name__, getattr(exc, "rule", None), str(exc)
+    return "pass"
+
+
+@pytest.mark.parametrize("source", ["figures.clott", "next.clott",
+                                    "church-add", "church-mul"])
+def test_declarations_match_reference_open2(source):
+    if source.startswith("church-"):
+        text = church_table_text(source[len("church-"):], 5, 29, wrong=True)
+    else:
+        text = data_path(source).read_text(encoding="utf-8")
+    got = _declarations_outcome(text)
+    with mock.patch.object(kernel, "_open2", reference_open2):
+        assert got == _declarations_outcome(text)
+    assert got == ("pass" if not source.startswith("church-") else
+                   ("TypeCheckError", "refl", got[2]))

@@ -16,6 +16,7 @@ from clott.parser import (KEYWORDS, _BINDER_KEYWORDS, Declaration,
                           parse_declarations, parse_term, parse_theory_file,
                           tokenize)
 from clott.printer import show_alg_term, show_term
+from clott.terms import _SPEC, TERM, free_names
 from clott.terms import (
     AOp, AVar, Ann, App, Case, ClockAbs, ClockApp, Const, CONSTANTS, El,
     Forall, ForallCode, Fst, Id, IdCode, Incl, Inl, Inr, Lam, Later,
@@ -37,6 +38,23 @@ def test_roundtrip(t):
 def test_alg_roundtrip(t):
     ops = {"f": 2, "g": 1, "c": 0}
     assert parse_alg_term(show_alg_term(t), ops) == t
+
+
+# source texts from a small grammar, with `_` in binder and variable places
+_BINDER_NAMES = st.sampled_from(["_", "x", "y"])
+_SOURCES = st.recursive(
+    st.sampled_from(["_", "x", "y", "f", "tt", "A"]),
+    lambda ch: st.one_of(
+        st.tuples(_BINDER_NAMES, ch).map("fun {0[0]} -> {0[1]}".format),
+        st.tuples(_BINDER_NAMES, ch, ch, st.sampled_from(["->", "*"])).map(
+            "({0[0]} : {0[1]}) {0[3]} {0[2]}".format),
+        st.tuples(ch, ch, st.sampled_from(["->", "*", "+", ""])).map(
+            "({0[0]}) {0[2]} ({0[1]})".format),
+        ch.map("El ({})".format),
+        st.tuples(ch, _BINDER_NAMES, ch, _BINDER_NAMES, ch).map(
+            "case {0[0]} {{ inl {0[1]} -> {0[2]} | inr {0[3]} -> {0[4]} }}"
+            .format)),
+    max_leaves=8)
 
 
 def test_lambda_sugar():
@@ -81,6 +99,40 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError) as exc:
         parse_term("fun ->")
     assert exc.value.line == 1
+
+
+def test_underscore_names_binders_only():
+    assert parse_term("fun _ -> tt") == Lam("_", Const("tt"))
+    assert parse_term("(_ : A) -> B") == Pi("_", Var("A"), Var("B"))
+    assert parse_term("case s { inl _ -> tt | inr _ -> tt }") == Case(
+        Var("s"), "_", Const("tt"), "_", Const("tt"))
+    for text, col in (("El _", 4), ("fun x -> _", 10), ("f _ x", 3),
+                      ("(_ : A)", 2), ("(_ : U{}) -> El _ -> El _", 17)):
+        with pytest.raises(ParseError) as exc:
+            parse_term(text)
+        assert (exc.value.line, exc.value.col) == (1, col), text
+        assert exc.value.message.startswith("'_' only names a binder")
+
+
+def _var_names(t):
+    """The names of every Var node of t, bound or free."""
+    if type(t) is Var:
+        return {t.name}
+    return set().union(*(_var_names(getattr(t, f)) for f, role, _ in
+                         _SPEC[type(t)] if role == TERM))
+
+
+@settings(max_examples=500)
+@given(_SOURCES)
+def test_parsed_terms_never_mention_underscore(text):
+    # the kernel skips substituting for `_`, which is sound only because
+    # no parsed term uses `_` as a variable
+    try:
+        t = parse_term(text)
+    except ParseError as exc:
+        assert exc.message.startswith("'_' only names a binder"), text
+        return
+    assert "_" not in free_names(t).vars and "_" not in _var_names(t)
 
 
 def test_unbalanced_paren_rejected():
@@ -475,6 +527,8 @@ class _ReferenceParser(_Parser):
             return Const(kw)
         if kw in _REF_KEYWORDS:
             raise self.error(f"unexpected keyword {kw!r}")
+        if kw == "_":
+            raise self.error("'_' only names a binder, never a variable")
         self.next()
         return Var(kw)
 
