@@ -15,6 +15,7 @@ Commands catch only to write a record that says more than the exception.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from importlib import resources
@@ -526,7 +527,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones
+    (parsing leaves it unchanged)."""
     p = _Parser(prog="clott",
                 description="Workbench for Clocked Type Theory: typechecker, "
                             "finite presheaf model, algebraic theories, "

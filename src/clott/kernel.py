@@ -263,7 +263,10 @@ def _decode_prop(p: Term) -> Term | None:
     if isinstance(p, Const) and p.name == "pbot":
         return Const("empty")
     if isinstance(p, PAnd):
-        return Sigma("_", Prf(p.left), Prf(p.right))
+        # a non-dependent pair; `_` may be a variable of q (`fun _ -> ...`
+        # binds it), and then the binder must not capture it
+        return Sigma(fresh("_", free_names(p.right).vars), Prf(p.left),
+                     Prf(p.right))
     if isinstance(p, POr):
         return Sum(Prf(p.left), Prf(p.right))
     if isinstance(p, PExists):

@@ -22,9 +22,15 @@ Surface syntax (see README for the grammar):
 
 Files use `--` line comments and `def NAME : TYPE = TERM` declarations.
 
-The tokenizer matches one compiled regular expression, an alternation of
-every token kind, at each position; columns count characters from the
-start of the line.
+The tokenizer is one `findall` of one compiled pattern: blanks and
+comments, then a group holding the token text, which is empty at the end
+of the input.  A token is a plain string and its first character gives
+its kind: a letter or `_` starts a name, a digit a number, and anything
+else is a symbol, so a symbol test is string equality.  A character that
+starts no token is a one-character token of its own, and one pass over
+the distinct token texts finds it.  Lines and columns (columns count
+characters from the start of the line) are computed only for an error
+message, from the same pattern's matches.
 
 One table below lists the binder keywords by shape, the prefix keywords
 and the infix symbols with their precedence; the printer reads it too.
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .terms import (
     AOp, AVar, Ann, App, Case, ClockAbs, ClockApp, Const, CONSTANTS, El,
@@ -56,53 +63,51 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str          # 'name', 'num', 'sym', 'eof'
-    value: str
-    line: int
-    col: int
+_SYMBOLS = ("/\\", "\\/", "->", "=>", *"(){}[],:*+@=|/")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_WORD_START = _NAME_START | frozenset("0123456789")
+
+# Blanks and comments, then the token: a name, a number, a symbol (longest
+# first), any other character (an error), or nothing at the end of the text.
+# The group matches wherever the blanks stop, so they never backtrack.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|--[^\n]*)*"
+                       r"([A-Za-z_][A-Za-z0-9_'\-]*|[0-9]+|"
+                       + "|".join(map(re.escape, _SYMBOLS)) + "|.|)")
 
 
-# Blanks, then one alternation tried in this order: a newline, the end of
-# the text (after a `--` comment that reaches it), a `--` comment (up to
-# the newline), a name, a number, a symbol (longest first where one is a
-# prefix of another), and any other character, which is an error.
-_TOKEN_RE = re.compile(r"""
-    [ \t\r]*
-    (?:
-      (?P<newline>\n)
-    | (?P<eof>(?:--[^\n]*)?\Z)
-    | (?P<comment>--[^\n]*)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_'\-]*)
-    | (?P<num>[0-9]+)
-    | (?P<sym>/\\|\\/|->|=>|[(){}\[\],:*+@=|/])
-    | (?P<bad>.)
-    )
-""", re.VERBOSE | re.DOTALL)
-
-
-def tokenize(text: str) -> list[Token]:
-    """Tokens with 1-based line and column; the eof token sits where the
-    text ends, or where a comment at the end began."""
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        if kind == "newline":
-            line += 1
-            line_start = end
-        elif kind == "eof":
-            toks.append(Token("eof", "", line, start - line_start + 1))
-            break
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", line,
-                             start - line_start + 1)
-        elif kind != "comment":
-            toks.append(Token(kind, m.group(kind), line,
-                              start - line_start + 1))
+def tokenize(text: str) -> list[str]:
+    """The token texts, ending with the eof token ""."""
+    toks = _TOKEN_RE.findall(text)
+    if len(toks) > 1 and not toks[-2]:
+        toks.pop()  # findall's second, empty match after blanks at the end
+    bad = [t for t in set(toks)
+           if t and t[0] not in _WORD_START and t not in _SYMBOLS]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise ParseError(f"unexpected character {toks[i]!r}", *position(text, i))
     return toks
+
+
+def token_positions(text: str):
+    """Yield the 1-based line and column of each token of `tokenize(text)`;
+    the eof token sits where the text ends, or where a comment at the end
+    began."""
+    line, seen = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        offset = m.start(1)
+        if offset == len(text):
+            tail = m.group()
+            comment = tail.find("--", tail.rfind("\n") + 1)
+            if comment >= 0:
+                offset = m.start() + comment
+        line += text.count("\n", seen, offset)
+        seen = offset
+        yield line, offset - text.rfind("\n", 0, offset)
+
+
+def position(text: str, i: int) -> tuple[int, int]:
+    """The line and column of token i of `tokenize(text)`."""
+    return next(islice(token_positions(text), i, None))
 
 
 # -- the concrete syntax: read by the parser below and by the printer -------
@@ -128,134 +133,115 @@ _BINDER_KEYWORDS = {"fun", "tick", "case", *CLOCK_BINDERS, *TYPED_BINDERS,
                     *DELAYS}
 KEYWORDS = _BINDER_KEYWORDS | {*PREFIX, "In", "U", "Prop", "def"}
 _NOT_ARGUMENTS = _BINDER_KEYWORDS | {"def", "of"}
+_RESERVED = KEYWORDS | CONSTANTS
 _ARITY = {cls: len(cls.__match_args__) for cls in PREFIX.values()}
 _PRECEDENCE = {sym: (prec, cls, right)
                for prec, (sym, cls, right) in enumerate(INFIX, 1)}
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.pos = 0
 
-    def peek(self, k: int = 0) -> Token:
+    def peek(self, k: int = 0) -> str:
         # callers look past a token only when it is not eof, so the index
-        # stays inside the list, which ends with eof
+        # stays inside the list, which ends with eof (the per-node paths
+        # index `toks` directly, which saves a call per token)
         return self.toks[self.pos + k]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
     def error(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg + (f" (got {t.value!r})" if t.value else " (got end of input)"),
-                          t.line, t.col)
+        t = self.toks[self.pos]
+        return ParseError(msg + (f" (got {t!r})" if t else " (got end of input)"),
+                          *position(self.text, self.pos))
 
-    def expect_sym(self, s: str) -> Token:
-        t = self.peek()
-        if t.kind == "sym" and t.value == s:
-            return self.next()
-        raise self.error(f"expected {s!r}")
+    def expect(self, s: str) -> None:
+        """Step over the symbol or keyword s."""
+        if self.toks[self.pos] != s:
+            raise self.error(f"expected {s!r}")
+        self.pos += 1
 
     def expect_name(self) -> str:
-        t = self.peek()
-        if t.kind == "name" and t.value not in KEYWORDS and t.value not in CONSTANTS:
-            return self.next().value
-        raise self.error("expected a name")
-
-    def at_sym(self, s: str) -> bool:
         t = self.toks[self.pos]
-        return t.kind == "sym" and t.value == s
-
-    def at_name(self, s: str) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == "name" and t.value == s
-
-    def expect_keyword(self, s: str) -> None:
-        if not self.at_name(s):
-            raise self.error(f"expected {s!r}")
-        self.next()
+        if t[:1] not in _NAME_START or t in _RESERVED:
+            raise self.error("expected a name")
+        self.pos += 1
+        return t
 
     # -- terms ------------------------------------------------------------
 
     def term(self, prec: int = 0) -> Term:
         """A term whose infix operators have precedence `prec` or more; at
         0 also a binder form or a dependent function or pair type."""
-        t = self.peek()
-        if prec == 0 and t.kind == "name":
-            kw = t.value
+        kw = self.toks[self.pos]
+        if prec == 0 and kw in _BINDER_KEYWORDS:
             if kw == "fun":
-                self.next()
+                self.pos += 1
                 names = [self.expect_name()]
-                while self.peek().kind == "name" \
-                        and self.peek().value not in KEYWORDS:
+                while (t := self.peek())[:1] in _NAME_START \
+                        and t not in KEYWORDS:
                     names.append(self.expect_name())
-                self.expect_sym("->")
+                self.expect("->")
                 body = self.term()
                 for x in reversed(names):
                     body = Lam(x, body)
                 return body
             if kw == "tick":
-                self.next()
+                self.pos += 1
                 a = self.expect_name()
-                self.expect_sym(":")
+                self.expect(":")
                 k = self.expect_name()
-                self.expect_sym("->")
+                self.expect("->")
                 return TickAbs(a, k, self.term())
             if kw in CLOCK_BINDERS:
-                self.next()
+                self.pos += 1
                 k = self.expect_name()
-                self.expect_sym("->")
+                self.expect("->")
                 return CLOCK_BINDERS[kw](k, self.term())
             if kw in TYPED_BINDERS:
-                self.next()
-                self.expect_sym("(")
+                self.pos += 1
+                self.expect("(")
                 x = self.expect_name()
-                self.expect_sym(":")
+                self.expect(":")
                 dom = self.term()
-                self.expect_sym(")")
-                self.expect_sym("->")
+                self.expect(")")
+                self.expect("->")
                 return TYPED_BINDERS[kw](x, dom, self.term())
             if kw == "case":
-                self.next()
+                self.pos += 1
                 scrut = self.term()
-                self.expect_sym("{")
-                self.expect_keyword("inl")
+                self.expect("{")
+                self.expect("inl")
                 x = self.expect_name()
-                self.expect_sym("->")
+                self.expect("->")
                 left = self.term()
-                self.expect_sym("|")
-                self.expect_keyword("inr")
+                self.expect("|")
+                self.expect("inr")
                 y = self.expect_name()
-                self.expect_sym("->")
+                self.expect("->")
                 right = self.term()
-                self.expect_sym("}")
+                self.expect("}")
                 return Case(scrut, x, left, y, right)
-        elif prec == 0 and t.kind == "sym" and t.value == "(" \
-                and self.peek(1).kind == "name" \
-                and self.peek(1).value not in KEYWORDS \
-                and self.peek(1).value not in CONSTANTS \
-                and self.peek(2).kind == "sym" and self.peek(2).value == ":":
+        elif prec == 0 and kw == "(" and (x := self.peek(1))[:1] in _NAME_START \
+                and x not in _RESERVED and self.peek(2) == ":":
             save = self.pos
-            self.next()
+            self.pos += 1
             x = self.expect_name()
-            self.expect_sym(":")
+            self.expect(":")
             dom = self.term()
-            self.expect_sym(")")
-            if self.at_sym("->") or self.at_sym("*"):
-                cls = Pi if self.next().value == "->" else Sigma
-                return cls(x, dom, self.term())
+            self.expect(")")
+            op = self.peek()
+            if op == "->" or op == "*":
+                self.pos += 1
+                return (Pi if op == "->" else Sigma)(x, dom, self.term())
             self.pos = save  # plain annotation; reparse as an atom
         left = self.app()
         while True:
-            # only a symbol token can spell an infix symbol
-            op = _PRECEDENCE.get(self.toks[self.pos].value)
+            op = _PRECEDENCE.get(self.toks[self.pos])
             if op is None or op[0] < prec:
                 return left
-            self.next()
+            self.pos += 1
             op_prec, cls, right_assoc = op
             if op_prec == 1:
                 # the loosest symbol, `->`, takes a whole term on its right
@@ -266,102 +252,97 @@ class _Parser:
     def app(self) -> Term:
         head = self.postfix()
         # an argument starts with `(` or with a name that opens no binder
-        while (t := self.peek()).value == "(" or (
-                t.kind == "name" and t.value not in _NOT_ARGUMENTS):
+        while (t := self.toks[self.pos]) == "(" or (
+                t[:1] in _NAME_START and t not in _NOT_ARGUMENTS):
             head = App(head, self.postfix())
         return head
 
     def postfix(self) -> Term:
         t = self.atom()
-        while True:
-            if self.at_sym("["):
-                self.next()
-                a = self.expect_name()
-                self.expect_sym("]")
-                t = TickApp(t, a)
-            elif self.at_sym("@"):
-                self.next()
-                k = self.expect_name()
-                t = ClockApp(t, k)
+        while (op := self.toks[self.pos]) == "[" or op == "@":
+            self.pos += 1
+            if op == "[":
+                t = TickApp(t, self.expect_name())
+                self.expect("]")
             else:
-                return t
+                t = ClockApp(t, self.expect_name())
+        return t
 
     def _names(self, *ends: str) -> tuple[str, ...]:
         """Names, each optionally followed by a comma, up to one of `ends`."""
         names: list[str] = []
-        while self.peek().value not in ends:
+        while self.peek() not in ends:
             names.append(self.expect_name())
-            if self.at_sym(","):
-                self.next()
+            if self.peek() == ",":
+                self.pos += 1
         return tuple(names)
 
     def atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "sym" and t.value == "(":
-            self.next()
+        kw = self.toks[self.pos]
+        if kw == "(":
+            self.pos += 1
             inner = self.term()
-            if self.at_sym(","):
-                self.next()
+            if self.peek() == ",":
+                self.pos += 1
                 snd = self.term()
-                self.expect_sym(")")
+                self.expect(")")
                 return Pair(inner, snd)
-            if self.at_sym(":"):
-                self.next()
+            if self.peek() == ":":
+                self.pos += 1
                 ty = self.term()
-                self.expect_sym(")")
+                self.expect(")")
                 return Ann(inner, ty)
-            self.expect_sym(")")
+            self.expect(")")
             return inner
-        if t.kind != "name":
+        if kw[:1] not in _NAME_START:
             raise self.error("expected a term")
-        kw = t.value
+        if kw not in _RESERVED:
+            if kw == "_":
+                raise self.error("'_' only names a binder, never a variable")
+            self.pos += 1
+            return Var(kw)
+        if kw in CONSTANTS:
+            self.pos += 1
+            return Const(kw)
         if kw == "U" or kw == "Prop":
-            self.next()
-            self.expect_sym("{")
+            self.pos += 1
+            self.expect("{")
             names = self._names("}", "=>")
-            self.expect_sym("}")
+            self.expect("}")
             return Univ(names) if kw == "U" else PropU(names)
         if kw == "In":
-            self.next()
-            self.expect_sym("{")
+            self.pos += 1
+            self.expect("{")
             small = self._names("}", "=>")
-            self.expect_sym("=>")
+            self.expect("=>")
             big = self._names("}")
-            self.expect_sym("}")
+            self.expect("}")
             return Incl(small, big, self.postfix())
         if kw in DELAYS:
             cls = DELAYS[kw]
-            self.next()
-            if self.at_sym("("):
-                self.next()
+            self.pos += 1
+            if self.peek() == "(":
+                self.pos += 1
                 a = self.expect_name()
-                self.expect_sym(":")
+                self.expect(":")
                 k = self.expect_name()
-                self.expect_sym(")")
-                self.expect_sym("->")
+                self.expect(")")
+                self.expect("->")
                 return cls(a, k, self.term())
             k = self.expect_name()
             return cls("_tick", k, self.postfix())
         if kw in PREFIX:
-            self.next()
+            self.pos += 1
             cls = PREFIX[kw]
             return cls(*[self.postfix() for _ in range(_ARITY[cls])])
-        if kw in CONSTANTS:
-            self.next()
-            return Const(kw)
-        if kw in KEYWORDS:
-            raise self.error(f"unexpected keyword {kw!r}")
-        if kw == "_":
-            raise self.error("'_' only names a binder, never a variable")
-        self.next()
-        return Var(kw)
+        raise self.error(f"unexpected keyword {kw!r}")
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term; raises ParseError with position information."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = p.term()
-    if p.peek().kind != "eof":
+    if p.peek():
         raise p.error("trailing input after term")
     return t
 
@@ -375,14 +356,14 @@ class Declaration:
 
 def parse_declarations(text: str) -> list[Declaration]:
     """Parse a .clott file: a sequence of `def NAME : TYPE = TERM`."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     decls: list[Declaration] = []
-    while p.peek().kind != "eof":
-        p.expect_keyword("def")
+    while p.peek():
+        p.expect("def")
         name = p.expect_name()
-        p.expect_sym(":")
+        p.expect(":")
         ty = p.term()
-        p.expect_sym("=")
+        p.expect("=")
         body = p.term()
         decls.append(Declaration(name, ty, body))
     return decls
@@ -393,34 +374,34 @@ def parse_declarations(text: str) -> list[Declaration]:
 # ---------------------------------------------------------------------------
 
 def parse_alg_term(text: str, ops: dict[str, int]) -> AVar | AOp:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = _alg_term(p, ops)
-    if p.peek().kind != "eof":
+    if p.peek():
         raise p.error("trailing input after term")
     return t
 
 
 def _alg_term(p: _Parser, ops: dict[str, int]) -> AVar | AOp:
-    tok = p.peek()
-    if tok.kind != "name":
+    at, name = p.pos, p.peek()
+    if name[:1] not in _NAME_START:
         raise p.error("expected a variable or operation")
-    name = p.next().value
+    p.pos += 1
     if name in ops:
         args: list = []
-        if p.at_sym("("):
-            p.next()
-            if not p.at_sym(")"):
+        if p.peek() == "(":
+            p.pos += 1
+            if p.peek() != ")":
                 args.append(_alg_term(p, ops))
-                while p.at_sym(","):
-                    p.next()
+                while p.peek() == ",":
+                    p.pos += 1
                     args.append(_alg_term(p, ops))
-            if not p.at_sym(")"):
+            if p.peek() != ")":
                 raise p.error("expected ',' or ')' after an argument")
-            p.next()
+            p.pos += 1
         if len(args) != ops[name]:
             raise ParseError(
                 f"operation {name!r} has arity {ops[name]}, got {len(args)} arguments",
-                tok.line, tok.col)
+                *position(p.text, at))
         return AOp(name, tuple(args))
     return AVar(name)
 

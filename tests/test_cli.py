@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clott import cli
 from clott.cli import data_path, main, parse_delay, run_model_suite
 from clott.coalgebra import BOT, now, step
 from clott.kernel import TypeCheckError, UnknownConversion
@@ -600,6 +601,68 @@ def test_json_to_stdout(capsys):
     assert doc["command"] == "coalg terminal"
 
 
+# -- one argument parser per process -------------------------------------------
+
+def _shared_parser_argv(data: str) -> list[list[str]]:
+    """Every command with small parameters, usage errors (a bad choice, an
+    integer below its least value, a malformed or unknown option), help,
+    and `--json PATH`."""
+    return [
+        ["check", f"{data}/figures.clott"], ["eval", "tt"],
+        ["model", "verify", "all", "--pool", "1", "--bound", "2"],
+        *(["theory", action, f"{data}/semilattice.thy", "--size", "2",
+           "--depth", "2"] for action in ("drop", "free", "monos",
+                                          "pullbacks")),
+        ["coalg", "terminal", "sum(const{u},id)", "--steps", "2"],
+        ["coalg", "final", "const{a}", "--steps", "1"],
+        ["coalg", "bisim", f"{data}/stream.coalg", "p", "q"],
+        ["coalg", "weakbisim", "now(a)", "step(now(a))"],
+        ["suite", "requirements", "--pool", "1", "--bound", "2", "--size",
+         "2", "--depth", "2"],
+        ["suite", "figures"], ["suite", "theories", "--size", "2", "--depth",
+                               "2"],
+        ["suite", "coalgebra", "--bound", "2"],
+        ["model", "verify", "nope"], ["suite", "nope"], ["coalg", "nope"], [],
+        ["eval", "tt", "--fuel", "-1"], ["model", "verify", "all", "--bound",
+                                         "1"],
+        ["eval", "tt", "--fuel", "x"], ["check", "--nope", "f.clott"],
+        ["eval", "tt", "extra"], ["-h"], ["coalg", "-h"], ["theory", "--help"],
+        ["check", f"{data}/figures.clott", "--json", "report.json"],
+        ["eval", "fun x -> x", "--json", "report.json"],
+    ]
+
+
+def _shared_parser_transcript(argv_list, capsys) -> list:
+    """Exit code, stdout, stderr and the `--json report.json` file of each
+    call, run from the current directory."""
+    out = []
+    for argv in argv_list:
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = Path("report.json")
+        out.append((code, captured.out, captured.err,
+                    report.read_text(encoding="utf-8") if report.exists()
+                    else None))
+        report.unlink(missing_ok=True)
+    return out
+
+
+def test_shared_parser_answers_as_fresh_parsers(tmp_path, monkeypatch,
+                                                 capsys):
+    # main builds its argument parser once per process; every call must
+    # answer exactly as on a parser built for that call alone
+    argv_list = _shared_parser_argv(str(data_path("")))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "100")
+    shared = _shared_parser_transcript(argv_list * 2, capsys)
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _shared_parser_transcript(argv_list * 2, capsys)
+    assert shared == fresh
+    assert sum(r is not None for _, _, _, r in shared) == 4
+    assert {code for code, _, _, _ in shared} == {0, 2, 3}
+
+
 # -- golden bisimilarity reports ------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -779,3 +842,68 @@ def test_typecheck_report_bytes_are_pinned(name, tmp_path, monkeypatch,
     got = typecheck_transcript(name, tmp_path, capsys)
     assert got == (GOLDEN / f"typecheck-{name}.out").read_text(
         encoding="utf-8")
+
+
+# -- golden parse errors -------------------------------------------------------
+
+# malformed inputs whose exit code, one-line message and position are pinned,
+# so that a faster scanner cannot move a line or a column: (command, input)
+# where the input is a file's text for `check` and `theory`, and the term for
+# `eval`
+PARSE_ERROR_CASES = (
+    ("check", "def f : unit = tt -- note\n  $\n"),
+    ("check", "def f : unit = tt -- bye"),
+    ("check", "def f : unit = tt -- bye\n"),
+    ("check", "def f : unit = -- bye"),
+    ("check", "def f : unit = -- bye\n"),
+    ("check", "def f : unit -> unit = fun x -> _\n"),
+    ("check", "def f : unit = tt )\n"),
+    ("check", "def f : unit = (tt\n"),
+    ("check", "def f : unit = -\n"),
+    ("check", "def f : unit = 1\n"),
+    ("check", "def f\u00e9 : unit = tt\n"),
+    ("check", "def f : unit =\u00a0tt\n"),
+    ("check", "def f : unit = tt\r\ndef g : unit = tt\r\n"),
+    ("check", "def f : unit = tt\r\n\r\ndef g : unit = $\r\n"),
+    ("eval", "tt -- bye"),
+    ("eval", "tt -- bye\n"),
+    ("eval", "fun x -> -- bye"),
+    ("eval", "fun x -> _"),
+    ("eval", "tt tt )"),
+    ("eval", "(tt"),
+    ("eval", "tt - tt"),
+    ("eval", "42"),
+    ("eval", "\u00e9"),
+    ("eval", "tt\u00a0"),
+    ("eval", "a -- c\n$"),
+    ("theory", "op f/2\neq f(x) = x\n"),
+    ("theory", "op f/2\n  eq  f(x, y) = f(y, $)\n"),
+    ("theory", "op f/2\neq f(x, y) = f(y)\n"),
+    ("theory", "op f/2\neq x = f(x, y\n"),
+    ("theory", "op f/2\neq x =\u00e9\n"),
+    ("theory", "op f/1\r\neq f(x) = f(f(x) -- c\r\n"),
+)
+
+
+def parse_error_transcript(tmp_path: Path, capsys) -> str:
+    """Each case with its exit code, stderr and `--json -` stdout; run from
+    tmp_path, so that messages name the inputs relatively."""
+    out = []
+    for i, (cmd, text) in enumerate(PARSE_ERROR_CASES):
+        if cmd == "eval":
+            argv = ["eval", text]
+        else:
+            name = f"case-{i}.{'clott' if cmd == 'check' else 'thy'}"
+            (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+            argv = [cmd, name] if cmd == "check" else [cmd, "free", name]
+        code = main(argv + ["--json", "-"])
+        captured = capsys.readouterr()
+        out.append(f"$ clott {' '.join(argv[:-1])} {text!r}\nexit {code}\n"
+                   f"stderr: {captured.err}stdout: {captured.out}\n")
+    return "".join(out)
+
+
+def test_parse_error_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = parse_error_transcript(tmp_path, capsys)
+    assert got == (GOLDEN / "parse-errors.out").read_text(encoding="utf-8")

@@ -334,3 +334,22 @@ def test_declarations_match_reference_open2(source):
         assert got == _declarations_outcome(text)
     assert got == ("pass" if not source.startswith("church-") else
                    ("TypeCheckError", "refl", got[2]))
+
+
+@pytest.mark.parametrize("binder", ["_", "y"])
+def test_conjunction_decodes_without_capturing_underscore(binder):
+    # `fun _` binds `_` as a variable, so the codomain mentions it; the
+    # pair type that `p /\ q` decodes to must not capture it
+    check_declarations(parse_declarations(
+        "def f : (A : U{}) -> (x : El A) -> Prf (ptop /\\ peq A x x)"
+        " -> (w : unit) * Id (El A) x x"
+        f" = fun A {binder} p -> p"), 32)
+
+
+def test_conjunction_converts_with_underscore_in_context():
+    A, u = T.Var("A"), T.Var("_")
+    ctx = Context().bind_var("A", T.Univ(())).bind_var("_", T.El(A))
+    p = T.Prf(T.PAnd(T.Const("ptop"), T.PEq(A, u, u)))
+    pair = lambda x: T.Sigma("w", T.Const("unit"), T.Id(T.El(A), x, x))
+    assert convert(ctx, p, pair(T.Var("w"))) is Verdict.APART
+    assert convert(ctx, p, pair(u)) is Verdict.EQUAL

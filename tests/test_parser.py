@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import clott
 from clott.parser import (KEYWORDS, _BINDER_KEYWORDS, Declaration,
-                          ParseError, Token, _Parser, parse_alg_term,
-                          parse_declarations, parse_term, parse_theory_file,
+                          ParseError, parse_alg_term, parse_declarations,
+                          parse_term, parse_theory_file, token_positions,
                           tokenize)
 from clott.printer import show_alg_term, show_term
 from clott.terms import _SPEC, TERM, free_names
@@ -189,6 +190,14 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'\-]*")
 _NUM_RE = re.compile(r"[0-9]+")
 
 
+@dataclass(slots=True)
+class Token:
+    kind: str          # 'name', 'num', 'sym', 'eof'
+    value: str
+    line: int
+    col: int
+
+
 def reference_tokenize(text: str) -> list[Token]:
     """The character-stepping tokenizer that `tokenize` replaced, kept as
     its oracle."""
@@ -235,6 +244,22 @@ def reference_tokenize(text: str) -> list[Token]:
     return toks
 
 
+def _kind(tok: str) -> str:
+    if not tok:
+        return "eof"
+    if tok[0].isascii() and (tok[0].isalpha() or tok[0] == "_"):
+        return "name"
+    return "num" if tok[0].isdigit() else "sym"
+
+
+def _tokens(text: str) -> list[Token]:
+    """`tokenize` with each token's kind and its position from
+    `token_positions`, for comparison with the reference at every token."""
+    toks = tokenize(text)
+    return [Token(_kind(t), t, line, col)
+            for t, (line, col) in zip(toks, token_positions(text))]
+
+
 def _outcome(fn, text):
     try:
         return fn(text)
@@ -250,7 +275,7 @@ _PIECES = (list("abxyzAZ_09'-/\\(){}[],:*+@=|>.$#!\u00e9")
 @settings(max_examples=1000)
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
 def test_tokenize_matches_reference(text):
-    assert _outcome(tokenize, text) == _outcome(reference_tokenize, text)
+    assert _outcome(_tokens, text) == _outcome(reference_tokenize, text)
 
 
 @pytest.mark.parametrize("text", [
@@ -260,12 +285,16 @@ def test_tokenize_matches_reference(text):
     "-", "->-", "=>=", "((tt))\n  ]",
 ])
 def test_tokenize_matches_reference_on_edge_cases(text):
-    assert _outcome(tokenize, text) == _outcome(reference_tokenize, text)
+    assert _outcome(_tokens, text) == _outcome(reference_tokenize, text)
 
 
 def test_eof_after_trailing_comment_keeps_comment_column():
-    assert tokenize("tt -- bye")[-1] == Token("eof", "", 1, 4)
-    assert tokenize("tt -- bye\n")[-1] == Token("eof", "", 2, 1)
+    assert _tokens("tt -- bye")[-1] == Token("eof", "", 1, 4)
+    assert _tokens("tt -- bye\n")[-1] == Token("eof", "", 2, 1)
+    assert _tokens("(tt)-- bye")[-1] == Token("eof", "", 1, 5)
+    assert _tokens("tt \n  -- a -- b")[-1] == Token("eof", "", 2, 3)
+    # findall adds an empty match after blanks at the end; it is dropped
+    assert tokenize("tt \n-- c") == ["tt", ""] == tokenize("tt")
 
 
 def test_unexpected_character_after_comment_has_position():
@@ -280,7 +309,7 @@ def test_data_files_tokenize_as_reference():
     for path in resources.files("clott.data").iterdir():
         if path.name.endswith(".clott"):
             text = path.read_text(encoding="utf-8")
-            assert tokenize(text) == reference_tokenize(text)
+            assert _tokens(text) == reference_tokenize(text)
 
 
 # -- reference parser and printer -----------------------------------------------
@@ -293,10 +322,42 @@ _REF_PREFIX_KEYWORDS = {"fst", "snd", "inl", "inr", "El", "Prf", "Id", "peq",
 _REF_KEYWORDS = _REF_BINDER_KEYWORDS | _REF_PREFIX_KEYWORDS | {"def"}
 
 
-class _ReferenceParser(_Parser):
+class _ReferenceParser:
     """The nine-level recursive descent (term, arrow, sigma, sum, por, pand,
     app, postfix, atom) that precedence climbing replaced, kept as its
-    oracle; only the token helpers are shared."""
+    oracle, over the tokens of `reference_tokenize`."""
+
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self, k: int = 0) -> Token:
+        return self.toks[self.pos + k]
+
+    def next(self) -> Token:
+        t = self.toks[self.pos]
+        if t.kind != "eof":
+            self.pos += 1
+        return t
+
+    def error(self, msg: str) -> ParseError:
+        t = self.peek()
+        return ParseError(msg + (f" (got {t.value!r})" if t.value
+                                 else " (got end of input)"), t.line, t.col)
+
+    def expect_sym(self, s: str) -> Token:
+        t = self.peek()
+        if t.kind == "sym" and t.value == s:
+            return self.next()
+        raise self.error(f"expected {s!r}")
+
+    def at_sym(self, s: str) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == "sym" and t.value == s
+
+    def at_name(self, s: str) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == "name" and t.value == s
 
     def expect_name(self) -> str:
         t = self.peek()
@@ -535,7 +596,7 @@ class _ReferenceParser(_Parser):
 
 
 def reference_parse_term(text: str) -> Term:
-    p = _ReferenceParser(tokenize(text))
+    p = _ReferenceParser(reference_tokenize(text))
     t = p.term()
     if p.peek().kind != "eof":
         raise p.error("trailing input after term")
@@ -543,7 +604,7 @@ def reference_parse_term(text: str) -> Term:
 
 
 def reference_parse_declarations(text: str) -> list[Declaration]:
-    p = _ReferenceParser(tokenize(text))
+    p = _ReferenceParser(reference_tokenize(text))
     decls: list[Declaration] = []
     while p.peek().kind != "eof":
         if not p.at_name("def"):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clott import terms as T
-from clott.parser import Token
 from clott.terms import (AOp, AVar, App, Const, Forall, Lam, Later, Pi,
                          TickAbs, Var, alg_free_vars, alpha_eq, clock_subst,
                          free_names, fresh, rename, subst, tick_subst)
@@ -329,7 +328,7 @@ def _example(cls):
     return cls(*[value.get(role[f.name], "x") for f in fields(cls)])
 
 
-def test_term_nodes_and_tokens_are_slotted():
+def test_term_nodes_are_slotted():
     for cls in T._SPEC:
         t = _example(cls)
         assert not hasattr(t, "__dict__"), cls.__name__
@@ -340,7 +339,3 @@ def test_term_nodes_and_tokens_are_slotted():
             f"{f.name}={getattr(t, f.name)!r}" for f in fields(cls)) + ")")
     assert Pi("x", Var("A"), Var("B")) != T.Sigma("x", Var("A"), Var("B"))
     assert T.Univ(("k2", "k1", "k2")).clocks == ("k1", "k2")
-    tok = Token("name", "x", 1, 2)
-    assert not hasattr(tok, "__dict__")
-    assert tok == Token("name", "x", 1, 2)
-    assert repr(tok) == "Token(kind='name', value='x', line=1, col=2)"
