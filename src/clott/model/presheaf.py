@@ -18,8 +18,9 @@ stage-lowering morphisms, `_chain_limit`); at finite truncation these
 limits collapse to the top-stage fiber, which is exactly the truncation
 artifact the force checker reports.
 
-A `Model` refuses a category larger than its budget before enumerating
-it (`timecat.check_size`).
+A `Model` refuses a category larger than its budget, slice included,
+before enumerating it (`timecat.check_size`); it builds the slice and the
+inner subcategories on first read, so time-only jobs never build them.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ class FreshClockExhausted(Exception):
 
 @dataclass
 class Model:
-    """Shared context: the enumerated time category and its slice by Clk."""
+    """Shared context: the enumerated time category and, built on first
+    read, its slice by Clk and their inner subcategories."""
     pool: int = 2
     bound: int = 4
     budget: Budget = field(default_factory=Budget)
@@ -49,14 +51,22 @@ class Model:
         check_size(self.pool, self.bound, self.budget.max_elements)
         self.names = pool_names(self.pool)
         self.time = enumerate_category(self.pool, self.bound)
-        self.slice = slice_category(self.time)
-        # full subcategories of objects that keep a clock name in reserve;
-        # clock quantification produces presheaves over these
-        self.time_inner = full_subcat(
-            self.time, lambda o: len(o.names) < self.pool)
-        self.slice_inner = full_subcat(
-            self.slice, lambda o: len(o.time.names) < self.pool,
-            self.time_inner)
+
+    @cached_property
+    def slice(self) -> FinCategory:
+        return slice_category(self.time)
+
+    # full subcategories of objects that keep a clock name in reserve;
+    # clock quantification produces presheaves over these
+    @cached_property
+    def time_inner(self) -> FinCategory:
+        return full_subcat(self.time, lambda o: len(o.names) < self.pool)
+
+    @cached_property
+    def slice_inner(self) -> FinCategory:
+        return full_subcat(self.slice,
+                           lambda o: len(o.time.names) < self.pool,
+                           self.time_inner)
 
     def fresh_clock(self, e: TimeObj) -> str:
         for n in self.names:
@@ -302,6 +312,13 @@ def _stagewise(src: tuple, dst: tuple, *acts) -> tuple:
         for act, col in zip(acts, zip(*families))])))
 
 
+def _chain_key(fibs, act, downs, chain) -> tuple:
+    """The identities of the fibers and down-actions along a chain, which
+    determine its limit; they must outlive the key, like `_shared`'s."""
+    return (*(id(fibs[o]) for o in chain),
+            *(id(act(downs[o])) for o in chain[1:]))
+
+
 def _limits(x: Psh, cat: FinCategory, chains, stage_mors) -> Psh:
     """The presheaf over cat with, at object i, the chain limit of x over
     chains[i], its families encoded ("tup", ((0, x_0), …)), and at
@@ -313,7 +330,7 @@ def _limits(x: Psh, cat: FinCategory, chains, stage_mors) -> Psh:
     lims, fibs = [], []
     for chain in chains:
         fibers = [x.fibs[o] for o in chain]
-        key = (*map(id, fibers), *(id(x.acts[downs[o]]) for o in chain[1:]))
+        key = _chain_key(x.fibs, x.acts.__getitem__, downs, chain)
         if key not in limits:
             lim = _chain_limit(x.cat, x.fibs, x.acts.__getitem__, chain)
             limits[key] = lim, tuple(
@@ -377,7 +394,7 @@ def check_functoriality(x: Psh) -> CheckOutcome:
     """Whether x(id) = id and x(g∘f) = x(g)∘x(f); the counterexample is the
     first failure over the identities, then the pairs by f's and g's ids.
 
-    The pairs with g a generator (`timecat._is_generator`) decide it.  A
+    The pairs with g a generator (`FinCategory.gen_flags`) decide it.  A
     morphism σ : (E,θ) → (E',θ') is merges to one clock per fiber of σ at
     the fiber's least stage, a rename onto σ(E), decrements to θ', adds of
     E' ∖ σ(E) at the top stage and decrements to θ'; no object on the way

@@ -177,16 +177,17 @@ class FinCategory:
 
     @cached_property
     def gen_flags(self) -> tuple[bool, ...]:
-        """Whether each morphism is a generator (`_is_generator`), read off
-        the parent or, in a slice, the time morphism under it."""
+        """Whether each morphism is a generator, read off the parent or, in
+        a slice, the time morphism under it; a time category builds them by
+        construction (`_generators`; the tests hold a predicate oracle)."""
         link = self.parent or self.over
         if link is not None:
             cat, _, ids = link
             return tuple(map(cat.gen_flags.__getitem__, ids))
-        objs = self.objects
-        top = max((s for o in objs for s in o.stages), default=0)
-        return tuple(_is_generator(objs[s], objs[d], images, top)
-                     for s, d, images in self.mors)
+        flags = [False] * len(self.mors)
+        for key in _generators(self.objects, self.obj_id):
+            flags[self.mor_id[key]] = True
+        return tuple(flags)
 
     @cached_property
     def gens(self) -> tuple[tuple[int, ...], ...]:
@@ -296,24 +297,33 @@ def enumerate_category(pool: int, bound: int) -> FinCategory:
     return FinCategory(objects, mors, "time")
 
 
-def _is_generator(a: TimeObj, b: TimeObj, images, top: int) -> bool:
-    """Whether a → b with these images is a stage decrement (identity σ,
-    one clock lowered by 1), a merge (one clock sent to another, at the
-    lower of their stages), a bijective rename carrying the stages, or an
-    add of one clock at top."""
-    targets = [b.names[y] for y in images]
-    moved = sum(x != y for x, y in zip(a.names, targets))
-    if not moved:
-        if b.names == a.names:
-            return sum(a.stages) - sum(b.stages) == 1
-        new = set(b.names).difference(a.names)
-        return len(new) == 1 and b == a.add_clock(new.pop(), top)
-    low: dict = {}      # each image at the least stage of its preimages
-    for y, s in zip(targets, a.stages):
-        low[y] = min(s, low.get(y, s))
-    names = tuple(sorted(low))
-    return (moved == 1 or len(low) == len(a.names)) and \
-        b == TimeObj(names, tuple(low[y] for y in names))
+def _generators(objects, obj_id):
+    """The keys of the generators out of each time object a: the stage
+    decrements (identity σ, one clock lowered by 1), the adds of one clock
+    at the top stage, and the maps that move one clock onto another (a
+    merge) or rename bijectively onto their image, each image at the least
+    stage of its preimages."""
+    names = sorted({n for o in objects for n in o.names})
+    top = max((s for o in objects for s in o.stages), default=0)
+    for i, a in enumerate(objects):
+        n = len(a.names)
+        for k, s in enumerate(a.stages):
+            if s:
+                lower = a.stages[:k] + (s - 1,) + a.stages[k + 1:]
+                yield i, obj_id[TimeObj(a.names, lower)], tuple(range(n))
+        for c in names:
+            if c not in a.names:
+                b = a.add_clock(c, top)
+                yield i, obj_id[b], tuple(map(b.names.index, a.names))
+        merges = (a.names[:k] + (y,) + a.names[k + 1:]
+                  for k, x in enumerate(a.names) for y in a.names if y != x)
+        for targets in itertools.chain(itertools.permutations(names, n),
+                                       merges):
+            if targets != a.names:
+                image = tuple(sorted(set(targets)))
+                b = TimeObj(image, tuple(min(s for y, s in zip(
+                    targets, a.stages) if y == z) for z in image))
+                yield i, obj_id[b], tuple(map(image.index, targets))
 
 
 def slice_category(t: FinCategory) -> FinCategory:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from ..coalgebra import (FunctorExpr, functor_eval, functor_map_all,
                          functor_plan, functor_size)
-from .presheaf import (Model, Psh, _bijective, _chain_limit, _stagewise,
-                       align, arrow, clk_psh, coproduct, const_psh,
-                       forall_clk, later, product, weaken)
+from .presheaf import (Model, Psh, _bijective, _chain_key, _chain_limit,
+                       _shared, _stagewise, align, arrow, clk_psh, coproduct,
+                       const_psh, forall_clk, later, product, weaken)
 from .timecat import obj_key
 
 
@@ -186,26 +186,38 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     coalgebra module).  Objects with equally many labels share one fiber
     and one plan of F.  An action is F's positional action
     (`functor_map_all`) on the label map, and the label map is the chain
-    limit's own stage-by-stage action (`_stagewise`)."""
+    limit's own stage-by-stage action (`_stagewise`).  Limits and actions
+    are shared by identity, as in `presheaf._limits`: chains over the same
+    fibers and down-actions have one limit, and morphisms between the same
+    limits and plans along the same stage actions one action."""
     cat = model.slice
-    chains = cat.stage_shift[0]
+    chains, downs, shifted = cat.stage_shift
     stage = cat.marked_stage
     n_obj = len(cat.objects)
     fibs: list = [None] * n_obj     # F(labels) elements, by object id
     plans: list = [None] * n_obj    # F's plan over the labels
     lims: list = [None] * n_obj     # the ▷-families: the labels, by object
+    acts: list = [None] * len(cat.mors)
     by_labels: dict = {}    # number of labels -> (plan, fiber)
+    limits: dict = {}       # `_chain_key` -> chain limit
     memo: dict = {}
 
     def act(j: int) -> tuple:
-        return _mu_act(cat, plans, lims, j, memo)
+        if acts[j] is None:
+            s, d = cat.src_ids[j], cat.dst_ids[j]
+            acts[j] = _shared(memo, _mu_act, lims[s], lims[d], plans[s],
+                              plans[d], *map(act, shifted[j][:stage[d]]))
+        return acts[j]
 
     for i in sorted(range(n_obj), key=stage.__getitem__):
         chain = chains[i][:stage[i]]
         # the chain limit is as large as the fiber at its top, so an
         # oversized stage is refused before the chain is mapped
         functor_size(f, len(fibs[chain[-1]]) if chain else 1, model.budget)
-        lims[i] = _chain_limit(cat, fibs, act, chain)
+        key = _chain_key(fibs, act, downs, chain)
+        if key not in limits:
+            limits[key] = _chain_limit(cat, fibs, act, chain)
+        lims[i] = limits[key]
         n = len(lims[i][0])
         if n not in by_labels:
             by_labels[n] = (functor_plan(f, n, model.budget),
@@ -215,19 +227,13 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     return Psh(cat, tuple(fibs), tuple(map(act, range(len(cat.mors)))))
 
 
-def _mu_act(cat, plans, lims, j: int, memo: dict) -> tuple:
-    if j in memo:
-        return memo[j]
-    s, d, _ = cat.mors[j]
-    label_map = _stagewise(lims[s], lims[d], *(
-        _mu_act(cat, plans, lims, t, memo)
-        for t in cat.stage_shift[2][j][:cat.marked_stage[d]]))
-    if s == d and label_map == tuple(range(len(label_map))):
-        out = tuple(range(plans[s].size))
-    else:
-        out = tuple(functor_map_all(plans[s], plans[d], label_map))
-    memo[j] = out
-    return out
+def _mu_act(src: tuple, dst: tuple, src_plan, dst_plan, *stage_acts):
+    """F's action between the fibers over the chain limits src and dst,
+    along the stage actions of the label map."""
+    label_map = _stagewise(src, dst, *stage_acts)
+    if src_plan is dst_plan and label_map == tuple(range(len(label_map))):
+        return tuple(range(src_plan.size))
+    return tuple(functor_map_all(src_plan, dst_plan, label_map))
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,13 @@ _WORD_START = _NAME_START | frozenset("0123456789")
 # Blanks and comments, then the token: a name, a number, a symbol (longest
 # first), any other character (an error), or nothing at the end of the text.
 # The group matches wherever the blanks stop, so they never backtrack.
+_NAME = r"[A-Za-z_][A-Za-z0-9_'\-]*"
 _TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|--[^\n]*)*"
-                       r"([A-Za-z_][A-Za-z0-9_'\-]*|[0-9]+|"
+                       rf"({_NAME}|[0-9]+|"
                        + "|".join(map(re.escape, _SYMBOLS)) + "|.|)")
+# a line up to its comment: `--` inside a name such as `a--b` is part of
+# the name, as for the tokenizer
+_UNCOMMENTED_RE = re.compile(rf"(?:{_NAME}|[^-]|-(?!-))*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -400,7 +404,8 @@ def _alg_term(p: _Parser, ops: dict[str, int]) -> AVar | AOp:
             p.pos += 1
         if len(args) != ops[name]:
             raise ParseError(
-                f"operation {name!r} has arity {ops[name]}, got {len(args)} arguments",
+                f"operation {name!r} has arity {ops[name]}, got {len(args)} "
+                f"argument{'' if len(args) == 1 else 's'}",
                 *position(p.text, at))
         return AOp(name, tuple(args))
     return AVar(name)
@@ -426,7 +431,7 @@ def parse_theory_file(text: str):
     equations: list[tuple[AVar | AOp, AVar | AOp]] = []
     builtin: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("--")[0].strip()
+        line = _UNCOMMENTED_RE.match(raw).group().strip()
         if not line:
             continue
         if line.startswith("builtin "):

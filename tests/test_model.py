@@ -178,6 +178,45 @@ GEN_GRID = [(1, b) for b in range(2, 6)] + [(2, b) for b in range(2, 5)] \
     + [(3, 2)]
 
 
+def _is_generator(a, b, images, top):
+    """Oracle: whether the time morphism a → b with these images is a
+    stage decrement (identity σ, one clock lowered by 1), a merge (one
+    clock sent to another, at the lower of their stages), a bijective
+    rename carrying the stages, or an add of one clock at top."""
+    targets = [b.names[y] for y in images]
+    moved = sum(x != y for x, y in zip(a.names, targets))
+    if not moved:
+        if b.names == a.names:
+            return sum(a.stages) - sum(b.stages) == 1
+        new = set(b.names).difference(a.names)
+        return len(new) == 1 and b == a.add_clock(new.pop(), top)
+    low: dict = {}      # each image at the least stage of its preimages
+    for y, s in zip(targets, a.stages):
+        low[y] = min(s, low.get(y, s))
+    names = tuple(sorted(low))
+    return (moved == 1 or len(low) == len(a.names)) and \
+        b == TimeObj(names, tuple(low[y] for y in names))
+
+
+def _oracle_gen_flags(cat, top):
+    objs = [getattr(o, "time", o) for o in cat.objects]
+    return tuple(_is_generator(objs[s], objs[d], images, top)
+                 for s, d, images in cat.mors)
+
+
+@pytest.mark.parametrize("pool,bound", GEN_GRID)
+def test_gen_flags_match_predicate_oracle(pool, bound):
+    # generators built by construction are exactly the morphisms the
+    # predicate accepts, in all four categories
+    for cat in _categories(pool, bound):
+        assert cat.gen_flags == _oracle_gen_flags(cat, bound - 1)
+
+
+def test_gen_flags_match_predicate_oracle_pool3_bound3():
+    cat = enumerate_category(3, 3)
+    assert cat.gen_flags == _oracle_gen_flags(cat, 2)
+
+
 @pytest.mark.parametrize("pool,bound", GEN_GRID)
 def test_generators_generate(pool, bound):
     """Every non-identity morphism is a composite of generators, in the
@@ -325,6 +364,18 @@ def test_functoriality_leaves_composition_table_unbuilt():
         assert check_functoriality(x).ok
         assert "table" not in x.cat.__dict__
         assert "gen_table" in x.cat.__dict__
+
+
+def test_time_only_jobs_leave_slice_unbuilt():
+    # the witness sweep and eval_type over the time category read neither
+    # the slice nor its inner subcategory
+    model = Model(pool=2, bound=4)
+    exists_forall_experiment(model, const_psh(model.time, (0, 1, 2, 3)),
+                             lambda u, e: u.time.theta(u.clock) <= e)
+    assert "slice" not in vars(model) and "slice_inner" not in vars(model)
+    model = Model(pool=2, bound=4)
+    eval_type(model, MArrow(MFin(1), MFin(2)))
+    assert "slice" not in vars(model) and "slice_inner" not in vars(model)
 
 
 def test_invalid_parameters_rejected():
@@ -526,8 +577,9 @@ def test_catalogue_fibers_and_actions_unchanged(expr, sliced, digest):
     assert _digest(p) == digest
 
 
-# The benchmark's guarded fixpoints at pool 1, with the digests of the
-# object-keyed presheaves.
+# The benchmark's guarded fixpoints at pool 1, and fixpoints at pool 2,
+# where objects whose marked chains meet equal fibers share them, with the
+# digests of the object-keyed presheaves: (functor, bound, digest[, pool]).
 MU_DIGESTS = [("pf(id)", 4, "78d168e56eb52f4c"),
               ("pf(prod(const{l},id))", 3, "63a96af0f7195af3"),
               ("pf(id)", 3, "2f56829220099adb"),
@@ -535,12 +587,18 @@ MU_DIGESTS = [("pf(id)", 4, "78d168e56eb52f4c"),
               ("sum(const{u},id)", 6, "dd1913bd30e68b27"),
               ("prod(const{a,b},id)", 4, "7d5ccbe5b66d1941"),
               ("prod(const{a,b},id)", 6, "371df0d4c3285fd3"),
-              ("df(const{a,b})", 4, "b9d6ecf818ac49b4")]
+              ("df(const{a,b})", 4, "b9d6ecf818ac49b4"),
+              ("sum(const{u},id)", 4, "4634c7e4fc7e4081", 2),
+              ("sum(const{u},id)", 6, "8ea6debc55f64dc0", 2),
+              ("pf(id)", 3, "4a3b9d7a44047ef5", 2),
+              ("prod(const{a,b},id)", 4, "f2e6a9c17c89c997", 2)]
 
 
-@pytest.mark.parametrize("fs,bound,digest", MU_DIGESTS)
-def test_mu_fibers_and_actions_unchanged(fs, bound, digest):
-    assert _digest(mu(Model(pool=1, bound=bound), parse_functor(fs))) == \
+@pytest.mark.parametrize("fs,bound,digest,pool",
+                         [(*row, 1)[:4] for row in MU_DIGESTS],
+                         ids=["-".join(map(str, row)) for row in MU_DIGESTS])
+def test_mu_fibers_and_actions_unchanged(fs, bound, digest, pool):
+    assert _digest(mu(Model(pool=pool, bound=bound), parse_functor(fs))) == \
         digest
 
 
@@ -815,11 +873,17 @@ def reference_mu(model, f):
     return fib, {j: act(j) for j in range(len(cat.mors))}
 
 
-@pytest.mark.parametrize("fs", ["pf(id)", "pf(prod(const{l},id))",
-                                "sum(const{u},id)", "prod(const{a,b},id)",
-                                "df(const{a,b})"])
-@pytest.mark.parametrize("pool, bound", [(1, 2), (1, 3), (2, 3)])
-def test_mu_matches_reference(fs, pool, bound):
+MU_FUNCTORS = ["pf(id)", "pf(prod(const{l},id))", "sum(const{u},id)",
+               "prod(const{a,b},id)", "df(const{a,b})"]
+
+
+# every functor up to (2, 3); at (2, 4) those whose reference takes well
+# under a second (pf(prod(const{l},id)) takes minutes and pf(id) more)
+@pytest.mark.parametrize("pool,bound,fs", [
+    (pool, bound, fs) for pool, bound in [(1, 2), (1, 3), (2, 3)]
+    for fs in MU_FUNCTORS] + [
+    (2, 4, fs) for fs in ("prod(const{a,b},id)", "df(const{a,b})")])
+def test_mu_matches_reference(pool, bound, fs):
     # every fiber and every action, element by element and in order
     model = Model(pool=pool, bound=bound)
     p = mu(model, parse_functor(fs))

@@ -155,6 +155,26 @@ def test_theory_file_builtin():
     assert builtin == "truncation"
 
 
+def test_theory_file_dashes_inside_a_name_are_not_a_comment():
+    ops, eqs, _ = parse_theory_file("op a--b/1\neq a--b(x) = x\n")
+    assert ops == {"a--b": 1}
+    assert eqs == [(AOp("a--b", (AVar("x"),)), AVar("x"))]
+    ops, eqs, _ = parse_theory_file(
+        "op f/1 -- note\n-- a line of comment\neq f(x) = x--c\n")
+    assert ops == {"f": 1}
+    assert eqs == [(AOp("f", (AVar("x"),)), AVar("x--c"))]
+    ops, _, _ = parse_theory_file("op g/2--note\n")
+    assert ops == {"g": 2}
+
+
+@pytest.mark.parametrize("n, noun", [(0, "arguments"), (1, "argument"),
+                                     (3, "arguments")])
+def test_arity_message_agrees_in_number(n, noun):
+    args = ", ".join("x" * n)
+    with pytest.raises(ParseError, match=f"arity 2, got {n} {noun}$"):
+        parse_theory_file(f"op f/2\neq f({args}) = x\n")
+
+
 def test_theory_file_bad_line():
     with pytest.raises(ParseError):
         parse_theory_file("nonsense here\n")
