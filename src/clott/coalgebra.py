@@ -9,12 +9,14 @@ Carrier-level actions run on integer positions.  `functor_plan` gives F
 over the labels 0..n-1: its size in closed form (so oversized stages are
 refused before they are built), its elements numbered in canonical order
 by construction, and F(fn) for a label map given as a list, as a list of
-positions (`functor_map_all`): pf elements are bitmasks over the inner
-positions, df elements integer masses over a common denominator, prod
-positions i·|R| + j and sum positions offset.  The boundary rule of the
-theories module holds here: `functor_eval` sorts a user-given base once
-with `csorted` and decodes positions over it, and the relabelled stages
-of `terminal_sequence` and of `mu` never call `canon_key` per element.
+positions (`functor_map_all`): pf and df wrap their theory's plan
+(`theories.free_plan`: bitmasks, integer masses over a common
+denominator) around the inner plan, prod positions are i·|R| + j and sum
+positions offset.  Elements are decoded only where they are read:
+`functor_eval` sorts a user-given base once with `csorted` and decodes
+over it, a terminal sequence decodes a stage when `stages` or `stage` is
+read, and `mu` decodes each fiber from its plan; relabelled stages never
+call `canon_key` per element.
 
 Bisimilarity is the coarsest stable partition, computed by signature
 refinement on state indices with a signature function compiled from F: a
@@ -26,11 +28,12 @@ partitions as the oracle.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import theories
+from .parser import UNCOMMENTED_RE
 from .theories import BUILTINS, Budget, BudgetExceeded, canon_key, csorted
 
 
@@ -168,12 +171,6 @@ def functor_eval(f: FunctorExpr, base, budget: Budget | None = None) -> tuple:
     return functor_plan(f, len(base), budget).elements(base)
 
 
-def functor_size(f: FunctorExpr, n: int, budget: Budget) -> int:
-    """|F(X)| for |X| = n without building F(X), refused where
-    functor_eval on an n-element set would refuse."""
-    return functor_plan(f, n, budget).size
-
-
 def functor_plan(f: FunctorExpr, n: int, budget: Budget):
     """The plan of F over the labels 0..n-1: its `size`, its elements in
     canonical order by construction (`elements(base)` decodes them over a
@@ -196,13 +193,8 @@ def functor_plan(f: FunctorExpr, n: int, budget: Budget):
         return plan
     if isinstance(f, FFree):
         inner = functor_plan(f.inner, n, budget)
-        if f.theory == "semilattice":
-            if inner.size > 64 or 2 ** inner.size > budget.max_elements:
-                raise BudgetExceeded(
-                    f"powerset of a {inner.size}-element set exceeds "
-                    f"budget {budget.max_elements}")
-            return _PfPlan(inner, budget)
-        return _DfPlan(inner, budget)
+        return _FreePlan(
+            theories.free_plan(BUILTINS[f.theory], inner.size, budget), inner)
     raise AssertionError(type(f).__name__)
 
 
@@ -266,78 +258,17 @@ class _SumPlan:
 
 
 class _FreePlan:
-    """A free-model node over the inner node's elements; the tables behind
-    its action are built on first use."""
+    """T ∘ G: the plan of the builtin theory T (`theories.free_plan`) over
+    the positions of G's plan, which are its labels."""
 
-    def __init__(self, inner, budget: Budget):
-        self.inner, self.budget = inner, budget
-        self._tables = None
-
-    def tables(self) -> tuple:
-        if self._tables is None:
-            self._tables = self.build_tables()
-        return self._tables
-
-
-class _PfPlan(_FreePlan):
-    """Subsets as bitmasks over the inner positions, in the lexicographic
-    order of their sorted member tuples (`theories._subsets_lex`), with
-    rank[mask] the position of mask."""
-
-    def __init__(self, inner, budget: Budget):
-        super().__init__(inner, budget)
-        self.size = 2 ** inner.size
+    def __init__(self, outer, inner):
+        self.outer, self.inner, self.size = outer, inner, outer.size
 
     def elements(self, base) -> tuple:
-        return theories.free_model(BUILTINS["semilattice"],
-                                   self.inner.elements(base),
-                                   self.budget).elements
-
-    def build_tables(self) -> tuple[list, list]:
-        bits = tuple(1 << j for j in range(self.inner.size))
-        masks = theories._subsets_lex(bits, 0, operator.or_)
-        return masks, sorted(range(self.size), key=masks.__getitem__)
+        return self.outer.elements(self.inner.elements(base))
 
     def act(self, fn, dst):
-        # img[m] = img[m ^ low] | bit(fn[low]), filled a bit at a time: the
-        # masks below 2^(i+1) with bit i set are those below 2^i plus bit i
-        img = [0]
-        for j in self.inner.act(fn, dst.inner):
-            bit = 1 << j
-            img += [m | bit for m in img]
-        rank = dst.tables()[1]
-        return [rank[img[m]] for m in self.tables()[0]]
-
-
-class _DfPlan(_FreePlan):
-    """Distributions over the inner positions with integer masses over a
-    common denominator (`theories.convex_codes`), with a rank dict; the
-    codes are built once, for decoding and for the action."""
-
-    def __init__(self, inner, budget: Budget):
-        super().__init__(inner, budget)
-        self.size = theories.convex_size(inner.size, budget)
-
-    def build_tables(self) -> tuple[int, list, dict]:
-        denom, codes = theories.convex_codes(self.inner.size, self.budget)
-        return denom, codes, {c: i for i, c in enumerate(codes)}
-
-    def elements(self, base) -> tuple:
-        denom, codes, _ = self.tables()
-        return theories.convex_elements(self.inner.elements(base), denom,
-                                        codes)
-
-    def act(self, fn, dst):
-        fi = self.inner.act(fn, dst.inner)
-        rank = dst.tables()[2]
-        out = []
-        for code in self.tables()[1]:
-            acc: dict = {}
-            for x, m in code:
-                y = fi[x]
-                acc[y] = acc.get(y, 0) + m
-            out.append(rank[tuple(sorted(acc.items()))])
-        return out
+        return self.outer.act(self.inner.act(fn, dst.inner), dst.outer)
 
 
 def functor_map(f: FunctorExpr, fn: dict, value):
@@ -380,16 +311,27 @@ UNIT = ("unit",)
 
 @dataclass(frozen=True)
 class TerminalSeq:
-    """Stages are relabelled: stage k+1 is computed as F applied to the
-    integer labels 0..len(stage k)-1, so position i of stage k is label i.
-    Connectors are label-to-label."""
-    stages: tuple            # stages[k] = tuple of raw elements of F^k(1)
+    """Stages are relabelled: stage k+1 is F applied to the integer labels
+    0..|stage k|-1, so position i of stage k is label i, and plans[k] is
+    F's plan over those labels.  Connectors are label-to-label.  A stage
+    is decoded from its plan only when it is read."""
+    plans: tuple             # plans[k] = F's plan over the labels of stage k
     connectors: tuple        # connectors[k][label(k+1)] = label(k)
     convergence: int | None  # first k with connectors[k] bijective
     budget_hit: bool = False
 
     def sizes(self) -> list[int]:
-        return [len(s) for s in self.stages]
+        return [1, *(p.size for p in self.plans)]
+
+    def stage(self, k: int) -> tuple:
+        """The raw elements of F^k(1)."""
+        if k == 0:
+            return (UNIT,)
+        return self.plans[k - 1].elements(tuple(range(self.sizes()[k - 1])))
+
+    @cached_property
+    def stages(self) -> tuple:
+        return tuple(map(self.stage, range(len(self.plans) + 1)))
 
 
 class NotConverged(Exception):
@@ -399,29 +341,27 @@ class NotConverged(Exception):
 def terminal_sequence(f: FunctorExpr, max_steps: int,
                       budget: Budget | None = None) -> TerminalSeq:
     budget = budget or Budget()
-    stages: list[tuple] = [(UNIT,)]
+    plans: list = []
     connectors: list[tuple] = []
-    plan = None             # F's plan over the labels of the last stage
     convergence = None
     budget_hit = False
+    n = 1
     for k in range(max_steps):
-        n = len(stages[k])
         try:
-            nxt_plan = functor_plan(f, n, budget)
-            nxt = functor_eval(f, range(n), budget)
+            plan = functor_plan(f, n, budget)
         except BudgetExceeded:
             budget_hit = True
             break
         # connector k is F(connector k-1); connector 0 is F(1) -> 1
-        conn = tuple(functor_map_all(nxt_plan, plan, connectors[-1])
-                     if k else [0] * len(nxt))
-        stages.append(nxt)
+        conn = tuple(functor_map_all(plan, plans[-1], connectors[-1])
+                     if k else [0] * plan.size)
+        plans.append(plan)
         connectors.append(conn)
-        plan = nxt_plan
-        if convergence is None and len(nxt) == n and len(set(conn)) == n:
+        if plan.size == n and len(set(conn)) == n:
             convergence = k
             break
-    return TerminalSeq(tuple(stages), tuple(connectors), convergence,
+        n = plan.size
+    return TerminalSeq(tuple(plans), tuple(connectors), convergence,
                        budget_hit)
 
 
@@ -453,11 +393,11 @@ def final_coalgebra(f: FunctorExpr, max_steps: int = 16,
     if seq.convergence is None:
         raise NotConverged(
             f"no bijective connector within {max_steps} steps; stage sizes "
-            f"{[len(s) for s in seq.stages]}")
+            f"{seq.sizes()}")
     k = seq.convergence
-    carrier = tuple(range(len(seq.stages[k])))
+    carrier = tuple(range(seq.sizes()[k]))
     conn = seq.connectors[k]
-    structure = {conn[i]: v for i, v in enumerate(seq.stages[k + 1])}
+    structure = {conn[i]: v for i, v in enumerate(seq.stage(k + 1))}
     final = Coalgebra(f, carrier, structure)
     spaces = [functor_eval(f, tuple(range(n)), budget)
               for n in range(verify_size_bound + 1)]
@@ -708,11 +648,14 @@ def _wb(x, y, rel, stage: int, cap: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def parse_coalgebra_file(text: str) -> Coalgebra:
-    """Lines `x a y` (transition x --a--> y) and `state x`; comments `--`."""
+    """Lines `x a y` (transition x --a--> y) and `state x`; `--` starts a
+    comment except inside a name, as in `.thy` files."""
     states: dict[str, None] = {}
     edges: dict[str, set] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("--")[0].strip()
+        if "--" in raw:
+            raw = UNCOMMENTED_RE.match(raw).group()
+        line = raw.strip()
         if not line:
             continue
         parts = line.split()

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..coalgebra import (FunctorExpr, functor_eval, functor_map_all,
-                         functor_plan, functor_size)
+from ..coalgebra import FunctorExpr, functor_map_all, functor_plan
 from .presheaf import (Model, Psh, _bijective, _chain_key, _chain_limit,
                        _shared, _stagewise, align, arrow, clk_psh, coproduct,
                        const_psh, forall_clk, later, product, weaken)
@@ -211,17 +210,16 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
 
     for i in sorted(range(n_obj), key=stage.__getitem__):
         chain = chains[i][:stage[i]]
-        # the chain limit is as large as the fiber at its top, so an
-        # oversized stage is refused before the chain is mapped
-        functor_size(f, len(fibs[chain[-1]]) if chain else 1, model.budget)
+        # the chain limit is as large as the fiber at its top, so F's plan
+        # over its labels refuses an oversized stage before it is mapped
+        n = len(fibs[chain[-1]]) if chain else 1
+        if n not in by_labels:
+            plan = functor_plan(f, n, model.budget)
+            by_labels[n] = (plan, plan.elements(tuple(range(n))))
         key = _chain_key(fibs, act, downs, chain)
         if key not in limits:
             limits[key] = _chain_limit(cat, fibs, act, chain)
         lims[i] = limits[key]
-        n = len(lims[i][0])
-        if n not in by_labels:
-            by_labels[n] = (functor_plan(f, n, model.budget),
-                            functor_eval(f, range(n), model.budget))
         plans[i], fibs[i] = by_labels[n]
 
     return Psh(cat, tuple(fibs), tuple(map(act, range(len(cat.mors)))))

@@ -76,7 +76,7 @@ _TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|--[^\n]*)*"
                        + "|".join(map(re.escape, _SYMBOLS)) + "|.|)")
 # a line up to its comment: `--` inside a name such as `a--b` is part of
 # the name, as for the tokenizer
-_UNCOMMENTED_RE = re.compile(rf"(?:{_NAME}|[^-]|-(?!-))*")
+UNCOMMENTED_RE = re.compile(rf"(?:{_NAME}|[^-]|-(?!-))*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -431,7 +431,7 @@ def parse_theory_file(text: str):
     equations: list[tuple[AVar | AOp, AVar | AOp]] = []
     builtin: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _UNCOMMENTED_RE.match(raw).group().strip()
+        line = UNCOMMENTED_RE.match(raw).group().strip()
         if not line:
             continue
         if line.startswith("builtin "):
@@ -449,6 +449,9 @@ def parse_theory_file(text: str):
                 n = -1
             if n < 0:
                 raise ParseError(f"bad arity {arity.strip()!r}", lineno, 1)
+            if name in ops:
+                raise ParseError(f"operation {name!r} is already declared",
+                                 lineno, raw.index(rest) + 1)
             ops[name] = n
             continue
         if line.startswith("eq "):

@@ -7,6 +7,15 @@ back on bounded term enumeration plus congruence closure, with
 three-valued equality: distinct classes are only `unknown` apart, never
 `apart`, since a bigger budget might merge them.
 
+Carriers on positions.  Each builtin free model has one plan over the
+labels 0..n-1 (`free_plan`): a closed-form size, refused over the budget
+before anything is built; codes numbered in canonical order (bitmasks,
+integer masses over a common denominator, sorted words, one point); and
+T(f) as a map from positions to positions.  `free_model` and the pf and
+df functors of the coalgebra module decode it, and the preservation
+checks run on it: elements, and with them `Fraction` masses, are built
+only for a monos counterexample and for the callers that read them.
+
 Canonical order and the boundary rule.  Carriers are listed in the order
 of `canon_key`, a total order across numbers (ints and Fractions by
 value), strings, tuples and frozensets; it costs a call per atom, so it
@@ -27,6 +36,7 @@ plain comparison fails on them or a member holds a frozenset.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -154,8 +164,9 @@ def theory_from_file(ops: dict[str, int],
 def _check_arities(t: Theory, term: AlgTerm) -> None:
     if isinstance(term, AOp):
         if t.arity(term.op) != len(term.args):
-            raise TheoryError(f"operation {term.op!r} applied to "
-                              f"{len(term.args)} arguments")
+            n = len(term.args)
+            raise TheoryError(f"operation {term.op!r} applied to {n} "
+                              f"argument{'' if n == 1 else 's'}")
         for a in term.args:
             _check_arities(t, a)
 
@@ -248,22 +259,6 @@ class FreeModel:
     exact: bool     # False for budget-bounded custom carriers (lower bound)
 
 
-def unit(t: Theory, x):
-    """Monad unit: the variable x as an element of T(X)."""
-    b = t.builtin
-    if b == "semilattice":
-        return ("set", (x,))
-    if b == "convex":
-        return ("dist", ((x, Fraction(1)),))
-    if b in ("monoid",):
-        return ("list", (x,))
-    if b == "commutative-monoid":
-        return ("bag", (x,))
-    if b == "truncation":
-        return STAR
-    return ("class", _v_of(x))
-
-
 def _v_of(x) -> AlgTerm:
     # ground terms over a carrier reuse AVar leaves tagged with the element
     return AVar(("gen", x))
@@ -272,40 +267,174 @@ def _v_of(x) -> AlgTerm:
 def free_model(t: Theory, base, budget: Budget | None = None) -> FreeModel:
     """The carrier of T(X) in canonical normal forms (builtins) or as
     congruence classes of bounded terms (custom).  The base is sorted once;
-    builtin carriers are built on its positions and decoded."""
+    builtin carriers are their plans decoded over it."""
     budget = budget or Budget()
     base = tuple(csorted(base))
+    if t.builtin is None:
+        classes = _congruence_classes(t, base, budget)
+        return FreeModel(t, base, tuple(("class", rep) for rep in classes),
+                         False)
+    return FreeModel(t, base, free_plan(t, len(base), budget).elements(base),
+                     True)
+
+
+def free_plan(t: Theory, n: int, budget: Budget):
+    """The plan of T over the labels 0..n-1: its `size`, `elements(base)`
+    decoding it over a canonically sorted base of n elements, and
+    `act(fn, dst)`, T(fn) as the positions in dst of the images of its
+    positions, for fn the labels in dst's base of its n labels.  A builtin
+    plan's size is a closed form, refused over the budget before any code
+    exists; its codes, in canonical order by construction, are built on
+    first use.  A custom theory's plan holds the congruence classes over
+    the labels and acts by `fmap` on class terms; an image that is not a
+    listed class stays a term, equal to no position."""
     b = t.builtin
+    if b is None:
+        return _ClassPlan(free_model(t, range(n), budget))
     if b == "semilattice":
-        subsets = _subsets_lex([(x,) for x in base], (), operator.add)
-        return FreeModel(t, base, tuple(("set", s) for s in subsets), True)
+        return _SetPlan(n, budget)
     if b == "convex":
-        return FreeModel(t, base, convex_elements(
-            base, *convex_codes(len(base), budget)), True)
-    if b in ("monoid", "commutative-monoid"):
-        tag = "list" if b == "monoid" else "bag"
-        # n^k words or C(n+k-1, k) multisets of length k over n generators
-        # (one of length 0), summed before any layer is built
-        n = len(base)
-        layers = (n ** k if tag == "list" else math.comb(n + k - 1, k) if k
-                  else 1 for k in range(budget.max_len + 1))
-        if any(s > budget.max_elements for s in itertools.accumulate(layers)):
-            raise BudgetExceeded(f"{b} carrier too large")
-        words = []
-        for k in range(budget.max_len + 1):
-            words.extend(itertools.product(range(n), repeat=k)
-                         if tag == "list" else
-                         itertools.combinations_with_replacement(range(n), k))
-        # length-capped slice of an infinite free monoid: still exact
-        # equality on the listed elements
-        words.sort()
-        return FreeModel(t, base, tuple(
-            (tag, tuple(base[i] for i in w)) for w in words), True)
+        return _DistPlan(n, budget)
     if b == "truncation":
-        return FreeModel(t, base, (STAR,) if base else (), True)
-    classes = _congruence_classes(t, base, budget)
-    elems = tuple(("class", rep) for rep in classes)
-    return FreeModel(t, base, elems, False)
+        return _PointPlan(n)
+    return _WordPlan(n, budget, b)
+
+
+class _Plan:
+    """`codes[i]` encodes the element at position i, and `rank`, built on
+    first use, maps a code to its position."""
+
+    @functools.cached_property
+    def rank(self) -> dict:
+        return {c: i for i, c in enumerate(self.codes)}
+
+
+class _SetPlan(_Plan):
+    """Subsets as bitmasks over the labels, in the lexicographic order of
+    their sorted member tuples (`_subsets_lex`)."""
+
+    def __init__(self, n: int, budget: Budget):
+        if n > 64 or 2 ** n > budget.max_elements:
+            raise BudgetExceeded(f"powerset of a {n}-element set exceeds "
+                                 f"budget {budget.max_elements}")
+        self.n, self.size = n, 2 ** n
+
+    @functools.cached_property
+    def codes(self) -> list:
+        return _subsets_lex([1 << j for j in range(self.n)], 0, operator.or_)
+
+    def elements(self, base) -> tuple:
+        return tuple(("set", s) for s in
+                     _subsets_lex([(x,) for x in base], (), operator.add))
+
+    def act(self, fn, dst) -> list:
+        # img[m] = img[m ^ low] | bit(fn[low]), filled a bit at a time: the
+        # masks below 2^(i+1) with bit i set are those below 2^i plus bit i
+        img = [0]
+        for j in fn:
+            bit = 1 << j
+            img += [m | bit for m in img]
+        rank = dst.rank
+        return [rank[img[m]] for m in self.codes]
+
+
+class _DistPlan(_Plan):
+    """Distributions as tuples of (label, mass) pairs, with integer masses
+    over the common denominator lcm(1..max_denominator)."""
+
+    def __init__(self, n: int, budget: Budget):
+        self.n, self.max_denominator = n, budget.max_denominator
+        self.size = convex_size(n, budget)
+        self.denom = math.lcm(*range(1, budget.max_denominator + 1))
+
+    @functools.cached_property
+    def codes(self) -> list:
+        codes = set()
+        for d in range(1, self.max_denominator + 1):
+            for masses in _compositions(d, self.n):
+                codes.add(tuple((x, m * (self.denom // d))
+                                for x, m in enumerate(masses) if m))
+        return sorted(codes)
+
+    def elements(self, base) -> tuple:
+        mass = [Fraction(m, self.denom) for m in range(self.denom + 1)]
+        return tuple(("dist", tuple((base[x], mass[m]) for x, m in code))
+                     for code in self.codes)
+
+    def act(self, fn, dst) -> list:
+        rank = dst.rank
+        out = []
+        for code in self.codes:
+            acc: dict = {}
+            for x, m in code:
+                y = fn[x]
+                acc[y] = acc.get(y, 0) + m
+            out.append(rank[tuple(sorted(acc.items()))])
+        return out
+
+
+class _WordPlan(_Plan):
+    """Words of length at most max_len as tuples of labels (monoid), or
+    the nondecreasing ones (commutative monoid: multisets): a slice of an
+    infinite free model, still exact on the listed elements."""
+
+    def __init__(self, n: int, budget: Budget, name: str):
+        self.n, self.max_len = n, budget.max_len
+        self.tag = "list" if name == "monoid" else "bag"
+        # n^k words or C(n+k-1, k) multisets of length k over n labels
+        # (one of length 0)
+        self.size = sum(n ** k if self.tag == "list" else
+                        math.comb(n + k - 1, k) if k else 1
+                        for k in range(self.max_len + 1))
+        if self.size > budget.max_elements:
+            raise BudgetExceeded(f"{name} carrier too large")
+
+    @functools.cached_property
+    def codes(self) -> list:
+        words = [w for k in range(self.max_len + 1) for w in (
+            itertools.product(range(self.n), repeat=k) if self.tag == "list"
+            else itertools.combinations_with_replacement(range(self.n), k))]
+        words.sort()
+        return words
+
+    def elements(self, base) -> tuple:
+        return tuple((self.tag, tuple(map(base.__getitem__, w)))
+                     for w in self.codes)
+
+    def act(self, fn, dst) -> list:
+        rank, image = dst.rank, fn.__getitem__
+        if self.tag == "list":
+            return [rank[tuple(map(image, w))] for w in self.codes]
+        return [rank[tuple(sorted(map(image, w)))] for w in self.codes]
+
+
+class _PointPlan:
+    """Truncation: one point over a nonempty set, none over the empty one."""
+
+    def __init__(self, n: int):
+        self.size = 1 if n else 0
+
+    def elements(self, base) -> tuple:
+        return (STAR,) * self.size
+
+    def act(self, fn, dst) -> list:
+        return [0] * self.size
+
+
+class _ClassPlan(_Plan):
+    """A custom theory's congruence classes over the labels."""
+
+    def __init__(self, model: FreeModel):
+        self.theory, self.codes = model.theory, model.elements
+        self.size = len(self.codes)
+
+    def elements(self, base) -> tuple:
+        return tuple(fmap(self.theory, base, c) for c in self.codes)
+
+    def act(self, fn, dst) -> list:
+        rank = dst.rank
+        return [rank.get(img, img)
+                for img in (fmap(self.theory, fn, c) for c in self.codes)]
 
 
 def _subsets_lex(units, empty, join) -> list:
@@ -335,27 +464,6 @@ def convex_size(n: int, budget: Budget) -> int:
     if sum(least) > budget.max_elements:
         raise BudgetExceeded("convex carrier too large")
     return sum(least)
-
-
-def convex_codes(n: int, budget: Budget) -> tuple[int, list]:
-    """The convex carrier over the positions 0..n-1 in canonical order, as
-    (D, codes): a code is a tuple of (position, mass) pairs with integer
-    masses over the common denominator D = lcm(1..max_denominator)."""
-    convex_size(n, budget)
-    denom = math.lcm(*range(1, budget.max_denominator + 1))
-    codes = set()
-    for d in range(1, budget.max_denominator + 1):
-        for masses in _compositions(d, n):
-            codes.add(tuple((x, m * (denom // d))
-                            for x, m in enumerate(masses) if m))
-    return denom, sorted(codes)
-
-
-def convex_elements(base: tuple, denom: int, codes: list) -> tuple:
-    """The convex codes decoded over a canonically sorted base."""
-    mass = [Fraction(m, denom) for m in range(denom + 1)]
-    return tuple(("dist", tuple((base[x], mass[m]) for x, m in code))
-                 for code in codes)
 
 
 def _compositions(total: int, parts: int):
@@ -389,57 +497,16 @@ def summed_masses(pairs) -> dict:
     return acc
 
 
-def interpret(t: Theory, term: AlgTerm, env: dict) -> object:
-    """Evaluate an algebraic term in T(X) with variables bound to elements
-    of T(X) by env."""
-    if isinstance(term, AVar):
-        return env[term.name]
-    args = [interpret(t, a, env) for a in term.args]
-    return apply_op(t, term.op, args)
-
-
-def apply_op(t: Theory, op: str, args: list):
-    b = t.builtin
-    if b == "semilattice":
-        if op == "bot":
-            return ("set", ())
-        acc = set()
-        for _, xs in args:
-            acc.update(xs)
-        return ("set", tuple(psorted(acc)))
-    if b == "convex":
-        p = CONVEX_WEIGHTS[op]
-        (_, d1), (_, d2) = args
-        acc = summed_masses([*((x, p * m) for x, m in d1),
-                             *((x, (1 - p) * m) for x, m in d2)])
-        return ("dist", tuple(psorted([(x, m) for x, m in acc.items() if m])))
-    if b in ("monoid", "commutative-monoid"):
-        if op == "e":
-            return ("list" if b == "monoid" else "bag", ())
-        (tag, w1), (_, w2) = args
-        w = w1 + w2
-        return (tag, w if tag == "list" else tuple(psorted(w)))
-    if b == "truncation":
-        raise TheoryError("truncation has no operations")
-    raise TheoryError(f"interpret: custom theory {t.name!r}; use the "
-                      "congruence-class model")
-
-
 def fmap(t: Theory, f: dict, elem):
-    """Functor action T(f): rename the free variables of a normal form,
-    the images in canonical order by `psorted`."""
+    """Functor action T(f) on one set, distribution or class element:
+    rename its free variables, the images in canonical order by
+    `psorted`.  Carriers act on positions (`free_plan`)."""
     tag = elem[0]
     if tag == "set":
         return ("set", tuple(psorted({f[x] for x in elem[1]})))
     if tag == "dist":
         acc = summed_masses((f[x], m) for x, m in elem[1])
         return ("dist", tuple(psorted(acc.items())))
-    if tag == "list":
-        return ("list", tuple(f[x] for x in elem[1]))
-    if tag == "bag":
-        return ("bag", tuple(psorted(f[x] for x in elem[1])))
-    if tag == "star":
-        return elem
     if tag == "class":
         return ("class", _subst_gens(elem[1], f))
     raise TheoryError(f"unknown element tag {tag!r}")
@@ -450,30 +517,6 @@ def _subst_gens(term: AlgTerm, f: dict) -> AlgTerm:
         _, x = term.name
         return _v_of(f[x])
     return AOp(term.op, tuple(_subst_gens(a, f) for a in term.args))
-
-
-def mult(t: Theory, elem):
-    """Monad multiplication T(T(X)) -> T(X): flatten one layer."""
-    tag = elem[0]
-    if tag == "set":
-        acc = set()
-        for inner in elem[1]:
-            acc.update(inner[1])
-        return ("set", tuple(psorted(acc)))
-    if tag == "dist":
-        acc = summed_masses((x, m * mx) for inner, m in elem[1]
-                            for x, mx in inner[1])
-        return ("dist", tuple(psorted(acc.items())))
-    if tag == "list":
-        return ("list", tuple(x for inner in elem[1] for x in inner[1]))
-    if tag == "bag":
-        out = []
-        for inner in elem[1]:
-            out.extend(inner[1])
-        return ("bag", tuple(psorted(out)))
-    if tag == "star":
-        return STAR
-    raise TheoryError("mult is only defined for builtin theories")
 
 
 # ---------------------------------------------------------------------------
@@ -684,23 +727,29 @@ def _sets_upto(bound: int):
 def check_preserves_monos(t: Theory, size_bound: int = 3,
                           budget: Budget | None = None) -> CheckResult:
     """Exhaustively check that T sends injections X >-> Y (sets of size at
-    most size_bound) to injections."""
+    most size_bound) to injections, on positions: T's plan over each size
+    is built once, X and Y are 0..n-1, so an injection is its tuple of
+    images, and T(f) is `act` of X's plan.  Elements are decoded only for
+    a counterexample."""
     budget = budget or Budget()
+    plans = [free_plan(t, n, budget) for n in range(size_bound + 1)]
     for x in _sets_upto(size_bound):
-        mx = free_model(t, x, budget)
+        px = plans[len(x)]
         for y in _sets_upto(size_bound):
             if len(y) < len(x):
                 continue
+            py = plans[len(y)]
             for images in itertools.permutations(y, len(x)):
-                f = dict(zip(x, images))
-                seen: dict = {}
-                for e in mx.elements:
-                    img = fmap(t, f, e)
-                    if img in seen and seen[img] != e:
-                        return CheckResult(False, (x, y, tuple(
-                            sorted(f.items())), seen[img], e),
-                            {"size_bound": size_bound})
-                    seen[img] = e
+                keys = px.act(images, py)
+                if len(set(keys)) == len(keys):
+                    continue
+                i = next(i for i, key in enumerate(keys)
+                         if keys.index(key) < i)
+                elems = px.elements(x)
+                return CheckResult(False, (
+                    x, y, tuple(zip(x, images)),
+                    elems[keys.index(keys[i])], elems[i]),
+                    {"size_bound": size_bound})
     return CheckResult(True, None, {"size_bound": size_bound})
 
 
@@ -711,50 +760,44 @@ def check_preserves_pullbacks_of_monos(
     <- T(Z) over all f: X -> Y and subsets Z of Y with |X|, |Y| at most
     size_bound.  First counterexample in canonical enumeration order.
 
-    Each free model is built once per call.  The pullback is a hash
-    join: T(Z) is indexed once per Z by its image under T(incl), and each
-    u in T(X) is mapped once per f and paired with the v under its
-    image.  A work budget refuses more than max_elements squares before
-    any free model is built."""
+    The check runs on positions: T's plan over each size is built once,
+    X and Y are 0..n-1, and Z and P = f^{-1}Z are sorted tuples whose
+    positions are the labels of the plan of their size; each map T(fn)
+    between two plans is computed once.  The pullback is a hash join: T(Z)
+    is indexed once per Z by its image under T(incl), and each position
+    of T(X) is paired with the positions of T(Z) under its image.  A work
+    budget refuses more than max_elements squares before any plan is
+    built."""
     budget = budget or Budget()
     squares = _pullback_squares(size_bound, budget.max_elements)
     if squares > budget.max_elements:
         raise BudgetExceeded(
             f"pullback check up to size {size_bound} has at least {squares} "
             f"squares, over the max_elements budget {budget.max_elements}")
-    models: dict = {}
-
-    def model(base):
-        m = models.get(base)
-        if m is None:
-            m = models[base] = free_model(t, base, budget)
-        return m
-
+    plans = [free_plan(t, n, budget) for n in range(size_bound + 1)]
+    # T(fn) from the plan over n labels to the plan over m labels
+    act = functools.cache(lambda n, fn, m: plans[n].act(fn, plans[m]))
     for y in _sets_upto(size_bound):
         for z in _subsets(y):
-            mz = model(z)
-            incl = {v: v for v in z}
+            zpos = {v: j for j, v in enumerate(z)}
             # T(Z) indexed by its image in T(Y)
             over: dict = {}
-            for v in mz.elements:
-                over.setdefault(fmap(t, incl, v), []).append(v)
+            for j, key in enumerate(act(len(z), z, len(y))):
+                over.setdefault(key, []).append(j)
             for x in _sets_upto(size_bound):
-                mx = model(x)
-                for f_images in itertools.product(y, repeat=len(x)):
-                    f = dict(zip(x, f_images))
-                    p = tuple(v for v in x if f[v] in z)
-                    mp = model(p)
+                for f in itertools.product(y, repeat=len(x)):
+                    p = tuple(v for v in x if f[v] in zpos)
                     # pullback of T(X) --T(f)--> T(Y) <--T(incl)-- T(Z)
-                    pb = {(u, v) for u in mx.elements
-                          for v in over.get(fmap(t, f, u), ())}
+                    pb = {(i, j)
+                          for i, key in enumerate(act(len(x), f, len(y)))
+                          for j in over.get(key, ())}
                     # image of the canonical map T(P) -> T(X) x T(Z)
-                    can = [(fmap(t, {v: v for v in p}, e),
-                            fmap(t, {v: f[v] for v in p}, e))
-                           for e in mp.elements]
+                    can = list(zip(act(len(p), p, len(x)), act(
+                        len(p), tuple(zpos[f[v]] for v in p), len(z))))
                     if len(set(can)) == len(can) and set(can) == pb:
                         continue
                     square = {"X": x, "Y": y, "Z": z, "P": p,
-                              "f": tuple(sorted(f.items()))}
+                              "f": tuple(zip(x, f))}
                     return CheckResult(False, tuple(sorted(square.items())),
                                        {"size_bound": size_bound})
     return CheckResult(True, None, {"size_bound": size_bound})

@@ -894,6 +894,9 @@ PARSE_ERROR_CASES = (
     ("theory", "op f/2\neq x = f(x, y\n"),
     ("theory", "op f/2\neq x =\u00e9\n"),
     ("theory", "op f/1\r\neq f(x) = f(f(x) -- c\r\n"),
+    ("theory", "op f/1\neq f(x) = x\nop f/2\n"),
+    ("theory", "op g/2\n  op  g/2 -- again\n"),
+    ("theory", "op a--b/1\nop a--b/1\n"),
 )
 
 

@@ -14,12 +14,12 @@ from clott.coalgebra import (BOT, Budget, BudgetExceeded, Coalgebra,
                              bisimilarity,
                              brute_force_bisimilarity, delay_depth,
                              final_coalgebra, functor_eval, functor_map,
-                             functor_map_all, functor_plan, functor_size,
+                             functor_map_all, functor_plan,
                              now,
                              parse_coalgebra_file,
                              parse_functor, show_functor, step,
                              terminal_sequence, weak_bisim_delay)
-from clott import theories
+from clott import coalgebra, theories
 from clott.theories import canon_key, csorted
 
 
@@ -55,9 +55,9 @@ def test_functor_size_exact_without_df_else_lower_bound(text):
     for n in range(4):
         size = len(functor_eval(f, range(n)))
         if "df" in text:
-            assert functor_size(f, n, Budget()) <= size
+            assert functor_plan(f, n, Budget()).size <= size
         else:
-            assert functor_size(f, n, Budget()) == size
+            assert functor_plan(f, n, Budget()).size == size
 
 
 @pytest.mark.parametrize("text", ["pf(id)", "prod(id, id)",
@@ -69,7 +69,7 @@ def test_functor_size_refuses_like_functor_eval(text):
     budget = Budget(max_elements=20)
     for n in range(8):
         try:
-            predicted = functor_size(f, n, budget)
+            predicted = functor_plan(f, n, budget).size
         except BudgetExceeded as exc:
             with pytest.raises(BudgetExceeded, match=str(exc)):
                 functor_eval(f, range(n), budget)
@@ -235,7 +235,7 @@ def test_plan_elements_match_reference(text):
             for budget in (Budget(), Budget(max_denominator=3)):
                 elems = functor_eval(f, base, budget)
                 assert elems == reference_functor_eval(f, base, budget)
-                assert len(elems) == functor_size(f, n, budget)
+                assert len(elems) == functor_plan(f, n, budget).size
 
 
 @pytest.mark.parametrize("text", BENCH_FUNCTORS + ["df(id)",
@@ -264,7 +264,7 @@ def test_plan_elements_match_reference_random(data):
     budget = Budget(max_elements=3000,
                     max_denominator=data.draw(st.integers(1, 4)))
     try:
-        size = functor_size(f, n, budget)
+        size = functor_plan(f, n, budget).size
     except BudgetExceeded:
         assume(False)
     elems = functor_eval(f, base, budget)
@@ -295,6 +295,39 @@ def test_terminal_sequence_matches_reference(text):
     assert seq.stages == tuple(stages)
     assert [dict(enumerate(c)) for c in seq.connectors] == connectors
     assert seq.convergence == convergence and not seq.budget_hit
+
+
+@pytest.mark.parametrize("text", BENCH_FUNCTORS)
+def test_terminal_sequence_decodes_stages_only_when_read(text, monkeypatch):
+    # sizes, connectors and convergence come from the plans alone; each
+    # stage is decoded, once, when .stages is read
+    f = parse_functor(text)
+    steps = 2 if text.startswith("df(prod") else 3 if "pf" in text else 4
+    decoded = []
+    for cls in (coalgebra._IdPlan, coalgebra._ConstPlan, coalgebra._ProdPlan,
+                coalgebra._SumPlan, coalgebra._FreePlan):
+        def spy(self, base, elements=cls.elements):
+            decoded.append(len(base))
+            return elements(self, base)
+        monkeypatch.setattr(cls, "elements", spy)
+    seq = terminal_sequence(f, steps)
+    stages, connectors, convergence = reference_terminal_sequence(f, steps)
+    assert seq.sizes() == [len(s) for s in stages]
+    assert [dict(enumerate(c)) for c in seq.connectors] == connectors
+    assert seq.convergence == convergence and not seq.budget_hit
+    assert decoded == []
+    assert seq.stages == tuple(stages)
+    assert decoded
+    del decoded[:]
+    assert seq.stages == tuple(stages) and decoded == []
+
+
+def test_terminal_sequence_builds_no_stage_element(monkeypatch):
+    # the 65,536-element stage of pf(id) is counted and mapped, not built
+    monkeypatch.setattr(coalgebra._FreePlan, "elements", None)
+    seq = terminal_sequence(parse_functor("pf(id)"), 4)
+    assert seq.sizes() == [1, 2, 4, 16, 65536]
+    assert len(set(seq.connectors[-1])) == 16
 
 
 # -- terminal sequences -------------------------------------------------------
@@ -585,6 +618,18 @@ def test_parse_coalgebra_file():
         "-- two-state loop\nx a y\ny a x\nstate z\n")
     assert co.states == ("x", "y", "z")
     assert co.structure["z"] == ("set", ())
+
+
+def test_coalgebra_file_dashes_inside_a_name_are_not_a_comment():
+    # `--` starts a comment where the `.thy` reader reads one
+    co = parse_coalgebra_file("x a--b y -- note\ny b x--c\nstate z\n"
+                              "-- a line of comment\nz c 0--1 z\n")
+    assert co.states == ("0", "x", "x--c", "y", "z")
+    assert co.structure["x"] == ("set", (("pair", "a--b", "y"),))
+    assert co.structure["z"] == ("set", (("pair", "c", "0"),))
+    # a name does not start with a digit, so `--` after one is a comment
+    with pytest.raises(FunctorParseError, match="line 2:"):
+        parse_coalgebra_file("x a y\nx 0--1 y\n")
 
 
 def test_parse_coalgebra_file_bad_line():

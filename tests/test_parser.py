@@ -175,6 +175,17 @@ def test_arity_message_agrees_in_number(n, noun):
         parse_theory_file(f"op f/2\neq f({args}) = x\n")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("op f/1\neq f(x) = x\nop f/2\n", (3, 4)),
+    ("op g/2\n  op  g/2 -- again\n", (2, 7)),
+    ("op a--b/1\nop a--b/3\n", (2, 4))])
+def test_theory_file_second_op_line_for_a_name_is_an_error(text, where):
+    # also with the same arity: one name, one declaration
+    with pytest.raises(ParseError, match="is already declared$") as err:
+        parse_theory_file(text)
+    assert (err.value.line, err.value.col) == where
+
+
 def test_theory_file_bad_line():
     with pytest.raises(ParseError):
         parse_theory_file("nonsense here\n")

@@ -10,17 +10,18 @@ from hypothesis import strategies as st
 
 from clott import theories
 from clott.terms import AOp, AVar, alg_free_vars
-from clott.theories import (BUILTINS, Budget, BudgetExceeded, CheckResult,
-                            Theory, TheoryError, _assignments,
+from clott.theories import (BUILTINS, CONVEX_WEIGHTS, STAR, Budget,
+                            BudgetExceeded, CheckResult, Theory, TheoryError,
+                            _assignments,
                             _compositions, _congruence_classes,
                             _occurrences_map, _term_keys, _term_size,
                             check_preserves_monos,
                             check_preserves_pullbacks_of_monos, class_equal,
                             convex_size, enumerate_terms,
                             drop_equations, fmap, free_model,
-                            has_drop_equations, interpret, is_drop_equation,
-                            csorted, minimal_support, mult,
-                            theory_from_file, unit)
+                            has_drop_equations, is_drop_equation,
+                            csorted, minimal_support, psorted,
+                            summed_masses, theory_from_file)
 
 from .strategies import alg_terms
 
@@ -167,6 +168,100 @@ def reference_free_model(t, base, budget):
                           for w in words}))
 
 
+# the element-level monad structure of the builtin free models: the
+# carriers must be closed under it and satisfy the monad laws and the
+# theories' equations
+
+def unit(t, x):
+    """Monad unit: the variable x as an element of T(X)."""
+    b = t.builtin
+    if b == "semilattice":
+        return ("set", (x,))
+    if b == "convex":
+        return ("dist", ((x, Fraction(1)),))
+    if b in ("monoid",):
+        return ("list", (x,))
+    if b == "commutative-monoid":
+        return ("bag", (x,))
+    if b == "truncation":
+        return STAR
+    return ("class", theories._v_of(x))
+
+
+def interpret(t, term, env):
+    """Evaluate an algebraic term in T(X) with variables bound to elements
+    of T(X) by env."""
+    if isinstance(term, AVar):
+        return env[term.name]
+    args = [interpret(t, a, env) for a in term.args]
+    return apply_op(t, term.op, args)
+
+
+def apply_op(t, op, args):
+    b = t.builtin
+    if b == "semilattice":
+        if op == "bot":
+            return ("set", ())
+        acc = set()
+        for _, xs in args:
+            acc.update(xs)
+        return ("set", tuple(psorted(acc)))
+    if b == "convex":
+        p = CONVEX_WEIGHTS[op]
+        (_, d1), (_, d2) = args
+        acc = summed_masses([*((x, p * m) for x, m in d1),
+                             *((x, (1 - p) * m) for x, m in d2)])
+        return ("dist", tuple(psorted([(x, m) for x, m in acc.items() if m])))
+    if b in ("monoid", "commutative-monoid"):
+        if op == "e":
+            return ("list" if b == "monoid" else "bag", ())
+        (tag, w1), (_, w2) = args
+        w = w1 + w2
+        return (tag, w if tag == "list" else tuple(psorted(w)))
+    if b == "truncation":
+        raise TheoryError("truncation has no operations")
+    raise TheoryError(f"interpret: custom theory {t.name!r}; use the "
+                      "congruence-class model")
+
+
+def mult(t, elem):
+    """Monad multiplication T(T(X)) -> T(X): flatten one layer."""
+    tag = elem[0]
+    if tag == "set":
+        acc = set()
+        for inner in elem[1]:
+            acc.update(inner[1])
+        return ("set", tuple(psorted(acc)))
+    if tag == "dist":
+        acc = summed_masses((x, m * mx) for inner, m in elem[1]
+                            for x, mx in inner[1])
+        return ("dist", tuple(psorted(acc.items())))
+    if tag == "list":
+        return ("list", tuple(x for inner in elem[1] for x in inner[1]))
+    if tag == "bag":
+        out = []
+        for inner in elem[1]:
+            out.extend(inner[1])
+        return ("bag", tuple(psorted(out)))
+    if tag == "star":
+        return STAR
+    raise TheoryError("mult is only defined for builtin theories")
+
+
+def reference_fmap(t, f, elem):
+    """T(f) on one element, for every builtin normal form and class terms,
+    the images in canonical order by `psorted`, as before carriers acted
+    on positions."""
+    tag = elem[0]
+    if tag == "list":
+        return ("list", tuple(f[x] for x in elem[1]))
+    if tag == "bag":
+        return ("bag", tuple(psorted(f[x] for x in elem[1])))
+    if tag == "star":
+        return elem
+    return fmap(t, f, elem)
+
+
 @pytest.mark.parametrize("name", ["semilattice", "convex", "monoid",
                                   "commutative-monoid"])
 @pytest.mark.parametrize("base", [
@@ -219,7 +314,7 @@ def test_fmap_bag_with_images_of_mixed_type():
     # the images come as a generator, which the failed plain sort must not
     # spend before csorted sees them
     t = BUILTINS["commutative-monoid"]
-    assert fmap(t, {0: 1, 1: "a"}, ("bag", (1, 0, 1))) == \
+    assert reference_fmap(t, {0: 1, 1: "a"}, ("bag", (1, 0, 1))) == \
         ("bag", (1, "a", "a"))
 
 
@@ -231,11 +326,11 @@ def test_operations_order_frozenset_members_as_free_model():
     assert fmap(t, f, ("set", (0, 1))) == \
         ("set", (frozenset({1, 3}), frozenset({2})))
     assert fmap(t, f, ("set", (0, 1))) in elems
-    joined = theories.apply_op(t, "or", [unit(t, x) for x in base])
+    joined = apply_op(t, "or", [unit(t, x) for x in base])
     assert joined in elems
     assert mult(t, ("set", tuple(unit(t, x) for x in base))) == joined
     convex = BUILTINS["convex"]
-    half = theories.apply_op(convex, "c12", [unit(convex, x) for x in base])
+    half = apply_op(convex, "c12", [unit(convex, x) for x in base])
     assert half in free_model(convex, base, Budget(max_denominator=2)).elements
 
 
@@ -250,15 +345,15 @@ def test_operations_stay_in_carrier_over_ints_and_fractions(name):
     elems = set(free_model(t, base, budget).elements)
     ident = {x: x for x in base}
     for e in elems:
-        assert fmap(t, ident, e) in elems
+        assert reference_fmap(t, ident, e) in elems
         assert mult(t, unit(t, e)) in elems
     op = {"semilattice": "or", "convex": "c12",
           "commutative-monoid": "mul"}[name]
     for x, y in itertools.product(base, repeat=2):
-        joined = theories.apply_op(t, op, [unit(t, x), unit(t, y)])
+        joined = apply_op(t, op, [unit(t, x), unit(t, y)])
         assert joined in elems
     semilattice = BUILTINS["semilattice"]
-    assert theories.apply_op(semilattice, "or", [
+    assert apply_op(semilattice, "or", [
         ("set", (1,)), ("set", (Fraction(1, 2),))]) in \
         free_model(semilattice, (1, Fraction(1, 2))).elements
 
@@ -298,9 +393,11 @@ def test_custom_interpret_rejected():
 
 
 def test_theory_from_file_validates():
-    with pytest.raises(TheoryError):
+    with pytest.raises(TheoryError, match="applied to 1 argument$"):
         theory_from_file({"f": 2}, [(AOp("f", (AVar("x"),)), AVar("x"))],
                          None)
+    with pytest.raises(TheoryError, match="applied to 0 arguments$"):
+        theory_from_file({"f": 2}, [(AOp("f", ()), AVar("x"))], None)
     with pytest.raises(TheoryError):
         theory_from_file({}, [], "no-such-builtin")
     assert theory_from_file({}, [], "monoid") is BUILTINS["monoid"]
@@ -346,7 +443,7 @@ def test_monad_right_unit(name):
     m = free_model(t, (0, 1), Budget(max_len=2, max_denominator=3))
     lift = {x: unit(t, x) for x in m.base}
     for e in m.elements:
-        assert mult(t, fmap(t, lift, e)) == e
+        assert mult(t, reference_fmap(t, lift, e)) == e
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -357,7 +454,7 @@ def test_monad_associative(name):
     mmm = free_model(t, mm.elements, Budget(max_len=2, max_denominator=2))
     flat = {inner: mult(t, inner) for inner in mm.elements}
     for e in mmm.elements:
-        assert mult(t, mult(t, e)) == mult(t, fmap(t, flat, e))
+        assert mult(t, mult(t, e)) == mult(t, reference_fmap(t, flat, e))
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -368,9 +465,9 @@ def test_fmap_functorial(name):
     f = {0: "p", 1: "q", 2: "p"}
     g = {"p": 10, "q": 11}
     for e in m.elements:
-        assert fmap(t, ident, e) == e
-        assert fmap(t, {x: g[f[x]] for x in m.base}, e) == \
-            fmap(t, g, fmap(t, f, e))
+        assert reference_fmap(t, ident, e) == e
+        assert reference_fmap(t, {x: g[f[x]] for x in m.base}, e) == \
+            reference_fmap(t, g, reference_fmap(t, f, e))
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -378,7 +475,7 @@ def test_unit_is_natural(name):
     t = BUILTINS[name]
     f = {0: "p", 1: "q"}
     for x in (0, 1):
-        assert fmap(t, f, unit(t, x)) == unit(t, f[x])
+        assert reference_fmap(t, f, unit(t, x)) == unit(t, f[x])
 
 
 # -- minimal support -----------------------------------------------------------
@@ -457,29 +554,59 @@ def test_leftzero_pullbacks_at_size_three():
     assert r.ok and r.counterexample is None
 
 
-# -- the pullback check against the nested-loop reference -------------------
+# -- the checks on positions against element-level references ---------------
 
-def reference_pullbacks_of_monos(t, size_bound=3, budget=None):
-    """Oracle: the pullback of T(X) -> T(Y) <- T(Z) by a nested loop over
-    T(X) x T(Z) that maps both sides of every pair, with every free model
-    rebuilt where it is used."""
+def reference_preserves_monos(t, size_bound=3, budget=None, mutate=None):
+    """Oracle: every element of T(X) mapped by reference_fmap under every
+    injection, and the images compared as elements.  mutate as for
+    reference_pullbacks_of_monos."""
     budget = budget or Budget()
+    for x in theories._sets_upto(size_bound):
+        mx = free_model(t, x, budget)
+        for y in theories._sets_upto(size_bound):
+            if len(y) < len(x):
+                continue
+            for images in itertools.permutations(y, len(x)):
+                f = dict(zip(x, images))
+                seen: dict = {}
+                for e in mx.elements:
+                    img = reference_fmap(t, f, e)
+                    if mutate is not None:
+                        img = mutate(x, y, f, e, img)
+                    if img in seen and seen[img] != e:
+                        return CheckResult(False, (x, y, tuple(
+                            sorted(f.items())), seen[img], e),
+                            {"size_bound": size_bound})
+                    seen[img] = e
+    return CheckResult(True, None, {"size_bound": size_bound})
+
+
+def reference_pullbacks_of_monos(t, size_bound=3, budget=None, mutate=None):
+    """Oracle: the pullback of T(X) -> T(Y) <- T(Z) by a nested loop over
+    T(X) x T(Z) that maps both sides of every pair by reference_fmap,
+    with every free model rebuilt where it is used.  mutate(src, dst, f,
+    e, image), if given, may replace the image of e under f: src -> dst."""
+    budget = budget or Budget()
+
+    def image(src, dst, f, e):
+        img = reference_fmap(t, f, e)
+        return img if mutate is None else mutate(src, dst, f, e, img)
+
     for y in theories._sets_upto(size_bound):
         for z in theories._subsets(y):
-            mz = theories.free_model(t, z, budget)
+            mz = free_model(t, z, budget)
             incl = {v: v for v in z}
             for x in theories._sets_upto(size_bound):
-                mx = theories.free_model(t, x, budget)
+                mx = free_model(t, x, budget)
                 for f_images in itertools.product(y, repeat=len(x)):
                     f = dict(zip(x, f_images))
                     p = tuple(v for v in x if f[v] in z)
-                    mp = theories.free_model(t, p, budget)
+                    mp = free_model(t, p, budget)
                     pb = {(u, v)
                           for u in mx.elements for v in mz.elements
-                          if theories.fmap(t, f, u) ==
-                          theories.fmap(t, incl, v)}
-                    can = [(theories.fmap(t, {v: v for v in p}, e),
-                            theories.fmap(t, {v: f[v] for v in p}, e))
+                          if image(x, y, f, u) == image(z, y, incl, v)}
+                    can = [(image(p, x, {v: v for v in p}, e),
+                            image(p, z, {v: f[v] for v in p}, e))
                            for e in mp.elements]
                     if len(set(can)) == len(can) and set(can) == pb:
                         continue
@@ -496,6 +623,58 @@ def test_pullbacks_match_nested_loop_reference(name, size_bound):
     t = BUILTINS[name]
     assert check_preserves_pullbacks_of_monos(t, size_bound) == \
         reference_pullbacks_of_monos(t, size_bound)
+
+
+CHECK_BUDGETS = [Budget()] + [Budget(max_len=2, max_denominator=d)
+                              for d in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("budget", CHECK_BUDGETS,
+                         ids=["default", "d2", "d3", "d4"])
+@pytest.mark.parametrize("size_bound", [1, 2, 3])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_checks_on_positions_match_element_references(name, size_bound,
+                                                      budget):
+    t = BUILTINS[name]
+    assert check_preserves_monos(t, size_bound, budget) == \
+        reference_preserves_monos(t, size_bound, budget)
+    if budget != Budget():      # the default is the test above
+        assert check_preserves_pullbacks_of_monos(t, size_bound, budget) == \
+            reference_pullbacks_of_monos(t, size_bound, budget)
+
+
+def test_leftzero_monos_match_element_reference():
+    budget = Budget(term_size=2)
+    assert check_preserves_monos(LEFTZERO, 2, budget) == \
+        reference_preserves_monos(LEFTZERO, 2, budget)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["leftzero"])
+def test_plans_decode_as_free_model(name):
+    t = LEFTZERO if name == "leftzero" else BUILTINS[name]
+    budget = Budget(max_len=2, max_denominator=3, term_size=2)
+    for base in ((), ("a",), ("b", "a"), (3, "b", ("pair", 1, 2))):
+        base = tuple(csorted(base))
+        assert theories.free_plan(t, len(base), budget).elements(base) == \
+            free_model(t, base, budget).elements
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["leftzero"])
+def test_plan_act_matches_reference_fmap(name):
+    # every map between sets of at most three labels; an image of a class
+    # term that is not a listed class stays a term
+    t = LEFTZERO if name == "leftzero" else BUILTINS[name]
+    budget = Budget(max_len=2, max_denominator=3, term_size=2)
+    for n, m in itertools.product(range(4), repeat=2):
+        src, dst = (theories.free_plan(t, k, budget) for k in (n, m))
+        xs = src.elements(tuple(range(n)))
+        ys = dst.elements(tuple(range(m)))
+        assert len(xs) == src.size and len(ys) == dst.size
+        for fn in itertools.product(range(m), repeat=n):
+            images = [ys[p] if isinstance(p, int) else p
+                      for p in src.act(fn, dst)]
+            assert images == [reference_fmap(t, dict(enumerate(fn)), x)
+                              for x in xs]
 
 
 def test_pullback_square_count_and_budget():
@@ -520,29 +699,80 @@ def test_leftzero_pullbacks_match_nested_loop_reference():
         reference_pullbacks_of_monos(LEFTZERO, 2)
 
 
-def _perturbed_fmap(elem, wrong, maps):
-    """fmap with the image of elem replaced by wrong under the maps that
-    maps selects: the identities (T(incl) and T(P) -> T(X)), the others,
-    or all of them."""
-    fmap = theories.fmap
+def _perturbed(t, budget, n, pos, wrong, maps):
+    """The image of position pos of T over n labels replaced by position
+    wrong of the target under the maps that `maps` selects: the identities
+    on labels (label i to label i), the others, or all of them.  Returns
+    (free_plan, mutate): the mutant plans for the check on positions, and
+    the same change at element level for reference_pullbacks_of_monos."""
+    free_plan = theories.free_plan
 
-    def mutant(t, f, e):
-        image = fmap(t, f, e)
-        identity = all(k == v for k, v in f.items())
-        if e == elem and maps in ("all", "identity" if identity else "other"):
-            return wrong
-        return image
+    def chosen(labels, dst_size):
+        identity = list(labels) == list(range(len(labels)))
+        return wrong < dst_size and maps in (
+            "all", "identity" if identity else "other")
 
-    return mutant
+    def mutant_plan(t, k, budget):
+        plan = free_plan(t, k, budget)
+        if k == n:
+            act = plan.act
+
+            def perturbed(fn, dst):
+                image = list(act(fn, dst))
+                if chosen(fn, dst.size):
+                    image[pos] = wrong
+                return image
+            plan.act = perturbed
+        return plan
+
+    def mutate(src, dst, f, e, img):
+        if len(src) != n or \
+                free_model(t, src, budget).elements.index(e) != pos:
+            return img
+        target = free_model(t, dst, budget).elements
+        return target[wrong] if chosen(
+            [dst.index(f[v]) for v in src], len(target)) else img
+
+    return mutant_plan, mutate
+
+
+def test_perturbed_monos_image_is_a_counterexample(monkeypatch):
+    # {0} over one label goes where the empty set goes, under every map
+    t, budget = BUILTINS["semilattice"], Budget()
+    mutant_plan, mutate = _perturbed(t, budget, 1, 1, 0, "all")
+    monkeypatch.setattr(theories, "free_plan", mutant_plan)
+    r = check_preserves_monos(t, 2, budget)
+    assert r == CheckResult(False, ((0,), (0,), ((0, 0),), ("set", ()),
+                                    ("set", (0,))), {"size_bound": 2})
+    assert r == reference_preserves_monos(t, 2, budget, mutate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_perturbed_monos_give_the_reference_counterexample(data):
+    name = data.draw(st.sampled_from(BUILTIN_NAMES[:4]))
+    t = BUILTINS[name]
+    budget = Budget(max_len=2, max_denominator=2)
+    n = data.draw(st.integers(1, 2))
+    pos = data.draw(st.integers(0, theories.free_plan(t, n, budget).size - 1))
+    wrong = data.draw(st.integers(0, theories.free_plan(t, 2, budget).size))
+    maps = data.draw(st.sampled_from(["all", "identity", "other"]))
+    mutant_plan, mutate = _perturbed(t, budget, n, pos, wrong, maps)
+    expected = reference_preserves_monos(t, 2, budget, mutate)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theories, "free_plan", mutant_plan)
+        assert check_preserves_monos(t, 2, budget) == expected
 
 
 def test_perturbed_image_is_a_counterexample(monkeypatch):
-    t = BUILTINS["semilattice"]
-    monkeypatch.setattr(theories, "fmap",
-                        _perturbed_fmap(("set", (0,)), ("set", ()), "other"))
-    r = check_preserves_pullbacks_of_monos(t, 2)
+    # the image of {0} over one label is the empty set under every map
+    # that is not the identity on labels
+    t, budget = BUILTINS["semilattice"], Budget()
+    mutant_plan, mutate = _perturbed(t, budget, 1, 1, 0, "other")
+    monkeypatch.setattr(theories, "free_plan", mutant_plan)
+    r = check_preserves_pullbacks_of_monos(t, 2, budget)
     assert not r.ok
-    assert r == reference_pullbacks_of_monos(t, 2)
+    assert r == reference_pullbacks_of_monos(t, 2, budget, mutate)
 
 
 @settings(max_examples=60, deadline=None)
@@ -551,15 +781,16 @@ def test_perturbed_fmap_gives_the_reference_counterexample(data):
     name = data.draw(st.sampled_from(BUILTIN_NAMES[:4]))
     t = BUILTINS[name]
     budget = Budget(max_len=2, max_denominator=2)
-    carrier = free_model(t, (0, 1), budget).elements
-    elem = data.draw(st.sampled_from(carrier))
-    wrong = data.draw(st.sampled_from(carrier))
+    n = data.draw(st.integers(1, 2))
+    pos = data.draw(st.integers(0, theories.free_plan(t, n, budget).size - 1))
+    wrong = data.draw(st.integers(0, theories.free_plan(t, 2, budget).size))
     maps = data.draw(st.sampled_from(["all", "identity", "other"]))
-    mutant = _perturbed_fmap(elem, wrong, maps)
+    mutant_plan, mutate = _perturbed(t, budget, n, pos, wrong, maps)
+    expected = reference_pullbacks_of_monos(t, 2, budget, mutate)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theories, "fmap", mutant)
-        assert check_preserves_pullbacks_of_monos(t, 2, budget) == \
-            reference_pullbacks_of_monos(t, 2, budget)
+        mp.setattr(theories, "free_plan", mutant_plan)
+        r = check_preserves_pullbacks_of_monos(t, 2, budget)
+    assert r == expected
 
 
 # -- term enumeration: layers counted before they are built ------------------
