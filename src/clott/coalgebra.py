@@ -16,7 +16,8 @@ positions offset.  Elements are decoded only where they are read:
 `functor_eval` sorts a user-given base once with `csorted` and decodes
 over it, a terminal sequence decodes a stage when `stages` or `stage` is
 read, and `mu` decodes each fiber from its plan; relabelled stages never
-call `canon_key` per element.
+call `canon_key` per element.  The finality check runs on positions too:
+a small coalgebra's structure is a tuple of positions of F's plan.
 
 Bisimilarity is the coarsest stable partition, computed by signature
 refinement on state indices with a signature function compiled from F: a
@@ -385,9 +386,11 @@ def final_coalgebra(f: FunctorExpr, max_steps: int = 16,
                     ) -> tuple[Coalgebra, TerminalSeq, FinalityReport]:
     """Carrier and structure from the converged terminal sequence, plus a
     bounded finality check (uniqueness of the morphism from every
-    F-coalgebra with at most verify_size_bound states).  Raises
-    BudgetExceeded, before the check starts, when the number of candidate
-    maps it would try exceeds the budget."""
+    F-coalgebra with at most verify_size_bound states), on positions: a
+    structure ξ lists a position of F's plan over the states for each
+    state, and F(h) of a candidate map h is computed once by the plan's
+    action.  Raises BudgetExceeded, before the check starts, when the
+    number of candidate maps it would try exceeds the budget."""
     budget = budget or Budget()
     seq = terminal_sequence(f, max_steps, budget)
     if seq.convergence is None:
@@ -399,39 +402,29 @@ def final_coalgebra(f: FunctorExpr, max_steps: int = 16,
     conn = seq.connectors[k]
     structure = {conn[i]: v for i, v in enumerate(seq.stage(k + 1))}
     final = Coalgebra(f, carrier, structure)
-    spaces = [functor_eval(f, tuple(range(n)), budget)
-              for n in range(verify_size_bound + 1)]
+    plans = [functor_plan(f, n, budget) for n in range(verify_size_bound + 1)]
     # each of the |F(n)|^n structures on n states is tried against each of
     # the |carrier|^n maps into the final coalgebra
-    work = sum((len(fx) * len(carrier)) ** n for n, fx in enumerate(spaces))
+    work = sum((p.size * len(carrier)) ** n for n, p in enumerate(plans))
     if work > budget.max_elements:
         raise BudgetExceeded(
             f"finality check over coalgebras on at most {verify_size_bound} "
             f"states tries {work} candidate maps, exceeds budget "
             f"{budget.max_elements}")
     checked = 0
-    for n, fx in enumerate(spaces):
-        states = tuple(range(n))
-        for images in itertools.product(fx, repeat=n):
-            xi = dict(zip(states, images))
+    for n, plan in enumerate(plans):
+        # h is a morphism from ξ when conn takes F(h)(ξ(s)) to h(s) for
+        # every state s, conn being the inverse of the final structure
+        maps = [(h, plan.act(h, seq.plans[k]))
+                for h in itertools.product(carrier, repeat=n)]
+        for xi in itertools.product(range(plan.size), repeat=n):
             checked += 1
-            homs = _coalgebra_homs(f, Coalgebra(f, states, xi), final)
-            if len(homs) != 1:
+            homs = sum(all(conn[fh[x]] == h[s] for s, x in enumerate(xi))
+                       for h, fh in maps)
+            if homs != 1:
                 return final, seq, FinalityReport(False, verify_size_bound,
                                                   checked)
     return final, seq, FinalityReport(True, verify_size_bound, checked)
-
-
-def _coalgebra_homs(f: FunctorExpr, source: Coalgebra,
-                    target: Coalgebra) -> list[dict]:
-    homs = []
-    for images in itertools.product(target.states,
-                                    repeat=len(source.states)):
-        h = dict(zip(source.states, images))
-        if all(functor_map(f, h, source.structure[s]) ==
-               target.structure[h[s]] for s in source.states):
-            homs.append(h)
-    return homs
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ force are registered axioms.  Guarded fixed points unfold judgementally,
 but only within a fuel budget; conversion is three-valued and never
 reports `apart` when the budget ran out.
 
+Conversion is weak-head normalisation, eta for functions and pairs, then
+one congruence rule read off `terms._SPEC` for every node class: the
+fields that are not subterms (names, atoms, clock sets) agree, and the
+subterms convert in spec order, each under the binder scoping over it.
+
 Binders are opened by one rule, in conversion as in checking: a binder is
 renamed, and its body walked, only when its name is taken (Coquand, "An
 algorithm for type-checking dependent types", SCP 1996).  The parser
@@ -27,6 +32,7 @@ from .terms import (
     SigmaCode, Snd, Sum, SumCode, Term, TickAbs, TickApp, Univ, Var,
     alpha_eq, clock_subst, free_names, fresh, rename, subst, tick_subst,
 )
+from .terms import _PLANS, BIND_CLOCK, BIND_TICK, TERM
 
 
 class TypeCheckError(Exception):
@@ -342,82 +348,35 @@ def _conv(ctx: Context, t: Term, u: Term, fuel: Fuel) -> Verdict:
     if isinstance(uw, Pair) and not isinstance(tw, Pair):
         return _conv(ctx, uw, tw, fuel)
 
-    if type(tw) is not type(uw):
+    # congruence: names, atoms and clock sets agree before fuel is spent
+    cls = type(tw)
+    if cls is not type(uw):
         return Verdict.APART if complete else Verdict.UNKNOWN
-
+    plan = _PLANS[cls]
+    for field, role, _ in plan.entries:
+        if role != TERM and getattr(tw, field) != getattr(uw, field):
+            return Verdict.APART if complete else Verdict.UNKNOWN
     verdicts: list[Verdict] = []
-    if isinstance(tw, Var):
-        return Verdict.EQUAL if tw.name == uw.name else (
-            Verdict.APART if complete else Verdict.UNKNOWN)
-    if isinstance(tw, Const):
-        return Verdict.EQUAL if tw.name == uw.name else (
-            Verdict.APART if complete else Verdict.UNKNOWN)
-    if isinstance(tw, (Univ, PropU)):
-        return Verdict.EQUAL if tw.clocks == uw.clocks else Verdict.APART
-    if isinstance(tw, Lam):
-        z, b1, b2 = _open2(ctx, tw.name, tw.body, uw.name, uw.body)
-        return _soften(_conv(ctx.bind_var(z, None), b1, b2, fuel), complete)
-    if isinstance(tw, App):
-        verdicts = [_conv(ctx, tw.fn, uw.fn, fuel),
-                    _conv(ctx, tw.arg, uw.arg, fuel)]
-        return _soften(_combine(verdicts), complete)
-    if isinstance(tw, (Pi, Sigma, PiCode, SigmaCode)):
-        verdicts.append(_conv(ctx, tw.dom, uw.dom, fuel))
-        z, c1, c2 = _open2(ctx, tw.name, tw.cod, uw.name, uw.cod)
-        dom = tw.dom if isinstance(tw, (Pi, Sigma)) else El(tw.dom)
-        verdicts.append(_conv(ctx.bind_var(z, dom), c1, c2, fuel))
-        return _soften(_combine(verdicts), complete)
-    if isinstance(tw, (PExists, PForall)):
-        verdicts.append(_conv(ctx, tw.dom, uw.dom, fuel))
-        z, c1, c2 = _open2(ctx, tw.name, tw.body, uw.name, uw.body)
-        verdicts.append(_conv(ctx.bind_var(z, El(tw.dom)), c1, c2, fuel))
-        return _soften(_combine(verdicts), complete)
-    if isinstance(tw, (Sum, SumCode, PAnd, POr)):
-        verdicts = [_conv(ctx, tw.left, uw.left, fuel),
-                    _conv(ctx, tw.right, uw.right, fuel)]
-        return _soften(_combine(verdicts), complete)
-    if isinstance(tw, (Id, IdCode, PEq)):
-        a1, a2, a3 = (tw.type_, tw.lhs, tw.rhs) if isinstance(tw, Id) else \
-            (tw.code, tw.lhs, tw.rhs)
-        b1, b2, b3 = (uw.type_, uw.lhs, uw.rhs) if isinstance(uw, Id) else \
-            (uw.code, uw.lhs, uw.rhs)
-        verdicts = [_conv(ctx, a1, b1, fuel), _conv(ctx, a2, b2, fuel),
-                    _conv(ctx, a3, b3, fuel)]
-        return _soften(_combine(verdicts), complete)
-    if isinstance(tw, (Later, LaterCode, PLater, TickAbs)):
-        if tw.clock != uw.clock:
-            return Verdict.APART
-        z, b1, b2 = _open2(ctx, tw.tick, tw.body, uw.tick, uw.body)
-        return _soften(_conv(ctx.bind_tick(z, tw.clock), b1, b2, fuel), complete)
-    if isinstance(tw, (Forall, ForallCode, PForallClk, ClockAbs)):
-        z, b1, b2 = _open2(ctx, tw.clock, tw.body, uw.clock, uw.body)
-        return _soften(_conv(ctx.bind_clock(z), b1, b2, fuel), complete)
-    if isinstance(tw, TickApp):
-        if tw.tick != uw.tick:
-            return Verdict.APART if complete else Verdict.UNKNOWN
-        return _soften(_conv(ctx, tw.fn, uw.fn, fuel), complete)
-    if isinstance(tw, ClockApp):
-        if tw.clock != uw.clock:
-            return Verdict.APART if complete else Verdict.UNKNOWN
-        return _soften(_conv(ctx, tw.fn, uw.fn, fuel), complete)
-    if isinstance(tw, (Fst, Snd, Inl, Inr, El, Prf)):
-        sub = tw.arg if hasattr(tw, "arg") else (
-            tw.code if isinstance(tw, El) else tw.prop)
-        sub2 = uw.arg if hasattr(uw, "arg") else (
-            uw.code if isinstance(uw, El) else uw.prop)
-        return _soften(_conv(ctx, sub, sub2, fuel), complete)
-    if isinstance(tw, Pair):
-        verdicts = [_conv(ctx, tw.fst, uw.fst, fuel),
-                    _conv(ctx, tw.snd, uw.snd, fuel)]
-        return _soften(_combine(verdicts), complete)
-    if isinstance(tw, Case):
-        verdicts = [_conv(ctx, tw.scrut, uw.scrut, fuel)]
-        z, l1, l2 = _open2(ctx, tw.lname, tw.left, uw.lname, uw.left)
-        verdicts.append(_conv(ctx.bind_var(z, None), l1, l2, fuel))
-        z, r1, r2 = _open2(ctx, tw.rname, tw.right, uw.rname, uw.right)
-        verdicts.append(_conv(ctx.bind_var(z, None), r1, r2, fuel))
-        return _soften(_combine(verdicts), complete)
-    raise AssertionError(f"conversion: unhandled node {type(tw).__name__}")
+    for field, binder in plan.terms:
+        a, b = getattr(tw, field), getattr(uw, field)
+        inner = ctx
+        if binder is not None:
+            z, a, b = _open2(ctx, getattr(tw, binder), a,
+                             getattr(uw, binder), b)
+            kind = plan.roles[binder]
+            if kind == BIND_TICK:
+                inner = ctx.bind_tick(z, tw.clock)
+            elif kind == BIND_CLOCK:
+                inner = ctx.bind_clock(z)
+            else:
+                # Pi and Sigma bind their domain, codes and quantifiers its
+                # decoding; Lam and Case binders get no type
+                dom = getattr(tw, "dom", None)
+                if dom is not None and cls not in (Pi, Sigma):
+                    dom = El(dom)
+                inner = ctx.bind_var(z, dom)
+        verdicts.append(_conv(inner, a, b, fuel))
+    return _soften(_combine(verdicts), complete)
 
 
 def _soften(v: Verdict, complete: bool) -> Verdict:

@@ -369,11 +369,11 @@ class _Plan:
     `binders` holds (binder field, scope) pairs; `terms` holds (term field,
     binder field scoping over it or None); `names` holds (name field,
     role); `entries` holds (field, role, binder field scoping over it or
-    None) for every field but the binders, in `_SPEC` order; `fields` is
-    the constructor's field order.
+    None) for every field but the binders, in `_SPEC` order; `roles` maps
+    every field to its role; `fields` is the constructor's field order.
     """
     __slots__ = ("fields", "binders", "terms", "names", "namesets",
-                 "entries")
+                 "entries", "roles")
 
     def __init__(self, cls: type, spec) -> None:
         binder_of = {sf: f for f, role, scope in spec if role in _BIND_ROLES
@@ -388,6 +388,7 @@ class _Plan:
         self.namesets = tuple(f for f, role, _ in spec if role == NAMESET)
         self.entries = tuple((f, role, binder_of.get(f))
                              for f, role, _ in spec if role not in _BIND_ROLES)
+        self.roles = {f: role for f, role, _ in spec}
 
 
 _PLANS: dict[type, _Plan] = {cls: _Plan(cls, spec)

@@ -3,6 +3,7 @@ bisimilarity, and weak bisimilarity on the truncated delay monad."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -401,6 +402,90 @@ def test_final_coalgebra_structure_is_bijective():
 def test_divergent_sequence_raises():
     with pytest.raises(NotConverged):
         final_coalgebra(parse_functor("sum(const{u}, id)"), max_steps=5)
+
+
+def reference_finality(f, max_steps, budget=None, verify_size_bound=3):
+    """The finality check element by element, as before it ran on plan
+    positions: each structure on n states, decoded by functor_eval, is
+    tried against every map into the final coalgebra with functor_map."""
+    budget = budget or Budget()
+    seq = terminal_sequence(f, max_steps, budget)
+    if seq.convergence is None:
+        raise NotConverged(
+            f"no bijective connector within {max_steps} steps; stage sizes "
+            f"{seq.sizes()}")
+    k = seq.convergence
+    carrier = tuple(range(seq.sizes()[k]))
+    conn = seq.connectors[k]
+    structure = {conn[i]: v for i, v in enumerate(seq.stage(k + 1))}
+    spaces = [functor_eval(f, tuple(range(n)), budget)
+              for n in range(verify_size_bound + 1)]
+    work = sum((len(fx) * len(carrier)) ** n for n, fx in enumerate(spaces))
+    if work > budget.max_elements:
+        raise BudgetExceeded(
+            f"finality check over coalgebras on at most {verify_size_bound} "
+            f"states tries {work} candidate maps, exceeds budget "
+            f"{budget.max_elements}")
+    checked = 0
+    for n, fx in enumerate(spaces):
+        for xi in itertools.product(fx, repeat=n):
+            checked += 1
+            homs = [h for h in itertools.product(carrier, repeat=n)
+                    if all(functor_map(f, dict(enumerate(h)), xi[s]) ==
+                           structure[h[s]] for s in range(n))]
+            if len(homs) != 1:
+                return structure, coalgebra.FinalityReport(
+                    False, verify_size_bound, checked)
+    return structure, coalgebra.FinalityReport(True, verify_size_bound,
+                                               checked)
+
+
+def _finality_outcome(run):
+    try:
+        return run()
+    except (NotConverged, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_CONVERGING = ["const{a,b}", "prod(const{a},id)", "sum(const{a,b},const{c})",
+               "df(const{a})", "id", "const{a}", "df(const{a,b})",
+               "pf(const{a})", "prod(const{a,b},const{c})",
+               "sum(const{a},const{b,c})", "df(sum(const{a},const{b}))"]
+# no convergence within 4 steps, and two finality checks over the budget
+_UNDECIDED = ["sum(const{u},id)", "df(const{a,b,c})", "pf(id)"]
+
+
+@pytest.mark.parametrize("text", _CONVERGING + _UNDECIDED)
+def test_finality_on_positions_matches_reference(text):
+    f = parse_functor(text)
+
+    def positional():
+        final, _, rep = final_coalgebra(f, 4)
+        return final.structure, rep
+
+    got = _finality_outcome(positional)
+    assert got == _finality_outcome(lambda: reference_finality(f, 4))
+    assert got[1].verified if text in _CONVERGING else got[0] in (
+        "NotConverged", "BudgetExceeded")
+
+
+@pytest.mark.parametrize("image", [lambda c: c, lambda c: 1 - c],
+                         ids=["two-morphisms", "no-morphism"])
+def test_finality_check_sees_a_wrong_action(image):
+    # F(h) that depends on h on const{a,b} makes either both maps out of
+    # the first one-state coalgebra morphisms, or neither
+    f = parse_functor("const{a,b}")
+    _, seq, rep = final_coalgebra(f)
+    assert rep.verified
+
+    def act(self, fn, dst):
+        return [image(fn[0]) if fn else i for i in range(self.size)]
+
+    with mock.patch.object(coalgebra, "terminal_sequence",
+                           lambda *args: seq), \
+            mock.patch.object(coalgebra._ConstPlan, "act", act):
+        _, _, rep = final_coalgebra(f)
+    assert rep == coalgebra.FinalityReport(False, 3, 2)
 
 
 # -- bisimilarity -------------------------------------------------------------

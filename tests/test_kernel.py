@@ -264,11 +264,12 @@ class _Diverged(Exception):
     pass
 
 
-def _convert_outcome(ctx, t, u, limit=2000):
-    """The verdict of convert, or how it failed to end: a run of more than
-    `limit` weak-head steps counts as divergence (beta steps spend no fuel,
-    so a self-application never finishes)."""
-    real, steps = kernel.whnf, [0]
+def _convert_outcome(ctx, t, u, fuel=2, conv=kernel._conv, limit=2000):
+    """The verdict of conv, or how it failed to end, with the fuel left and
+    the number of weak-head calls: a run of more than `limit` weak-head
+    calls counts as divergence (beta steps spend no fuel, so a
+    self-application never finishes)."""
+    real, steps, budget = kernel.whnf, [0], Fuel(fuel)
 
     def whnf(*args):
         steps[0] += 1
@@ -278,9 +279,10 @@ def _convert_outcome(ctx, t, u, limit=2000):
 
     with mock.patch.object(kernel, "whnf", whnf):
         try:
-            return convert(ctx, t, u, Fuel(2))
+            verdict = conv(ctx, t, u, budget)
         except (_Diverged, RecursionError) as exc:
-            return type(exc).__name__
+            verdict = type(exc).__name__
+    return verdict, budget.remaining, steps[0]
 
 
 def _blank_unused(t):
@@ -353,3 +355,218 @@ def test_conjunction_converts_with_underscore_in_context():
     pair = lambda x: T.Sigma("w", T.Const("unit"), T.Id(T.El(A), x, x))
     assert convert(ctx, p, pair(T.Var("w"))) is Verdict.APART
     assert convert(ctx, p, pair(u)) is Verdict.EQUAL
+
+
+# -- congruence: the per-class oracle ------------------------------------------
+
+def reference_conv(ctx, t, u, fuel):
+    """The conversion with one congruence case per node class, kept as the
+    oracle of the one rule read off `terms._SPEC`."""
+    conv, open2 = reference_conv, kernel._open2
+    soften, combine = kernel._soften, kernel._combine
+    if alpha_eq(t, u):
+        return Verdict.EQUAL
+    tw, tc = kernel.whnf(ctx, t, fuel)
+    uw, uc = kernel.whnf(ctx, u, fuel)
+    complete = tc and uc
+    if alpha_eq(tw, uw):
+        return Verdict.EQUAL
+
+    # eta for functions and pairs
+    if isinstance(tw, T.Lam) and not isinstance(uw, T.Lam):
+        z = fresh(tw.name, free_names(tw).all() | free_names(uw).all()
+                  | ctx.names())
+        body = rename(tw.body, {tw.name: z})
+        return soften(conv(ctx.bind_var(z, None), body, T.App(uw, T.Var(z)),
+                           fuel), complete)
+    if isinstance(uw, T.Lam) and not isinstance(tw, T.Lam):
+        return conv(ctx, uw, tw, fuel)
+    if isinstance(tw, T.Pair) and not isinstance(uw, T.Pair):
+        return soften(combine([
+            conv(ctx, tw.fst, T.Fst(uw), fuel),
+            conv(ctx, tw.snd, T.Snd(uw), fuel)]), complete)
+    if isinstance(uw, T.Pair) and not isinstance(tw, T.Pair):
+        return conv(ctx, uw, tw, fuel)
+
+    if type(tw) is not type(uw):
+        return Verdict.APART if complete else Verdict.UNKNOWN
+
+    verdicts = []
+    if isinstance(tw, T.Var):
+        return Verdict.EQUAL if tw.name == uw.name else (
+            Verdict.APART if complete else Verdict.UNKNOWN)
+    if isinstance(tw, T.Const):
+        return Verdict.EQUAL if tw.name == uw.name else (
+            Verdict.APART if complete else Verdict.UNKNOWN)
+    if isinstance(tw, (T.Univ, T.PropU)):
+        return Verdict.EQUAL if tw.clocks == uw.clocks else Verdict.APART
+    if isinstance(tw, T.Lam):
+        z, b1, b2 = open2(ctx, tw.name, tw.body, uw.name, uw.body)
+        return soften(conv(ctx.bind_var(z, None), b1, b2, fuel), complete)
+    if isinstance(tw, T.App):
+        verdicts = [conv(ctx, tw.fn, uw.fn, fuel),
+                    conv(ctx, tw.arg, uw.arg, fuel)]
+        return soften(combine(verdicts), complete)
+    if isinstance(tw, (T.Pi, T.Sigma, T.PiCode, T.SigmaCode)):
+        verdicts.append(conv(ctx, tw.dom, uw.dom, fuel))
+        z, c1, c2 = open2(ctx, tw.name, tw.cod, uw.name, uw.cod)
+        dom = tw.dom if isinstance(tw, (T.Pi, T.Sigma)) else T.El(tw.dom)
+        verdicts.append(conv(ctx.bind_var(z, dom), c1, c2, fuel))
+        return soften(combine(verdicts), complete)
+    if isinstance(tw, (T.PExists, T.PForall)):
+        verdicts.append(conv(ctx, tw.dom, uw.dom, fuel))
+        z, c1, c2 = open2(ctx, tw.name, tw.body, uw.name, uw.body)
+        verdicts.append(conv(ctx.bind_var(z, T.El(tw.dom)), c1, c2, fuel))
+        return soften(combine(verdicts), complete)
+    if isinstance(tw, (T.Sum, T.SumCode, T.PAnd, T.POr)):
+        verdicts = [conv(ctx, tw.left, uw.left, fuel),
+                    conv(ctx, tw.right, uw.right, fuel)]
+        return soften(combine(verdicts), complete)
+    if isinstance(tw, (T.Id, T.IdCode, T.PEq)):
+        a1, a2, a3 = (tw.type_, tw.lhs, tw.rhs) if isinstance(tw, T.Id) else \
+            (tw.code, tw.lhs, tw.rhs)
+        b1, b2, b3 = (uw.type_, uw.lhs, uw.rhs) if isinstance(uw, T.Id) else \
+            (uw.code, uw.lhs, uw.rhs)
+        verdicts = [conv(ctx, a1, b1, fuel), conv(ctx, a2, b2, fuel),
+                    conv(ctx, a3, b3, fuel)]
+        return soften(combine(verdicts), complete)
+    if isinstance(tw, (T.Later, T.LaterCode, T.PLater, T.TickAbs)):
+        if tw.clock != uw.clock:
+            return Verdict.APART
+        z, b1, b2 = open2(ctx, tw.tick, tw.body, uw.tick, uw.body)
+        return soften(conv(ctx.bind_tick(z, tw.clock), b1, b2, fuel),
+                      complete)
+    if isinstance(tw, (T.Forall, T.ForallCode, T.PForallClk, T.ClockAbs)):
+        z, b1, b2 = open2(ctx, tw.clock, tw.body, uw.clock, uw.body)
+        return soften(conv(ctx.bind_clock(z), b1, b2, fuel), complete)
+    if isinstance(tw, T.TickApp):
+        if tw.tick != uw.tick:
+            return Verdict.APART if complete else Verdict.UNKNOWN
+        return soften(conv(ctx, tw.fn, uw.fn, fuel), complete)
+    if isinstance(tw, T.ClockApp):
+        if tw.clock != uw.clock:
+            return Verdict.APART if complete else Verdict.UNKNOWN
+        return soften(conv(ctx, tw.fn, uw.fn, fuel), complete)
+    if isinstance(tw, (T.Fst, T.Snd, T.Inl, T.Inr, T.El, T.Prf)):
+        sub = tw.arg if hasattr(tw, "arg") else (
+            tw.code if isinstance(tw, T.El) else tw.prop)
+        sub2 = uw.arg if hasattr(uw, "arg") else (
+            uw.code if isinstance(uw, T.El) else uw.prop)
+        return soften(conv(ctx, sub, sub2, fuel), complete)
+    if isinstance(tw, T.Pair):
+        verdicts = [conv(ctx, tw.fst, uw.fst, fuel),
+                    conv(ctx, tw.snd, uw.snd, fuel)]
+        return soften(combine(verdicts), complete)
+    if isinstance(tw, T.Case):
+        verdicts = [conv(ctx, tw.scrut, uw.scrut, fuel)]
+        z, l1, l2 = open2(ctx, tw.lname, tw.left, uw.lname, uw.left)
+        verdicts.append(conv(ctx.bind_var(z, None), l1, l2, fuel))
+        z, r1, r2 = open2(ctx, tw.rname, tw.right, uw.rname, uw.right)
+        verdicts.append(conv(ctx.bind_var(z, None), r1, r2, fuel))
+        return soften(combine(verdicts), complete)
+    raise AssertionError(f"conversion: unhandled node {type(tw).__name__}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_terms, _terms, _mappings, st.randoms(use_true_random=False))
+def test_congruence_matches_reference_conv(t, u, mapping, rnd):
+    # verdict, fuel left and weak-head calls agree: the rule converts the
+    # same subterms, in the same order, as the per-class cases
+    pairs = [(t, u), (t, rename(t, mapping)), (t, _rebind(t, rnd)),
+             (_blank_unused(t), _rebind(t, rnd)),
+             (t, _blank_unused(_rebind(t, rnd)))]
+    for ctx in _CONTEXTS:
+        for a, b in pairs:
+            for fuel in range(4):
+                assert _convert_outcome(ctx, a, b, fuel) == \
+                    _convert_outcome(ctx, a, b, fuel, reference_conv), \
+                    (ctx, a, b, fuel)
+
+
+_SAMPLE = {T.TERM: None, T.NAME_VAR: "n", T.NAME_CLOCK: "k", T.NAME_TICK: "a",
+           T.ATOM: "tt", T.NAMESET: ("k",), T.BIND_VAR: "x",
+           T.BIND_CLOCK: "k9", T.BIND_TICK: "b"}
+_CHANGED = {T.NAME_VAR: "n2", T.NAME_CLOCK: "k2", T.NAME_TICK: "a2",
+            T.ATOM: "refl", T.NAMESET: ("k", "k2")}
+
+
+def _sample(cls, changed=None):
+    """A neutral or canonical node of cls whose subterms are distinct free
+    variables; `changed` names a field set to another value."""
+    fields = {}
+    for i, (field, role, _) in enumerate(T._SPEC[cls]):
+        fields[field] = T.Var(f"v{i}") if role == T.TERM else _SAMPLE[role]
+        if field == changed:
+            fields[field] = T.Var("w") if role == T.TERM else _CHANGED[role]
+    return cls(**fields)
+
+
+# whnf erases these fields: an annotation and the inclusion's clock sets
+_ERASED = {(T.Ann, "type_"), (T.Incl, "small"), (T.Incl, "big")}
+
+
+@pytest.mark.parametrize("cls", list(T._SPEC), ids=lambda c: c.__name__)
+def test_congruence_per_field(cls):
+    ctx = Context()
+    assert convert(ctx, _sample(cls), _sample(cls), Fuel(0)) is Verdict.EQUAL
+    for field, role, _ in T._SPEC[cls]:
+        if role in T._BIND_ROLES:
+            continue
+        want = Verdict.EQUAL if (cls, field) in _ERASED else Verdict.APART
+        got = convert(ctx, _sample(cls), _sample(cls, field), Fuel(0))
+        assert got is want, (cls.__name__, field)
+
+
+def _unfoldings(depth, last="({fix})"):
+    """`fix g` for the guarded stream of codes g, unfolded depth times,
+    with `last` in place of the innermost `fix g`."""
+    g = ("((fun d -> csum (In{ => k} A) (clater (a : k) -> d [a])) : "
+         "(later (b : k) -> U{k}) -> U{k})")
+    t = last.format(fix=f"fix {g}")
+    for _ in range(depth):
+        t = f"csum (In{{ => k}} A) (clater (a : k) -> {t})"
+    return t
+
+
+# `fix f` unfolds where f is bound with the type of a guarded recursive
+# definition, so the binder's type decides these pairs: Pi and Sigma bind
+# their domain; a code binds the decoding El(T) of its domain, no function
+# type (bound with T itself, f would unfold and the codes would convert);
+# a lambda binds no type
+_GUARDED = "(later (a : k) -> unit) -> unit"
+_BINDER_CASES = [("(f : {T}) -> Id unit ({b}) tt", Verdict.EQUAL),
+                 ("(f : {T}) * Id unit ({b}) tt", Verdict.EQUAL),
+                 ("cpi (f : {T}) -> cid unit ({b}) tt", Verdict.APART),
+                 ("fun f -> {b}", Verdict.APART)]
+
+
+def _binder_pair(template):
+    return tuple(parse_term(template.format(T=_GUARDED, b=b))
+                 for b in ("fix f", "f (tick b : k -> fix f)"))
+
+
+@pytest.mark.parametrize("template,want", _BINDER_CASES)
+def test_binders_type_their_variable(template, want):
+    ctx = Context().bind_clock("k")
+    assert convert(ctx, *_binder_pair(template), Fuel()) is want
+
+
+# pairs that unfold `fix`, so that fuel runs out at some of fuel 0-5:
+# equal, apart and unknown verdicts, spent fuel and softened apartness,
+# subterms that share the fuel in spec order, and ticks that differ under
+# a blocked head
+_FIX_PAIRS = [(_unfoldings(0), _unfoldings(d)) for d in (1, 2, 3)] + [
+    (_unfoldings(0), _unfoldings(d, "A")) for d in (1, 2)] + [
+    (_unfoldings(1), _unfoldings(2, "(A, A)")),
+    (f"csum {_unfoldings(0)} {_unfoldings(0)}", f"csum ({_unfoldings(1)}) A"),
+    (f"{_unfoldings(0)} [b]", f"{_unfoldings(0)} [c]")]
+
+
+@pytest.mark.parametrize(
+    "pair", [tuple(map(parse_term, p)) for p in _FIX_PAIRS]
+    + [_binder_pair(t) for t, _ in _BINDER_CASES])
+def test_congruence_matches_reference_conv_on_fix(pair):
+    ctx = Context().bind_var("A", parse_term("U{}")).bind_clock("k")
+    for fuel in range(6):
+        assert _convert_outcome(ctx, *pair, fuel) == \
+            _convert_outcome(ctx, *pair, fuel, reference_conv), fuel
