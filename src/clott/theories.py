@@ -16,6 +16,12 @@ df functors of the coalgebra module decode it, and the preservation
 checks run on it: elements, and with them `Fraction` masses, are built
 only for a monos counterexample and for the callers that read them.
 
+Custom carriers on ids.  A custom theory's bounded terms over n labels
+are interned in one table (`enumerate_terms`) as labels and (operation,
+child ids) pairs.  Equation instances, counted against the budget first,
+and congruence closure look such pairs up, and T(f) relabels ids;
+`AlgTerm`s are decoded only for representatives and stray images.
+
 Canonical order and the boundary rule.  Carriers are listed in the order
 of `canon_key`, a total order across numbers (ints and Fractions by
 value), strings, tuples and frozensets; it costs a call per atom, so it
@@ -259,23 +265,14 @@ class FreeModel:
     exact: bool     # False for budget-bounded custom carriers (lower bound)
 
 
-def _v_of(x) -> AlgTerm:
-    # ground terms over a carrier reuse AVar leaves tagged with the element
-    return AVar(("gen", x))
-
-
 def free_model(t: Theory, base, budget: Budget | None = None) -> FreeModel:
     """The carrier of T(X) in canonical normal forms (builtins) or as
-    congruence classes of bounded terms (custom).  The base is sorted once;
-    builtin carriers are their plans decoded over it."""
+    congruence classes of bounded terms (custom): the base is sorted once,
+    and the carrier is its plan decoded over it."""
     budget = budget or Budget()
     base = tuple(csorted(base))
-    if t.builtin is None:
-        classes = _congruence_classes(t, base, budget)
-        return FreeModel(t, base, tuple(("class", rep) for rep in classes),
-                         False)
     return FreeModel(t, base, free_plan(t, len(base), budget).elements(base),
-                     True)
+                     t.builtin is not None)
 
 
 def free_plan(t: Theory, n: int, budget: Budget):
@@ -285,12 +282,13 @@ def free_plan(t: Theory, n: int, budget: Budget):
     positions, for fn the labels in dst's base of its n labels.  A builtin
     plan's size is a closed form, refused over the budget before any code
     exists; its codes, in canonical order by construction, are built on
-    first use.  A custom theory's plan holds the congruence classes over
-    the labels and acts by `fmap` on class terms; an image that is not a
-    listed class stays a term, equal to no position."""
+    first use.  A custom theory's plan codes its congruence classes by the
+    ids of their representatives in an interned term table and acts by
+    relabelling ids (`_ClassPlan`); an image that is not a representative
+    stays a decoded term, equal to no position."""
     b = t.builtin
     if b is None:
-        return _ClassPlan(free_model(t, range(n), budget))
+        return _ClassPlan(t, n, budget)
     if b == "semilattice":
         return _SetPlan(n, budget)
     if b == "convex":
@@ -422,19 +420,29 @@ class _PointPlan:
 
 
 class _ClassPlan(_Plan):
-    """A custom theory's congruence classes over the labels."""
+    """A custom theory's congruence classes over the labels, coded by the
+    ids of their least terms in the term table (`_closure`).  T(fn)
+    relabels the table bottom-up up to the last representative, one
+    lookup per term in dst's table; an image that is not a representative
+    there stays the decoded ("class", term), equal to no position."""
 
-    def __init__(self, model: FreeModel):
-        self.theory, self.codes = model.theory, model.elements
+    def __init__(self, t: Theory, n: int, budget: Budget):
+        self.terms, self.codes = _closure(t, n, budget)
         self.size = len(self.codes)
+        self.steps = [(i, *self.terms[i])
+                      for i in range(n, max(self.codes, default=n - 1) + 1)]
 
     def elements(self, base) -> tuple:
-        return tuple(fmap(self.theory, base, c) for c in self.codes)
+        return tuple(("class", self.terms.decode(i, base))
+                     for i in self.codes)
 
     def act(self, fn, dst) -> list:
-        rank = dst.rank
-        return [rank.get(img, img)
-                for img in (fmap(self.theory, fn, c) for c in self.codes)]
+        img, ids, rank = dict(enumerate(fn)), dst.terms.ids, dst.rank
+        for i, op, kids in self.steps:
+            img[i] = ids[op, tuple([img[k] for k in kids])]
+        return [rank[j] if j in rank else
+                ("class", dst.terms.decode(j, range(dst.terms.n)))
+                for j in map(img.__getitem__, self.codes)]
 
 
 def _subsets_lex(units, empty, join) -> list:
@@ -498,182 +506,173 @@ def summed_masses(pairs) -> dict:
 
 
 def fmap(t: Theory, f: dict, elem):
-    """Functor action T(f) on one set, distribution or class element:
-    rename its free variables, the images in canonical order by
-    `psorted`.  Carriers act on positions (`free_plan`)."""
+    """Functor action T(f) on one set or distribution element: rename its
+    members, the images in canonical order by `psorted`.  Carriers act on
+    positions (`free_plan`)."""
     tag = elem[0]
     if tag == "set":
         return ("set", tuple(psorted({f[x] for x in elem[1]})))
     if tag == "dist":
         acc = summed_masses((f[x], m) for x, m in elem[1])
         return ("dist", tuple(psorted(acc.items())))
-    if tag == "class":
-        return ("class", _subst_gens(elem[1], f))
     raise TheoryError(f"unknown element tag {tag!r}")
 
 
-def _subst_gens(term: AlgTerm, f: dict) -> AlgTerm:
-    if isinstance(term, AVar):
-        _, x = term.name
-        return _v_of(f[x])
-    return AOp(term.op, tuple(_subst_gens(a, f) for a in term.args))
-
-
 # ---------------------------------------------------------------------------
-# Bounded congruence closure (custom theories; enumeration oracle)
+# Custom theories: an interned term table and bounded congruence closure
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
+class _Terms(list):
+    """Ground terms interned as ids: term i is the label i for i < n, else
+    the pair (operation, child ids) at index i, and `ids` maps each pair
+    back to its id.  Terms are numbered a size layer at a time, smallest
+    first, so children come before their parents; `layers[s]` is the
+    range of ids with s operation nodes."""
+
     def __init__(self, n: int):
-        self.parent = list(range(n))
+        super().__init__(range(n))
+        self.n, self.layers = n, [range(n)]
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
+    @functools.cached_property
+    def rank(self) -> list:
+        """Each term's place in the canonical order: by size, operation
+        name and children's ranks, as the key (size, 1, op, child keys)."""
+        rank = list(range(len(self)))
+        for layer in self.layers[1:]:
+            order = sorted(layer, key=lambda i: (
+                self[i][0], tuple([rank[k] for k in self[i][1]])))
+            for r, i in enumerate(order, layer.start):
+                rank[i] = r
+        return rank
+
+    def decode(self, i: int, base) -> AlgTerm:
+        """Term i with the labels' elements of base at its leaves."""
+        if i < self.n:
+            return AVar(("gen", base[i]))
+        op, kids = self[i]
+        return AOp(op, tuple([self.decode(k, base) for k in kids]))
+
+
+def enumerate_terms(t: Theory, n: int, size_budget: int,
+                    max_terms: int) -> _Terms:
+    """All ground terms over the labels 0..n-1 with at most size_budget
+    operation nodes, interned, smallest first.  Each size layer is counted
+    before it is built, and a layer that would take the universe past
+    max_terms is refused unbuilt."""
+    terms = _Terms(n)
+    layers = terms.layers
+    nullary = [(o, ()) for o, k in t.ops if k == 0]
+    for size in range(1, size_budget + 1):
+        count = (len(nullary) if size == 1 else 0) + sum(
+            math.prod(len(layers[s]) for s in sizes)
+            for _, k in t.ops if k for sizes in _compositions(size - 1, k))
+        if len(terms) + count > max_terms:
+            raise BudgetExceeded(f"term universe exceeds {max_terms}")
+        start = len(terms)
+        if size == 1:
+            terms += nullary
+        for o, k in t.ops:
+            # distribute size-1 operation nodes among k children
+            for sizes in (_compositions(size - 1, k) if k else ()):
+                terms += [(o, kids) for kids in
+                          itertools.product(*[layers[s] for s in sizes])]
+        layers.append(range(start, len(terms)))
+    terms.ids = dict(zip(terms[n:], range(n, len(terms))))
+    return terms
+
+
+def _shape(term: AlgTerm) -> tuple[int, list]:
+    """A term's operation nodes and its variables, once per occurrence."""
+    if isinstance(term, AVar):
+        return 0, [term.name]
+    shapes = [_shape(a) for a in term.args]
+    return 1 + sum(s for s, _ in shapes), [v for _, vs in shapes for v in vs]
+
+
+def _closure(t: Theory, n: int, budget: Budget) -> tuple[_Terms, list]:
+    """The term table over n labels up to term_size operation nodes, and
+    the id of the least term of each congruence class, in canonical
+    order, under the equation instances whose sides both fit the table.
+    All instances are counted from the layer sizes, and refused past
+    max_elements, before any is made."""
+    terms = enumerate_terms(t, n, budget.term_size, budget.max_terms)
+    counts = [len(layer) for layer in terms.layers]
+    shapes, total = [], 0
+    for lhs, rhs in t.equations:
+        (lsize, lvars), (rsize, rvars) = _shape(lhs), _shape(rhs)
+        variables = sorted(set(lvars + rvars))
+        occ = [(lvars.count(v), rvars.count(v)) for v in variables]
+        room = budget.term_size - max(lsize, rsize)
+        slots = {v: k for k, v in enumerate(variables)}
+        shapes.append((_instance(lhs, slots, terms.ids),
+                       _instance(rhs, slots, terms.ids), occ, room))
+        for sizes in _instance_sizes(occ, room, counts):
+            total += math.prod(counts[s] for s in sizes)
+            if total > budget.max_elements:
+                raise BudgetExceeded(
+                    f"at least {total} equation instances over {n} labels "
+                    f"up to size {budget.term_size}, over the max_elements "
+                    f"budget {budget.max_elements}")
+    parent = list(range(len(terms)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
         return i
 
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if rj < ri:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        return True
+    def union(i, j) -> bool:
+        i, j = sorted((find(i), find(j)))
+        parent[j] = i
+        return i != j
 
-
-def enumerate_terms(t: Theory, base, size_budget: int,
-                    max_terms: int) -> list[AlgTerm]:
-    """All ground terms over the carrier with at most size_budget
-    operation nodes, smallest first.  Each size layer is counted before it
-    is built, and a layer that would take the universe past max_terms is
-    refused unbuilt."""
-    by_size: list[list[AlgTerm]] = [[_v_of(x) for x in csorted(base)]]
-    nullary = [AOp(o, ()) for o, n in t.ops if n == 0]
-    total = len(by_size[0])
-    for size in range(1, size_budget + 1):
-        total += (len(nullary) if size == 1 else 0) + sum(
-            math.prod(len(by_size[s]) for s in sizes)
-            for _, n in t.ops if n for sizes in _compositions(size - 1, n))
-        if total > max_terms:
-            raise BudgetExceeded(f"term universe exceeds {max_terms}")
-        layer: list[AlgTerm] = list(nullary) if size == 1 else []
-        for o, n in t.ops:
-            if n == 0:
-                continue
-            # distribute size-1 operation nodes among n children
-            for sizes in _compositions(size - 1, n):
-                pools = [by_size[s] for s in sizes]
-                for args in itertools.product(*pools):
-                    layer.append(AOp(o, tuple(args)))
-        by_size.append(layer)
-    return [u for layer in by_size for u in layer]
-
-
-def _term_size(term: AlgTerm) -> int:
-    if isinstance(term, AVar):
-        return 0
-    return 1 + sum(_term_size(a) for a in term.args)
-
-
-def _congruence_classes(t: Theory, base, budget: Budget) -> list[AlgTerm]:
-    universe = enumerate_terms(t, base, budget.term_size, budget.max_terms)
-    index = {u: i for i, u in enumerate(universe)}
-    keys = _term_keys(universe, index)
-    sized = [(u, k[0]) for u, k in zip(universe, keys)]
-    uf = _UnionFind(len(universe))
-
-    # equation instances whose two sides both fall inside the universe
-    for lhs, rhs in t.equations:
-        variables = sorted(alg_free_vars(lhs) | alg_free_vars(rhs))
-        head = max(_term_size(lhs), _term_size(rhs))
-        room = budget.term_size - head
-        for assign in _assignments(variables, sized, room,
-                                   _occurrences_map(lhs, rhs, variables)):
-            li = index.get(_subst_vars(lhs, assign))
-            ri = index.get(_subst_vars(rhs, assign))
-            if li is not None and ri is not None:
-                uf.union(li, ri)
-
-    # congruence: equal arguments force equal applications
+    for left, right, occ, room in shapes:
+        for sizes in _instance_sizes(occ, room, counts):
+            for env in itertools.product(*[terms.layers[s] for s in sizes]):
+                union(left(env), right(env))
+    # congruence: equal children force equal applications; rescan with a
+    # signature table keyed by (op, child roots) until nothing merges
     changed = True
     while changed:
-        changed = False
-        sig: dict = {}
-        for i, u in enumerate(universe):
-            if isinstance(u, AVar):
-                key = ("gen", u.name)
-            else:
-                key = (u.op, tuple(uf.find(index[a]) for a in u.args))
-            j = sig.get(key)
-            if j is None:
-                sig[key] = i
-            elif uf.union(i, j):
+        changed, sig = False, {}
+        for i in range(n, len(terms)):
+            op, kids = terms[i]
+            j = sig.setdefault((op, tuple([find(k) for k in kids])), i)
+            if j != i and union(i, j):
                 changed = True
-
-    classes: dict[int, int] = {}
-    for i in range(len(universe)):
-        r = uf.find(i)
-        cur = classes.get(r)
-        if cur is None or keys[i] < keys[cur]:
-            classes[r] = i
-    return [universe[i] for i in sorted(classes.values(),
-                                        key=keys.__getitem__)]
+    reps: dict = {}
+    for i in sorted(range(len(terms)), key=terms.rank.__getitem__):
+        reps.setdefault(find(i), i)
+    return terms, list(reps.values())
 
 
-def _occurrences(term: AlgTerm, v: str) -> int:
-    if isinstance(term, AVar):
-        return 1 if term.name == v else 0
-    return sum(_occurrences(a, v) for a in term.args)
+def _instance_sizes(occ, room: int, counts: list):
+    """The sizes of terms for variables occurring (lo, ro) times in an
+    equation's sides such that each side gains at most room operation
+    nodes; only sizes with counts[s] > 0 terms, so each tuple is used."""
 
-
-def _occurrences_map(lhs, rhs, variables):
-    return {v: (_occurrences(lhs, v), _occurrences(rhs, v))
-            for v in variables}
-
-
-def _assignments(variables, sized, room, occmap):
-    """Assignments of universe terms to equation variables such that both
-    instantiated sides stay within the size budget (a side that leaves
-    the universe could not be looked up anyway).  `sized` lists (term,
-    size) pairs by ascending size, so the scan for one variable stops at
-    the first term that overflows a side: every later term does too."""
-
-    def rec(i, assign, lsize, rsize):
-        if i == len(variables):
-            yield dict(assign)
+    def rec(i, left, right):
+        if i == len(occ):
+            yield ()
             return
-        v = variables[i]
-        lo, ro = occmap[v]
-        for u, s in sized:
-            nl, nr = lsize + lo * s, rsize + ro * s
-            if nl > room or nr > room:
+        lo, ro = occ[i]
+        for s, c in enumerate(counts):
+            if max(left + lo * s, right + ro * s) > room:
                 break
-            assign.append((v, u))
-            yield from rec(i + 1, assign, nl, nr)
-            assign.pop()
+            if c:
+                for rest in rec(i + 1, left + lo * s, right + ro * s):
+                    yield (s,) + rest
 
-    yield from rec(0, [], 0, 0)
-
-
-def _subst_vars(term: AlgTerm, assign: dict) -> AlgTerm:
-    if isinstance(term, AVar):
-        return assign.get(term.name, term)
-    return AOp(term.op, tuple(_subst_vars(a, assign) for a in term.args))
+    return rec(0, 0, 0) if room >= 0 else ()
 
 
-def _term_keys(universe, index) -> list:
-    """The sort key (size, 0, name) or (size, 1, op, argument keys) of each
-    universe term, built bottom-up: a term's arguments come before it."""
-    keys: list = []
-    for u in universe:
-        if isinstance(u, AVar):
-            keys.append((0, 0, canon_key(u.name[1])))
-        else:
-            args = tuple([keys[index[a]] for a in u.args])
-            keys.append((1 + sum(k[0] for k in args), 1, u.op, args))
-    return keys
+def _instance(side: AlgTerm, slots: dict, ids: dict):
+    """The id of a side's instance as a function of the tuple of the ids
+    assigned to the variables, each at its slot."""
+    if isinstance(side, AVar):
+        return operator.itemgetter(slots[side.name])
+    op, args = side.op, [_instance(a, slots, ids) for a in side.args]
+    return lambda env: ids[op, tuple([a(env) for a in args])]
 
 
 def class_equal(model: FreeModel, a, b) -> str:
@@ -696,12 +695,10 @@ def minimal_support(t: Theory, elem) -> frozenset:
     point); ties break toward the canonically least element.
     """
     tag = elem[0]
-    if tag == "set":
+    if tag in ("set", "list", "bag"):
         return frozenset(elem[1])
     if tag == "dist":
         return frozenset(x for x, _ in elem[1])
-    if tag in ("list", "bag"):
-        return frozenset(elem[1])
     if tag == "star":
         raise TheoryError("truncation support is not unique; use "
                           "brute force with a tie-break")

@@ -273,6 +273,37 @@ def test_theory_term_budget_overrun_is_unknown(tmp_path, text, argv):
         "BudgetExceeded: term universe exceeds 200000"
 
 
+@pytest.mark.parametrize("action", ["free", "pullbacks"])
+def test_theory_equation_instances_over_budget_are_unknown(tmp_path, action):
+    # 5,930,847 instances of the equation over three labels up to size 4
+    # are counted from the layer sizes and refused before any is made;
+    # congruence closure over them ran about a minute
+    f = tmp_path / "fg.thy"
+    f.write_text("op f/2\nop g/1\neq f(x, c) = g(y)\n")
+    t0 = time.perf_counter()
+    code, doc = run_json(["theory", action, str(f)], tmp_path)
+    assert time.perf_counter() - t0 < 5
+    assert code == 3
+    [check] = doc["checks"]
+    assert check["verdict"] == "unknown"
+    reason = check["evidence"]["reason"]
+    assert "equation instances over 3 labels up to size 4" in reason
+    assert "over the max_elements budget 1000000" in reason
+
+
+def test_theory_pullbacks_of_a_free_operation_at_the_defaults(tmp_path):
+    # no equations, so T(3) holds every term of f/2 up to size 4; the
+    # check maps about a million elements
+    f = tmp_path / "f.thy"
+    f.write_text("op f/2\n")
+    t0 = time.perf_counter()
+    code, doc = run_json(["theory", "pullbacks", str(f), "--size", "3",
+                          "--depth", "4"], tmp_path)
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert doc["checks"][0]["verdict"] == "pass"
+
+
 def test_theory_pullbacks_square_budget_is_unknown(tmp_path, capsys):
     f = tmp_path / "convex.thy"
     f.write_text("builtin convex\n")
