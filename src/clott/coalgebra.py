@@ -23,13 +23,14 @@ Bisimilarity is the coarsest stable partition, computed by signature
 refinement on state indices with a signature function compiled from F: a
 state's signature is recomputed only after one of its successors changed
 block id, and only the smaller parts of a split block change id
-(O(m log n) signatures in all); `brute_force_bisimilarity` enumerates
-partitions as the oracle.
+(O(m log n) signatures in all).  A `.coalg` file is read straight into
+those indices; `brute_force_bisimilarity` is the oracle.
 """
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -368,9 +369,10 @@ def terminal_sequence(f: FunctorExpr, max_steps: int,
 
 @dataclass(frozen=True)
 class Coalgebra:
+    """ξ = structure: state -> F(states), read only (`EdgeCodes`)."""
     functor: FunctorExpr
     states: tuple
-    structure: dict  # state -> element of F(states)
+    structure: Mapping
 
 
 @dataclass(frozen=True)
@@ -437,28 +439,30 @@ def bisimilarity(coalg: Coalgebra) -> tuple:
 
     Worklist signature refinement after Paige and Tarjan, generic over the
     functor as in Deifel, Milius, Schröder and Wißmann, on the indices of
-    the sorted states: ξ is encoded once over them, and the signature
-    F(class_of)(ξ(s)), compiled once from F (`_compile`), is recomputed
-    only when a state at an id leaf of ξ(s) changed block id.  When a
-    block splits, its largest part keeps the id, so a state changes id at
-    most log2(n) times: O(m log n) signatures for m id leaves in all."""
+    the sorted states: ξ is encoded once over them unless a parsed file
+    brings its codes (`EdgeCodes`), and the signature F(class_of)(ξ(s))
+    (`_compile`) is recomputed only when a state at an id leaf of ξ(s)
+    changed block id.  When a block splits, its largest part keeps the id,
+    so a state changes id at most log2(n) times: O(m log n) signatures."""
     states = tuple(theories.psorted(coalg.states))
     index = {s: i for i, s in enumerate(states)}
     class_of = [0] * len(states)
     leaves: list = []
     encode, signature = _compile(coalg.functor, index, class_of, leaves)
     signature = signature or (lambda code: code)
-    xi, preds = [], [[] for _ in states]
-    for i, s in enumerate(states):
-        xi.append(encode(coalg.structure[s]))
-        for t in leaves:
-            preds[t].append(i)
-        leaves.clear()
+    if isinstance(coalg.structure, EdgeCodes):
+        xi, preds = coalg.structure.codes, coalg.structure.preds
+    else:
+        xi, preds = [], [[] for _ in states]
+        for i, s in enumerate(states):
+            xi.append(encode(coalg.structure[s]))
+            for t in leaves:
+                preds[t].append(i)
+            leaves.clear()
     members = {0: set(range(len(states)))}
     # block id -> the signature shared by its states that are not dirty
     block_sig: dict = {}
     dirty = set(members[0])
-    fresh = 1
     while dirty:
         regroup: dict = {}
         for s in dirty:
@@ -474,23 +478,21 @@ def bisimilarity(coalg: Coalgebra) -> tuple:
                 old = block_sig[b]
                 groups.setdefault(old, [])
                 sizes[old] = sizes.get(old, 0) + clean
+            keep = block_sig[b] = max(sizes, key=sizes.__getitem__)
             if len(sizes) == 1:
-                block_sig[b] = next(iter(sizes))
                 continue
-            keep = max(sizes, key=sizes.__getitem__)
-            block_sig[b] = keep
             for sig, part in groups.items():
                 if sig == keep:
                     continue
                 if clean and sig == old:
                     part = part + [s for s in block if s not in todo]
                 block.difference_update(part)
+                fresh = len(members)
                 members[fresh] = set(part)
                 block_sig[fresh] = sig
                 for s in part:
                     class_of[s] = fresh
                     dirty.update(preds[s])
-                fresh += 1
     out: dict = {}
     for i, s in enumerate(states):
         out.setdefault(class_of[i], []).append(s)
@@ -503,10 +505,9 @@ def _compile(f: FunctorExpr, index: dict, class_of: list,
     gives the code of v ∈ F(states): each state its index, also appended
     to leaves, each constant its position in FConst.elems, sum tags 0/1,
     pf and df elements tuples of member codes and of (code, mass) pairs.
-    signature(code) is F(class_of)(code) in the same encoding, with pf
-    members sorted and df masses summed per member: ints, tuples and
-    Fractions, which plain `sorted` orders canonically.  It is None where
-    f has no id leaf, as the code is then its own signature."""
+    signature(code) is F(class_of)(code) with pf and df layers as
+    frozensets (df's of (member, summed mass) pairs): signatures are only
+    compared.  It is None where f has no id leaf: the code is its own."""
     if isinstance(f, FId):
         def encode(v):
             leaves.append(index[v])
@@ -518,12 +519,10 @@ def _compile(f: FunctorExpr, index: dict, class_of: list,
         me, ms = _compile(f.inner, index, class_of, leaves)
         if f.theory == "semilattice":
             return (lambda v: tuple(map(me, v[1])),
-                    ms and (lambda v: tuple(sorted(set(map(ms, v))))))
-
-        def signature(v):
-            acc = theories.summed_masses((ms(x), p) for x, p in v)
-            return tuple(sorted(acc.items()))
-        return lambda v: tuple([(me(x), p) for x, p in v[1]]), ms and signature
+                    ms and (lambda v: frozenset(map(ms, v))))
+        return (lambda v: tuple([(me(x), p) for x, p in v[1]]),
+                ms and (lambda v: frozenset(theories.summed_masses(
+                    (ms(x), p) for x, p in v).items())))
     (le, ls), (re_, rs) = (_compile(g, index, class_of, leaves)
                            for g in (f.left, f.right))
     if isinstance(f, FSum):
@@ -548,8 +547,6 @@ def brute_force_bisimilarity(coalg: Coalgebra) -> tuple:
     coarsest stable one (a partition is stable when states in a common
     block have equal structure maps after quotienting by the partition)."""
     states = tuple(csorted(coalg.states))
-    if not states:
-        return ()
     best = None
     for partition in _all_partitions(list(states)):
         class_of = {s: i for i, block in enumerate(partition) for s in block}
@@ -642,31 +639,49 @@ def _wb(x, y, rel, stage: int, cap: int) -> bool:
 
 def parse_coalgebra_file(text: str) -> Coalgebra:
     """Lines `x a y` (transition x --a--> y) and `state x`; `--` starts a
-    comment except inside a name, as in `.thy` files."""
-    states: dict[str, None] = {}
-    edges: dict[str, set] = {}
+    comment except inside a name, as in `.thy` files.  A bad line raises
+    at `line:col:` of its fourth token, or one past its end if it is short;
+    states and labels are numbered in sorted order (`EdgeCodes`)."""
+    index, edges = {}, []    # index: state -> None, then its position
     for lineno, raw in enumerate(text.splitlines(), 1):
-        if "--" in raw:
-            raw = UNCOMMENTED_RE.match(raw).group()
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "state" and len(parts) == 2:
-            states[parts[1]] = None
-            continue
-        if len(parts) != 3:
+        raw = UNCOMMENTED_RE.match(raw)[0] if "--" in raw else raw
+        parts = raw.split()
+        if len(parts) == 3:
+            index[parts[0]] = index[parts[2]] = None
+            edges.append(parts)
+        elif len(parts) == 2 and parts[0] == "state":
+            index[parts[1]] = None
+        elif parts:
+            col = len(re.match(r"\s*(?:\S+\s+){3}(?=\S)|.*\S", raw)[0]) + 1
             raise FunctorParseError(
-                f"line {lineno}: expected `x label y` or `state x`")
-        src, label, dst = parts
-        states[src] = states[dst] = None
-        edges.setdefault(src, set()).add((label, dst))
-    # labels and states are strings, whose canonical order is plain string
-    # order, and ("pair", a, t) sorts as (a, t)
-    labels = {a for out in edges.values() for a, _ in out}
-    functor = FFree("semilattice", FProd(FConst(tuple(sorted(labels))), FId()))
-    structure = {
-        s: ("set", tuple(("pair", a, t)
-                         for a, t in sorted(edges.get(s, ()))))
-        for s in states}
-    return Coalgebra(functor, tuple(sorted(states)), structure)
+                f"{lineno}:{col}: expected `x label y` or `state x`")
+    states = tuple(sorted(index))
+    index.update(zip(states, range(len(states))))
+    labels = tuple(sorted({a for _, a, _ in edges}))
+    at = {a: i for i, a in enumerate(labels)}
+    succ, preds = [set() for _ in states], [[] for _ in states]
+    for s, a, t in edges:
+        i, j = index[s], index[t]
+        succ[i].add((at[a], j))
+        preds[j].append(i)
+    return Coalgebra(FFree("semilattice", FProd(FConst(labels), FId())),
+                     states, EdgeCodes(states, labels, index, succ, preds))
+
+
+class EdgeCodes(Mapping):
+    """A parsed file's ξ, decoded on read, keys in file order: codes[i] is
+    ξ(states[i]) as `_compile` codes it, preds[j] the sources into j."""
+
+    def __init__(self, states, labels, index, succ, preds):
+        self.states, self.labels, self.index = states, labels, index
+        self.codes, self.preds = [tuple(sorted(x)) for x in succ], preds
+
+    def __getitem__(self, s):
+        return ("set", tuple(("pair", self.labels[a], self.states[t])
+                             for a, t in self.codes[self.index[s]]))
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)

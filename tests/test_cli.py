@@ -719,7 +719,28 @@ def planted_lts_text(quotient=50, copies=20, seed=11) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name", ["stream", "planted-1000"])
+def chain_lts_text(quotient=100, copies=2, seed=12) -> str:
+    """A chain-heavy LTS on quotient * copies states: copies of the chain
+    q0 -a-> q1 -a-> ... ending in a deadlock, each copy of q stepping to a
+    random copy of q+1, so that copies at equal distance from the end are
+    bisimilar and refinement takes one round per link.  Names are
+    shuffled, so blocks interleave."""
+    rng = random.Random(seed)
+    names = [f"c{i:04d}" for i in range(quotient * copies)]
+    rng.shuffle(names)
+    lines = []
+    for q in range(quotient):
+        for c in range(copies):
+            src = names[q * copies + c]
+            if q == quotient - 1:
+                lines.append(f"state {src}")
+            else:
+                dst = names[(q + 1) * copies + rng.randrange(copies)]
+                lines.append(f"{src} a {dst}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["stream", "planted-1000", "chain-200"])
 def test_bisim_report_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     # the bytes of `coalg bisim FILE --json -` are pinned, so that a
     # faster partition refinement cannot change one
@@ -727,8 +748,11 @@ def test_bisim_report_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
         path = f"{DATA}/stream.coalg"
     else:
         monkeypatch.chdir(tmp_path)
-        path = "planted.coalg"
-        Path(path).write_text(planted_lts_text(), encoding="utf-8")
+        if name == "planted-1000":
+            path, text = "planted.coalg", planted_lts_text()
+        else:
+            path, text = "chain.coalg", chain_lts_text()
+        Path(path).write_text(text, encoding="utf-8")
     assert main(["coalg", "bisim", path, "--json", "-"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -928,7 +952,16 @@ PARSE_ERROR_CASES = (
     ("theory", "op f/1\neq f(x) = x\nop f/2\n"),
     ("theory", "op g/2\n  op  g/2 -- again\n"),
     ("theory", "op a--b/1\nop a--b/1\n"),
+    ("coalg bisim", "x a y\n  x a\n"),
+    ("coalg bisim", "x a y\nx a  y z w -- c\n"),
+    ("coalg bisim", "x a y\nx 0--1 y\n"),
+    ("coalg bisim", "x a y\r\n\r\n state\r\n"),
 )
+
+# the extension and the argv before the file name of each file command
+_FILE_COMMANDS = {"check": ("clott", ["check"]),
+                  "theory": ("thy", ["theory", "free"]),
+                  "coalg bisim": ("coalg", ["coalg", "bisim"])}
 
 
 def parse_error_transcript(tmp_path: Path, capsys) -> str:
@@ -939,9 +972,10 @@ def parse_error_transcript(tmp_path: Path, capsys) -> str:
         if cmd == "eval":
             argv = ["eval", text]
         else:
-            name = f"case-{i}.{'clott' if cmd == 'check' else 'thy'}"
+            ext, argv = _FILE_COMMANDS[cmd]
+            name = f"case-{i}.{ext}"
             (tmp_path / name).write_text(text, encoding="utf-8", newline="")
-            argv = [cmd, name] if cmd == "check" else [cmd, "free", name]
+            argv = [*argv, name]
         code = main(argv + ["--json", "-"])
         captured = capsys.readouterr()
         out.append(f"$ clott {' '.join(argv[:-1])} {text!r}\nexit {code}\n"

@@ -21,6 +21,7 @@ from clott.coalgebra import (BOT, Budget, BudgetExceeded, Coalgebra,
                              parse_functor, show_functor, step,
                              terminal_sequence, weak_bisim_delay)
 from clott import coalgebra, theories
+from clott.parser import UNCOMMENTED_RE
 from clott.theories import canon_key, csorted
 
 
@@ -696,13 +697,146 @@ def test_bisimilarity_collapses_redundant_states():
     assert bisimilarity(co) == (("p", "q"), ("r",))
 
 
+def _set(*members):
+    return ("set", tuple(csorted(members)))
+
+
+def _dist(*pairs):
+    return ("dist", tuple(csorted((x, Fraction(p)) for x, p in pairs)))
+
+
+@pytest.mark.parametrize("text,structure,expected", [
+    # 1 ~ 3 deadlock and 2 ~ 4 loop, so 0 and 5 reach the same classes
+    # through members listed in opposite orders
+    ("df(pf(id))",
+     {0: _dist((_set(1), "1/2"), (_set(4), "1/2")), 1: _dist((_set(), 1)),
+      2: _dist((_set(2), 1)), 3: _dist((_set(), 1)), 4: _dist((_set(4), 1)),
+      5: _dist((_set(2), "1/2"), (_set(3), "1/2"))},
+     ((0, 5), (1, 3), (2, 4))),
+    # the same inside a pf layer (0, 5) and inside a df layer (6, 7)
+    ("pf(df(id))",
+     {0: _set(_dist((1, 1)), _dist((4, 1))), 1: _set(),
+      2: _set(_dist((2, 1))), 3: _set(), 4: _set(_dist((4, 1))),
+      5: _set(_dist((2, 1)), _dist((3, 1))),
+      6: _set(_dist((1, "1/2"), (4, "1/2"))),
+      7: _set(_dist((2, "1/2"), (3, "1/2")))},
+     ((0, 5), (1, 3), (2, 4), (6, 7))),
+])
+def test_bisimilarity_nested_signatures_equal_up_to_member_order(
+        text, structure, expected):
+    co = Coalgebra(parse_functor(text), tuple(structure), structure)
+    assert bisimilarity(co) == expected == round_based_bisimilarity(co)
+
+
 # -- coalgebra files ----------------------------------------------------------
+
+def reference_parse_coalgebra_file(text: str) -> Coalgebra:
+    """The element-level reader that `parse_coalgebra_file` replaced, as
+    an oracle: a dict in file order of ("set", (("pair", a, t), ...))."""
+    states: dict[str, None] = {}
+    edges: dict[str, set] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if "--" in raw:
+            raw = UNCOMMENTED_RE.match(raw).group()
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "state" and len(parts) == 2:
+            states[parts[1]] = None
+            continue
+        if len(parts) != 3:
+            raise FunctorParseError(
+                f"line {lineno}: expected `x label y` or `state x`")
+        src, label, dst = parts
+        states[src] = states[dst] = None
+        edges.setdefault(src, set()).add((label, dst))
+    labels = {a for out in edges.values() for a, _ in out}
+    functor = FFree("semilattice", FProd(FConst(tuple(sorted(labels))), FId()))
+    structure = {
+        s: ("set", tuple(("pair", a, t)
+                         for a, t in sorted(edges.get(s, ()))))
+        for s in states}
+    return Coalgebra(functor, tuple(sorted(states)), structure)
+
+
+# names with `--` inside, `state` as a name, digit-leading names; `0--1`
+# reads as the name 0 and a comment
+_SOURCES = ("x", "y", "z", "state", "a--b", "x--", "1", "0x")
+_LABELS = ("a", "b", "c--d", "0")
+_GAPS = (" ", "  ", "\t", " \t ")
+
+
+@st.composite
+def coalg_texts(draw):
+    """A `.coalg` text with comments, blank and whitespace lines, `state`
+    lines, duplicate edges and self-loops, LF or CRLF ends, and now and
+    then one bad line."""
+    gap = st.sampled_from(_GAPS)
+    lines: list[str] = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["edge"] * 5 + ["state", "comment", "blank", "repeat"]))
+        if kind == "repeat" and lines:
+            lines.append(draw(st.sampled_from(lines)))
+        elif kind == "state":
+            lines.append(f"state{draw(gap)}{draw(st.sampled_from(_SOURCES))}")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["-- note", " -- x a y"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+        else:
+            src = draw(st.sampled_from(_SOURCES))
+            dst = draw(st.sampled_from((src, "0--1") + _SOURCES))
+            lines.append(draw(gap).lstrip(" ") + src + draw(gap)
+                         + draw(st.sampled_from(_LABELS)) + draw(gap) + dst
+                         + draw(st.sampled_from(["", " ", " -- c", "--c"])))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(
+            ["x", "x a", " state", "x a y z", "state x y z -- c",
+             "x 0--1 y", "x a y\tz "]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coalg_texts())
+def test_parse_coalgebra_file_matches_reference_reader(text):
+    try:
+        ref = reference_parse_coalgebra_file(text)
+    except FunctorParseError as exc:
+        line = str(exc).split(":")[0].removeprefix("line ")
+        with pytest.raises(FunctorParseError, match=rf"^{line}:\d+: "):
+            parse_coalgebra_file(text)
+        return
+    co = parse_coalgebra_file(text)
+    assert (co.states, co.functor) == (ref.states, ref.functor)
+    assert len(co.structure) == len(ref.structure)
+    assert list(co.structure) == list(ref.structure)
+    assert all(co.structure[s] == ref.structure[s] for s in ref.states)
+    assert co.structure == ref.structure and ref.structure == co.structure
+    partition = bisimilarity(co)
+    assert partition == bisimilarity(ref) == round_based_bisimilarity(ref)
+    if len(co.states) <= 6:
+        assert partition == brute_force_bisimilarity(co)
+
 
 def test_parse_coalgebra_file():
     co = parse_coalgebra_file(
         "-- two-state loop\nx a y\ny a x\nstate z\n")
     assert co.states == ("x", "y", "z")
     assert co.structure["z"] == ("set", ())
+    # the structure is a read-only mapping decoded on read
+    assert co.structure == {"x": ("set", (("pair", "a", "y"),)),
+                            "y": ("set", (("pair", "a", "x"),)),
+                            "z": ("set", ())}
+    assert "z" in co.structure and "w" not in co.structure
+    assert 5 not in co.structure and co.structure.get("w") is None
+    with pytest.raises(KeyError):
+        co.structure["w"]
+    with pytest.raises(TypeError):
+        co.structure["w"] = ("set", ())
 
 
 def test_coalgebra_file_dashes_inside_a_name_are_not_a_comment():
@@ -713,13 +847,20 @@ def test_coalgebra_file_dashes_inside_a_name_are_not_a_comment():
     assert co.structure["x"] == ("set", (("pair", "a--b", "y"),))
     assert co.structure["z"] == ("set", (("pair", "c", "0"),))
     # a name does not start with a digit, so `--` after one is a comment
-    with pytest.raises(FunctorParseError, match="line 2:"):
+    with pytest.raises(FunctorParseError, match="^2:4: "):
         parse_coalgebra_file("x a y\nx 0--1 y\n")
 
 
 def test_parse_coalgebra_file_bad_line():
-    with pytest.raises(FunctorParseError):
-        parse_coalgebra_file("x a\n")
+    # the first token that fits neither `x a y` nor `state x`, or one past
+    # the line's content when a token is missing
+    for text, where in [("x a\n", "1:4"), ("  x  \n", "1:4"),
+                        ("state\n", "1:6"), ("x a y z\n", "1:7"),
+                        ("state x y\tz -- c\n", "1:11"),
+                        ("x a y\r\n\r\n x a b c\r\n", "3:8"),
+                        ("x a -- y\n", "1:4")]:
+        with pytest.raises(FunctorParseError, match=f"^{where}: expected"):
+            parse_coalgebra_file(text)
 
 
 # -- weak bisimilarity on the truncated delay monad --------------------------
