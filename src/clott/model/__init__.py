@@ -4,7 +4,7 @@ from .timecat import (ElObj, FinCategory, TimeMor, TimeObj,
                       pool_names, slice_category)
 from .presheaf import (CheckOutcome, FreshClockExhausted, Model, Psh,
                        align, arrow, check_functoriality, check_invariance,
-                       clk_psh, clock_intros, const_psh, coproduct,
+                       clk_psh, const_psh, coproduct,
                        forall_clk, later, product, restrict_to, weaken)
 from .typeexpr import (ForceReport, MAnd, MArrow, MBot, MClk, MEq,
                        MExists, MFin, MForall, MForallFam, MLater, MMu,
@@ -20,7 +20,7 @@ __all__ = [
     "slice_category",
     "CheckOutcome", "FreshClockExhausted", "Model", "Psh", "align",
     "arrow", "check_functoriality", "check_invariance", "clk_psh",
-    "clock_intros", "const_psh", "coproduct", "forall_clk", "later",
+    "const_psh", "coproduct", "forall_clk", "later",
     "product", "restrict_to", "weaken",
     "ForceReport", "MAnd", "MArrow", "MBot", "MClk", "MEq", "MExists",
     "MFin", "MForall", "MForallFam", "MLater", "MMu", "MOr", "MProd",

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presheaf import (Model, Psh, _bijective, clock_intro, coproduct,
-                       forall_clk, product)
+from .presheaf import (Model, Psh, _bijective, coproduct, forall_clk,
+                       product)
 from .timecat import ElObj, obj_key
 
 
@@ -18,18 +18,6 @@ class FiberVerdict:
     lhs: bool          # ∃x. ∀κ. φ(x)
     rhs: bool          # ∀κ. ∃x. φ(x)
     witness: object    # least uniform witness in canonical order, or None
-
-
-def _intros(model: Model, i: int) -> list[tuple[ElObj, int]]:
-    """Per stage α of the fresh clock of time object i: the target of
-    the introduction of that clock at α, marked, and the morphism's id."""
-    cat = model.time
-    fresh = model.fresh_clock(cat.objects[i])
-    out = []
-    for alpha in range(model.bound):
-        j = clock_intro(cat, i, fresh, alpha)
-        out.append((ElObj(cat.objects[cat.mors[j][1]], fresh), j))
-    return out
 
 
 def exists_forall_experiment(model: Model, x: Psh, phi) -> dict:
@@ -42,19 +30,23 @@ def exists_forall_experiment(model: Model, x: Psh, phi) -> dict:
     fresh clock; the right side asks for a (possibly different) element at
     each stage.
     """
-    assert x.cat is model.time
+    cat = x.cat
+    assert cat is model.time
     out = {}
     for i in model.time_inner.parent[1]:
-        intros = [(u, x.acts[j], x.fibs[x.cat.dst_ids[j]])
-                  for u, j in _intros(model, i)]
+        # per stage of the fresh clock: the target of its introduction,
+        # marked, the action and the target fiber
+        fresh = model.fresh_clock(cat.objects[i])
+        intros = [(ElObj(cat.objects[cat.dst_ids[j]], fresh), x.acts[j],
+                   x.fibs[cat.dst_ids[j]]) for j in cat.intros[i][fresh]]
         witness = None
         for p, e in enumerate(x.fibs[i]):
             if all(phi(u, fib[act[p]]) for u, act, fib in intros):
                 witness = e
                 break
         rhs = all(any(phi(u, e2) for e2 in fib) for u, _, fib in intros)
-        out[obj_key(x.cat.objects[i])] = FiberVerdict(witness is not None,
-                                                     rhs, witness)
+        out[obj_key(cat.objects[i])] = FiberVerdict(witness is not None,
+                                                   rhs, witness)
     return out
 
 

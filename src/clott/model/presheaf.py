@@ -12,6 +12,10 @@ only at the boundary: `Psh.fib` maps each object to its fiber, and
 counterexamples name elements.  Actions are read-only and often shared
 between ids.
 
+A construction makes each fiber and action once per class of inputs
+equal by identity (`_per_class`), so shared inputs give shared outputs,
+and `_generators_commute` compares each class once.
+
 The delay modality, clock quantification and guarded fixpoints are
 computed as honest chain limits (families compatible along the
 stage-lowering morphisms, `_chain_limit`); at finite truncation these
@@ -26,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import getitem
 from types import MappingProxyType
 
 from ..theories import Budget, BudgetExceeded, csorted
-from .timecat import (ElObj, FinCategory, TimeObj, _time_of, check_size,
+from .timecat import (ElObj, FinCategory, TimeObj, check_size,
                       enumerate_category, full_subcat, mor_key, obj_key,
                       pool_names, slice_category)
 
@@ -155,26 +160,32 @@ def clk_psh(cat: FinCategory) -> Psh:
                tuple(images for _, _, images in cat.mors))
 
 
-def _shared(memo: dict, f, *args):
-    """f(*args), computed once per memo for arguments equal by identity;
-    the arguments outlive memo, so their ids are not reused meanwhile."""
-    key = (f, *map(id, args))
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = f(*args)
-    return out
+def _first(keys: list) -> dict:
+    """The first index of each distinct key."""
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
+def _per_class(keys: list, make) -> tuple:
+    """Per index, make(i) for the first index i with an equal key, made
+    in the order of those first indices.  Keys hold the ids of inputs
+    that outlive them, so no id is reused."""
+    first = _first(keys)
+    made = {key: make(first[key]) for key in dict.fromkeys(keys)}
+    return tuple(map(made.__getitem__, keys))
 
 
 def _pointwise(a: Psh, b: Psh, fiber, action) -> Psh:
     """The fibers fiber(fa, fb) over those of a and b and the actions
-    action(act_a, act_b, fa, fb) with the target fibers, each shared."""
+    action(act_a, act_b, fa, fb) with the target fibers, each made once
+    per class of its inputs."""
     a, b = align(a, b)
-    memo: dict = {}
-    fibs = tuple(_shared(memo, fiber, fa, fb)
-                 for fa, fb in zip(a.fibs, b.fibs))
-    return Psh(a.cat, fibs, tuple(
-        _shared(memo, action, act_a, act_b, a.fibs[d], b.fibs[d])
-        for d, act_a, act_b in zip(a.cat.dst_ids, a.acts, b.acts)))
+    fa, fb, dst = list(map(id, a.fibs)), list(map(id, b.fibs)), a.cat.dst_ids
+    fibs = _per_class(list(zip(fa, fb)),
+                      lambda i: fiber(a.fibs[i], b.fibs[i]))
+    keys = list(zip(map(id, a.acts), map(id, b.acts),
+                    map(fa.__getitem__, dst), map(fb.__getitem__, dst)))
+    return Psh(a.cat, fibs, _per_class(keys, lambda j: action(
+        a.acts[j], b.acts[j], a.fibs[dst[j]], b.fibs[dst[j]])))
 
 
 def product(a: Psh, b: Psh) -> Psh:
@@ -202,27 +213,39 @@ def arrow(a: Psh, b: Psh, budget: Budget | None = None) -> Psh:
     """The exponential B^A: fiber at c is the set of natural families
     φ_f : A(d) → B(d) indexed by morphisms f : c → d.  Elements encode φ
     positionally over the canonically sorted list of morphisms out of c:
-    ("nat", per f the images of A(d) in canonical fiber order)."""
+    ("nat", per f the images of A(d) in canonical fiber order).
+
+    A generator g acts by its `pre_table` row (φ's entry of f∘g is the
+    image's entry of f), counted against the budget first; every other
+    morphism along its factorization g∘f (`factors`), exactly, as
+    (B^A)(g∘f)(φ) = φ(− ∘ g ∘ f) = (B^A)(g)((B^A)(f)(φ))."""
     budget = budget or Budget()
     a, b = align(a, b)
     cat = a.cat
-    succ, table, out, pos = cat.succ, cat.table, cat.out, cat.pos
+    pairs = sum(map(len, map(cat.succ.__getitem__,
+                             compress(cat.dst_ids, cat.gen_flags))))
+    if pairs > budget.max_elements:
+        raise BudgetExceeded(
+            f"exponential over {len(cat.objects)} objects needs {pairs} "
+            f"generator-precomposition pairs, over the max_elements budget "
+            f"{budget.max_elements}")
     nats = [_nats_at(i, a, b, budget) for i in range(len(cat.objects))]
     index = [{phi: k for k, phi in enumerate(fam)} for fam in nats]
     fibs = []
-    for row, fam in zip(out, nats):
+    for row, fam in zip(cat.out, nats):
         cods = [b.fibs[cat.dst_ids[f]] for f in row]
         fibs.append(tuple(("nat", tuple(tuple(map(cod.__getitem__, images))
                                         for cod, images in zip(cods, phi)))
                           for phi in fam))
-    acts = []
-    for j, (s, d, _) in enumerate(cat.mors):
-        # entry of f (out of dst m) in the image: the entry of f∘m in φ
-        place = [0] * len(out[d])
-        for f, fm in zip(succ[d], table[j]):
-            place[pos[f]] = pos[fm]
-        acts.append(tuple(index[d][tuple([phi[p] for p in place])]
-                          for phi in nats[s]))
+    acts: list = [None] * len(cat.mors)
+    for j, fam in zip(cat.identities, nats):
+        acts[j] = tuple(range(len(fam)))
+    for g, place in cat.pre_table:
+        into = index[cat.dst_ids[g]]
+        acts[g] = tuple(into[tuple(map(phi.__getitem__, place))]
+                        for phi in nats[cat.src_ids[g]])
+    for m, g, f in cat.factors:
+        acts[m] = tuple(map(acts[g].__getitem__, acts[f]))
     return Psh(cat, tuple(fibs), tuple(acts))
 
 
@@ -312,37 +335,33 @@ def _stagewise(src: tuple, dst: tuple, *acts) -> tuple:
         for act, col in zip(acts, zip(*families))])))
 
 
-def _chain_key(fibs, act, downs, chain) -> tuple:
-    """The identities of the fibers and down-actions along a chain, which
-    determine its limit; they must outlive the key, like `_shared`'s."""
-    return (*(id(fibs[o]) for o in chain),
-            *(id(act(downs[o])) for o in chain[1:]))
-
-
 def _limits(x: Psh, cat: FinCategory, chains, stage_mors) -> Psh:
     """The presheaf over cat with, at object i, the chain limit of x over
     chains[i], its families encoded ("tup", ((0, x_0), …)), and at
     morphism j `_stagewise` along stage_mors[j].  Chains over the same
-    fibers and actions, by identity, share one limit, and morphisms
-    between the same limits along the same actions one action."""
+    fibers and down-actions, by identity, share one limit, and morphisms
+    between the same limits along the same actions one action
+    (`_per_class`)."""
     downs = x.cat.stage_shift[1]
-    limits: dict = {}
-    lims, fibs = [], []
-    for chain in chains:
-        fibers = [x.fibs[o] for o in chain]
-        key = _chain_key(x.fibs, x.acts.__getitem__, downs, chain)
-        if key not in limits:
-            lim = _chain_limit(x.cat, x.fibs, x.acts.__getitem__, chain)
-            limits[key] = lim, tuple(
-                ("tup", tuple(enumerate(map(getitem, fibers, fam))))
-                for fam in lim[0])
-        lims.append(limits[key][0])
-        fibs.append(limits[key][1])
-    memo: dict = {}
-    return Psh(cat, tuple(fibs), tuple(
-        _shared(memo, _stagewise, lims[s], lims[d],
-                *map(x.acts.__getitem__, js))
-        for s, d, js in zip(cat.src_ids, cat.dst_ids, stage_mors)))
+    act_ids = list(map(id, x.acts))
+    # per object, the ids of its fiber and its down-action
+    links = list(zip(map(id, x.fibs), (j if j is None else act_ids[j]
+                                       for j in downs)))
+
+    def limit(i):
+        lim = _chain_limit(x.cat, x.fibs, x.acts.__getitem__, chains[i])
+        fibers = [x.fibs[o] for o in chains[i]]
+        return lim, tuple(("tup", tuple(enumerate(map(getitem, fibers, fam))))
+                          for fam in lim[0])
+    made = _per_class([tuple(map(links.__getitem__, chain))
+                       for chain in chains], limit)
+    made_ids = list(map(id, made))
+    src, dst = cat.src_ids, cat.dst_ids
+    keys = [(made_ids[s], made_ids[d], *map(act_ids.__getitem__, js))
+            for s, d, js in zip(src, dst, stage_mors)]
+    return Psh(cat, tuple(fib for _, fib in made), _per_class(
+        keys, lambda j: _stagewise(made[src[j]][0], made[dst[j]][0],
+                                   *map(x.acts.__getitem__, stage_mors[j]))))
 
 
 def later(model: Model, x: Psh) -> Psh:
@@ -401,10 +420,11 @@ def check_functoriality(x: Psh) -> CheckOutcome:
     has more clocks than E or E', so inner subcategories contain it, and
     in a slice each factor carries the marked clock.  By induction on h
     as a word in generators, x((g∘h)∘f) = x(g)∘x(h∘f) = x(g)∘x(h)∘x(f)
-    = x(g∘h)∘x(f).  Only a failing generator pair starts the full scan."""
+    = x(g∘h)∘x(f).  Only a failing generator pair starts the full scan,
+    which composes each pair as it reaches it."""
     cat, acts = x.cat, x.acts
-    for i, fib in enumerate(x.fibs):
-        ident = acts[cat.identity(i)]
+    for i, (j, fib) in enumerate(zip(cat.identities, x.fibs)):
+        ident = acts[j]
         for p, e in enumerate(fib):
             if ident[p] != p:
                 return CheckOutcome(False, ("identity",
@@ -412,11 +432,14 @@ def check_functoriality(x: Psh) -> CheckOutcome:
     if _generators_commute(x):
         return CheckOutcome(True)
     # the composable pairs (g, f) by f's id, then g's id
-    succ, table = cat.succ, cat.table
-    for fi, (s, d, _) in enumerate(cat.mors):
+    mors, mor_id = cat.mors, cat.mor_id
+    for fi, (s, d, f_images) in enumerate(mors):
         act_f, elems = acts[fi], x.fibs[s]
-        for gi, gfi in zip(succ[d], table[fi]):
-            act_g, act_gf = acts[gi], acts[gfi]
+        for gi in cat.succ[d]:
+            _, t, g_images = mors[gi]
+            act_g = acts[gi]
+            act_gf = acts[mor_id[s, t, tuple([g_images[i]
+                                              for i in f_images])]]
             for p, e in enumerate(elems):
                 if act_gf[p] != act_g[act_f[p]]:
                     return CheckOutcome(False, (
@@ -427,55 +450,28 @@ def check_functoriality(x: Psh) -> CheckOutcome:
 
 def _generators_commute(x: Psh) -> bool:
     """Whether x(g∘f) = x(g)∘x(f) for every generator g.  Actions equal
-    by identity are one class, and morphisms f with the same classes for
-    f, the g and the g∘f are compared once."""
+    by identity are one class, named by its first morphism, and morphisms
+    f with the same classes for f, the g and the g∘f are compared once."""
     cat, acts = x.cat, x.acts
-    index: dict = {}
-    cls = [index.setdefault(id(act), j) for j, act in enumerate(acts)]
+    ids = list(map(id, acts))
+    cls = list(map(_first(ids).__getitem__, ids))
     gens = [tuple(map(cls.__getitem__, row)) for row in cat.gens]
-    seen = set()
-    for c, d, row in zip(cls, cat.dst_ids, cat.gen_table):
-        key = c, gens[d], tuple(map(cls.__getitem__, row))
-        if key not in seen:
-            seen.add(key)
-            place = acts[c]
-            if any(tuple(map(acts[g].__getitem__, place)) != acts[gf]
-                   for g, gf in zip(key[1], key[2])):
-                return False
-    return True
-
-
-def clock_intro(cat: FinCategory, i: int, lam: str, alpha: int):
-    """The id in cat of the clock introduction from object i that adds
-    the clock lam at stage alpha, or None where cat lacks its target."""
-    o = cat.objects[i]
-    t = _time_of(o)
-    wide = t.add_clock(lam, alpha)
-    d = cat.obj_id.get(wide if cat.kind == "time" else ElObj(wide, o.clock))
-    if d is None:
-        return None
-    return cat.mor_id[i, d, tuple(map(wide.names.index, t.names))]
-
-
-def clock_intros(model: Model, cat: FinCategory):
-    """The ids of all clock-introduction morphisms ι : o → o+λ@α of cat
-    with λ fresh, by o, λ and α."""
-    for i, o in enumerate(cat.objects):
-        for lam in model.names:
-            if lam in _time_of(o).names:
-                continue
-            for alpha in range(model.bound):
-                j = clock_intro(cat, i, lam, alpha)
-                if j is not None:
-                    yield j
+    keys = set(zip(cls, map(gens.__getitem__, cat.dst_ids),
+                   [tuple(map(cls.__getitem__, row))
+                    for row in cat.gen_table]))
+    return all(tuple(map(acts[g].__getitem__, acts[c])) == acts[gf]
+               for c, g_row, gf_row in keys
+               for g, gf in zip(g_row, gf_row))
 
 
 def check_invariance(model: Model, x: Psh) -> CheckOutcome:
-    """Def.-1 invariance: every clock-introduction map acts bijectively."""
+    """Def.-1 invariance: every clock-introduction map ι : o → o+λ@α with
+    λ fresh acts bijectively, tried by o, λ and α (`FinCategory.intros`)."""
     cat = x.cat
-    for j in clock_intros(model, cat):
-        if not _bijective(x.acts[j], len(x.fibs[cat.dst_ids[j]])):
-            return CheckOutcome(False, mor_key(cat.decode(j)))
+    for row in cat.intros:
+        for j in (j for ids in row.values() for j in ids):
+            if not _bijective(x.acts[j], len(x.fibs[cat.dst_ids[j]])):
+                return CheckOutcome(False, mor_key(cat.decode(j)))
     return CheckOutcome(True)
 
 

@@ -19,11 +19,12 @@ inner subcategory the ids of its objects and morphisms in its parent
 one, `morphisms` all of them on first use, for counterexamples and tests.
 
 The tables over ids are built on first use and shared by every later call
-on the category: per-object out-lists (`succ` in id order, `out` sorted by
-`mor_key`, `gens` the generators), the composites `table` of all
-composable pairs and `gen_table` of those with a generator second and,
-for slice categories, the stage-shift map `stage_shift` from an object or
-morphism to the same one with the marked clock at each stage.
+on the category: `identities`, per-object out-lists (`succ` in id order,
+`out` sorted by `mor_key`, `gens` the generators), `gen_table` (g∘f for
+each f and generator g out of its target), `pre_table` (f∘g for each
+generator g and f out of its target), `factors` (one g∘f per other
+morphism), the clock introductions `intros` and, for slice categories,
+`stage_shift`.  None holds all composable pairs.
 
 Sizes in closed form (`category_sizes`), so that `check_size` can refuse
 a category over budget before it is enumerated.  With a pool of P clocks
@@ -90,11 +91,6 @@ class FinCategory:
     # object, of each morphism)
     parent: tuple | None = None
 
-    def identity(self, i: int) -> int:
-        """The id of the identity on object i."""
-        n = len(_time_of(self.objects[i]).names)
-        return self.mor_id[i, i, tuple(range(n))]
-
     def decode(self, j: int) -> TimeMor:
         s, d, images = self.mors[j]
         a, b = self.objects[s], self.objects[d]
@@ -120,6 +116,12 @@ class FinCategory:
     @cached_property
     def mor_id(self) -> dict:
         return {m: j for j, m in enumerate(self.mors)}
+
+    @cached_property
+    def identities(self) -> tuple[int, ...]:
+        """The id of the identity on each object."""
+        return tuple(self.mor_id[i, i, tuple(range(len(_time_of(o).names)))]
+                     for i, o in enumerate(self.objects))
 
     @cached_property
     def src_ids(self) -> tuple[int, ...]:
@@ -152,14 +154,14 @@ class FinCategory:
                 pos[j] = i
         return pos
 
-    def _composites(self, outs) -> tuple[tuple[int, ...], ...]:
-        """Per morphism f, the ids of g∘f for g in outs[dst f].  The
+    def _composites(self, ids, outs) -> tuple[tuple[int, ...], ...]:
+        """Per morphism f in ids, the ids of g∘f for g in outs[dst f].  The
         targets and images of the composites depend only on f's target
         and images, so they are computed once per such pair."""
         mors, mor_id = self.mors, self.mor_id
         after: dict = {}
         rows = []
-        for s, d, images in mors:
+        for s, d, images in map(mors.__getitem__, ids):
             ends = after.get((d, images))
             if ends is None:
                 gs = [mors[g] for g in outs[d]]
@@ -170,10 +172,6 @@ class FinCategory:
             rows.append(tuple(map(mor_id.__getitem__,
                                   zip(repeat(s), *ends))))
         return tuple(rows)
-
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        return self._composites(self.succ)
 
     @cached_property
     def gen_flags(self) -> tuple[bool, ...]:
@@ -196,7 +194,44 @@ class FinCategory:
 
     @cached_property
     def gen_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._composites(self.gens)
+        return self._composites(range(len(self.mors)), self.gens)
+
+    @cached_property
+    def pre_table(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per generator g, by id: (g, the places in out[src g] of f∘g for
+        f in out[dst g])."""
+        gens = list(itertools.compress(range(len(self.mors)), self.gen_flags))
+        return tuple((g, tuple(map(self.pos.__getitem__, row)))
+                     for g, row in zip(gens, self._composites(gens, self.out)))
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, int, int], ...]:
+        """(g∘f, g, f), g a generator, for each morphism that is no identity
+        and no generator, after the triple of its f: a breadth-first pass
+        along `gen_table` from the generators."""
+        queue = list(itertools.compress(range(len(self.mors)), self.gen_flags))
+        seen, out = set(queue).union(self.identities), []
+        for f in queue:
+            for g, gf in zip(self.gens[self.dst_ids[f]], self.gen_table[f]):
+                if gf not in seen:
+                    seen.add(gf)
+                    out.append((gf, g, f))
+                    queue.append(gf)
+        return tuple(out)
+
+    @cached_property
+    def intros(self) -> tuple[dict, ...]:
+        """Per object, for each clock λ of the category that it lacks, the
+        ids of the introductions of λ at stages 0, 1, … whose targets the
+        category has (`clock_intro`)."""
+        times = list(map(_time_of, self.objects))
+        names = sorted({n for t in times for n in t.names})
+        stages = range(1 + max((s for t in times for s in t.stages),
+                               default=0))
+        return tuple({lam: tuple(j for j in (clock_intro(self, i, lam, a)
+                                             for a in stages) if j is not None)
+                      for lam in names if lam not in t.names}
+                     for i, t in enumerate(times))
 
     @cached_property
     def marked_stage(self) -> tuple[int, ...]:
@@ -227,11 +262,27 @@ class FinCategory:
         downs = tuple(None if stage[i] == 0 else mor_id[
             i, chains[i][stage[i] - 1], tuple(range(len(o.time.names)))]
             for i, o in enumerate(self.objects))
-        shifted = tuple(
-            tuple(map(mor_id.__getitem__, zip(
-                chains[s][:stage[d] + 1], chains[d], repeat(images))))
-            for s, d, images in self.mors)
+        # m's row is a prefix of the diagonal of its ends' chains and its
+        # images, which may leave the category (None) above the prefix
+        keys = list(zip(map(chains.__getitem__, self.src_ids),
+                        map(chains.__getitem__, self.dst_ids),
+                        (images for _, _, images in self.mors)))
+        diagonals = {key: tuple(map(mor_id.get, zip(*key[:2], repeat(key[2]))))
+                     for key in dict.fromkeys(keys)}
+        shifted = tuple(diagonals[key][:stage[d] + 1]
+                        for key, d in zip(keys, self.dst_ids))
         return tuple(chains), downs, shifted
+
+
+def clock_intro(cat: FinCategory, i: int, lam: str, alpha: int):
+    """The id in cat of the clock introduction from object i that adds
+    the clock lam at stage alpha, or None where cat lacks its target."""
+    o = cat.objects[i]
+    t = _time_of(o)
+    wide = t.add_clock(lam, alpha)
+    d = cat.obj_id.get(wide if cat.kind == "time" else ElObj(wide, o.clock))
+    return None if d is None else \
+        cat.mor_id[i, d, tuple(map(wide.names.index, t.names))]
 
 
 def pool_names(pool: int) -> tuple[str, ...]:

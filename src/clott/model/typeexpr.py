@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..coalgebra import FunctorExpr, functor_map_all, functor_plan
-from .presheaf import (Model, Psh, _bijective, _chain_key, _chain_limit,
-                       _shared, _stagewise, align, arrow, clk_psh, coproduct,
+from .presheaf import (Model, Psh, _bijective, _chain_limit, _per_class,
+                       _stagewise, align, arrow, clk_psh, coproduct,
                        const_psh, forall_clk, later, product, weaken)
 from .timecat import obj_key
 
@@ -182,53 +182,61 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     The ▷-families are relabelled by their positions in the chain limit
     before F is applied, so the elements stay shallow even when the
     fibers blow up (compare the relabelled terminal sequences in the
-    coalgebra module).  Objects with equally many labels share one fiber
-    and one plan of F.  An action is F's positional action
+    coalgebra module).  An action is F's positional action
     (`functor_map_all`) on the label map, and the label map is the chain
-    limit's own stage-by-stage action (`_stagewise`).  Limits and actions
-    are shared by identity, as in `presheaf._limits`: chains over the same
-    fibers and down-actions have one limit, and morphisms between the same
-    limits and plans along the same stage actions one action."""
+    limit's own stage-by-stage action (`_stagewise`).
+
+    Stage k at a time: the limits at stage k, all of one size, so with
+    one fiber and plan of F (shared by stages with as many labels), then
+    the actions out of stage k, whose stage actions lie below.  As in
+    `presheaf._limits`, limits and actions are made once per class."""
     cat = model.slice
     chains, downs, shifted = cat.stage_shift
-    stage = cat.marked_stage
-    n_obj = len(cat.objects)
-    fibs: list = [None] * n_obj     # F(labels) elements, by object id
-    plans: list = [None] * n_obj    # F's plan over the labels
-    lims: list = [None] * n_obj     # the ▷-families: the labels, by object
+    stage, src, dst = cat.marked_stage, cat.src_ids, cat.dst_ids
+    fibs: list = [None] * len(cat.objects)     # F(labels), by object id
+    made: list = [None] * len(cat.objects)     # (limit, plan)
     acts: list = [None] * len(cat.mors)
     by_labels: dict = {}    # number of labels -> (plan, fiber)
-    limits: dict = {}       # `_chain_key` -> chain limit
-    memo: dict = {}
-
-    def act(j: int) -> tuple:
-        if acts[j] is None:
-            s, d = cat.src_ids[j], cat.dst_ids[j]
-            acts[j] = _shared(memo, _mu_act, lims[s], lims[d], plans[s],
-                              plans[d], *map(act, shifted[j][:stage[d]]))
-        return acts[j]
-
-    for i in sorted(range(n_obj), key=stage.__getitem__):
-        chain = chains[i][:stage[i]]
-        # the chain limit is as large as the fiber at its top, so F's plan
-        # over its labels refuses an oversized stage before it is mapped
-        n = len(fibs[chain[-1]]) if chain else 1
+    # a chain's stage and down-action ids -> made; the stage stands for the
+    # fibers' ids, as every object of a stage has the same fiber object
+    limits: dict = {}
+    by_stage: list = [[] for _ in range(model.bound)]
+    for j, s in enumerate(src):
+        by_stage[stage[s]].append(j)
+    n = 1
+    for k, mors in enumerate(by_stage):
+        # the chain limit is as large as the fibers below, so F's plan over
+        # its labels refuses an oversized stage before it is mapped
         if n not in by_labels:
             plan = functor_plan(f, n, model.budget)
             by_labels[n] = (plan, plan.elements(tuple(range(n))))
-        key = _chain_key(fibs, act, downs, chain)
-        if key not in limits:
-            limits[key] = _chain_limit(cat, fibs, act, chain)
-        lims[i] = limits[key]
-        plans[i], fibs[i] = by_labels[n]
+        plan, fiber = by_labels[n]
+        for i in (i for i, s in enumerate(stage) if s == k):
+            chain = chains[i][:k]
+            key = (k, *(id(acts[downs[o]]) for o in chain[1:]))
+            if key not in limits:
+                limits[key] = (_chain_limit(cat, fibs, acts.__getitem__,
+                                            chain), plan)
+            made[i], fibs[i] = limits[key], fiber
+        made_ids = list(map(id, made))
+        rows = [shifted[j][:stage[dst[j]]] for j in mors]
+        keys = [(made_ids[src[j]], made_ids[dst[j]],
+                 *map(id, map(acts.__getitem__, row)))
+                for j, row in zip(mors, rows)]
+        for j, act in zip(mors, _per_class(keys, lambda m: _mu_act(
+                made[src[mors[m]]], made[dst[mors[m]]],
+                *map(acts.__getitem__, rows[m])))):
+            acts[j] = act
+        n = len(fiber)
+    return Psh(cat, tuple(fibs), tuple(acts))
 
-    return Psh(cat, tuple(fibs), tuple(map(act, range(len(cat.mors)))))
 
-
-def _mu_act(src: tuple, dst: tuple, src_plan, dst_plan, *stage_acts):
-    """F's action between the fibers over the chain limits src and dst,
-    along the stage actions of the label map."""
-    label_map = _stagewise(src, dst, *stage_acts)
+def _mu_act(src: tuple, dst: tuple, *stage_acts):
+    """F's action between the fibers over src and dst, each (chain limit,
+    plan of F over its labels), along the stage actions of the label
+    map."""
+    (src_lim, src_plan), (dst_lim, dst_plan) = src, dst
+    label_map = _stagewise(src_lim, dst_lim, *stage_acts)
     if src_plan is dst_plan and label_map == tuple(range(len(label_map))):
         return tuple(range(src_plan.size))
     return tuple(functor_map_all(src_plan, dst_plan, label_map))

@@ -207,6 +207,24 @@ def test_model_oversized_category_is_unknown(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_model_invariance_exponential_over_budget_is_unknown(tmp_path):
+    # at (3, 3) the exponential's precomposition table has 133,920 pairs
+    # and every check passes; at (4, 2) it would have 2,324,376, and the
+    # table is refused before it is built
+    code, doc = run_json(["model", "verify", "invariance", "--pool", "3",
+                          "--bound", "3"], tmp_path)
+    assert code == 0 and len(doc["checks"]) == 13
+    t0 = time.perf_counter()
+    code, doc = run_json(["model", "verify", "invariance", "--pool", "4",
+                          "--bound", "2"], tmp_path)
+    assert time.perf_counter() - t0 < 10
+    assert code == 3
+    last = doc["checks"][-1]
+    assert last["name"] == "invariance/budget"
+    assert "needs 2324376 generator-precomposition pairs, over the " \
+        "max_elements budget 1000000" in last["evidence"]["reason"]
+
+
 # -- theory --------------------------------------------------------------------
 
 def test_theory_drop(tmp_path):

@@ -1,5 +1,7 @@
 """Typechecker: accepting tests per rule, rejecting tests per side
 condition, and the three-valued conversion."""
+import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -303,17 +305,53 @@ _CONTEXTS = (Context(),
              .bind_clock("k1").bind_tick("a2", "k1"))
 
 
+# where the `fix` of `_unfoldings` unfolds, spending fuel
+_FIX_CONTEXT = Context().bind_var("A", T.Univ(())).bind_clock("k")
+_FIX_LASTS = ("({fix})", "A", "(A, A)")
+_fix_shapes = st.tuples(st.integers(0, 3), st.sampled_from(_FIX_LASTS))
+
+
+def _fix_mix(t, u, shapes, rnd):
+    """Pairs of `fix` unfoldings of the given (depth, last) shapes, with
+    binders renamed and beside the terms t and u."""
+    a, b = (parse_term(_unfoldings(*shape)) for shape in shapes)
+    return [(a, b), (a, _rebind(b, rnd)), (_rebind(a, rnd), a),
+            (T.Pair(t, a), T.Pair(_rebind(t, rnd), b)),
+            (T.Pair(a, t), T.Pair(b, u))]
+
+
+def _matches_reference_open2(ctx, a, b):
+    got = _convert_outcome(ctx, a, b)
+    with mock.patch.object(kernel, "_open2", reference_open2):
+        assert got == _convert_outcome(ctx, a, b), (ctx, a, b)
+    return got
+
+
 @settings(max_examples=150, deadline=None)
-@given(_terms, _terms, _mappings, st.randoms(use_true_random=False))
-def test_convert_matches_reference_open2(t, u, mapping, rnd):
+@given(_terms, _terms, _mappings, st.randoms(use_true_random=False),
+       st.tuples(_fix_shapes, _fix_shapes))
+def test_convert_matches_reference_open2(t, u, mapping, rnd, shapes):
     pairs = [(t, u), (t, rename(t, mapping)), (t, _rebind(t, rnd)),
              (_blank_unused(t), _rebind(t, rnd)),
              (t, _blank_unused(_rebind(t, rnd)))]
     for ctx in _CONTEXTS:
         for a, b in pairs:
-            got = _convert_outcome(ctx, a, b)
-            with mock.patch.object(kernel, "_open2", reference_open2):
-                assert got == _convert_outcome(ctx, a, b), (ctx, a, b)
+            _matches_reference_open2(ctx, a, b)
+    for a, b in _fix_mix(t, u, shapes, rnd):
+        _matches_reference_open2(_FIX_CONTEXT, a, b)
+
+
+def test_fix_mix_spends_fuel_and_ends_unknown():
+    # the unfoldings that test_convert_matches_reference_open2 mixes in
+    # spend fuel, and some run out of it
+    t, u, rnd = T.Var("x"), T.Const("tt"), random.Random(0)
+    shapes = list(itertools.product(range(4), _FIX_LASTS))
+    outcomes = [_matches_reference_open2(_FIX_CONTEXT, a, b)
+                for pair in itertools.product(shapes, repeat=2)
+                for a, b in _fix_mix(t, u, pair, rnd)]
+    assert any(left < 2 for _, left, _ in outcomes)
+    assert any(verdict is Verdict.UNKNOWN for verdict, _, _ in outcomes)
+    assert {verdict for verdict, _, _ in outcomes} == set(Verdict)
 
 
 def _declarations_outcome(text):
