@@ -235,14 +235,6 @@ def _run_suites(args, rep: Report, runners: dict, name: str, target) -> None:
         runners[suite](target, rep)
 
 
-def run_model_suite(model: Model, suite: str, rep: Report) -> int:
-    """Run one model suite (or all of them) over model into rep, as
-    `model verify` does, and return the exit code."""
-    def run(args, rep):
-        _run_suites(args, rep, _MODEL_SUITE_RUNNERS, suite, model)
-    return _decide(run, argparse.Namespace(), rep)
-
-
 def cmd_model(args, rep: Report) -> None:
     _run_suites(args, rep, _MODEL_SUITE_RUNNERS, args.suite,
                 Model(pool=args.pool, bound=args.bound))

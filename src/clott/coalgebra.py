@@ -586,14 +586,6 @@ def step(d):
     return ("step", d)
 
 
-def delay_depth(d) -> int:
-    n = 0
-    while d[0] == "step":
-        n += 1
-        d = d[1]
-    return n
-
-
 def _strip_to_now(d, cap: int):
     """Follow step constructors (at most cap of them) to a now, if any."""
     n = 0

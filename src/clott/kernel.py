@@ -5,10 +5,24 @@ force are registered axioms.  Guarded fixed points unfold judgementally,
 but only within a fuel budget; conversion is three-valued and never
 reports `apart` when the budget ran out.
 
+Weak-head normalisation is one head-reduction rule: strip annotations and
+inclusions, reduce the eliminator's head (`_HEADS`), then contract
+through the table `_REDEX` keyed by (eliminator, head class), which holds
+the beta rules and the decodings of El and Prf.  Unfolding `fix` is the
+only other step; a stuck head is rebuilt in place.
+
 Conversion is weak-head normalisation, eta for functions and pairs, then
 one congruence rule read off `terms._SPEC` for every node class: the
 fields that are not subterms (names, atoms, clock sets) agree, and the
 subterms convert in spec order, each under the binder scoping over it.
+
+Code and proposition formers are checked by one rule, `_check_former`,
+which walks the former's parts in spec order against a universe; `check`
+uses it when the universe matches the former, and `infer` after reading
+the universe off the first part.  `_bind` types every binder the same
+way in the former rule and in conversion: a tick on the node's clock, a
+clock, or a variable typed by its domain, by the domain's decoding, or
+by nothing.
 
 Binders are opened by one rule, in conversion as in checking: a binder is
 renamed, and its body walked, only when its name is taken (Coquand, "An
@@ -21,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import parser
 from .printer import show_term
@@ -32,7 +46,7 @@ from .terms import (
     SigmaCode, Snd, Sum, SumCode, Term, TickAbs, TickApp, Univ, Var,
     alpha_eq, clock_subst, free_names, fresh, rename, subst, tick_subst,
 )
-from .terms import _PLANS, BIND_CLOCK, BIND_TICK, TERM
+from .terms import _PLANS, _rebuild, BIND_CLOCK, BIND_TICK, NAME_CLOCK, TERM
 
 
 class TypeCheckError(Exception):
@@ -139,87 +153,68 @@ class Context:
 # Weak-head normalisation
 # ---------------------------------------------------------------------------
 
+# the field of each eliminator that whnf reduces first: its head
+_HEADS = {App: "fn", Fst: "arg", Snd: "arg", Case: "scrut", TickApp: "fn",
+          ClockApp: "fn", El: "code", Prf: "prop"}
+
+# (eliminator class, head class) -> contraction of the eliminator t whose
+# head reduced to h, or None when it is stuck: the beta rules, then the
+# decodings of type codes and of propositions
+_REDEX = {
+    (App, Lam): lambda t, h: _instantiate(h.body, h.name, t.arg),
+    (Fst, Pair): lambda t, h: h.fst,
+    (Snd, Pair): lambda t, h: h.snd,
+    (Case, Inl): lambda t, h: _instantiate(t.left, t.lname, h.arg),
+    (Case, Inr): lambda t, h: _instantiate(t.right, t.rname, h.arg),
+    (TickApp, TickAbs): lambda t, h: tick_subst(h.body, h.tick, t.tick),
+    (ClockApp, ClockAbs): lambda t, h: clock_subst(h.body, h.clock, t.clock),
+    (El, SumCode): lambda t, c: Sum(El(c.left), El(c.right)),
+    (El, PiCode): lambda t, c: Pi(c.name, El(c.dom), El(c.cod)),
+    (El, SigmaCode): lambda t, c: Sigma(c.name, El(c.dom), El(c.cod)),
+    (El, IdCode): lambda t, c: Id(El(c.code), c.lhs, c.rhs),
+    (El, LaterCode): lambda t, c: Later(c.tick, c.clock, El(c.body)),
+    (El, ForallCode): lambda t, c: Forall(c.clock, El(c.body)),
+    (Prf, Const): lambda t, p: _PROP_CONSTS.get(p.name),
+    # a non-dependent pair; `_` may be a variable of q (`fun _ -> ...`
+    # binds it), and then the binder must not capture it
+    (Prf, PAnd): lambda t, p: Sigma(fresh("_", free_names(p.right).vars),
+                                    Prf(p.left), Prf(p.right)),
+    (Prf, POr): lambda t, p: Sum(Prf(p.left), Prf(p.right)),
+    (Prf, PExists): lambda t, p: Sigma(p.name, El(p.dom), Prf(p.body)),
+    (Prf, PForall): lambda t, p: Pi(p.name, El(p.dom), Prf(p.body)),
+    (Prf, PEq): lambda t, p: Id(El(p.code), p.lhs, p.rhs),
+    (Prf, PLater): lambda t, p: Later(p.tick, p.clock, Prf(p.body)),
+    (Prf, PForallClk): lambda t, p: Forall(p.clock, Prf(p.body)),
+}
+_PROP_CONSTS = {"ptop": Const("unit"), "pbot": Const("empty")}
+
+
 def whnf(ctx: Context, t: Term, fuel: Fuel) -> tuple[Term, bool]:
     """Reduce to weak-head normal form.  Returns (term, complete); complete
     is False when a fix-unfolding was blocked by exhausted fuel."""
     complete = True
     while True:
-        if isinstance(t, Ann):
-            t = t.term
+        cls = type(t)
+        if cls is Ann or cls is Incl:
+            t = t.term if cls is Ann else t.code
             continue
-        if isinstance(t, Incl):
-            t = t.code
-            continue
-        if isinstance(t, App):
-            fn, c = whnf(ctx, t.fn, fuel)
-            complete = complete and c
-            if isinstance(fn, Lam):
-                t = _instantiate(fn.body, fn.name, t.arg)
-                continue
-            if isinstance(fn, Const) and fn.name == "fix":
-                unfolded = _unfold_fix(ctx, t.arg, fuel)
-                if unfolded is None:
-                    return App(fn, t.arg), complete
-                if unfolded is False:
-                    return App(fn, t.arg), False
-                t = unfolded
-                continue
-            return App(fn, t.arg), complete
-        if isinstance(t, Fst):
-            p, c = whnf(ctx, t.arg, fuel)
-            complete = complete and c
-            if isinstance(p, Pair):
-                t = p.fst
-                continue
-            return Fst(p), complete
-        if isinstance(t, Snd):
-            p, c = whnf(ctx, t.arg, fuel)
-            complete = complete and c
-            if isinstance(p, Pair):
-                t = p.snd
-                continue
-            return Snd(p), complete
-        if isinstance(t, Case):
-            s, c = whnf(ctx, t.scrut, fuel)
-            complete = complete and c
-            if isinstance(s, Inl):
-                t = _instantiate(t.left, t.lname, s.arg)
-                continue
-            if isinstance(s, Inr):
-                t = _instantiate(t.right, t.rname, s.arg)
-                continue
-            return Case(s, t.lname, t.left, t.rname, t.right), complete
-        if isinstance(t, TickApp):
-            fn, c = whnf(ctx, t.fn, fuel)
-            complete = complete and c
-            if isinstance(fn, TickAbs):
-                t = tick_subst(fn.body, fn.tick, t.tick)
-                continue
-            return TickApp(fn, t.tick), complete
-        if isinstance(t, ClockApp):
-            fn, c = whnf(ctx, t.fn, fuel)
-            complete = complete and c
-            if isinstance(fn, ClockAbs):
-                t = clock_subst(fn.body, fn.clock, t.clock)
-                continue
-            return ClockApp(fn, t.clock), complete
-        if isinstance(t, El):
-            code, c = whnf(ctx, t.code, fuel)
-            complete = complete and c
-            decoded = _decode_type_code(code)
-            if decoded is None:
-                return El(code), complete
-            t = decoded
-            continue
-        if isinstance(t, Prf):
-            p, c = whnf(ctx, t.prop, fuel)
-            complete = complete and c
-            decoded = _decode_prop(p)
-            if decoded is None:
-                return Prf(p), complete
-            t = decoded
-            continue
-        return t, complete
+        field = _HEADS.get(cls)
+        if field is None:
+            return t, complete
+        head, c = whnf(ctx, getattr(t, field), fuel)
+        complete = complete and c
+        rule = _REDEX.get((cls, type(head)))
+        if rule is not None:
+            reduct = rule(t, head)
+        elif cls is App and type(head) is Const and head.name == "fix":
+            reduct = _unfold_fix(ctx, t.arg, fuel)
+            if reduct is False:
+                complete, reduct = False, None
+        else:
+            reduct = None
+        if reduct is None:
+            return _rebuild(t, _PLANS[cls], {field: head}), complete
+        t = reduct
 
 
 def _instantiate(body: Term, x: str, u: Term) -> Term:
@@ -245,47 +240,6 @@ def _unfold_fix(ctx: Context, g: Term, fuel: Fuel):
     kappa = gty.dom.clock
     a = fresh("a", free_names(g).all() | {kappa})
     return App(g, TickAbs(a, kappa, App(Const("fix"), g)))
-
-
-def _decode_type_code(code: Term) -> Term | None:
-    if isinstance(code, SumCode):
-        return Sum(El(code.left), El(code.right))
-    if isinstance(code, PiCode):
-        return Pi(code.name, El(code.dom), El(code.cod))
-    if isinstance(code, SigmaCode):
-        return Sigma(code.name, El(code.dom), El(code.cod))
-    if isinstance(code, IdCode):
-        return Id(El(code.code), code.lhs, code.rhs)
-    if isinstance(code, LaterCode):
-        return Later(code.tick, code.clock, El(code.body))
-    if isinstance(code, ForallCode):
-        return Forall(code.clock, El(code.body))
-    return None
-
-
-def _decode_prop(p: Term) -> Term | None:
-    if isinstance(p, Const) and p.name == "ptop":
-        return Const("unit")
-    if isinstance(p, Const) and p.name == "pbot":
-        return Const("empty")
-    if isinstance(p, PAnd):
-        # a non-dependent pair; `_` may be a variable of q (`fun _ -> ...`
-        # binds it), and then the binder must not capture it
-        return Sigma(fresh("_", free_names(p.right).vars), Prf(p.left),
-                     Prf(p.right))
-    if isinstance(p, POr):
-        return Sum(Prf(p.left), Prf(p.right))
-    if isinstance(p, PExists):
-        return Sigma(p.name, El(p.dom), Prf(p.body))
-    if isinstance(p, PForall):
-        return Pi(p.name, El(p.dom), Prf(p.body))
-    if isinstance(p, PEq):
-        return Id(El(p.code), p.lhs, p.rhs)
-    if isinstance(p, PLater):
-        return Later(p.tick, p.clock, Prf(p.body))
-    if isinstance(p, PForallClk):
-        return Forall(p.clock, Prf(p.body))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +317,25 @@ def _conv(ctx: Context, t: Term, u: Term, fuel: Fuel) -> Verdict:
         if binder is not None:
             z, a, b = _open2(ctx, getattr(tw, binder), a,
                              getattr(uw, binder), b)
-            kind = plan.roles[binder]
-            if kind == BIND_TICK:
-                inner = ctx.bind_tick(z, tw.clock)
-            elif kind == BIND_CLOCK:
-                inner = ctx.bind_clock(z)
-            else:
-                # Pi and Sigma bind their domain, codes and quantifiers its
-                # decoding; Lam and Case binders get no type
-                dom = getattr(tw, "dom", None)
-                if dom is not None and cls not in (Pi, Sigma):
-                    dom = El(dom)
-                inner = ctx.bind_var(z, dom)
+            inner = _bind(ctx, tw, binder, z)
         verdicts.append(_conv(inner, a, b, fuel))
     return _soften(_combine(verdicts), complete)
+
+
+def _bind(ctx: Context, node: Term, binder: str, z: str) -> Context:
+    """ctx extended by node's binder field `binder`, opened as z: a tick on
+    the node's clock, a clock, or a variable.  Pi and Sigma type the
+    variable by their domain, codes and quantifiers by its decoding, and
+    Lam and Case give it no type."""
+    kind = _PLANS[type(node)].roles[binder]
+    if kind == BIND_TICK:
+        return ctx.bind_tick(z, node.clock)
+    if kind == BIND_CLOCK:
+        return ctx.bind_clock(z)
+    dom = getattr(node, "dom", None)
+    if dom is not None and type(node) not in (Pi, Sigma):
+        dom = El(dom)
+    return ctx.bind_var(z, dom)
 
 
 def _soften(v: Verdict, complete: bool) -> Verdict:
@@ -494,20 +453,16 @@ _AXIOM_SOURCES = {
     """,
 }
 
-_AXIOM_TYPES: dict[str, Term] | None = None
+
+@cache
+def _axiom_types() -> dict[str, Term]:
+    return {name: parser.parse_term(src)
+            for name, src in _AXIOM_SOURCES.items()}
 
 
 def axioms() -> list[tuple[str, Term]]:
     """The axiom constants available in every context, with their types."""
-    global _AXIOM_TYPES
-    if _AXIOM_TYPES is None:
-        _AXIOM_TYPES = {name: parser.parse_term(src)
-                        for name, src in _AXIOM_SOURCES.items()}
-    return [(n, _AXIOM_TYPES[n]) for n in ("tirr", "cirr", "force")]
-
-
-def _axiom_type(name: str) -> Term:
-    return dict(axioms())[name]
+    return list(_axiom_types().items())
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +481,7 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
         if t.name == "tt":
             return Const("unit")
         if t.name in ("tirr", "cirr", "force"):
-            return _axiom_type(t.name)
+            return _axiom_types()[t.name]
         raise TypeCheckError("infer", f"constant {t.name!r} cannot be "
                              "inferred; annotate or use check mode")
     if isinstance(t, Ann):
@@ -607,20 +562,12 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
             return PropU(t.big)
         raise TypeCheckError("incl", f"cannot include a code of type "
                              f"{show_term(cw)} into U{{{', '.join(t.big)}}}")
-    if isinstance(t, SumCode):
-        d = _infer_universe(ctx, t.left, fuel)
-        check(ctx, t.right, Univ(d), fuel)
-        return Univ(d)
-    if isinstance(t, (PiCode, SigmaCode)):
-        d = _infer_universe(ctx, t.dom, fuel)
-        name, cod = _fresh_binder(ctx, t.name, t.cod)
-        check(ctx.bind_var(name, El(t.dom)), cod, Univ(d), fuel)
-        return Univ(d)
-    if isinstance(t, IdCode):
-        d = _infer_universe(ctx, t.code, fuel)
-        check(ctx, t.lhs, El(t.code), fuel)
-        check(ctx, t.rhs, El(t.code), fuel)
-        return Univ(d)
+    if type(t) in _INFERRED_FORMERS:
+        # the first part's universe is the former's, for the other parts
+        first = _PLANS[type(t)].terms[0][0]
+        u = _FORMERS[type(t)](_infer_universe(ctx, getattr(t, first), fuel))
+        _check_former(ctx, t, u, fuel, 1)
+        return u
     if isinstance(t, LaterCode):
         name, body = _fresh_binder(ctx, t.tick, t.body)
         if not ctx.has_clock(t.clock):
@@ -636,16 +583,6 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
         name, body = _fresh_binder(ctx, t.clock, t.body)
         d = _infer_universe(ctx.bind_clock(name), body, fuel)
         return Univ(tuple(k for k in d if k != name))
-    if isinstance(t, (PExists, PForall)):
-        d = _infer_universe(ctx, t.dom, fuel)
-        name, body = _fresh_binder(ctx, t.name, t.body)
-        check(ctx.bind_var(name, El(t.dom)), body, PropU(d), fuel)
-        return PropU(d)
-    if isinstance(t, PEq):
-        d = _infer_universe(ctx, t.code, fuel)
-        check(ctx, t.lhs, El(t.code), fuel)
-        check(ctx, t.rhs, El(t.code), fuel)
-        return PropU(d)
     if isinstance(t, PLater):
         name, body = _fresh_binder(ctx, t.tick, t.body)
         if not ctx.has_clock(t.clock):
@@ -781,78 +718,17 @@ def check(ctx: Context, t: Term, a: Term, fuel: Fuel) -> None:
                 raise TypeCheckError("pconst", f"{t.name} is a proposition, "
                                      f"not a {show_term(aw)}")
             return
-    if isinstance(t, (PAnd, POr)) and isinstance(aw, PropU):
-        check(ctx, t.left, aw, fuel)
-        check(ctx, t.right, aw, fuel)
-        return
-    if isinstance(t, (PExists, PForall)) and isinstance(aw, PropU):
-        d = _infer_universe(ctx, t.dom, fuel)
-        if not set(d) <= set(aw.clocks):
-            raise TypeCheckError("pquant", "the quantification domain lives "
-                                 f"in U{{{', '.join(d)}}}, outside "
-                                 f"Prop{{{', '.join(aw.clocks)}}}")
-        name, body = _fresh_binder(ctx, t.name, t.body)
-        check(ctx.bind_var(name, El(t.dom)), body, aw, fuel)
-        return
-    if isinstance(t, PEq) and isinstance(aw, PropU):
-        d = _infer_universe(ctx, t.code, fuel)
-        if not set(d) <= set(aw.clocks):
-            raise TypeCheckError("peq", "the equality domain lives in "
-                                 f"U{{{', '.join(d)}}}, outside "
-                                 f"Prop{{{', '.join(aw.clocks)}}}")
-        check(ctx, t.lhs, El(t.code), fuel)
-        check(ctx, t.rhs, El(t.code), fuel)
-        return
-    if isinstance(t, PLater) and isinstance(aw, PropU):
-        if t.clock not in aw.clocks:
-            raise TypeCheckError(
-                "plater", f"Prop{{{', '.join(aw.clocks)}}} is not closed "
-                f"under delay on clock {t.clock!r}")
-        name, body = _fresh_binder(ctx, t.tick, t.body)
-        check(ctx.bind_tick(name, t.clock), body, aw, fuel)
-        return
-    if isinstance(t, PForallClk) and isinstance(aw, PropU):
-        name, body = _fresh_binder(ctx, t.clock, t.body)
-        check(ctx.bind_clock(name), body,
-              PropU(aw.clocks + (name,)), fuel)
-        return
-    if isinstance(t, SumCode) and isinstance(aw, Univ):
-        check(ctx, t.left, aw, fuel)
-        check(ctx, t.right, aw, fuel)
-        return
-    if isinstance(t, (PiCode, SigmaCode)) and isinstance(aw, Univ):
-        check(ctx, t.dom, aw, fuel)
-        name, cod = _fresh_binder(ctx, t.name, t.cod)
-        check(ctx.bind_var(name, El(t.dom)), cod, aw, fuel)
-        return
-    if isinstance(t, IdCode) and isinstance(aw, Univ):
-        check(ctx, t.code, aw, fuel)
-        check(ctx, t.lhs, El(t.code), fuel)
-        check(ctx, t.rhs, El(t.code), fuel)
-        return
-    if isinstance(t, LaterCode) and isinstance(aw, Univ):
-        if t.clock not in aw.clocks:
-            raise TypeCheckError(
-                "later-code", f"universe U{{{', '.join(aw.clocks)}}} is not "
-                f"closed under delay on clock {t.clock!r}")
-        name, body = _fresh_binder(ctx, t.tick, t.body)
-        check(ctx.bind_tick(name, t.clock), body, aw, fuel)
-        return
-    if isinstance(t, ForallCode) and isinstance(aw, Univ):
-        name, body = _fresh_binder(ctx, t.clock, t.body)
-        check(ctx.bind_clock(name), body, Univ(aw.clocks + (name,)), fuel)
+    if _FORMERS.get(type(t)) is type(aw):
+        _check_former(ctx, t, aw, fuel)
         return
     inferred = infer(ctx, t, fuel)
     _require_equal(ctx, inferred, aw, fuel, "conv")
 
 
 def _check_fix_constant(ctx: Context, aw: Term, fuel: Fuel) -> None:
-    ok = (isinstance(aw, Pi) and isinstance(whnf(ctx, aw.dom, fuel)[0], Pi))
-    if ok:
-        inner, _ = whnf(ctx, aw.dom, fuel)
-        lat, _ = whnf(ctx, inner.dom, fuel)
-        ok = isinstance(lat, Later)
-    if not ok:
+    inner = whnf(ctx, aw.dom, fuel)[0] if isinstance(aw, Pi) else None
+    lat = whnf(ctx, inner.dom, fuel)[0] if isinstance(inner, Pi) else None
+    if not isinstance(lat, Later):
         raise TypeCheckError("fix", f"fix cannot have type {show_term(aw)}; "
                              "expected ((later k A) -> A) -> A")
     if not ctx.has_clock(lat.clock):
@@ -861,6 +737,58 @@ def _check_fix_constant(ctx: Context, aw: Term, fuel: Fuel) -> None:
         raise TypeCheckError("fix", "fix requires a non-dependent delay")
     _require_equal(ctx, lat.body, inner.cod, fuel, "fix")
     _require_equal(ctx, inner.cod, aw.cod, fuel, "fix")
+
+
+# the universe each code and proposition former lives in, the formers
+# whose type `infer` reads off their first part, and the rules naming the
+# side conditions: a delay's clock, and the domain of a quantifier or an
+# equation proposition
+_FORMERS = {**dict.fromkeys((SumCode, PiCode, SigmaCode, IdCode, LaterCode,
+                             ForallCode), Univ),
+            **dict.fromkeys((PAnd, POr, PExists, PForall, PEq, PLater,
+                             PForallClk), PropU)}
+_INFERRED_FORMERS = frozenset((SumCode, PiCode, SigmaCode, IdCode, PExists,
+                               PForall, PEq))
+_DELAY_RULES = {LaterCode: "later-code", PLater: "plater"}
+_DOMAIN_RULES = {PExists: ("pquant", "quantification"),
+                 PForall: ("pquant", "quantification"),
+                 PEq: ("peq", "equality")}
+
+
+def _check_former(ctx: Context, t: Term, u: Term, fuel: Fuel,
+                  start: int = 0) -> None:
+    """Check the parts of the former t, from its start-th on in spec order,
+    for t to lie in the universe u.  The sides of an equation have the
+    decoding of its code as type; the domain of a proposition is a code of
+    a universe within u; a delay's clock lies in u; a clock binder widens
+    u by the clock for its body; every other part lies in u, under the
+    binder scoping over it."""
+    cls, plan = type(t), _PLANS[type(t)]
+    for field, role, binder in plan.entries[start:]:
+        part = getattr(t, field)
+        if role == NAME_CLOCK:
+            if part not in u.clocks:
+                where = show_term(u) if type(u) is PropU else \
+                    f"universe {show_term(u)}"
+                raise TypeCheckError(_DELAY_RULES[cls], f"{where} is not "
+                                     f"closed under delay on clock {part!r}")
+        elif field in ("lhs", "rhs"):
+            check(ctx, part, El(t.code), fuel)
+        elif binder is None and cls in _DOMAIN_RULES:
+            d = _infer_universe(ctx, part, fuel)
+            if not set(d) <= set(u.clocks):
+                rule, noun = _DOMAIN_RULES[cls]
+                raise TypeCheckError(rule, f"the {noun} domain lives in "
+                                     f"{show_term(Univ(d))}, outside "
+                                     f"{show_term(u)}")
+        else:
+            inner, target = ctx, u
+            if binder is not None:
+                z, part = _fresh_binder(ctx, getattr(t, binder), part)
+                inner = _bind(ctx, t, binder, z)
+                if plan.roles[binder] == BIND_CLOCK:
+                    target = type(u)(u.clocks + (z,))
+            check(inner, part, target, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,6 @@ def drop_equations(t: Theory) -> list[tuple[AlgTerm, AlgTerm]]:
     return [eq for eq in t.equations if is_drop_equation(eq)]
 
 
-def has_drop_equations(t: Theory) -> bool:
-    return bool(drop_equations(t))
-
-
 # ---------------------------------------------------------------------------
 # Canonical element order
 # ---------------------------------------------------------------------------
@@ -673,15 +669,6 @@ def _instance(side: AlgTerm, slots: dict, ids: dict):
         return operator.itemgetter(slots[side.name])
     op, args = side.op, [_instance(a, slots, ids) for a in side.args]
     return lambda env: ids[op, tuple([a(env) for a in args])]
-
-
-def class_equal(model: FreeModel, a, b) -> str:
-    """Three-valued equality on a custom free model: equal | unknown."""
-    if a == b:
-        return "equal"
-    if not model.theory.equations:
-        return "apart"      # no equations: the free model is the term model
-    return "unknown"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, report shape, determinism."""
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clott import cli
-from clott.cli import data_path, main, parse_delay, run_model_suite
+from clott.cli import data_path, main, parse_delay
 from clott.coalgebra import BOT, now, step
 from clott.kernel import TypeCheckError, UnknownConversion
 from clott.model import Model
@@ -164,6 +165,14 @@ def test_model_invalid_parameters_are_usage_errors(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "--pool >= 1 and --bound >= 2" in captured.err
+
+
+def run_model_suite(model: Model, suite: str, rep: Report) -> int:
+    """Run one model suite (or all of them) over model into rep, as
+    `model verify` does, and return the exit code."""
+    def run(args, rep):
+        cli._run_suites(args, rep, cli._MODEL_SUITE_RUNNERS, suite, model)
+    return cli._decide(run, argparse.Namespace(), rep)
 
 
 def test_model_budget_overrun_is_unknown():

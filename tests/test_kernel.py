@@ -1,5 +1,6 @@
 """Typechecker: accepting tests per rule, rejecting tests per side
 condition, and the three-valued conversion."""
+import contextlib
 import itertools
 import random
 from unittest import mock
@@ -17,6 +18,7 @@ from clott.kernel import (Context, Fuel, TypeCheckError, UnknownConversion,
 from clott.parser import parse_declarations, parse_term
 from clott.terms import alpha_eq, free_names, fresh, rename
 
+from .strategies import clocks, ticks
 from .test_cli import church_table_text
 from .test_terms import _mappings, _rebind, _reference_rebuild, _terms
 
@@ -266,25 +268,43 @@ class _Diverged(Exception):
     pass
 
 
+def _kernel_outcome(run, fuel, patches=(), limit=2000):
+    """What run(fuel) returns, or the rule and message of its type error,
+    the text of its unknown conversion or how it failed to end, with the
+    fuel left and the number of weak-head calls.  `patches` replace kernel
+    functions for the run; more than `limit` weak-head calls count as
+    divergence."""
+    budget, steps = Fuel(fuel), [0]
+    with contextlib.ExitStack() as stack:
+        for name, fn in dict(patches).items():
+            stack.enter_context(mock.patch.object(kernel, name, fn))
+        real = kernel.whnf
+
+        def whnf(*args):
+            steps[0] += 1
+            if steps[0] > limit:
+                raise _Diverged
+            return real(*args)
+
+        stack.enter_context(mock.patch.object(kernel, "whnf", whnf))
+        try:
+            result = run(budget)
+        except TypeCheckError as exc:
+            result = exc.rule, str(exc)
+        except UnknownConversion as exc:
+            result = "unknown", str(exc)
+        except (_Diverged, RecursionError) as exc:
+            result = type(exc).__name__
+    return result, budget.remaining, steps[0]
+
+
 def _convert_outcome(ctx, t, u, fuel=2, conv=kernel._conv, limit=2000):
     """The verdict of conv, or how it failed to end, with the fuel left and
     the number of weak-head calls: a run of more than `limit` weak-head
     calls counts as divergence (beta steps spend no fuel, so a
     self-application never finishes)."""
-    real, steps, budget = kernel.whnf, [0], Fuel(fuel)
-
-    def whnf(*args):
-        steps[0] += 1
-        if steps[0] > limit:
-            raise _Diverged
-        return real(*args)
-
-    with mock.patch.object(kernel, "whnf", whnf):
-        try:
-            verdict = conv(ctx, t, u, budget)
-        except (_Diverged, RecursionError) as exc:
-            verdict = type(exc).__name__
-    return verdict, budget.remaining, steps[0]
+    return _kernel_outcome(lambda budget: conv(ctx, t, u, budget), fuel,
+                           limit=limit)
 
 
 def _blank_unused(t):
@@ -608,3 +628,392 @@ def test_congruence_matches_reference_conv_on_fix(pair):
     for fuel in range(6):
         assert _convert_outcome(ctx, *pair, fuel) == \
             _convert_outcome(ctx, *pair, fuel, reference_conv), fuel
+
+
+# -- head reduction and formers: the per-case oracles ---------------------------
+
+def reference_decode_type_code(code):
+    if isinstance(code, T.SumCode):
+        return T.Sum(T.El(code.left), T.El(code.right))
+    if isinstance(code, T.PiCode):
+        return T.Pi(code.name, T.El(code.dom), T.El(code.cod))
+    if isinstance(code, T.SigmaCode):
+        return T.Sigma(code.name, T.El(code.dom), T.El(code.cod))
+    if isinstance(code, T.IdCode):
+        return T.Id(T.El(code.code), code.lhs, code.rhs)
+    if isinstance(code, T.LaterCode):
+        return T.Later(code.tick, code.clock, T.El(code.body))
+    if isinstance(code, T.ForallCode):
+        return T.Forall(code.clock, T.El(code.body))
+    return None
+
+
+def reference_decode_prop(p):
+    if isinstance(p, T.Const) and p.name == "ptop":
+        return T.Const("unit")
+    if isinstance(p, T.Const) and p.name == "pbot":
+        return T.Const("empty")
+    if isinstance(p, T.PAnd):
+        return T.Sigma(fresh("_", free_names(p.right).vars), T.Prf(p.left),
+                       T.Prf(p.right))
+    if isinstance(p, T.POr):
+        return T.Sum(T.Prf(p.left), T.Prf(p.right))
+    if isinstance(p, T.PExists):
+        return T.Sigma(p.name, T.El(p.dom), T.Prf(p.body))
+    if isinstance(p, T.PForall):
+        return T.Pi(p.name, T.El(p.dom), T.Prf(p.body))
+    if isinstance(p, T.PEq):
+        return T.Id(T.El(p.code), p.lhs, p.rhs)
+    if isinstance(p, T.PLater):
+        return T.Later(p.tick, p.clock, T.Prf(p.body))
+    if isinstance(p, T.PForallClk):
+        return T.Forall(p.clock, T.Prf(p.body))
+    return None
+
+
+def reference_whnf(ctx, t, fuel):
+    """The weak-head normaliser with one case per eliminator and the two
+    decoders, kept as the oracle of the head-reduction rule read off
+    `kernel._REDEX`.  It recurses through `kernel.whnf`, so that a patch
+    there sees its calls."""
+    whnf, inst = kernel.whnf, kernel._instantiate
+    complete = True
+    while True:
+        if isinstance(t, T.Ann):
+            t = t.term
+            continue
+        if isinstance(t, T.Incl):
+            t = t.code
+            continue
+        if isinstance(t, T.App):
+            fn, c = whnf(ctx, t.fn, fuel)
+            complete = complete and c
+            if isinstance(fn, T.Lam):
+                t = inst(fn.body, fn.name, t.arg)
+                continue
+            if isinstance(fn, T.Const) and fn.name == "fix":
+                unfolded = kernel._unfold_fix(ctx, t.arg, fuel)
+                if unfolded is None:
+                    return T.App(fn, t.arg), complete
+                if unfolded is False:
+                    return T.App(fn, t.arg), False
+                t = unfolded
+                continue
+            return T.App(fn, t.arg), complete
+        if isinstance(t, (T.Fst, T.Snd)):
+            p, c = whnf(ctx, t.arg, fuel)
+            complete = complete and c
+            if isinstance(p, T.Pair):
+                t = p.fst if isinstance(t, T.Fst) else p.snd
+                continue
+            return type(t)(p), complete
+        if isinstance(t, T.Case):
+            s, c = whnf(ctx, t.scrut, fuel)
+            complete = complete and c
+            if isinstance(s, T.Inl):
+                t = inst(t.left, t.lname, s.arg)
+                continue
+            if isinstance(s, T.Inr):
+                t = inst(t.right, t.rname, s.arg)
+                continue
+            return T.Case(s, t.lname, t.left, t.rname, t.right), complete
+        if isinstance(t, T.TickApp):
+            fn, c = whnf(ctx, t.fn, fuel)
+            complete = complete and c
+            if isinstance(fn, T.TickAbs):
+                t = T.tick_subst(fn.body, fn.tick, t.tick)
+                continue
+            return T.TickApp(fn, t.tick), complete
+        if isinstance(t, T.ClockApp):
+            fn, c = whnf(ctx, t.fn, fuel)
+            complete = complete and c
+            if isinstance(fn, T.ClockAbs):
+                t = T.clock_subst(fn.body, fn.clock, t.clock)
+                continue
+            return T.ClockApp(fn, t.clock), complete
+        if isinstance(t, (T.El, T.Prf)):
+            el = isinstance(t, T.El)
+            sub, c = whnf(ctx, t.code if el else t.prop, fuel)
+            complete = complete and c
+            decoded = (reference_decode_type_code if el else
+                       reference_decode_prop)(sub)
+            if decoded is None:
+                return type(t)(sub), complete
+            t = decoded
+            continue
+        return t, complete
+
+
+_real_check, _real_infer = kernel.check, kernel.infer
+_CHECKED_FORMERS = (T.PAnd, T.POr, T.PExists, T.PForall, T.PEq, T.PLater,
+                    T.PForallClk, T.SumCode, T.PiCode, T.SigmaCode, T.IdCode,
+                    T.LaterCode, T.ForallCode)
+_INFERRED_FORMERS = (T.SumCode, T.PiCode, T.SigmaCode, T.IdCode, T.PExists,
+                     T.PForall, T.PEq)
+
+
+def reference_check(ctx, t, a, fuel):
+    """`check` with one case per code and proposition former, kept as the
+    oracle of `kernel._check_former`; other terms go to `kernel.check`."""
+    if not isinstance(t, _CHECKED_FORMERS):
+        return _real_check(ctx, t, a, fuel)
+    check, fresh_binder = kernel.check, kernel._fresh_binder
+    infer_universe = kernel._infer_universe
+    aw, _ = kernel.whnf(ctx, a, fuel)
+    if isinstance(t, (T.PAnd, T.POr)) and isinstance(aw, T.PropU):
+        check(ctx, t.left, aw, fuel)
+        check(ctx, t.right, aw, fuel)
+        return
+    if isinstance(t, (T.PExists, T.PForall)) and isinstance(aw, T.PropU):
+        d = infer_universe(ctx, t.dom, fuel)
+        if not set(d) <= set(aw.clocks):
+            raise TypeCheckError("pquant", "the quantification domain lives "
+                                 f"in U{{{', '.join(d)}}}, outside "
+                                 f"Prop{{{', '.join(aw.clocks)}}}")
+        name, body = fresh_binder(ctx, t.name, t.body)
+        check(ctx.bind_var(name, T.El(t.dom)), body, aw, fuel)
+        return
+    if isinstance(t, T.PEq) and isinstance(aw, T.PropU):
+        d = infer_universe(ctx, t.code, fuel)
+        if not set(d) <= set(aw.clocks):
+            raise TypeCheckError("peq", "the equality domain lives in "
+                                 f"U{{{', '.join(d)}}}, outside "
+                                 f"Prop{{{', '.join(aw.clocks)}}}")
+        check(ctx, t.lhs, T.El(t.code), fuel)
+        check(ctx, t.rhs, T.El(t.code), fuel)
+        return
+    if isinstance(t, T.PLater) and isinstance(aw, T.PropU):
+        if t.clock not in aw.clocks:
+            raise TypeCheckError(
+                "plater", f"Prop{{{', '.join(aw.clocks)}}} is not closed "
+                f"under delay on clock {t.clock!r}")
+        name, body = fresh_binder(ctx, t.tick, t.body)
+        check(ctx.bind_tick(name, t.clock), body, aw, fuel)
+        return
+    if isinstance(t, T.PForallClk) and isinstance(aw, T.PropU):
+        name, body = fresh_binder(ctx, t.clock, t.body)
+        check(ctx.bind_clock(name), body, T.PropU(aw.clocks + (name,)), fuel)
+        return
+    if isinstance(t, T.SumCode) and isinstance(aw, T.Univ):
+        check(ctx, t.left, aw, fuel)
+        check(ctx, t.right, aw, fuel)
+        return
+    if isinstance(t, (T.PiCode, T.SigmaCode)) and isinstance(aw, T.Univ):
+        check(ctx, t.dom, aw, fuel)
+        name, cod = fresh_binder(ctx, t.name, t.cod)
+        check(ctx.bind_var(name, T.El(t.dom)), cod, aw, fuel)
+        return
+    if isinstance(t, T.IdCode) and isinstance(aw, T.Univ):
+        check(ctx, t.code, aw, fuel)
+        check(ctx, t.lhs, T.El(t.code), fuel)
+        check(ctx, t.rhs, T.El(t.code), fuel)
+        return
+    if isinstance(t, T.LaterCode) and isinstance(aw, T.Univ):
+        if t.clock not in aw.clocks:
+            raise TypeCheckError(
+                "later-code", f"universe U{{{', '.join(aw.clocks)}}} is not "
+                f"closed under delay on clock {t.clock!r}")
+        name, body = fresh_binder(ctx, t.tick, t.body)
+        check(ctx.bind_tick(name, t.clock), body, aw, fuel)
+        return
+    if isinstance(t, T.ForallCode) and isinstance(aw, T.Univ):
+        name, body = fresh_binder(ctx, t.clock, t.body)
+        check(ctx.bind_clock(name), body, T.Univ(aw.clocks + (name,)), fuel)
+        return
+    inferred = kernel.infer(ctx, t, fuel)
+    kernel._require_equal(ctx, inferred, aw, fuel, "conv")
+
+
+def reference_infer(ctx, t, fuel):
+    """`infer` with one case per former whose first part gives its
+    universe; other terms go to `kernel.infer`."""
+    if not isinstance(t, _INFERRED_FORMERS):
+        return _real_infer(ctx, t, fuel)
+    check, fresh_binder = kernel.check, kernel._fresh_binder
+    infer_universe = kernel._infer_universe
+    if isinstance(t, T.SumCode):
+        d = infer_universe(ctx, t.left, fuel)
+        check(ctx, t.right, T.Univ(d), fuel)
+        return T.Univ(d)
+    if isinstance(t, (T.PiCode, T.SigmaCode)):
+        d = infer_universe(ctx, t.dom, fuel)
+        name, cod = fresh_binder(ctx, t.name, t.cod)
+        check(ctx.bind_var(name, T.El(t.dom)), cod, T.Univ(d), fuel)
+        return T.Univ(d)
+    if isinstance(t, T.IdCode):
+        d = infer_universe(ctx, t.code, fuel)
+        check(ctx, t.lhs, T.El(t.code), fuel)
+        check(ctx, t.rhs, T.El(t.code), fuel)
+        return T.Univ(d)
+    if isinstance(t, (T.PExists, T.PForall)):
+        d = infer_universe(ctx, t.dom, fuel)
+        name, body = fresh_binder(ctx, t.name, t.body)
+        check(ctx.bind_var(name, T.El(t.dom)), body, T.PropU(d), fuel)
+        return T.PropU(d)
+    d = infer_universe(ctx, t.code, fuel)
+    check(ctx, t.lhs, T.El(t.code), fuel)
+    check(ctx, t.rhs, T.El(t.code), fuel)
+    return T.PropU(d)
+
+
+# the kernel with every rewritten rule replaced by its oracle
+_REFERENCE_KERNEL = {"whnf": reference_whnf, "check": reference_check,
+                     "infer": reference_infer, "_conv": reference_conv}
+
+
+def _agrees_with_reference(run, fuel):
+    got = _kernel_outcome(run, fuel)
+    assert got == _kernel_outcome(run, fuel, _REFERENCE_KERNEL)
+    return got
+
+
+_ELIMINATORS = (T.App, T.Fst, T.Snd, T.Case, T.TickApp, T.ClockApp, T.El,
+                T.Prf)
+_POOLS = {T.NAME_VAR: ["x", "y"], T.NAME_CLOCK: ["k1", "k2", "k"],
+          T.NAME_TICK: ["a1", "a2"], T.ATOM: sorted(T.CONSTANTS),
+          T.NAMESET: [(), ("k1",)], T.BIND_VAR: ["x", "y", "_"],
+          T.BIND_CLOCK: ["k1", "k2"], T.BIND_TICK: ["a1", "a2"]}
+
+
+def _node(cls, parts, rnd):
+    """A cls node whose subterms are the parts in turn, its names drawn
+    from small pools."""
+    parts = itertools.cycle(parts)
+    return cls(**{f: next(parts) if role == T.TERM else
+                  rnd.choice(_POOLS[role]) for f, role, _ in T._SPEC[cls]})
+
+
+def _redexes(parts, rnd):
+    """Every eliminator whose head (its first subterm) is a node of every
+    class or every constant, the other subterms taken from parts."""
+    heads = [_node(cls, parts, rnd) for cls in T._SPEC if cls is not T.Const]
+    heads += [T.Const(name) for name in sorted(T.CONSTANTS)]
+    return [_node(elim, [head, *parts], rnd)
+            for elim in _ELIMINATORS for head in heads]
+
+
+def _whnf_run(ctx, t):
+    return lambda fuel: kernel.whnf(ctx, t, fuel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=3),
+       st.randoms(use_true_random=False), st.tuples(_fix_shapes, _fix_shapes),
+       st.integers(0, 3))
+def test_whnf_matches_reference_whnf(parts, rnd, shapes, fuel):
+    # term, completeness and fuel left agree on redexes of every eliminator
+    # over drawn parts, and of `fix` unfoldings that spend the fuel
+    for ctx in _CONTEXTS:
+        for t in _redexes(parts, rnd):
+            _agrees_with_reference(_whnf_run(ctx, t), fuel)
+    unfoldings = [t for pair in _fix_mix(parts[0], parts[-1], shapes, rnd)
+                  for t in pair]
+    for t in unfoldings + _redexes(unfoldings[:2] + parts, rnd):
+        _agrees_with_reference(_whnf_run(_FIX_CONTEXT, t), fuel)
+
+
+def test_redexes_hit_every_table_key():
+    hit = set()
+
+    def recorded(key, rule):
+        def contract(t, head):
+            hit.add(key)
+            return rule(t, head)
+        return contract
+
+    table = {key: recorded(key, rule) for key, rule in kernel._REDEX.items()}
+    parts = [T.Var("x"), T.Const("tt")]
+    with mock.patch.dict(kernel._REDEX, table):
+        for t in _redexes(parts, random.Random(0)):
+            _kernel_outcome(_whnf_run(_CONTEXTS[1], t), 2)
+    assert hit == set(kernel._REDEX)
+    # ptop and pbot decode, and nothing else contracts under Prf
+    decoded = {name: whnf(Context(), T.Prf(T.Const(name)), Fuel())[0]
+               for name in T.CONSTANTS}
+    assert {n: d for n, d in decoded.items() if type(d) is not T.Prf} == \
+        {"ptop": T.Const("unit"), "pbot": T.Const("empty")}
+
+
+# A : U{}, B : U{k1} and P : Prop{}, for formers that typecheck
+_FORMER_CONTEXT = (Context().bind_clock("k1").bind_var("A", T.Univ(()))
+                   .bind_var("B", T.Univ(("k1",)))
+                   .bind_var("P", T.PropU(())))
+_UNIVERSES = (T.Univ(()), T.Univ(("k1",)), T.PropU(()), T.PropU(("k1",)))
+_former_leaves = st.sampled_from(
+    [T.Var(n) for n in ("A", "B", "P", "x", "y")]
+    + [T.Const(n) for n in ("ptop", "pbot", "tt")]
+    + [T.Incl((), (k,), T.Var("A")) for k in ("k1", "k2")])
+_binder_names = st.sampled_from(["x", "y", "_"])
+
+
+def _formers_over(ch):
+    return st.one_of(
+        st.tuples(ch, ch).map(lambda t: T.SumCode(*t)),
+        st.tuples(_binder_names, ch, ch).map(lambda t: T.PiCode(*t)),
+        st.tuples(_binder_names, ch, ch).map(lambda t: T.SigmaCode(*t)),
+        st.tuples(ch, ch, ch).map(lambda t: T.IdCode(*t)),
+        st.tuples(ticks, clocks, ch).map(lambda t: T.LaterCode(*t)),
+        st.tuples(clocks, ch).map(lambda t: T.ForallCode(*t)),
+        st.tuples(ch, ch).map(lambda t: T.PAnd(*t)),
+        st.tuples(ch, ch).map(lambda t: T.POr(*t)),
+        st.tuples(_binder_names, ch, ch).map(lambda t: T.PExists(*t)),
+        st.tuples(_binder_names, ch, ch).map(lambda t: T.PForall(*t)),
+        st.tuples(ch, ch, ch).map(lambda t: T.PEq(*t)),
+        st.tuples(ticks, clocks, ch).map(lambda t: T.PLater(*t)),
+        st.tuples(clocks, ch).map(lambda t: T.PForallClk(*t)))
+
+
+# formers over typed leaves: most are ill-typed somewhere, many typecheck
+_formers = _formers_over(st.one_of(
+    _former_leaves,
+    st.recursive(_former_leaves, _formers_over, max_leaves=5)))
+
+
+def _typing_outcomes(ctx, t, types, fuel):
+    """`infer` on t, then `check` of t against each type, each agreeing with
+    the oracle kernel."""
+    runs = [lambda f: kernel.infer(ctx, t, f)]
+    runs += [lambda f, a=a: kernel.check(ctx, t, a, f) for a in types]
+    return [_agrees_with_reference(run, fuel) for run in runs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formers, _terms, st.integers(0, 3))
+def test_formers_match_reference_check(t, a, fuel):
+    for ctx in (*_CONTEXTS, _FORMER_CONTEXT):
+        _typing_outcomes(ctx, t, (a, *_UNIVERSES), fuel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, st.integers(0, 3))
+def test_check_matches_reference_check(t, a, fuel):
+    for ctx in _CONTEXTS:
+        _typing_outcomes(ctx, t, (a, *_UNIVERSES), fuel)
+
+
+def test_former_outcomes_cover_every_rule():
+    # the former strategy reaches passes and the failures of every side
+    # condition of the rule, in check mode and in infer mode
+    outcomes = set()
+    for t in _examples(_formers, 400):
+        for result, _, _ in _typing_outcomes(_FORMER_CONTEXT, t, _UNIVERSES,
+                                             3):
+            outcomes.add(result[0] if isinstance(result, tuple) else
+                         "pass" if result is None else
+                         "inferred" if isinstance(result, T.Term) else result)
+    assert {"pass", "inferred", "later-code", "plater", "pquant", "peq",
+            "code", "conv"} <= outcomes, outcomes
+
+
+def _examples(strategy, n):
+    """n examples of strategy, drawn deterministically."""
+    out = []
+
+    @settings(max_examples=n, database=None, derandomize=True,
+              deadline=None)
+    @given(strategy)
+    def collect(x):
+        out.append(x)
+
+    collect()
+    return out

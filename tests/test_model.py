@@ -22,7 +22,7 @@ from clott.model import (CheckOutcome, FreshClockExhausted, MArrow, MClk,
                          later, mor_key, mu, obj_key, pool_names, product,
                          restrict_to, slice_category, unique_exists_check,
                          weaken)
-from clott.cli import main, run_model_suite
+from clott.cli import main
 from clott.coalgebra import functor_eval, functor_map_all, functor_plan
 from clott.model import presheaf, timecat
 from clott.model.presheaf import _chain_limit, _stagewise
@@ -30,6 +30,7 @@ from clott.model.timecat import FinCategory
 from clott.report import Report
 from clott.theories import Budget, BudgetExceeded, csorted
 
+from .test_cli import run_model_suite
 from .test_coalgebra import reference_functor_eval, reference_functor_map_all
 
 
