@@ -9,12 +9,20 @@ Weak-head normalisation is one head-reduction rule: strip annotations and
 inclusions, reduce the eliminator's head (`_HEADS`), then contract
 through the table `_REDEX` keyed by (eliminator, head class), which holds
 the beta rules and the decodings of El and Prf.  Unfolding `fix` is the
-only other step; a stuck head is rebuilt in place.
+only other step.  A stuck eliminator whose head came back unchanged is
+returned as it is; one whose head reduced is rebuilt around the reduct.
 
 Conversion is weak-head normalisation, eta for functions and pairs, then
 one congruence rule read off `terms._SPEC` for every node class: the
 fields that are not subterms (names, atoms, clock sets) agree, and the
 subterms convert in spec order, each under the binder scoping over it.
+Terms are compared up to alpha again after reduction only if one reduced.
+
+A context is a chain of local binders, innermost first, over the table of
+the declarations checked so far, which `check_declarations` owns and only
+adds to.  Binding is O(1); lookups walk the local binders, then read the
+table, and so does `name in ctx`, which `fresh` asks instead of a set of
+all names.
 
 Code and proposition formers are checked by one rule, `_check_former`,
 which walks the former's parts in spec order against a universe; `check`
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from . import parser
 from .printer import show_term
@@ -101,52 +109,76 @@ class TickEntry:
 Entry = VarEntry | ClockEntry | TickEntry
 
 
-@dataclass(frozen=True)
 class Context:
-    entries: tuple[Entry, ...] = ()
+    """Its innermost local entry and the context outside it (none at the
+    root), over a table from each declared name to its latest type."""
+    __slots__ = ("decls", "entry", "outer")
 
-    @cached_property
-    def _names(self) -> frozenset[str]:
-        return frozenset([e.name for e in self.entries])
+    def __init__(self, decls: dict[str, Term] | None = None,
+                 entry: Entry | None = None, outer: Context | None = None):
+        self.decls = {} if decls is None else decls
+        self.entry, self.outer = entry, outer
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        local, c = [], self
+        while (e := c.entry) is not None:
+            local.append(e)
+            c = c.outer
+        return (*(VarEntry(n, ty) for n, ty in self.decls.items()),
+                *reversed(local))
+
+    def __repr__(self) -> str:
+        return f"Context(entries={self.entries!r})"
+
+    def _find(self, name: str, kind: type | None = None,
+              outermost: bool = False) -> Context | None:
+        """The context whose entry is the innermost (or the outermost)
+        local entry named name, of class kind if given."""
+        found, c = None, self
+        while (e := c.entry) is not None:
+            if e.name == name and (kind is None or type(e) is kind):
+                if not outermost:
+                    return c
+                found = c
+            c = c.outer
+        return found
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.decls or self._find(name) is not None
 
     def names(self) -> frozenset[str]:
-        return self._names
+        return frozenset([e.name for e in self.entries])
 
-    def bind_var(self, name: str, type_: Term | None) -> "Context":
-        return Context(self.entries + (VarEntry(name, type_),))
+    def bind_var(self, name: str, type_: Term | None) -> Context:
+        return Context(self.decls, VarEntry(name, type_), self)
 
-    def bind_clock(self, name: str) -> "Context":
-        return Context(self.entries + (ClockEntry(name),))
+    def bind_clock(self, name: str) -> Context:
+        return Context(self.decls, ClockEntry(name), self)
 
-    def bind_tick(self, name: str, clock: str) -> "Context":
-        return Context(self.entries + (TickEntry(name, clock),))
+    def bind_tick(self, name: str, clock: str) -> Context:
+        return Context(self.decls, TickEntry(name, clock), self)
 
     def lookup_var(self, name: str) -> Term | None:
-        for e in reversed(self.entries):
-            if isinstance(e, VarEntry) and e.name == name:
-                return e.type_
-        return None
+        c = self._find(name, VarEntry)
+        return self.decls.get(name) if c is None else c.entry.type_
 
     def has_var(self, name: str) -> bool:
-        return any(isinstance(e, VarEntry) and e.name == name
-                   for e in self.entries)
+        return name in self.decls or self._find(name, VarEntry) is not None
 
     def has_clock(self, name: str) -> bool:
-        return any(isinstance(e, ClockEntry) and e.name == name
-                   for e in self.entries)
+        return self._find(name, ClockEntry) is not None
 
     def lookup_tick(self, name: str) -> str | None:
-        for e in self.entries:
-            if isinstance(e, TickEntry) and e.name == name:
-                return e.clock
-        return None
+        c = self._find(name, TickEntry, outermost=True)
+        return None if c is None else c.entry.clock
 
-    def split_at_tick(self, name: str) -> "Context":
+    def split_at_tick(self, name: str) -> Context:
         """Prefix of the context strictly before the tick entry."""
-        for i, e in enumerate(self.entries):
-            if isinstance(e, TickEntry) and e.name == name:
-                return Context(self.entries[:i])
-        raise TypeCheckError("tick-app", f"tick {name!r} not in context")
+        c = self._find(name, TickEntry, outermost=True)
+        if c is None:
+            raise TypeCheckError("tick-app", f"tick {name!r} not in context")
+        return c.outer
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +245,8 @@ def whnf(ctx: Context, t: Term, fuel: Fuel) -> tuple[Term, bool]:
         else:
             reduct = None
         if reduct is None:
-            return _rebuild(t, _PLANS[cls], {field: head}), complete
+            return (t if head is getattr(t, field) else
+                    _rebuild(t, _PLANS[cls], {field: head})), complete
         t = reduct
 
 
@@ -257,16 +290,15 @@ def _open2(ctx: Context, x1: str, b1: Term, x2: str, b2: Term):
     """Open two binder bodies under one name z that ctx does not bind.  A
     shared name keeps itself; otherwise a side keeps its name when the
     other body does not mention it.  `rename` to the same name is free."""
-    taken = ctx.names()
-    if x1 == x2 and x1 not in taken:
+    if x1 == x2 and x1 not in ctx:
         return x1, b1, b2
     fv1, fv2 = free_names(b1).all(), free_names(b2).all()
-    if x1 not in taken and x1 not in fv2:
+    if x1 not in ctx and x1 not in fv2:
         z = x1
-    elif x2 not in taken and x2 not in fv1:
+    elif x2 not in ctx and x2 not in fv1:
         z = x2
     else:
-        z = fresh(x1, fv1 | fv2 | taken)
+        z = fresh(x1, fv1 | fv2, ctx)
     return z, rename(b1, {x1: z}), rename(b2, {x2: z})
 
 
@@ -284,12 +316,12 @@ def _conv(ctx: Context, t: Term, u: Term, fuel: Fuel) -> Verdict:
     tw, tc = whnf(ctx, t, fuel)
     uw, uc = whnf(ctx, u, fuel)
     complete = tc and uc
-    if alpha_eq(tw, uw):
+    if (tw is not t or uw is not u) and alpha_eq(tw, uw):
         return Verdict.EQUAL
 
     # eta for functions and pairs
     if isinstance(tw, Lam) and not isinstance(uw, Lam):
-        z = fresh(tw.name, free_names(tw).all() | free_names(uw).all() | ctx.names())
+        z = fresh(tw.name, free_names(tw).all() | free_names(uw).all(), ctx)
         body = rename(tw.body, {tw.name: z})
         return _soften(_conv(ctx.bind_var(z, None), body, App(uw, Var(z)), fuel),
                        complete)
@@ -414,8 +446,8 @@ def is_type(ctx: Context, a: Term, fuel: Fuel) -> None:
 
 
 def _fresh_binder(ctx: Context, name: str, body: Term) -> tuple[str, Term]:
-    if name in ctx.names():
-        z = fresh(name, ctx.names() | free_names(body).all())
+    if name in ctx:
+        z = fresh(name, ctx, free_names(body).all())
         return z, rename(body, {name: z})
     return name, body
 
@@ -803,4 +835,4 @@ def check_declarations(decls, fuel_budget: int = 32) -> None:
         fuel = Fuel(fuel_budget)
         is_type(ctx, d.type_, fuel)
         check(ctx, d.body, d.type_, fuel)
-        ctx = ctx.bind_var(d.name, d.type_)
+        ctx.decls[d.name] = d.type_

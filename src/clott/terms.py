@@ -11,11 +11,15 @@ with their scopes, the subterms with the binder scoping over each, the
 name fields and the constructor's field order.  `free_names`, `rename`,
 `subst` and `alpha_eq` read the plans, so a node costs a dictionary lookup
 and loops over short tuples.  Term nodes are slotted frozen dataclasses.
+
+`alpha_eq` numbers binders in one environment per side; while the binders
+above agreed in name, both sides share one, and a subterm that is the
+same object on both sides is equal without a walk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Container
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +404,14 @@ def _rebuild(t: Term, plan: _Plan, updates: dict[str, object]) -> Term:
                      for f in plan.fields])
 
 
-def fresh(base: str, avoid: Iterable[str]) -> str:
-    avoid = set(avoid)
-    stem = base.rstrip("0123456789") or base
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{stem}{i}" in avoid:
+def fresh(base: str, *avoid: Container[str]) -> str:
+    """base, or else its stem numbered 1, 2, ...: the first name that no
+    container in avoid holds."""
+    stem, name, i = base.rstrip("0123456789") or base, base, 0
+    while any(name in names for names in avoid):
         i += 1
-    return f"{stem}{i}"
+        name = f"{stem}{i}"
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +585,8 @@ def tick_subst(t: Term, alpha: str, beta: str) -> Term:
 def alpha_eq(t: Term, u: Term) -> bool:
     if t is u:
         return True
-    return _alpha(t, u, {}, {}, [0])
+    env: dict[str, int] = {}
+    return _alpha(t, u, env, env, [0])
 
 
 def _nameset_key(e):
@@ -597,14 +601,15 @@ def _alpha(t: Term, u: Term, env1: dict[str, int], env2: dict[str, int],
     for field, role, binder in _PLANS[type(t)].entries:
         v1, v2 = getattr(t, field), getattr(u, field)
         if role == TERM:
-            if binder is None:
-                if not _alpha(v1, v2, env1, env2, counter):
-                    return False
-                continue
-            n = counter[0]
-            counter[0] += 1
-            if not _alpha(v1, v2, {**env1, getattr(t, binder): n},
-                          {**env2, getattr(u, binder): n}, counter):
+            e1, e2 = env1, env2
+            if binder is not None:
+                b1, b2 = getattr(t, binder), getattr(u, binder)
+                n = counter[0]
+                counter[0] += 1
+                e1 = {**env1, b1: n}
+                e2 = e1 if env1 is env2 and b1 == b2 else {**env2, b2: n}
+            if (v1 is not v2 or e1 is not e2) and \
+                    not _alpha(v1, v2, e1, e2, counter):
                 return False
         elif role == NAMESET:
             s1 = sorted((env1.get(k, ("free", k)) for k in v1),

@@ -123,6 +123,21 @@ def test_check_redex_chain_of_200_passes(tmp_path):
     assert [c["verdict"] for c in doc["checks"]] == ["pass"]
 
 
+def test_check_5000_chained_declarations_passes(tmp_path, capsys):
+    # each declaration calls the one before it, and its binder `y` is
+    # freshened against the declared `y`; the file's length costs no
+    # recursion depth
+    f = tmp_path / "long.clott"
+    f.write_text("def y : unit = tt\n" + "".join(
+        f"def n{i} : unit -> unit = fun y -> {f'n{i - 1} y' if i else 'y'}\n"
+        for i in range(5000)))
+    code, doc = run_json(["check", str(f)], tmp_path)
+    assert code == 0
+    assert [(c["verdict"], c["evidence"]) for c in doc["checks"]] == \
+        [("pass", {"count": 5001})]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_eval_nesting_beyond_recursion_limit_is_unknown(tmp_path, capsys):
     code, doc = run_json(["eval", "(" * 3000 + "tt" + ")" * 3000], tmp_path)
     _assert_too_deep(code, doc, capsys)

@@ -254,6 +254,158 @@ def test_declarations_forward_reference_rejected():
         check_declarations(decls)
 
 
+_REDEFINED = ("def one : unit = tt\n"
+              "def two : unit = one\n"
+              "def one : unit -> unit = fun x -> x\n"
+              "def three : unit = one tt\n")
+
+
+def test_declarations_redefinition_later_wins():
+    # each declaration sees the latest earlier one of a name, and no later
+    check_declarations(parse_declarations(_REDEFINED))
+    with pytest.raises(TypeCheckError, match="not convertible"):
+        check_declarations(parse_declarations(
+            _REDEFINED + "def four : unit = one\n"))
+    # a declaration is not in scope in its own body
+    with pytest.raises(TypeCheckError, match="'one' not in context"):
+        check_declarations(parse_declarations("def one : unit = one\n"))
+
+
+# -- contexts: the tuple-scan oracle ------------------------------------------
+
+class ReferenceContext:
+    """The context as one tuple of entries, outermost first, copied on
+    every bind and scanned on every lookup, kept as the oracle of the
+    chain of local binders over a declaration table."""
+
+    def __init__(self, entries=()):
+        self.entries = tuple(entries)
+
+    def names(self):
+        return frozenset(e.name for e in self.entries)
+
+    def __contains__(self, name):
+        return name in self.names()
+
+    def bind_var(self, name, type_):
+        return ReferenceContext(self.entries + (kernel.VarEntry(name, type_),))
+
+    def bind_clock(self, name):
+        return ReferenceContext(self.entries + (kernel.ClockEntry(name),))
+
+    def bind_tick(self, name, clock):
+        return ReferenceContext(self.entries
+                                + (kernel.TickEntry(name, clock),))
+
+    def lookup_var(self, name):
+        for e in reversed(self.entries):
+            if isinstance(e, kernel.VarEntry) and e.name == name:
+                return e.type_
+        return None
+
+    def has_var(self, name):
+        return any(isinstance(e, kernel.VarEntry) and e.name == name
+                   for e in self.entries)
+
+    def has_clock(self, name):
+        return any(isinstance(e, kernel.ClockEntry) and e.name == name
+                   for e in self.entries)
+
+    def lookup_tick(self, name):
+        for e in self.entries:
+            if isinstance(e, kernel.TickEntry) and e.name == name:
+                return e.clock
+        return None
+
+    def split_at_tick(self, name):
+        for i, e in enumerate(self.entries):
+            if isinstance(e, kernel.TickEntry) and e.name == name:
+                return ReferenceContext(self.entries[:i])
+        raise TypeCheckError("tick-app", f"tick {name!r} not in context")
+
+
+# "n" names a declaration, a variable, a clock and a tick
+_CTX_NAMES = ("x", "y", "n", "k", "k2", "a", "d", "unbound")
+_ctx_types = st.sampled_from([None, T.Const("unit"), T.Var("x")])
+_binds = st.lists(st.one_of(
+    st.tuples(st.just("var"), st.sampled_from(["x", "y", "n"]), _ctx_types),
+    st.tuples(st.just("clock"), st.sampled_from(["k", "n"])),
+    st.tuples(st.just("tick"), st.sampled_from(["a", "n"]),
+              st.sampled_from(["k", "k2", "n"]))), max_size=12)
+_decl_tables = st.dictionaries(st.sampled_from(["x", "d", "n"]),
+                               _ctx_types.filter(lambda ty: ty is not None),
+                               max_size=3)
+
+
+def _context_answers(ctx):
+    answers = {"entries": ctx.entries, "names": ctx.names()}
+    for name in _CTX_NAMES:
+        try:
+            prefix = ctx.split_at_tick(name).entries
+        except TypeCheckError as exc:
+            prefix = str(exc)
+        answers[name] = (ctx.lookup_var(name), ctx.has_var(name),
+                         ctx.has_clock(name), ctx.lookup_tick(name), prefix,
+                         name in ctx, fresh(name, ctx, {"n1"}))
+    return answers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decl_tables, _binds)
+def test_context_matches_reference_context(table, binds):
+    ctxs = [Context(dict(table))]
+    refs = [ReferenceContext(kernel.VarEntry(n, ty)
+                             for n, ty in table.items())]
+    for kind, *args in binds:
+        ctxs.append(getattr(ctxs[-1], f"bind_{kind}")(*args))
+        refs.append(getattr(refs[-1], f"bind_{kind}")(*args))
+    # every context along the way, after all binds: binding copies nothing
+    # and changes no context it extends
+    for ctx, ref in zip(ctxs, refs):
+        assert _context_answers(ctx) == _context_answers(ref)
+
+
+def test_deep_context_answers_ticks_without_recursion():
+    # the outermost tick of a name wins, 1,500 binders deep
+    ctx = Context({"d": T.Const("unit")}).bind_tick("a", "k0")
+    for i in range(1500):
+        ctx = ctx.bind_tick("a", f"k{i}") if i % 3 == 0 else \
+            ctx.bind_var(f"v{i}", None)
+    assert ctx.lookup_tick("a") == "k0"
+    decl = kernel.VarEntry("d", T.Const("unit"))
+    assert ctx.split_at_tick("a").entries == (decl,)
+    assert len(ctx.entries) == 1502 and ctx.lookup_var("d") == T.Const("unit")
+    assert "v1499" in ctx and "k0" not in ctx
+
+
+def reference_check_declarations(decls, fuel_budget=32):
+    """`check_declarations` over a `ReferenceContext` that each declaration
+    extends by one entry."""
+    ctx = ReferenceContext()
+    for d in decls:
+        fuel = Fuel(fuel_budget)
+        kernel.is_type(ctx, d.type_, fuel)
+        kernel.check(ctx, d.body, d.type_, fuel)
+        ctx = ctx.bind_var(d.name, d.type_)
+
+
+@pytest.mark.parametrize("source", ["figures.clott", "next.clott",
+                                    "church-add", "redefined"])
+def test_declarations_match_reference_context(source):
+    if source == "church-add":
+        text = church_table_text("add", 4, 13, wrong=True)
+    elif source == "redefined":
+        text = _REDEFINED + "def four : unit = one\n"
+    else:
+        text = data_path(source).read_text(encoding="utf-8")
+    decls = parse_declarations(text)
+    got = _kernel_outcome(lambda _: check_declarations(decls), 0,
+                          limit=10**7)
+    assert got == _kernel_outcome(lambda _: reference_check_declarations(
+        decls), 0, limit=10**7)
+    assert got[0] is None or got[0][0] in ("refl", "conv")
+
+
 # -- opening binders: the always-renaming oracle ------------------------------
 
 def reference_open2(ctx, x1, b1, x2, b2):
@@ -932,6 +1084,46 @@ def test_redexes_hit_every_table_key():
                for name in T.CONSTANTS}
     assert {n: d for n, d in decoded.items() if type(d) is not T.Prf} == \
         {"ptop": T.Const("unit"), "pbot": T.Const("empty")}
+
+
+def _stuck_eliminators():
+    f, x = T.Var("f"), T.Var("x")
+    return [T.App(f, x), T.App(T.App(f, x), x), T.Fst(f), T.Snd(f),
+            T.Case(f, "x", x, "y", T.Var("y")), T.TickApp(f, "a1"),
+            T.ClockApp(f, "k1"), T.El(f), T.Prf(f)]
+
+
+@pytest.mark.parametrize("t", _stuck_eliminators(), ids=repr)
+def test_whnf_returns_stuck_eliminator_as_it_is(t):
+    assert whnf(_CONTEXTS[1], t, Fuel()) == (t, True)
+    assert whnf(_CONTEXTS[1], t, Fuel())[0] is t
+    # a head that reduces, here by dropping an annotation, is rebuilt
+    field = kernel._HEADS[type(t)]
+    wrapped = _reference_rebuild(t, {field: T.Ann(getattr(t, field),
+                                                  T.Const("unit"))})
+    got, complete = whnf(_CONTEXTS[1], wrapped, Fuel())
+    assert complete and got == t and got is not t
+
+
+def test_conv_compares_again_only_after_reduction():
+    calls = []
+
+    def counted(t, u):
+        calls.append((t, u))
+        return alpha_eq(t, u)
+
+    x, y = T.Var("x"), T.Var("y")
+    pair = T.Pair(x, y)
+    with mock.patch.object(kernel, "alpha_eq", counted):
+        # neither side reduces: one comparison, then congruence
+        assert kernel._conv(_CONTEXTS[1], x, y, Fuel()) is Verdict.APART
+        assert calls == [(x, y)]
+        calls.clear()
+        # one side reduces to the other: compared again, no congruence
+        redex = T.App(T.Lam("w", pair), x)
+        assert kernel._conv(_CONTEXTS[1], redex, pair, Fuel()) is \
+            Verdict.EQUAL
+        assert calls == [(redex, pair), (pair, pair)]
 
 
 # A : U{}, B : U{k1} and P : Prop{}, for formers that typecheck

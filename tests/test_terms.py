@@ -296,17 +296,33 @@ def test_subst_matches_reference(t, x, u):
     assert subst(t, x, u) == reference_subst(t, x, u)
 
 
+_BINDER_POOLS = {T.BIND_VAR: ["x", "y", "y1"], T.BIND_CLOCK: ["k1", "k2"],
+                 T.BIND_TICK: ["a1", "a2"]}
+
+
 def _rebind(t, rnd):
     """t with every binder renamed to a random name of its pool and no
     occurrence changed: the same shape, often another binding structure."""
-    pools = {T.BIND_VAR: ["x", "y", "y1"], T.BIND_CLOCK: ["k1", "k2"],
-             T.BIND_TICK: ["a1", "a2"]}
     updates = {}
     for field, role, _ in T._SPEC[type(t)]:
         if role == T.TERM:
             updates[field] = _rebind(getattr(t, field), rnd)
-        elif role in pools:
-            updates[field] = rnd.choice(pools[role])
+        elif role in _BINDER_POOLS:
+            updates[field] = rnd.choice(_BINDER_POOLS[role])
+    return _reference_rebuild(t, updates)
+
+
+def _rebind_sharing(t, rnd):
+    """t with some binders renamed as by `_rebind`, and some subterms kept
+    as the very objects of t, under binders renamed or not."""
+    if rnd.random() < 0.3:
+        return t
+    updates = {}
+    for field, role, _ in T._SPEC[type(t)]:
+        if role == T.TERM:
+            updates[field] = _rebind_sharing(getattr(t, field), rnd)
+        elif role in _BINDER_POOLS and rnd.random() < 0.5:
+            updates[field] = rnd.choice(_BINDER_POOLS[role])
     return _reference_rebuild(t, updates)
 
 
@@ -319,6 +335,43 @@ def test_alpha_eq_matches_reference(t, u, mapping, rnd):
     for a, b in ((t, u), (t, renamed), (renamed, t), (t, rebound),
                  (rebound, t), (t, copy)):
         assert alpha_eq(a, b) == reference_alpha_eq(a, b)
+
+
+def test_alpha_eq_one_body_under_two_binders():
+    b = Var("x")
+    assert not alpha_eq(Lam("x", b), Lam("y", b))
+    assert not alpha_eq(Lam("x", Lam("y", b)), Lam("y", Lam("y", b)))
+    assert alpha_eq(Lam("x", Lam("y", b)), Lam("x", Lam("y", b)))
+    assert alpha_eq(Lam("x", Var("z")), Lam("y", Var("z")))
+
+
+def _binder_swaps(t):
+    """Nodes of each binder class over t, with the binder named apart or
+    alike, one level deep and two: the same object t under both."""
+    nodes = [(lambda z: Lam(z, t), "x", "y"),
+             (lambda z: Pi(z, t, t), "x", "y"),
+             (lambda z: TickAbs(z, "k1", t), "a1", "a2"),
+             (lambda z: T.ClockAbs(z, t), "k1", "k2")]
+    pairs = []
+    for node, z1, z2 in nodes:
+        pairs += [(node(z1), node(z2)), (node(z1), node(z1))]
+    pairs.append((Lam("x", Lam("y", t)), Lam("y", Lam("y", t))))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, _pool, _small_terms, _mappings,
+       st.randoms(use_true_random=False))
+def test_alpha_eq_matches_reference_on_shared_subterms(t, x, u, mapping, rnd):
+    substituted, renamed = subst(t, x, u), rename(t, mapping)
+    shared = [_rebind_sharing(t, rnd) for _ in range(3)]
+    pairs = [(t, substituted), (t, renamed), (t, _rebind(t, rnd)),
+             (t, shared[0]), (shared[1], shared[2]),
+             (substituted, _rebind_sharing(substituted, rnd))]
+    pairs += _binder_swaps(t) + _binder_swaps(shared[0])
+    for a, b in pairs:
+        assert alpha_eq(a, b) == reference_alpha_eq(a, b), (a, b)
+        assert alpha_eq(b, a) == reference_alpha_eq(b, a), (b, a)
 
 
 def _example(cls):
