@@ -37,8 +37,8 @@ def exists_forall_experiment(model: Model, x: Psh, phi) -> dict:
         # per stage of the fresh clock: the target of its introduction,
         # marked, the action and the target fiber
         fresh = model.fresh_clock(cat.objects[i])
-        intros = [(ElObj(cat.objects[cat.dst_ids[j]], fresh), x.acts[j],
-                   x.fibs[cat.dst_ids[j]]) for j in cat.intros[i][fresh]]
+        intros = [(ElObj(cat.objects[d], fresh), x.acts[j], x.fibs[d])
+                  for j, d in cat.intros[i][fresh]]
         witness = None
         for p, e in enumerate(x.fibs[i]):
             if all(phi(u, fib[act[p]]) for u, act, fib in intros):

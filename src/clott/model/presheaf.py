@@ -80,9 +80,6 @@ class Model:
         raise FreshClockExhausted(
             f"object already uses the full pool {self.names}")
 
-    def cat(self, kind: str) -> FinCategory:
-        return self.time if kind == "time" else self.slice
-
     @cached_property
     def fresh_tops(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Ids in the slice of each inner object and morphism with the
@@ -106,19 +103,17 @@ class Model:
         return tuple(objs), tuple(widened(*m) for m in self.time_inner.mors)
 
 
-def _reindex(x: Psh, cat: FinCategory, link) -> Psh:
-    """The presheaf over cat with, by link = (x.cat, object ids, morphism
-    ids), x's fiber at objs[i] at object i and x's action at mors[j] at
-    morphism j."""
-    base, objs, mors = link
-    assert base is x.cat
-    return Psh(cat, tuple(map(x.fibs.__getitem__, objs)),
+def _reindex(x: Psh, cat: FinCategory, link, mors) -> Psh:
+    """The presheaf over cat with x's fiber at objs[i] at object i, by link
+    = (x.cat, objs), and x's action at mors[j] at morphism j."""
+    assert link[0] is x.cat
+    return Psh(cat, tuple(map(x.fibs.__getitem__, link[1])),
                tuple(map(x.acts.__getitem__, mors)))
 
 
 def restrict_to(x: Psh, sub: FinCategory) -> Psh:
     """Restrict a presheaf to an inner subcategory of its base."""
-    return _reindex(x, sub, sub.parent)
+    return _reindex(x, sub, sub.parent, sub.parent_mors)
 
 
 def align(a: Psh, b: Psh) -> tuple[Psh, Psh]:
@@ -149,7 +144,7 @@ class Psh:
 def const_psh(cat: FinCategory, elems) -> Psh:
     elems = tuple(csorted(elems))
     return Psh(cat, (elems,) * len(cat.objects),
-               (tuple(range(len(elems))),) * len(cat.mors))
+               (tuple(range(len(elems))),) * cat.mor_count)
 
 
 def clk_psh(cat: FinCategory) -> Psh:
@@ -396,7 +391,7 @@ def weaken(model: Model, x: Psh) -> Psh:
     the slice (forget the marked clock)."""
     assert x.cat.kind == "time"
     cat = model.slice if x.cat is model.time else model.slice_inner
-    return _reindex(x, cat, cat.over)
+    return _reindex(x, cat, cat.over, cat.over_mors)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +464,8 @@ def check_invariance(model: Model, x: Psh) -> CheckOutcome:
     λ fresh acts bijectively, tried by o, λ and α (`FinCategory.intros`)."""
     cat = x.cat
     for row in cat.intros:
-        for j in (j for ids in row.values() for j in ids):
-            if not _bijective(x.acts[j], len(x.fibs[cat.dst_ids[j]])):
+        for j, d in (p for pairs in row.values() for p in pairs):
+            if not _bijective(x.acts[j], len(x.fibs[d])):
                 return CheckOutcome(False, mor_key(cat.decode(j)))
     return CheckOutcome(True)
 

@@ -12,24 +12,24 @@ where images[k] is the position of the image of the k-th source name
 among the target's names; the tuple is also its key in `mor_id`, and its
 position in `mors` is its id.  Composition is index arithmetic: g∘f has
 images tuple(g_images[i] for i in f_images).  A slice object's id is the
-first slice id of its time object plus the marked clock's position; each
-slice morphism records the time morphism it lies over (`over`), and an
-inner subcategory the ids of its objects and morphisms in its parent
-(`parent`).  `TimeMor` objects exist only at the boundary: `decode` builds
-one, `morphisms` all of them on first use, for counterexamples and tests.
+first slice id of its time object plus the marked clock's position; a
+slice records the time objects and morphisms under its own (`over`,
+`over_mors`), an inner subcategory their parent ids (`parent`,
+`parent_mors`).  `TimeMor` objects exist only at the boundary: `decode`
+builds one and `morphisms` all, for counterexamples and tests.
 
-The tables over ids are built on first use and shared by every later call
-on the category: `identities`, per-object out-lists (`succ` in id order,
-`out` sorted by `mor_key`, `gens` the generators), `gen_table` (g∘f for
-each f and generator g out of its target), `pre_table` (f∘g for each
-generator g and f out of its target), `factors` (one g∘f per other
-morphism), the clock introductions `intros` and, for slice categories,
-`stage_shift`.  None holds all composable pairs.
+A category is made with its objects.  Until `mors` is read (then `mor_id`
+answers), `mor_index` ranks a morphism as its (source, target) block's
+offset (`offsets`) plus the mixed-radix rank of its images (Knuth, TAOCP
+4A §7.2.1.1), in a slice times the source's clocks plus the marked one:
+`identities` and `intros` build no morphism.  The morphisms and their
+tables (out-lists, `gen_table`, `pre_table`, `factors`, `stage_shift`)
+are built on first use and shared; none holds all composable pairs.
 
 Sizes in closed form (`category_sizes`), so that `check_size` can refuse
-a category over budget before it is enumerated.  With a pool of P clocks
-and N stages there are (N+1)^P objects.  A source clock at stage s may go
-to any y of a target b with θ_b(y) ≤ s, which gives
+a category over budget before its objects are listed.  With a pool of P
+clocks and N stages there are (N+1)^P objects.  A source clock at stage s
+may go to any y of a target b with θ_b(y) ≤ s, which gives
 S_b = Σ_{y∈b} (N − θ_b(y)) choices of stage and image per present clock,
 so there are Σ_b (1+S_b)^P time morphisms and, with one of the P clocks
 marked, Σ_b P·S_b·(1+S_b)^(P−1) slice morphisms.
@@ -37,9 +37,11 @@ marked, Σ_b P·S_b·(1+S_b)^(P−1) slice morphisms.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import repeat
+from operator import mul
 
 from ..theories import BudgetExceeded
 
@@ -82,14 +84,30 @@ def _time_of(o) -> TimeObj:
 @dataclass(eq=False)
 class FinCategory:
     objects: tuple
-    mors: tuple               # (source id, target id, images) by id
     kind: str                 # "time" | "slice"
     # a slice category: (time category, the id there of the time object
-    # under each object, of the time morphism under each morphism)
+    # under each object)
     over: tuple | None = None
-    # an inner subcategory: (parent category, the parent id of each
-    # object, of each morphism)
+    # an inner subcategory: (parent category, the parent id of each object)
     parent: tuple | None = None
+
+    @cached_property
+    def mors(self) -> tuple:
+        """(source id, target id, images) by id."""
+        if self.kind == "slice":
+            t, under = self.over
+            starts = [bisect_left(under, i) for i in range(len(t.objects))]
+            return tuple((starts[s] + k, starts[d] + y, images)
+                         for s, d, images in t.mors
+                         for k, y in enumerate(images))
+        top = 1 + max((s for o in self.objects for s in o.stages), default=0)
+        # per target and source stage, the positions of the admissible images
+        admissible = [[tuple(y for y, t in enumerate(b.stages) if t <= s)
+                       for s in range(top)] for b in self.objects]
+        return tuple((i, d, images) for i, a in enumerate(self.objects)
+                     for d, adm in enumerate(admissible)
+                     for images in itertools.product(
+                         *map(adm.__getitem__, a.stages)))
 
     def decode(self, j: int) -> TimeMor:
         s, d, images = self.mors[j]
@@ -118,9 +136,72 @@ class FinCategory:
         return {m: j for j, m in enumerate(self.mors)}
 
     @cached_property
+    def offsets(self) -> list[int]:
+        """At s·n + d for time objects s, d (in a slice, under its objects),
+        the id of the first of the Π_k |admissible images of clock k| (in a
+        slice, times |k|) morphisms from s to d; then the count."""
+        t = self.over[0] if self.kind == "slice" else self
+        stages = [tuple(sorted(o.stages)) for o in t.objects]
+        # per source stage s, per target: its clocks at stages ≤ s
+        cols = [tuple(map(bisect_right, stages, repeat(s))) for s in
+                range(1 + max((u for key in stages for u in key), default=0))]
+        blocks = {key: tuple(reduce(
+            partial(map, mul), map(cols.__getitem__, key),
+            repeat(len(key) if t is not self else 1, len(stages))))
+            for key in set(stages)}
+        return list(itertools.accumulate(itertools.chain.from_iterable(
+            map(blocks.__getitem__, stages)), initial=0))
+
+    @cached_property
+    def mor_count(self) -> int:
+        """`category_sizes` for the whole time category (its last object has
+        every clock at the top stage) and its slice, else the last offset."""
+        t = self.over[0] if self.kind == "slice" else self
+        last = t.objects[-1]
+        return self.offsets[-1] if t.parent else category_sizes(
+            len(last.names), last.stages[0] + 1)[1 + (t is not self)]
+
+    def mor_index(self, s: int, d: int, images) -> int | None:
+        """The id of (s, d, images), or None if it is no morphism."""
+        if "mors" in self.__dict__:
+            return self.mor_id.get((s, d, images))
+        if not (0 <= s < len(self.objects) and 0 <= d < len(self.objects)):
+            return None
+        t, k, m = self, 0, 1
+        if self.kind == "slice":
+            (t, under), src, dst = self.over, self.objects[s], self.objects[d]
+            k, m = src.time.names.index(src.clock), len(images)
+            if k >= m or images[k] != dst.time.names.index(dst.clock):
+                return None
+            s, d = under[s], under[d]
+        a, b = t.objects[s].stages, t.objects[d].stages
+        if len(images) != len(a):
+            return None
+        rank = 0
+        for stage, y in zip(a, images):
+            if not 0 <= y < len(b) or b[y] > stage:
+                return None
+            below = [u <= stage for u in b]
+            rank = rank * sum(below) + sum(below[:y])
+        return self.offsets[s * len(t.objects) + d] + rank * m + k
+
+    @cached_property
+    def over_mors(self) -> tuple[int, ...]:
+        """For a slice, the id of the time morphism under each morphism."""
+        return tuple(j for j, (_, _, images) in enumerate(self.over[0].mors)
+                     for _ in images)
+
+    @cached_property
+    def parent_mors(self) -> tuple[int, ...]:
+        """For an inner subcategory, the parent id of each morphism."""
+        cat, keep = self.parent[0], set(self.parent[1])
+        return tuple(j for j, (s, d, _) in enumerate(cat.mors)
+                     if s in keep and d in keep)
+
+    @cached_property
     def identities(self) -> tuple[int, ...]:
         """The id of the identity on each object."""
-        return tuple(self.mor_id[i, i, tuple(range(len(_time_of(o).names)))]
+        return tuple(self.mor_index(i, i, tuple(range(len(_time_of(o).names))))
                      for i, o in enumerate(self.objects))
 
     @cached_property
@@ -178,9 +259,9 @@ class FinCategory:
         """Whether each morphism is a generator, read off the parent or, in
         a slice, the time morphism under it; a time category builds them by
         construction (`_generators`; the tests hold a predicate oracle)."""
-        link = self.parent or self.over
-        if link is not None:
-            cat, _, ids = link
+        if self.over or self.parent:
+            cat = (self.over or self.parent)[0]
+            ids = self.over_mors if self.over else self.parent_mors
             return tuple(map(cat.gen_flags.__getitem__, ids))
         flags = [False] * len(self.mors)
         for key in _generators(self.objects, self.obj_id):
@@ -222,14 +303,14 @@ class FinCategory:
     @cached_property
     def intros(self) -> tuple[dict, ...]:
         """Per object, for each clock λ of the category that it lacks, the
-        ids of the introductions of λ at stages 0, 1, … whose targets the
-        category has (`clock_intro`)."""
+        (id, target id) of the introductions of λ at stages 0, 1, … whose
+        targets the category has (`clock_intro`)."""
         times = list(map(_time_of, self.objects))
         names = sorted({n for t in times for n in t.names})
         stages = range(1 + max((s for t in times for s in t.stages),
                                default=0))
-        return tuple({lam: tuple(j for j in (clock_intro(self, i, lam, a)
-                                             for a in stages) if j is not None)
+        return tuple({lam: tuple(p for p in (clock_intro(self, i, lam, a)
+                                             for a in stages) if p is not None)
                       for lam in names if lam not in t.names}
                      for i, t in enumerate(times))
 
@@ -275,14 +356,14 @@ class FinCategory:
 
 
 def clock_intro(cat: FinCategory, i: int, lam: str, alpha: int):
-    """The id in cat of the clock introduction from object i that adds
-    the clock lam at stage alpha, or None where cat lacks its target."""
+    """(id, target id) in cat of the clock introduction from object i that
+    adds the clock lam at stage alpha, or None where cat lacks its target."""
     o = cat.objects[i]
     t = _time_of(o)
     wide = t.add_clock(lam, alpha)
     d = cat.obj_id.get(wide if cat.kind == "time" else ElObj(wide, o.clock))
     return None if d is None else \
-        cat.mor_id[i, d, tuple(map(wide.names.index, t.names))]
+        (cat.mor_index(i, d, tuple(map(wide.names.index, t.names))), d)
 
 
 def pool_names(pool: int) -> tuple[str, ...]:
@@ -331,21 +412,14 @@ def check_size(pool: int, bound: int, limit: int) -> None:
 
 
 def enumerate_category(pool: int, bound: int) -> FinCategory:
-    """All objects and morphisms of the truncated time category with clock
-    pool size `pool` and stages below `bound`."""
+    """The truncated time category with clock pool size `pool` and stages
+    below `bound`: its objects, and its morphisms on first read."""
     _check_size_args(pool, bound)
     names = pool_names(pool)
-    objects = tuple(TimeObj(sub, stages) for r in range(pool + 1)
-                    for sub in itertools.combinations(names, r)
-                    for stages in itertools.product(range(bound), repeat=r))
-    # per target and source stage, the positions of the admissible images
-    admissible = [[tuple(y for y, t in enumerate(b.stages) if t <= s)
-                   for s in range(bound)] for b in objects]
-    mors = tuple((i, d, images) for i, a in enumerate(objects)
-                 for d, adm in enumerate(admissible)
-                 for images in itertools.product(
-                     *map(adm.__getitem__, a.stages)))
-    return FinCategory(objects, mors, "time")
+    return FinCategory(tuple(
+        TimeObj(subset, stages) for r in range(pool + 1)
+        for subset in itertools.combinations(names, r)
+        for stages in itertools.product(range(bound), repeat=r)), "time")
 
 
 def _generators(objects, obj_id):
@@ -380,17 +454,9 @@ def _generators(objects, obj_id):
 def slice_category(t: FinCategory) -> FinCategory:
     """Category of elements of the presheaf Clk (fiber E): objects gain a
     marked clock, morphisms must map it to the target's marked clock."""
-    objects, first, under = [], [], []
-    for i, o in enumerate(t.objects):
-        first.append(len(objects))
-        objects.extend(ElObj(o, n) for n in o.names)
-        under.extend(repeat(i, len(o.names)))
-    mors = tuple((first[s] + k, first[d] + y, images)
-                 for s, d, images in t.mors for k, y in enumerate(images))
-    mors_under = tuple(j for j, (_, _, images) in enumerate(t.mors)
-                       for _ in images)
-    return FinCategory(tuple(objects), mors, "slice",
-                       over=(t, tuple(under), mors_under))
+    objects, under = zip(*((ElObj(o, n), i) for i, o in enumerate(t.objects)
+                           for n in o.names))
+    return FinCategory(objects, "slice", over=(t, under))
 
 
 def full_subcat(cat: FinCategory, keep,
@@ -399,21 +465,10 @@ def full_subcat(cat: FinCategory, keep,
     a slice cat, base is the inner subcategory of cat's time category that
     the result lies over."""
     obj_ids = tuple(i for i, o in enumerate(cat.objects) if keep(o))
-    new = {p: i for i, p in enumerate(obj_ids)}
-    mor_ids = tuple(j for j, (s, d, _) in enumerate(cat.mors)
-                    if s in new and d in new)
-    mors = tuple((new[s], new[d], images)
-                 for s, d, images in map(cat.mors.__getitem__, mor_ids))
-    over = None
-    if base is not None:
-        _, objs_under, mors_under = cat.over
-        _, base_objs, base_mors = base.parent
-        to_obj = {p: i for i, p in enumerate(base_objs)}
-        to_mor = {p: j for j, p in enumerate(base_mors)}
-        over = (base, tuple(to_obj[objs_under[i]] for i in obj_ids),
-                tuple(to_mor[mors_under[j]] for j in mor_ids))
-    return FinCategory(tuple(map(cat.objects.__getitem__, obj_ids)), mors,
-                       cat.kind, over=over, parent=(cat, obj_ids, mor_ids))
+    over = None if base is None else (base, tuple(
+        base.obj_id[cat.objects[i].time] for i in obj_ids))
+    return FinCategory(tuple(map(cat.objects.__getitem__, obj_ids)),
+                       cat.kind, over=over, parent=(cat, obj_ids))
 
 
 def obj_key(o):

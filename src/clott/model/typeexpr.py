@@ -112,7 +112,7 @@ PRF = ("prf",)
 def eval_type(model: Model, e: TypeExprM, slice_: bool = False) -> Psh:
     """Evaluate a type expression to a finite presheaf over the time
     category (slice_=False) or over its slice by Clk (slice_=True)."""
-    cat = model.cat("slice" if slice_ else "time")
+    cat = model.slice if slice_ else model.time
     if isinstance(e, MFin):
         return const_psh(cat, tuple(range(e.size)))
     if isinstance(e, MClk):

@@ -164,6 +164,18 @@ def test_model_force_records_truncation_artifact(tmp_path):
     assert by_name["force/delay-unit"]["verdict"] == "truncation_artifact"
 
 
+def test_model_experiments_just_under_the_budget(tmp_path):
+    # (2, 24) has 880,000 slice morphisms, just under the element budget;
+    # the experiments suite reads objects and clock introductions only
+    code, doc = run_json(["model", "verify", "experiments", "--pool", "2",
+                          "--bound", "24"], tmp_path)
+    assert code == 0
+    by_name = {c["name"]: c for c in doc["checks"]}
+    witness = by_name["experiments/example4-witness"]["evidence"]
+    assert witness["expected"] == 23
+    assert set(witness["witnesses"].values()) == {23}
+
+
 def test_model_unknown_suite_is_usage_error():
     assert run(["model", "verify", "nonsense"]) == 2
 

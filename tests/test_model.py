@@ -307,6 +307,60 @@ def test_ids_and_out_lists(pool, bound):
             assert cat.objects[cat.dst_ids[j]] == m.dst
 
 
+def _non_keys(cat, s, d, images, marks):
+    """Keys next to the morphism (s, d, images) of cat that name none:
+    each image moved to a clock of the target at a higher stage, the
+    target moved outside the category and, in a slice, onto the other
+    marks of its time object (marks[d])."""
+    a, b = (getattr(cat.objects[i], "time", cat.objects[i]) for i in (s, d))
+    for k, t in enumerate(a.stages):
+        for y, u in enumerate(b.stages):
+            if u > t:
+                yield s, d, images[:k] + (y,) + images[k + 1:]
+    yield s, len(cat.objects), images
+    yield from ((s, e, images) for e in marks[d] if e != d)
+
+
+@pytest.mark.parametrize("pool,bound,inner",
+                         [(p, b, True) for p, b in GRID] + [(2, 10, False)])
+def test_closed_form_ids_match_enumeration(pool, bound, inner):
+    # the enumerated morphisms are the oracle; the ranks come from a
+    # second model whose categories never build theirs
+    names = ("time", "slice", "time_inner", "slice_inner")[:4 if inner else 1]
+    built = Model(pool=pool, bound=bound)
+    ranked = Model(pool=pool, bound=bound)
+    sizes = dict(zip(("time", "slice"), category_sizes(pool, bound)[1:]))
+    for name in names:
+        oracle, cat = getattr(built, name), getattr(ranked, name)
+        under = cat.over[1] if cat.over else range(len(cat.objects))
+        marks = [[e for e, u in enumerate(under) if u == t] for t in under]
+        for j, (s, d, images) in enumerate(oracle.mors):
+            assert cat.mor_index(s, d, images) == j
+            for key in _non_keys(cat, s, d, images, marks):
+                assert cat.mor_index(*key) is None, key
+        assert cat.offsets[-1] == cat.mor_count == len(oracle.mors) == \
+            sizes.get(name, len(oracle.mors))
+        assert cat.intros == oracle.intros
+        for row in cat.intros:
+            for j, d in (p for pairs in row.values() for p in pairs):
+                assert oracle.dst_ids[j] == d
+        assert "mors" not in vars(cat)
+
+
+def test_example4_path_builds_no_morphism():
+    model = Model(pool=2, bound=10)
+    x = const_psh(model.time, range(10))
+
+    def phi(u, e):
+        return u.time.theta(u.clock) <= e
+    verdicts = exists_forall_experiment(model, x, phi)
+    unique = unique_exists_check(model, x, phi, n=9)
+    for cat in (model.time, model.time_inner, model.slice):
+        assert "mors" not in vars(cat)
+    assert sorted({v.witness for v in verdicts.values()}) == [9]
+    assert unique["hypothesis_holds"] and unique["commutes"]
+
+
 def _at_stage(o, alpha):
     t = o.time
     return ElObj(TimeObj(t.names, tuple(
