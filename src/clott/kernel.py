@@ -24,13 +24,13 @@ adds to.  Binding is O(1); lookups walk the local binders, then read the
 table, and so does `name in ctx`, which `fresh` asks instead of a set of
 all names.
 
-Code and proposition formers are checked by one rule, `_check_former`,
-which walks the former's parts in spec order against a universe; `check`
-uses it when the universe matches the former, and `infer` after reading
-the universe off the first part.  `_bind` types every binder the same
-way in the former rule and in conversion: a tick on the node's clock, a
-clock, or a variable typed by its domain, by the domain's decoding, or
-by nothing.
+Typing has one rule per judgement form.  The former rule, `_check_former`,
+walks a former's parts in spec order, each a type or in a universe: for
+`is_type`, for `check` at the former's universe, and for `infer` once the
+first part, under its binder, gave the universe.  `_bind` types a binder
+alike there and in conversion.  Introductions are checked against the
+parts of their type's former (`_INTROS`), eliminations read their type
+off their head's (`_ELIMS`), and both forms of `fix` share `_fix_rule`.
 
 Binders are opened by one rule, in conversion as in checking: a binder is
 renamed, and its body walked, only when its name is taken (Coquand, "An
@@ -54,7 +54,8 @@ from .terms import (
     SigmaCode, Snd, Sum, SumCode, Term, TickAbs, TickApp, Univ, Var,
     alpha_eq, clock_subst, free_names, fresh, rename, subst, tick_subst,
 )
-from .terms import _PLANS, _rebuild, BIND_CLOCK, BIND_TICK, NAME_CLOCK, TERM
+from .terms import (_PLANS, _rebuild, BIND_CLOCK, BIND_TICK, BIND_VAR,
+                    NAME_CLOCK, TERM)
 
 
 class TypeCheckError(Exception):
@@ -146,9 +147,6 @@ class Context:
 
     def __contains__(self, name: str) -> bool:
         return name in self.decls or self._find(name) is not None
-
-    def names(self) -> frozenset[str]:
-        return frozenset([e.name for e in self.entries])
 
     def bind_var(self, name: str, type_: Term | None) -> Context:
         return Context(self.decls, VarEntry(name, type_), self)
@@ -387,62 +385,33 @@ def _require_equal(ctx: Context, t: Term, u: Term, fuel: Fuel, rule: str) -> Non
                              f"with {show_term(u)}")
 
 
+def _require_clock(ctx: Context, k: str, rule: str) -> None:
+    if not ctx.has_clock(k):
+        raise TypeCheckError(rule, f"clock {k!r} not in context")
+
+
 # ---------------------------------------------------------------------------
 # Type validity
 # ---------------------------------------------------------------------------
 
 def is_type(ctx: Context, a: Term, fuel: Fuel) -> None:
+    """A universe over clocks in context, unit or empty, a type former by
+    the former rule, or the decoding of a code or of a proposition."""
     aw, _ = whnf(ctx, a, fuel)
-    if isinstance(aw, (Univ, PropU)):
+    cls = type(aw)
+    if cls is Univ or cls is PropU:
         for k in aw.clocks:
-            if not ctx.has_clock(k):
-                raise TypeCheckError("univ-form",
-                                     f"clock {k!r} not in context")
-        return
-    if isinstance(aw, Const) and aw.name in ("unit", "empty"):
-        return
-    if isinstance(aw, Pi) or isinstance(aw, Sigma):
-        is_type(ctx, aw.dom, fuel)
-        # `_` binds nothing, so binding it twice shadows no reference
-        name, cod = ("_", aw.cod) if aw.name == "_" else \
-            _fresh_binder(ctx, aw.name, aw.cod)
-        is_type(ctx.bind_var(name, aw.dom), cod, fuel)
-        return
-    if isinstance(aw, Sum):
-        is_type(ctx, aw.left, fuel)
-        is_type(ctx, aw.right, fuel)
-        return
-    if isinstance(aw, Id):
-        is_type(ctx, aw.type_, fuel)
-        check(ctx, aw.lhs, aw.type_, fuel)
-        check(ctx, aw.rhs, aw.type_, fuel)
-        return
-    if isinstance(aw, Later):
-        if not ctx.has_clock(aw.clock):
-            raise TypeCheckError("later-form",
-                                 f"clock {aw.clock!r} not in context")
-        name, body = _fresh_binder(ctx, aw.tick, aw.body)
-        is_type(ctx.bind_tick(name, aw.clock), body, fuel)
-        return
-    if isinstance(aw, Forall):
-        name, body = _fresh_binder(ctx, aw.clock, aw.body)
-        is_type(ctx.bind_clock(name), body, fuel)
-        return
-    if isinstance(aw, El):
-        u = infer(ctx, aw.code, fuel)
-        uw, _ = whnf(ctx, u, fuel)
-        if not isinstance(uw, Univ):
-            raise TypeCheckError("el-form", "El expects a universe code, "
-                                 f"got one of type {show_term(uw)}")
-        return
-    if isinstance(aw, Prf):
-        u = infer(ctx, aw.prop, fuel)
-        uw, _ = whnf(ctx, u, fuel)
-        if not isinstance(uw, PropU):
-            raise TypeCheckError("prf-form", "Prf expects a proposition, "
-                                 f"got one of type {show_term(uw)}")
-        return
-    raise TypeCheckError("type-form", f"{show_term(aw)} is not a type")
+            _require_clock(ctx, k, "univ-form")
+    elif cls in _TYPE_FORMERS:
+        _check_former(ctx, aw, None, fuel)
+    elif cls in _DECODINGS:
+        universe, rule, what = _DECODINGS[cls]
+        uw, _ = whnf(ctx, infer(ctx, getattr(aw, _HEADS[cls]), fuel), fuel)
+        if type(uw) is not universe:
+            raise TypeCheckError(rule, f"{what}, got one of type "
+                                 f"{show_term(uw)}")
+    elif not (cls is Const and aw.name in ("unit", "empty")):
+        raise TypeCheckError("type-form", f"{show_term(aw)} is not a type")
 
 
 def _fresh_binder(ctx: Context, name: str, body: Term) -> tuple[str, Term]:
@@ -502,61 +471,50 @@ def axioms() -> list[tuple[str, Term]]:
 # ---------------------------------------------------------------------------
 
 def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         ty = ctx.lookup_var(t.name)
         if ty is None:
             raise TypeCheckError("var", f"variable {t.name!r} not in context"
                                  if not ctx.has_var(t.name)
                                  else f"variable {t.name!r} is opaque here")
         return ty
-    if isinstance(t, Const):
+    if cls is Const:
         if t.name == "tt":
             return Const("unit")
         if t.name in ("tirr", "cirr", "force"):
             return _axiom_types()[t.name]
         raise TypeCheckError("infer", f"constant {t.name!r} cannot be "
                              "inferred; annotate or use check mode")
-    if isinstance(t, Ann):
+    if cls is Ann:
         is_type(ctx, t.type_, fuel)
         check(ctx, t.term, t.type_, fuel)
         return t.type_
-    if isinstance(t, App):
-        if isinstance(t.fn, Const) and t.fn.name == "fix":
-            return _infer_fix_app(ctx, t.arg, fuel)
-        fty = infer(ctx, t.fn, fuel)
-        fw, _ = whnf(ctx, fty, fuel)
-        if not isinstance(fw, Pi):
-            raise TypeCheckError("app", f"applying a non-function of type "
-                                 f"{show_term(fw)}")
-        check(ctx, t.arg, fw.dom, fuel)
-        return _instantiate(fw.cod, fw.name, t.arg)
-    if isinstance(t, Fst):
-        pty = infer(ctx, t.arg, fuel)
-        pw, _ = whnf(ctx, pty, fuel)
-        if not isinstance(pw, Sigma):
-            raise TypeCheckError("fst", f"projection from non-pair type "
-                                 f"{show_term(pw)}")
-        return pw.dom
-    if isinstance(t, Snd):
-        pty = infer(ctx, t.arg, fuel)
-        pw, _ = whnf(ctx, pty, fuel)
-        if not isinstance(pw, Sigma):
-            raise TypeCheckError("snd", f"projection from non-pair type "
-                                 f"{show_term(pw)}")
-        return _instantiate(pw.cod, pw.name, Fst(t.arg))
-    if isinstance(t, TickAbs):
-        if not ctx.has_clock(t.clock):
-            raise TypeCheckError("tick-abs",
-                                 f"clock {t.clock!r} not in context")
-        name, body = _fresh_binder(ctx, t.tick, t.body)
-        bty = infer(ctx.bind_tick(name, t.clock), body, fuel)
-        return Later(name, t.clock, bty)
-    if isinstance(t, TickApp):
-        kappa = ctx.lookup_tick(t.tick)
-        if kappa is None:
-            raise TypeCheckError("tick-app",
-                                 f"tick {t.tick!r} not in context")
-        prefix = ctx.split_at_tick(t.tick)
+    if cls is App and type(t.fn) is Const and t.fn.name == "fix":
+        gw, _ = whnf(ctx, infer(ctx, t.arg, fuel), fuel)
+        if not (type(gw) is Pi and type(gw.dom) is Later):
+            raise TypeCheckError("fix", "fix expects an argument of type "
+                                 "(later k A) -> A, got " + show_term(gw))
+        _fix_rule(ctx, gw.dom, [gw], fuel)
+        return gw.cod
+    if cls in _ELIMS:
+        # the head's type reduces to the former, and the type is read off it
+        former, rule, what, result = _ELIMS[cls]
+        if cls is ClockApp:
+            _require_clock(ctx, t.clock, rule)
+        w, _ = whnf(ctx, infer(ctx, getattr(t, _HEADS[cls]), fuel), fuel)
+        if type(w) is not former:
+            raise TypeCheckError(rule, f"{what} {show_term(w)}")
+        if cls is App:
+            check(ctx, t.arg, w.dom, fuel)
+        return result(t, w)
+    if cls is TickAbs:
+        _require_clock(ctx, t.clock, "tick-abs")
+        inner, z, body = _open(ctx, t, "tick", t.body)
+        return Later(z, t.clock, infer(inner, body, fuel))
+    if cls is TickApp:
+        # the prefix before the tick, or the error that the tick is unbound
+        prefix, kappa = ctx.split_at_tick(t.tick), ctx.lookup_tick(t.tick)
         fty = infer(prefix, t.fn, fuel)
         fw, _ = whnf(prefix, fty, fuel)
         if not (isinstance(fw, Later) and fw.clock == kappa):
@@ -564,28 +522,15 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
                 "tick-app", f"tick application needs a delayed value on "
                 f"clock {kappa!r}, got type {show_term(fw)}")
         return tick_subst(fw.body, fw.tick, t.tick)
-    if isinstance(t, ClockAbs):
-        name, body = _fresh_binder(ctx, t.clock, t.body)
-        bty = infer(ctx.bind_clock(name), body, fuel)
-        return Forall(name, bty)
-    if isinstance(t, ClockApp):
-        if not ctx.has_clock(t.clock):
-            raise TypeCheckError("clock-app",
-                                 f"clock {t.clock!r} not in context")
-        fty = infer(ctx, t.fn, fuel)
-        fw, _ = whnf(ctx, fty, fuel)
-        if not isinstance(fw, Forall):
-            raise TypeCheckError("clock-app",
-                                 f"clock application to a value of type "
-                                 f"{show_term(fw)}")
-        return clock_subst(fw.body, fw.clock, t.clock)
-    if isinstance(t, Incl):
+    if cls is ClockAbs:
+        inner, z, body = _open(ctx, t, "clock", t.body)
+        return Forall(z, infer(inner, body, fuel))
+    if cls is Incl:
         if not set(t.small) <= set(t.big):
             raise TypeCheckError("incl", "inclusion requires the small clock "
                                  "set to be contained in the big one")
         for k in t.big:
-            if not ctx.has_clock(k):
-                raise TypeCheckError("incl", f"clock {k!r} not in context")
+            _require_clock(ctx, k, "incl")
         cty = infer(ctx, t.code, fuel)
         cw, _ = whnf(ctx, cty, fuel)
         if isinstance(cw, Univ) and set(cw.clocks) <= set(t.small):
@@ -594,115 +539,84 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
             return PropU(t.big)
         raise TypeCheckError("incl", f"cannot include a code of type "
                              f"{show_term(cw)} into U{{{', '.join(t.big)}}}")
-    if type(t) in _INFERRED_FORMERS:
-        # the first part's universe is the former's, for the other parts
-        first = _PLANS[type(t)].terms[0][0]
-        u = _FORMERS[type(t)](_infer_universe(ctx, getattr(t, first), fuel))
-        _check_former(ctx, t, u, fuel, 1)
+    if cls in _FORMERS:
+        # the universe of the first part, under its binder and less a clock
+        # that binder binds, is the former's, for the other parts
+        plan = _PLANS[cls]
+        first, binder = plan.terms[0]
+        inner, part = ctx, getattr(t, first)
+        if binder is not None:
+            if cls in _DELAY_RULES:
+                _require_clock(ctx, t.clock, _DELAY_RULES[cls])
+            inner, z, part = _open(ctx, t, binder, part)
+        clocks = _infer_universe(inner, part, fuel,
+                                 _FIRST_PARTS.get(cls, "code"))
+        if binder is not None and plan.roles[binder] == BIND_CLOCK:
+            clocks = tuple(k for k in clocks if k != z)
+        u = _FORMERS[cls](clocks)
+        _check_former(ctx, t, u, fuel, first)
         return u
-    if isinstance(t, LaterCode):
-        name, body = _fresh_binder(ctx, t.tick, t.body)
-        if not ctx.has_clock(t.clock):
-            raise TypeCheckError("later-code",
-                                 f"clock {t.clock!r} not in context")
-        d = _infer_universe(ctx.bind_tick(name, t.clock), body, fuel)
-        if t.clock not in d:
-            raise TypeCheckError(
-                "later-code", f"universe U{{{', '.join(d)}}} is not closed "
-                f"under delay on clock {t.clock!r}")
-        return Univ(d)
-    if isinstance(t, ForallCode):
-        name, body = _fresh_binder(ctx, t.clock, t.body)
-        d = _infer_universe(ctx.bind_clock(name), body, fuel)
-        return Univ(tuple(k for k in d if k != name))
-    if isinstance(t, PLater):
-        name, body = _fresh_binder(ctx, t.tick, t.body)
-        if not ctx.has_clock(t.clock):
-            raise TypeCheckError("plater",
-                                 f"clock {t.clock!r} not in context")
-        pty = infer(ctx.bind_tick(name, t.clock), body, fuel)
-        pw, _ = whnf(ctx, pty, fuel)
-        if not isinstance(pw, PropU):
-            raise TypeCheckError("plater", "expected a proposition")
-        if t.clock not in pw.clocks:
-            raise TypeCheckError(
-                "plater", f"Prop{{{', '.join(pw.clocks)}}} is not closed "
-                f"under delay on clock {t.clock!r}")
-        return pty
-    if isinstance(t, PForallClk):
-        name, body = _fresh_binder(ctx, t.clock, t.body)
-        pty = infer(ctx.bind_clock(name), body, fuel)
-        pw, _ = whnf(ctx, pty, fuel)
-        if not isinstance(pw, PropU):
-            raise TypeCheckError("pforall-clk", "expected a proposition")
-        return PropU(tuple(k for k in pw.clocks if k != name))
-    if isinstance(t, (PAnd, POr)):
-        l = infer(ctx, t.left, fuel)
-        lw, _ = whnf(ctx, l, fuel)
-        if not isinstance(lw, PropU):
-            raise TypeCheckError("pconn", "expected a proposition")
-        check(ctx, t.right, lw, fuel)
-        return lw
     raise TypeCheckError("infer", f"cannot infer a type for "
                          f"{show_term(t)}; use an annotation")
 
 
-def _infer_universe(ctx: Context, code: Term, fuel: Fuel) -> tuple[str, ...]:
-    u = infer(ctx, code, fuel)
-    uw, _ = whnf(ctx, u, fuel)
-    if not isinstance(uw, Univ):
-        raise TypeCheckError("code", f"expected a universe code, got a term "
-                             f"of type {show_term(uw)}")
+def _infer_universe(ctx: Context, part: Term, fuel: Fuel,
+                    rule: str = "code") -> tuple[str, ...]:
+    """The clocks of the universe that part lies in: one of codes under
+    the rule `code`, one of propositions under the others."""
+    uw, _ = whnf(ctx, infer(ctx, part, fuel), fuel)
+    if type(uw) is not (Univ if rule == "code" else PropU):
+        raise TypeCheckError(rule, "expected a proposition" if rule != "code"
+                             else "expected a universe code, got a term of "
+                             f"type {show_term(uw)}")
     return uw.clocks
 
 
-def _infer_fix_app(ctx: Context, g: Term, fuel: Fuel) -> Term:
-    gty = infer(ctx, g, fuel)
-    gw, _ = whnf(ctx, gty, fuel)
-    if not (isinstance(gw, Pi) and isinstance(gw.dom, Later)):
-        raise TypeCheckError("fix", "fix expects an argument of type "
-                             "(later k A) -> A, got " + show_term(gw))
-    lat = gw.dom
-    if not ctx.has_clock(lat.clock):
-        raise TypeCheckError("fix", f"clock {lat.clock!r} not in context")
+def _fix_rule(ctx: Context, lat: Later, fns: list[Pi], fuel: Fuel) -> None:
+    """The side conditions of `fix` at the delay lat and the functions fns,
+    innermost first: lat's clock is in the context, none of them depends
+    on its binder, and lat's type and fns' codomains convert in turn."""
+    _require_clock(ctx, lat.clock, "fix")
     if lat.tick in free_names(lat.body).ticks:
         raise TypeCheckError("fix", "fix requires a non-dependent delay")
-    if gw.name in free_names(gw.cod).vars:
+    if any(f.name in free_names(f.cod).vars for f in fns):
         raise TypeCheckError("fix", "fix requires a non-dependent function")
-    _require_equal(ctx, lat.body, gw.cod, fuel, "fix")
-    return gw.cod
+    cods = [f.cod for f in fns]
+    for a, b in zip([lat.body, *cods], cods):
+        _require_equal(ctx, a, b, fuel, "fix")
 
 
 def check(ctx: Context, t: Term, a: Term, fuel: Fuel) -> None:
     aw, _ = whnf(ctx, a, fuel)
-    if isinstance(t, Lam):
-        if not isinstance(aw, Pi):
-            raise TypeCheckError("lam", f"a function cannot have type "
+    cls = type(t)
+    if cls in _INTROS:
+        former, rule, noun, typed_by = _INTROS[cls]
+        if type(aw) is not former:
+            raise TypeCheckError(rule, f"{noun} cannot have type "
                                  f"{show_term(aw)}")
-        name, body = _fresh_binder(ctx, t.name, t.body)
-        cod = _instantiate(aw.cod, aw.name, Var(name))
-        check(ctx.bind_var(name, aw.dom), body, cod, fuel)
+        # each entry against the former's part that types it: a clock agrees
+        # and is in the context, an abstraction's body is opened under its
+        # type's binder, and a pair's second component is typed at the first
+        last = None
+        for field, role, binder, ffield, fbinder in typed_by:
+            part, target, inner = getattr(t, field), getattr(aw, ffield), ctx
+            if role == NAME_CLOCK:
+                if part != target:
+                    raise TypeCheckError(rule, f"clock mismatch: abstraction "
+                                         f"on {part!r}, type on {target!r}")
+                _require_clock(ctx, part, rule)
+                continue
+            if binder is not None:
+                z, part = _fresh_binder(ctx, getattr(t, binder), part)
+                inner, x = _bind(ctx, aw, fbinder, z), getattr(aw, fbinder)
+                target = _instantiate(target, x, Var(z)) if cls is Lam else \
+                    rename(target, {x: z})
+            elif fbinder is not None:
+                target = _instantiate(target, getattr(aw, fbinder), last)
+            check(inner, part, target, fuel)
+            last = part
         return
-    if isinstance(t, Pair):
-        if not isinstance(aw, Sigma):
-            raise TypeCheckError("pair", f"a pair cannot have type "
-                                 f"{show_term(aw)}")
-        check(ctx, t.fst, aw.dom, fuel)
-        check(ctx, t.snd, _instantiate(aw.cod, aw.name, t.fst), fuel)
-        return
-    if isinstance(t, Inl):
-        if not isinstance(aw, Sum):
-            raise TypeCheckError("inl", f"an injection cannot have type "
-                                 f"{show_term(aw)}")
-        check(ctx, t.arg, aw.left, fuel)
-        return
-    if isinstance(t, Inr):
-        if not isinstance(aw, Sum):
-            raise TypeCheckError("inr", f"an injection cannot have type "
-                                 f"{show_term(aw)}")
-        check(ctx, t.arg, aw.right, fuel)
-        return
-    if isinstance(t, Case):
+    if cls is Case:
         sty = infer(ctx, t.scrut, fuel)
         sw, _ = whnf(ctx, sty, fuel)
         if not isinstance(sw, Sum):
@@ -713,29 +627,7 @@ def check(ctx: Context, t: Term, a: Term, fuel: Fuel) -> None:
         rname, right = _fresh_binder(ctx, t.rname, t.right)
         check(ctx.bind_var(rname, sw.right), right, aw, fuel)
         return
-    if isinstance(t, TickAbs):
-        if not isinstance(aw, Later):
-            raise TypeCheckError("tick-abs", f"a tick abstraction cannot "
-                                 f"have type {show_term(aw)}")
-        if aw.clock != t.clock:
-            raise TypeCheckError("tick-abs", f"clock mismatch: abstraction "
-                                 f"on {t.clock!r}, type on {aw.clock!r}")
-        if not ctx.has_clock(t.clock):
-            raise TypeCheckError("tick-abs",
-                                 f"clock {t.clock!r} not in context")
-        name, body = _fresh_binder(ctx, t.tick, t.body)
-        target = tick_subst(aw.body, aw.tick, name)
-        check(ctx.bind_tick(name, t.clock), body, target, fuel)
-        return
-    if isinstance(t, ClockAbs):
-        if not isinstance(aw, Forall):
-            raise TypeCheckError("clock-abs", f"a clock abstraction cannot "
-                                 f"have type {show_term(aw)}")
-        name, body = _fresh_binder(ctx, t.clock, t.body)
-        target = clock_subst(aw.body, aw.clock, name)
-        check(ctx.bind_clock(name), body, target, fuel)
-        return
-    if isinstance(t, Const):
+    if cls is Const:
         if t.name == "refl":
             if not isinstance(aw, Id):
                 raise TypeCheckError("refl", f"refl cannot have type "
@@ -743,69 +635,94 @@ def check(ctx: Context, t: Term, a: Term, fuel: Fuel) -> None:
             _require_equal(ctx, aw.lhs, aw.rhs, fuel, "refl")
             return
         if t.name == "fix":
-            _check_fix_constant(ctx, aw, fuel)
+            inner = whnf(ctx, aw.dom, fuel)[0] if type(aw) is Pi else None
+            lat = whnf(ctx, inner.dom, fuel)[0] if type(inner) is Pi else None
+            if type(lat) is not Later:
+                raise TypeCheckError("fix", f"fix cannot have type "
+                                     f"{show_term(aw)}; expected "
+                                     "((later k A) -> A) -> A")
+            _fix_rule(ctx, lat, [inner, aw], fuel)
             return
         if t.name in ("ptop", "pbot"):
             if not isinstance(aw, PropU):
                 raise TypeCheckError("pconst", f"{t.name} is a proposition, "
                                      f"not a {show_term(aw)}")
             return
-    if _FORMERS.get(type(t)) is type(aw):
+    if _FORMERS.get(cls) is type(aw):
         _check_former(ctx, t, aw, fuel)
         return
     inferred = infer(ctx, t, fuel)
     _require_equal(ctx, inferred, aw, fuel, "conv")
 
 
-def _check_fix_constant(ctx: Context, aw: Term, fuel: Fuel) -> None:
-    inner = whnf(ctx, aw.dom, fuel)[0] if isinstance(aw, Pi) else None
-    lat = whnf(ctx, inner.dom, fuel)[0] if isinstance(inner, Pi) else None
-    if not isinstance(lat, Later):
-        raise TypeCheckError("fix", f"fix cannot have type {show_term(aw)}; "
-                             "expected ((later k A) -> A) -> A")
-    if not ctx.has_clock(lat.clock):
-        raise TypeCheckError("fix", f"clock {lat.clock!r} not in context")
-    if lat.tick in free_names(lat.body).ticks:
-        raise TypeCheckError("fix", "fix requires a non-dependent delay")
-    _require_equal(ctx, lat.body, inner.cod, fuel, "fix")
-    _require_equal(ctx, inner.cod, aw.cod, fuel, "fix")
-
-
-# the universe each code and proposition former lives in, the formers
-# whose type `infer` reads off their first part, and the rules naming the
-# side conditions: a delay's clock, and the domain of a quantifier or an
-# equation proposition
+# the universe each code and proposition former lives in, and the type
+# formers; the rules naming the side conditions: a delay's clock, the
+# domain of a quantifier or an equation proposition, a first part that
+# must be a proposition, and the universe of El's code or Prf's proposition
 _FORMERS = {**dict.fromkeys((SumCode, PiCode, SigmaCode, IdCode, LaterCode,
                              ForallCode), Univ),
             **dict.fromkeys((PAnd, POr, PExists, PForall, PEq, PLater,
                              PForallClk), PropU)}
-_INFERRED_FORMERS = frozenset((SumCode, PiCode, SigmaCode, IdCode, PExists,
-                               PForall, PEq))
-_DELAY_RULES = {LaterCode: "later-code", PLater: "plater"}
+_TYPE_FORMERS = frozenset((Pi, Sigma, Sum, Id, Later, Forall))
+_DELAY_RULES = {Later: "later-form", LaterCode: "later-code", PLater: "plater"}
 _DOMAIN_RULES = {PExists: ("pquant", "quantification"),
                  PForall: ("pquant", "quantification"),
                  PEq: ("peq", "equality")}
+_FIRST_PARTS = {PLater: "plater", PForallClk: "pforall-clk", PAnd: "pconn",
+                POr: "pconn"}
+_DECODINGS = {El: (Univ, "el-form", "El expects a universe code"),
+              Prf: (PropU, "prf-form", "Prf expects a proposition")}
+# introduction -> (its type's former, rule, noun, and per entry of the
+# introduction its field, role and binder, the former's field that types
+# it, and the binder over that field)
+_INTROS = {cls: (former, rule, noun, tuple(
+               (*entry, f, dict(_PLANS[former].terms).get(f))
+               for entry, f in zip(_PLANS[cls].entries, fields)))
+           for cls, (former, rule, noun, fields) in {
+               Lam: (Pi, "lam", "a function", ("cod",)),
+               Pair: (Sigma, "pair", "a pair", ("dom", "cod")),
+               Inl: (Sum, "inl", "an injection", ("left",)),
+               Inr: (Sum, "inr", "an injection", ("right",)),
+               TickAbs: (Later, "tick-abs", "a tick abstraction",
+                         ("clock", "body")),
+               ClockAbs: (Forall, "clock-abs", "a clock abstraction",
+                          ("body",))}.items()}
+# eliminator -> (the former its head's type reduces to, rule, message, its
+# type given the eliminator t and the head's reduced type w)
+_ELIMS = {
+    App: (Pi, "app", "applying a non-function of type",
+          lambda t, w: _instantiate(w.cod, w.name, t.arg)),
+    Fst: (Sigma, "fst", "projection from non-pair type", lambda t, w: w.dom),
+    Snd: (Sigma, "snd", "projection from non-pair type",
+          lambda t, w: _instantiate(w.cod, w.name, Fst(t.arg))),
+    ClockApp: (Forall, "clock-app", "clock application to a value of type",
+               lambda t, w: clock_subst(w.body, w.clock, t.clock)),
+}
 
 
-def _check_former(ctx: Context, t: Term, u: Term, fuel: Fuel,
-                  start: int = 0) -> None:
-    """Check the parts of the former t, from its start-th on in spec order,
-    for t to lie in the universe u.  The sides of an equation have the
-    decoding of its code as type; the domain of a proposition is a code of
-    a universe within u; a delay's clock lies in u; a clock binder widens
-    u by the clock for its body; every other part lies in u, under the
-    binder scoping over it."""
+def _check_former(ctx: Context, t: Term, u: Term | None, fuel: Fuel,
+                  done: str | None = None) -> None:
+    """Check the parts of the former t but `done`, in spec order, for t to
+    be a type if u is None and to lie in the universe u otherwise.  A
+    delay's clock is in the context, or in u; an equation's sides have its
+    type, or its code's decoding, as type; a proposition's domain is a code
+    of a universe within u; any other part is a type, or lies in u (widened
+    by a clock binder over it), under the binder scoping over it."""
     cls, plan = type(t), _PLANS[type(t)]
-    for field, role, binder in plan.entries[start:]:
+    for field, role, binder in plan.entries:
+        if field == done:
+            continue
         part = getattr(t, field)
         if role == NAME_CLOCK:
-            if part not in u.clocks:
+            if u is None:
+                _require_clock(ctx, part, _DELAY_RULES[cls])
+            elif part not in u.clocks:
                 where = show_term(u) if type(u) is PropU else \
                     f"universe {show_term(u)}"
                 raise TypeCheckError(_DELAY_RULES[cls], f"{where} is not "
                                      f"closed under delay on clock {part!r}")
         elif field in ("lhs", "rhs"):
-            check(ctx, part, El(t.code), fuel)
+            check(ctx, part, t.type_ if u is None else El(t.code), fuel)
         elif binder is None and cls in _DOMAIN_RULES:
             d = _infer_universe(ctx, part, fuel)
             if not set(d) <= set(u.clocks):
@@ -816,11 +733,24 @@ def _check_former(ctx: Context, t: Term, u: Term, fuel: Fuel,
         else:
             inner, target = ctx, u
             if binder is not None:
-                z, part = _fresh_binder(ctx, getattr(t, binder), part)
-                inner = _bind(ctx, t, binder, z)
-                if plan.roles[binder] == BIND_CLOCK:
+                inner, z, part = _open(ctx, t, binder, part)
+                if u is not None and plan.roles[binder] == BIND_CLOCK:
                     target = type(u)(u.clocks + (z,))
-            check(inner, part, target, fuel)
+            if u is None:
+                is_type(inner, part, fuel)
+            else:
+                check(inner, part, target, fuel)
+
+
+def _open(ctx: Context, t: Term, binder: str,
+          part: Term) -> tuple[Context, str, Term]:
+    """ctx extended by the binder field `binder` of the former t, the name
+    it binds there, and part under it.  A variable binder `_` binds
+    nothing the parts mention, so it is bound again as it is."""
+    z = getattr(t, binder)
+    if z != "_" or _PLANS[type(t)].roles[binder] != BIND_VAR:
+        z, part = _fresh_binder(ctx, z, part)
+    return _bind(ctx, t, binder, z), z, part
 
 
 # ---------------------------------------------------------------------------

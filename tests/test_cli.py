@@ -83,6 +83,32 @@ def test_check_fuel_exhaustion_is_unknown(tmp_path):
     assert run(["check", str(f), "--fuel", "1"]) == 0
 
 
+# `fix` at a codomain that mentions the function's binder, though it
+# reduces to one that does not: the constant's inner function, its outer
+# function, and an applied `fix`'s argument
+_DEPENDENT_FIX = [
+    "((d : later (a : k) -> unit) -> (fun _ -> unit) d) -> unit = "
+    "clock k -> fix",
+    "(g : (later (a : k) -> unit) -> unit) -> (fun _ -> unit) g = "
+    "clock k -> fix",
+    "unit = clock k -> fix ((fun d -> tt) : "
+    "(d : later (a : k) -> unit) -> (fun _ -> unit) d)",
+]
+
+
+@pytest.mark.parametrize("decl", _DEPENDENT_FIX)
+def test_fix_requires_non_dependent_functions(tmp_path, decl):
+    # the constant and the applied `fix` share one rule, and it rejects all
+    # three
+    f = tmp_path / "fix.clott"
+    f.write_text(f"def f : forall-clk k -> {decl}\n")
+    code, doc = run_json(["check", str(f)], tmp_path)
+    assert code == 1
+    assert [(c["verdict"], c["evidence"]) for c in doc["checks"]] == [
+        ("fail", {"rule": "fix",
+                  "message": "[fix] fix requires a non-dependent function"})]
+
+
 def test_eval_whnf(capsys):
     assert run(["eval", "(fun x -> x) tt"]) == 0
     assert "tt" in capsys.readouterr().out

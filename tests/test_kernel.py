@@ -16,6 +16,7 @@ from clott.kernel import (Context, Fuel, TypeCheckError, UnknownConversion,
                           Verdict, axioms, check, check_declarations,
                           convert, infer, is_type, whnf)
 from clott.parser import parse_declarations, parse_term
+from clott.printer import show_term
 from clott.terms import alpha_eq, free_names, fresh, rename
 
 from .strategies import clocks, ticks
@@ -168,6 +169,58 @@ def test_reject_prop_universe_mismatch():
 
 def test_reject_case_on_non_sum():
     rejected("case tt { inl x -> tt | inr y -> tt }", "unit")
+
+
+# x : unit under the clocks k and k2; k9 is not a clock here
+_REJECTIONS = [
+    ("is_type", "U{k9}", "univ-form", "clock 'k9' not in context"),
+    ("is_type", "later (a : k9) -> unit", "later-form",
+     "clock 'k9' not in context"),
+    ("is_type", "tt", "type-form", "tt is not a type"),
+    ("is_type", "El x", "el-form",
+     "El expects a universe code, got one of type unit"),
+    ("is_type", "Prf x", "prf-form",
+     "Prf expects a proposition, got one of type unit"),
+    ("infer", "pforall-clk k3 -> x", "pforall-clk", "expected a proposition"),
+    ("infer", "x /\\ ptop", "pconn", "expected a proposition"),
+    ("infer", "x \\/ ptop", "pconn", "expected a proposition"),
+    ("infer", "plater (a : k) -> x", "plater", "expected a proposition"),
+    ("infer", "plater (a : k9) -> ptop", "plater",
+     "clock 'k9' not in context"),
+    ("infer", "clater (a : k9) -> x", "later-code",
+     "clock 'k9' not in context"),
+    ("infer", "cforall k3 -> x", "code",
+     "expected a universe code, got a term of type unit"),
+    ("infer", "x tt", "app", "applying a non-function of type unit"),
+    ("infer", "fst x", "fst", "projection from non-pair type unit"),
+    ("infer", "snd x", "snd", "projection from non-pair type unit"),
+    ("infer", "x @ k", "clock-app",
+     "clock application to a value of type unit"),
+    ("infer", "x @ k9", "clock-app", "clock 'k9' not in context"),
+    ("check", ("fun y -> y", "unit"), "lam",
+     "a function cannot have type unit"),
+    ("check", ("(tt, tt)", "unit"), "pair", "a pair cannot have type unit"),
+    ("check", ("inl tt", "unit"), "inl", "an injection cannot have type unit"),
+    ("check", ("inr tt", "unit"), "inr", "an injection cannot have type unit"),
+    ("check", ("tick a : k -> tt", "unit"), "tick-abs",
+     "a tick abstraction cannot have type unit"),
+    ("check", ("tick a : k -> tt", "later (b : k2) -> unit"), "tick-abs",
+     "clock mismatch: abstraction on 'k', type on 'k2'"),
+    ("check", ("tick a : k9 -> tt", "later (b : k9) -> unit"), "tick-abs",
+     "clock 'k9' not in context"),
+    ("check", ("clock k3 -> tt", "unit"), "clock-abs",
+     "a clock abstraction cannot have type unit"),
+]
+
+
+@pytest.mark.parametrize("judgement,src,rule,message", _REJECTIONS)
+def test_rejection_names_rule_and_message(judgement, src, rule, message):
+    ctx = Context().bind_var("x", T.Const("unit")).bind_clock("k") \
+        .bind_clock("k2")
+    args = [parse_term(s) for s in ((src,) if isinstance(src, str) else src)]
+    with pytest.raises(TypeCheckError) as exc:
+        getattr(kernel, judgement)(ctx, *args, Fuel())
+    assert (exc.value.rule, str(exc.value)) == (rule, f"[{rule}] {message}")
 
 
 # -- conversion ---------------------------------------------------------------
@@ -324,6 +377,11 @@ class ReferenceContext:
         raise TypeCheckError("tick-app", f"tick {name!r} not in context")
 
 
+def _names(ctx):
+    """The names that ctx binds, read off its entries."""
+    return frozenset(e.name for e in ctx.entries)
+
+
 # "n" names a declaration, a variable, a clock and a tick
 _CTX_NAMES = ("x", "y", "n", "k", "k2", "a", "d", "unbound")
 _ctx_types = st.sampled_from([None, T.Const("unit"), T.Var("x")])
@@ -338,7 +396,7 @@ _decl_tables = st.dictionaries(st.sampled_from(["x", "d", "n"]),
 
 
 def _context_answers(ctx):
-    answers = {"entries": ctx.entries, "names": ctx.names()}
+    answers = {"entries": ctx.entries}
     for name in _CTX_NAMES:
         try:
             prefix = ctx.split_at_tick(name).entries
@@ -411,7 +469,7 @@ def test_declarations_match_reference_context(source):
 def reference_open2(ctx, x1, b1, x2, b2):
     """The `_open2` that renamed both bodies to a fresh name at every pair
     of binders, kept as the oracle of the one that keeps names."""
-    avoid = free_names(b1).all() | free_names(b2).all() | ctx.names()
+    avoid = free_names(b1).all() | free_names(b2).all() | _names(ctx)
     z = fresh(x1, avoid)
     return z, rename(b1, {x1: z}), rename(b2, {x2: z})
 
@@ -585,7 +643,7 @@ def reference_conv(ctx, t, u, fuel):
     # eta for functions and pairs
     if isinstance(tw, T.Lam) and not isinstance(uw, T.Lam):
         z = fresh(tw.name, free_names(tw).all() | free_names(uw).all()
-                  | ctx.names())
+                  | _names(ctx))
         body = rename(tw.body, {tw.name: z})
         return soften(conv(ctx.bind_var(z, None), body, T.App(uw, T.Var(z)),
                            fuel), complete)
@@ -897,21 +955,154 @@ def reference_whnf(ctx, t, fuel):
 
 
 _real_check, _real_infer = kernel.check, kernel.infer
-_CHECKED_FORMERS = (T.PAnd, T.POr, T.PExists, T.PForall, T.PEq, T.PLater,
-                    T.PForallClk, T.SumCode, T.PiCode, T.SigmaCode, T.IdCode,
-                    T.LaterCode, T.ForallCode)
-_INFERRED_FORMERS = (T.SumCode, T.PiCode, T.SigmaCode, T.IdCode, T.PExists,
-                     T.PForall, T.PEq)
+_FORMER_CLASSES = (T.PAnd, T.POr, T.PExists, T.PForall, T.PEq, T.PLater,
+                   T.PForallClk, T.SumCode, T.PiCode, T.SigmaCode, T.IdCode,
+                   T.LaterCode, T.ForallCode)
+_INTRO_CLASSES = (T.Lam, T.Pair, T.Inl, T.Inr, T.TickAbs, T.ClockAbs)
+_ELIM_CLASSES = (T.App, T.Fst, T.Snd, T.ClockApp)
+
+
+def _is_fix(t):
+    return isinstance(t, T.Const) and t.name == "fix"
+
+
+def reference_is_type(ctx, a, fuel):
+    """`is_type` with one case per type former and per decoding, kept as
+    the oracle of the former rule for types."""
+    whnf, check, infer = kernel.whnf, kernel.check, kernel.infer
+    is_type, fresh_binder = kernel.is_type, kernel._fresh_binder
+    aw, _ = whnf(ctx, a, fuel)
+    if isinstance(aw, (T.Univ, T.PropU)):
+        for k in aw.clocks:
+            if not ctx.has_clock(k):
+                raise TypeCheckError("univ-form",
+                                     f"clock {k!r} not in context")
+        return
+    if isinstance(aw, T.Const) and aw.name in ("unit", "empty"):
+        return
+    if isinstance(aw, (T.Pi, T.Sigma)):
+        is_type(ctx, aw.dom, fuel)
+        name, cod = ("_", aw.cod) if aw.name == "_" else \
+            fresh_binder(ctx, aw.name, aw.cod)
+        is_type(ctx.bind_var(name, aw.dom), cod, fuel)
+        return
+    if isinstance(aw, T.Sum):
+        is_type(ctx, aw.left, fuel)
+        is_type(ctx, aw.right, fuel)
+        return
+    if isinstance(aw, T.Id):
+        is_type(ctx, aw.type_, fuel)
+        check(ctx, aw.lhs, aw.type_, fuel)
+        check(ctx, aw.rhs, aw.type_, fuel)
+        return
+    if isinstance(aw, T.Later):
+        if not ctx.has_clock(aw.clock):
+            raise TypeCheckError("later-form",
+                                 f"clock {aw.clock!r} not in context")
+        name, body = fresh_binder(ctx, aw.tick, aw.body)
+        is_type(ctx.bind_tick(name, aw.clock), body, fuel)
+        return
+    if isinstance(aw, T.Forall):
+        name, body = fresh_binder(ctx, aw.clock, aw.body)
+        is_type(ctx.bind_clock(name), body, fuel)
+        return
+    if isinstance(aw, T.El):
+        uw, _ = whnf(ctx, infer(ctx, aw.code, fuel), fuel)
+        if not isinstance(uw, T.Univ):
+            raise TypeCheckError("el-form", "El expects a universe code, "
+                                 f"got one of type {show_term(uw)}")
+        return
+    if isinstance(aw, T.Prf):
+        uw, _ = whnf(ctx, infer(ctx, aw.prop, fuel), fuel)
+        if not isinstance(uw, T.PropU):
+            raise TypeCheckError("prf-form", "Prf expects a proposition, "
+                                 f"got one of type {show_term(uw)}")
+        return
+    raise TypeCheckError("type-form", f"{show_term(aw)} is not a type")
+
+
+def reference_fix_conditions(ctx, lat, fns, fuel):
+    """The side conditions of `fix` at the delay lat and the functions fns,
+    innermost first, one check after another."""
+    if not ctx.has_clock(lat.clock):
+        raise TypeCheckError("fix", f"clock {lat.clock!r} not in context")
+    if lat.tick in free_names(lat.body).ticks:
+        raise TypeCheckError("fix", "fix requires a non-dependent delay")
+    for fn in fns:
+        if fn.name in free_names(fn.cod).vars:
+            raise TypeCheckError("fix",
+                                 "fix requires a non-dependent function")
+    kernel._require_equal(ctx, lat.body, fns[0].cod, fuel, "fix")
+    if len(fns) == 2:
+        kernel._require_equal(ctx, fns[0].cod, fns[1].cod, fuel, "fix")
 
 
 def reference_check(ctx, t, a, fuel):
-    """`check` with one case per code and proposition former, kept as the
-    oracle of `kernel._check_former`; other terms go to `kernel.check`."""
-    if not isinstance(t, _CHECKED_FORMERS):
+    """`check` with one case per introduction, code and proposition former
+    and the `fix` constant, kept as the oracle of the introduction rule,
+    `kernel._check_former` and the `fix` rule; other terms go to
+    `kernel.check`."""
+    if not (isinstance(t, _FORMER_CLASSES + _INTRO_CLASSES) or _is_fix(t)):
         return _real_check(ctx, t, a, fuel)
     check, fresh_binder = kernel.check, kernel._fresh_binder
-    infer_universe = kernel._infer_universe
-    aw, _ = kernel.whnf(ctx, a, fuel)
+    infer_universe, inst = kernel._infer_universe, kernel._instantiate
+    whnf = kernel.whnf
+    aw, _ = whnf(ctx, a, fuel)
+    if isinstance(t, T.Lam):
+        if not isinstance(aw, T.Pi):
+            raise TypeCheckError("lam", f"a function cannot have type "
+                                 f"{show_term(aw)}")
+        name, body = fresh_binder(ctx, t.name, t.body)
+        cod = inst(aw.cod, aw.name, T.Var(name))
+        check(ctx.bind_var(name, aw.dom), body, cod, fuel)
+        return
+    if isinstance(t, T.Pair):
+        if not isinstance(aw, T.Sigma):
+            raise TypeCheckError("pair", f"a pair cannot have type "
+                                 f"{show_term(aw)}")
+        check(ctx, t.fst, aw.dom, fuel)
+        check(ctx, t.snd, inst(aw.cod, aw.name, t.fst), fuel)
+        return
+    if isinstance(t, (T.Inl, T.Inr)):
+        if not isinstance(aw, T.Sum):
+            raise TypeCheckError("inl" if isinstance(t, T.Inl) else "inr",
+                                 f"an injection cannot have type "
+                                 f"{show_term(aw)}")
+        check(ctx, t.arg, aw.left if isinstance(t, T.Inl) else aw.right,
+              fuel)
+        return
+    if isinstance(t, T.TickAbs):
+        if not isinstance(aw, T.Later):
+            raise TypeCheckError("tick-abs", f"a tick abstraction cannot "
+                                 f"have type {show_term(aw)}")
+        if aw.clock != t.clock:
+            raise TypeCheckError("tick-abs", f"clock mismatch: abstraction "
+                                 f"on {t.clock!r}, type on {aw.clock!r}")
+        if not ctx.has_clock(t.clock):
+            raise TypeCheckError("tick-abs",
+                                 f"clock {t.clock!r} not in context")
+        name, body = fresh_binder(ctx, t.tick, t.body)
+        target = T.tick_subst(aw.body, aw.tick, name)
+        check(ctx.bind_tick(name, t.clock), body, target, fuel)
+        return
+    if isinstance(t, T.ClockAbs):
+        if not isinstance(aw, T.Forall):
+            raise TypeCheckError("clock-abs", f"a clock abstraction cannot "
+                                 f"have type {show_term(aw)}")
+        name, body = fresh_binder(ctx, t.clock, t.body)
+        target = T.clock_subst(aw.body, aw.clock, name)
+        check(ctx.bind_clock(name), body, target, fuel)
+        return
+    if _is_fix(t):
+        inner = whnf(ctx, aw.dom, fuel)[0] if isinstance(aw, T.Pi) else None
+        lat = whnf(ctx, inner.dom, fuel)[0] if isinstance(inner, T.Pi) \
+            else None
+        if not isinstance(lat, T.Later):
+            raise TypeCheckError("fix", f"fix cannot have type "
+                                 f"{show_term(aw)}; expected "
+                                 "((later k A) -> A) -> A")
+        reference_fix_conditions(ctx, lat, [inner, aw], fuel)
+        return
     if isinstance(t, (T.PAnd, T.POr)) and isinstance(aw, T.PropU):
         check(ctx, t.left, aw, fuel)
         check(ctx, t.right, aw, fuel)
@@ -977,12 +1168,47 @@ def reference_check(ctx, t, a, fuel):
 
 
 def reference_infer(ctx, t, fuel):
-    """`infer` with one case per former whose first part gives its
-    universe; other terms go to `kernel.infer`."""
-    if not isinstance(t, _INFERRED_FORMERS):
+    """`infer` with one case per eliminator and per code and proposition
+    former, kept as the oracle of the elimination rule, of reading a
+    former's universe off its first part and of the `fix` rule; other
+    terms go to `kernel.infer`."""
+    if not isinstance(t, _FORMER_CLASSES + _ELIM_CLASSES):
         return _real_infer(ctx, t, fuel)
-    check, fresh_binder = kernel.check, kernel._fresh_binder
-    infer_universe = kernel._infer_universe
+    check, fresh_binder, whnf = kernel.check, kernel._fresh_binder, kernel.whnf
+    infer, infer_universe = kernel.infer, kernel._infer_universe
+    inst = kernel._instantiate
+    if isinstance(t, T.App) and _is_fix(t.fn):
+        gw, _ = whnf(ctx, infer(ctx, t.arg, fuel), fuel)
+        if not (isinstance(gw, T.Pi) and isinstance(gw.dom, T.Later)):
+            raise TypeCheckError("fix", "fix expects an argument of type "
+                                 "(later k A) -> A, got " + show_term(gw))
+        reference_fix_conditions(ctx, gw.dom, [gw], fuel)
+        return gw.cod
+    if isinstance(t, T.App):
+        fw, _ = whnf(ctx, infer(ctx, t.fn, fuel), fuel)
+        if not isinstance(fw, T.Pi):
+            raise TypeCheckError("app", f"applying a non-function of type "
+                                 f"{show_term(fw)}")
+        check(ctx, t.arg, fw.dom, fuel)
+        return inst(fw.cod, fw.name, t.arg)
+    if isinstance(t, (T.Fst, T.Snd)):
+        rule = "fst" if isinstance(t, T.Fst) else "snd"
+        pw, _ = whnf(ctx, infer(ctx, t.arg, fuel), fuel)
+        if not isinstance(pw, T.Sigma):
+            raise TypeCheckError(rule, f"projection from non-pair type "
+                                 f"{show_term(pw)}")
+        return pw.dom if rule == "fst" else \
+            inst(pw.cod, pw.name, T.Fst(t.arg))
+    if isinstance(t, T.ClockApp):
+        if not ctx.has_clock(t.clock):
+            raise TypeCheckError("clock-app",
+                                 f"clock {t.clock!r} not in context")
+        fw, _ = whnf(ctx, infer(ctx, t.fn, fuel), fuel)
+        if not isinstance(fw, T.Forall):
+            raise TypeCheckError("clock-app",
+                                 f"clock application to a value of type "
+                                 f"{show_term(fw)}")
+        return T.clock_subst(fw.body, fw.clock, t.clock)
     if isinstance(t, T.SumCode):
         d = infer_universe(ctx, t.left, fuel)
         check(ctx, t.right, T.Univ(d), fuel)
@@ -1002,15 +1228,60 @@ def reference_infer(ctx, t, fuel):
         name, body = fresh_binder(ctx, t.name, t.body)
         check(ctx.bind_var(name, T.El(t.dom)), body, T.PropU(d), fuel)
         return T.PropU(d)
-    d = infer_universe(ctx, t.code, fuel)
-    check(ctx, t.lhs, T.El(t.code), fuel)
-    check(ctx, t.rhs, T.El(t.code), fuel)
-    return T.PropU(d)
+    if isinstance(t, T.PEq):
+        d = infer_universe(ctx, t.code, fuel)
+        check(ctx, t.lhs, T.El(t.code), fuel)
+        check(ctx, t.rhs, T.El(t.code), fuel)
+        return T.PropU(d)
+    if isinstance(t, T.LaterCode):
+        name, body = fresh_binder(ctx, t.tick, t.body)
+        if not ctx.has_clock(t.clock):
+            raise TypeCheckError("later-code",
+                                 f"clock {t.clock!r} not in context")
+        d = infer_universe(ctx.bind_tick(name, t.clock), body, fuel)
+        if t.clock not in d:
+            raise TypeCheckError(
+                "later-code", f"universe U{{{', '.join(d)}}} is not closed "
+                f"under delay on clock {t.clock!r}")
+        return T.Univ(d)
+    if isinstance(t, T.ForallCode):
+        name, body = fresh_binder(ctx, t.clock, t.body)
+        d = infer_universe(ctx.bind_clock(name), body, fuel)
+        return T.Univ(tuple(k for k in d if k != name))
+    # the body's type is reduced under the body's binder, and `plater`
+    # returns the universe itself, as the codes do
+    if isinstance(t, T.PLater):
+        name, body = fresh_binder(ctx, t.tick, t.body)
+        if not ctx.has_clock(t.clock):
+            raise TypeCheckError("plater",
+                                 f"clock {t.clock!r} not in context")
+        inner = ctx.bind_tick(name, t.clock)
+        pw, _ = whnf(inner, infer(inner, body, fuel), fuel)
+        if not isinstance(pw, T.PropU):
+            raise TypeCheckError("plater", "expected a proposition")
+        if t.clock not in pw.clocks:
+            raise TypeCheckError(
+                "plater", f"Prop{{{', '.join(pw.clocks)}}} is not closed "
+                f"under delay on clock {t.clock!r}")
+        return T.PropU(pw.clocks)
+    if isinstance(t, T.PForallClk):
+        name, body = fresh_binder(ctx, t.clock, t.body)
+        inner = ctx.bind_clock(name)
+        pw, _ = whnf(inner, infer(inner, body, fuel), fuel)
+        if not isinstance(pw, T.PropU):
+            raise TypeCheckError("pforall-clk", "expected a proposition")
+        return T.PropU(tuple(k for k in pw.clocks if k != name))
+    lw, _ = whnf(ctx, infer(ctx, t.left, fuel), fuel)
+    if not isinstance(lw, T.PropU):
+        raise TypeCheckError("pconn", "expected a proposition")
+    check(ctx, t.right, lw, fuel)
+    return lw
 
 
 # the kernel with every rewritten rule replaced by its oracle
 _REFERENCE_KERNEL = {"whnf": reference_whnf, "check": reference_check,
-                     "infer": reference_infer, "_conv": reference_conv}
+                     "infer": reference_infer, "is_type": reference_is_type,
+                     "_conv": reference_conv}
 
 
 def _agrees_with_reference(run, fuel):
@@ -1131,6 +1402,7 @@ _FORMER_CONTEXT = (Context().bind_clock("k1").bind_var("A", T.Univ(()))
                    .bind_var("B", T.Univ(("k1",)))
                    .bind_var("P", T.PropU(())))
 _UNIVERSES = (T.Univ(()), T.Univ(("k1",)), T.PropU(()), T.PropU(("k1",)))
+_TYPING_CONTEXTS = (*_CONTEXTS, _FORMER_CONTEXT, _FIX_CONTEXT)
 _former_leaves = st.sampled_from(
     [T.Var(n) for n in ("A", "B", "P", "x", "y")]
     + [T.Const(n) for n in ("ptop", "pbot", "tt")]
@@ -1172,7 +1444,7 @@ def _typing_outcomes(ctx, t, types, fuel):
 @settings(max_examples=150, deadline=None)
 @given(_formers, _terms, st.integers(0, 3))
 def test_formers_match_reference_check(t, a, fuel):
-    for ctx in (*_CONTEXTS, _FORMER_CONTEXT):
+    for ctx in _TYPING_CONTEXTS:
         _typing_outcomes(ctx, t, (a, *_UNIVERSES), fuel)
 
 
@@ -1183,6 +1455,14 @@ def test_check_matches_reference_check(t, a, fuel):
         _typing_outcomes(ctx, t, (a, *_UNIVERSES), fuel)
 
 
+def _outcome(result):
+    """The rule of a run's type error or unknown conversion, else what it
+    returned: a pass (None) or an inferred type."""
+    return (result[0] if isinstance(result, tuple) else
+            "pass" if result is None else
+            "inferred" if isinstance(result, T.Term) else result)
+
+
 def test_former_outcomes_cover_every_rule():
     # the former strategy reaches passes and the failures of every side
     # condition of the rule, in check mode and in infer mode
@@ -1190,9 +1470,7 @@ def test_former_outcomes_cover_every_rule():
     for t in _examples(_formers, 400):
         for result, _, _ in _typing_outcomes(_FORMER_CONTEXT, t, _UNIVERSES,
                                              3):
-            outcomes.add(result[0] if isinstance(result, tuple) else
-                         "pass" if result is None else
-                         "inferred" if isinstance(result, T.Term) else result)
+            outcomes.add(_outcome(result))
     assert {"pass", "inferred", "later-code", "plater", "pquant", "peq",
             "code", "conv"} <= outcomes, outcomes
 
@@ -1209,3 +1487,183 @@ def _examples(strategy, n):
 
     collect()
     return out
+
+
+# -- type formation, introductions and eliminations --------------------------
+
+# leaves typed in _FORMER_CONTEXT or in _FIX_CONTEXT, where the guarded
+# stream code unfolds `fix` and spends fuel, and leaves typed in neither
+_STREAM = [parse_term(_unfoldings(d, last))
+           for d, last in ((0, "({fix})"), (1, "A"), (1, "({fix})"))]
+_typing_leaves = st.sampled_from(
+    [T.Const(n) for n in ("unit", "empty", "tt", "ptop", "refl", "fix")]
+    + [T.Univ(()), T.Univ(("k",)), T.Univ(("k2",)), T.PropU(("k1",))]
+    + [T.Var(n) for n in ("A", "B", "P", "x")]
+    + [T.El(T.Var("A")), T.El(T.Var("x")), T.El(T.Const("tt")),
+       T.Prf(T.Var("P")), T.Prf(T.Var("A"))]
+    + [cls(T.Const("tt")) for cls in (T.Fst, T.Snd)]
+    + [T.App(T.Const("tt"), T.Const("tt"))]
+    + _STREAM + [T.El(code) for code in _STREAM])
+# k is a clock of _FIX_CONTEXT, k1 of the others, k2 of none
+_typing_clocks = st.sampled_from(["k", "k1", "k2"])
+
+
+def _types_over(ch, parts):
+    return st.one_of(
+        st.tuples(_binder_names, ch, ch).map(lambda t: T.Pi(*t)),
+        st.tuples(_binder_names, ch, ch).map(lambda t: T.Sigma(*t)),
+        st.tuples(ch, ch).map(lambda t: T.Sum(*t)),
+        st.tuples(ch, parts, parts).map(lambda t: T.Id(*t)),
+        st.tuples(ticks, _typing_clocks, ch).map(lambda t: T.Later(*t)),
+        st.tuples(_typing_clocks, ch).map(lambda t: T.Forall(*t)))
+
+
+# type formers over types, codes, terms and other type formers: many parts
+# are ill-typed, many are types
+_types = _types_over(st.one_of(_typing_leaves, st.recursive(
+    _typing_leaves, lambda ch: _types_over(ch, _typing_leaves),
+    max_leaves=5)), _typing_leaves)
+
+
+def _intros_elims_over(ch):
+    return st.one_of(
+        st.tuples(_binder_names, ch).map(lambda t: T.Lam(*t)),
+        st.tuples(ch, ch).map(lambda t: T.Pair(*t)),
+        ch.map(T.Inl), ch.map(T.Inr),
+        st.tuples(ticks, _typing_clocks, ch).map(lambda t: T.TickAbs(*t)),
+        st.tuples(_typing_clocks, ch).map(lambda t: T.ClockAbs(*t)),
+        st.tuples(ch, ch).map(lambda t: T.App(*t)),
+        ch.map(T.Fst), ch.map(T.Snd),
+        st.tuples(ch, _typing_clocks).map(lambda t: T.ClockApp(*t)),
+        st.tuples(ch, _types).map(lambda t: T.Ann(*t)))
+
+
+# introductions, eliminations and formers over the same leaves, with
+# annotated heads
+def _typed_over(ch):
+    return st.one_of(_intros_elims_over(ch), _formers_over(ch))
+
+
+_typed_terms = _typed_over(st.one_of(
+    _typing_leaves, st.recursive(_typing_leaves, _typed_over, max_leaves=5)))
+# (term, type) pairs, well-typed in the contexts that bind their clock and
+# variables: leaves (among them `fix`, equations whose `refl` unfolds `fix`
+# and spends fuel, a dependent pair, its second projection and a dependent
+# application), and every introduction on pairs and elimination of an
+# annotated introduction; and `fix` at the types where it needs
+# non-dependent functions, which it does not have
+_DEPENDENT = "(y : unit) * Id unit y tt"
+_TYPED_LEAVES = [tuple(map(parse_term, pair)) for pair in [
+    ("tt", "unit"), ("refl", "Id unit tt tt"), ("ptop", "Prop{}"),
+    ("A", "U{}"), ("fix", "((later (a : k) -> unit) -> unit) -> unit"),
+    (_unfoldings(0), "U{k}"),
+    ("refl", f"Id U{{k}} ({_unfoldings(0)}) ({_unfoldings(1)})"),
+    ("refl", f"Id U{{k}} ({_unfoldings(1)}) ({_unfoldings(2, 'A')})"),
+    ("(tt, refl)", _DEPENDENT),
+    (f"snd ((tt, refl) : {_DEPENDENT})", "Id unit tt tt"),
+    ("((fun y -> refl) : (y : unit) -> Id unit y y) tt", "Id unit tt tt"),
+    ("fix", "((d : later (a : k) -> unit) -> (fun _ -> unit) d) -> unit"),
+    ("fix", "(g : (later (a : k) -> unit) -> unit) -> (fun _ -> unit) g")]]
+_doms = st.sampled_from([parse_term(src) for src in ("unit", "U{}", "El A")]
+                        + [T.El(code) for code in _STREAM])
+
+
+def _typed_pairs_over(ch):
+    return st.one_of(
+        st.tuples(_binder_names, ch, _doms).map(
+            lambda t: (T.Lam(t[0], t[1][0]), T.Pi(t[0], t[2], t[1][1]))),
+        _doms.map(lambda d: (T.Lam("x", T.Var("x")), T.Pi("x", d, d))),
+        st.tuples(ch, ch).map(lambda t: (T.Pair(t[0][0], t[1][0]),
+                                         T.Sigma("_", t[0][1], t[1][1]))),
+        st.tuples(ch, _doms).map(
+            lambda t: (T.Inl(t[0][0]), T.Sum(t[0][1], t[1]))),
+        st.tuples(ch, _doms).map(
+            lambda t: (T.Inr(t[0][0]), T.Sum(t[1], t[0][1]))),
+        st.tuples(ticks, _typing_clocks, ch).map(
+            lambda t: (T.TickAbs(t[0], t[1], t[2][0]),
+                       T.Later(t[0], t[1], t[2][1]))),
+        st.tuples(_typing_clocks, ch).map(
+            lambda t: (T.ClockAbs(t[0], t[1][0]), T.Forall(t[0], t[1][1]))),
+        st.tuples(ch, ch).map(lambda t: (
+            T.App(T.Ann(T.Lam("x", t[0][0]), T.Pi("x", t[1][1], t[0][1])),
+                  t[1][0]), t[0][1])),
+        st.tuples(ch, ch).map(lambda t: (
+            T.Fst(T.Ann(T.Pair(t[0][0], t[1][0]),
+                        T.Sigma("_", t[0][1], t[1][1]))), t[0][1])),
+        st.tuples(ch, ch).map(lambda t: (
+            T.Snd(T.Ann(T.Pair(t[0][0], t[1][0]),
+                        T.Sigma("_", t[0][1], t[1][1]))), t[1][1])),
+        st.tuples(ch, _typing_clocks).map(lambda t: (
+            T.ClockApp(T.Ann(T.ClockAbs("k3", t[0][0]),
+                             T.Forall("k3", t[0][1])), t[1]), t[0][1])),
+        ch.map(lambda p: (T.Ann(*p), p[1])))
+
+
+_typed_pairs = st.recursive(st.sampled_from(_TYPED_LEAVES), _typed_pairs_over,
+                            max_leaves=4)
+
+
+def _is_type_run(ctx, a):
+    return lambda fuel: kernel.is_type(ctx, a, fuel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_types, _typed_pairs.map(lambda p: p[1])), st.integers(0, 3))
+def test_types_match_reference_is_type(a, fuel):
+    for ctx in _TYPING_CONTEXTS:
+        _agrees_with_reference(_is_type_run(ctx, a), fuel)
+
+
+def _pairs_outcomes(pairs, t, fuel):
+    """Each term of the pairs and t inferred, and checked against every
+    type of the pairs, its own among them, in every context."""
+    types = [ty for _, ty in pairs]
+    return [outcome for ctx in _TYPING_CONTEXTS
+            for u in [*(term for term, _ in pairs), t]
+            for outcome in _typing_outcomes(ctx, u, types, fuel)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_typed_pairs, min_size=1, max_size=3), _typed_terms,
+       st.integers(0, 3))
+def test_intros_and_elims_match_reference(pairs, t, fuel):
+    # infer and check agree with the per-case oracles on well-typed
+    # introductions and eliminations, at their own type and at others,
+    # and on terms of every form over typed and ill-typed leaves
+    _pairs_outcomes(pairs, t, fuel)
+
+
+def test_typing_outcomes_cover_every_rule():
+    # the strategies reach passes, fuel spent and unknown conversions, and
+    # the failures of every rule of type formation, of a former's first
+    # part, of introductions, of eliminations and of `fix`
+    outcomes, spent = set(), set()
+    for a in _examples(st.one_of(_types, _typed_pairs.map(lambda p: p[1])),
+                       300):
+        for ctx in _TYPING_CONTEXTS:
+            outcomes.add("type-" + _outcome(
+                _agrees_with_reference(_is_type_run(ctx, a), 3)[0]))
+    for t in _examples(_formers, 200):
+        for ctx in _TYPING_CONTEXTS:
+            outcomes.update(_outcome(result) for result, _, _ in
+                            _typing_outcomes(ctx, t, (), 3))
+    draws = st.tuples(st.lists(_typed_pairs, min_size=1, max_size=3),
+                      _typed_terms)
+    for pairs, t in _examples(draws, 500):
+        for result, left, _ in _pairs_outcomes(pairs, t, 2):
+            outcomes.add(_outcome(result))
+            spent.add(left)
+    assert {"type-pass", "type-univ-form", "type-later-form",
+            "type-type-form", "type-el-form", "type-prf-form", "type-conv",
+            "pass", "inferred", "unknown", "code", "later-code", "plater",
+            "pforall-clk", "pconn", "lam", "pair", "inl", "inr", "tick-abs",
+            "clock-abs", "app", "fst", "snd", "clock-app", "fix",
+            "conv"} <= outcomes, outcomes
+    assert spent == {0, 1, 2}, spent
+
+
+def test_plater_infers_its_universe():
+    # the body's type reaches Prop{k} by a beta step; `plater` has the
+    # universe itself as type, as every former has
+    t = parse_term("plater (a : k) -> (ptop : (fun y -> Prop{k}) tt)")
+    assert infer(Context().bind_clock("k"), t, Fuel()) == T.PropU(("k",))
