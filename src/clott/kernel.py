@@ -52,7 +52,7 @@ from .terms import (
     Id, IdCode, Incl, Inl, Inr, Lam, Later, LaterCode, PAnd, PEq, PExists,
     PForall, PForallClk, PLater, POr, Pair, Pi, PiCode, Prf, PropU, Sigma,
     SigmaCode, Snd, Sum, SumCode, Term, TickAbs, TickApp, Univ, Var,
-    alpha_eq, clock_subst, free_names, fresh, rename, subst, tick_subst,
+    alpha_eq, free_names, fresh, rename, subst,
 )
 from .terms import (_PLANS, _rebuild, BIND_CLOCK, BIND_TICK, BIND_VAR,
                     NAME_CLOCK, TERM)
@@ -196,8 +196,8 @@ _REDEX = {
     (Snd, Pair): lambda t, h: h.snd,
     (Case, Inl): lambda t, h: _instantiate(t.left, t.lname, h.arg),
     (Case, Inr): lambda t, h: _instantiate(t.right, t.rname, h.arg),
-    (TickApp, TickAbs): lambda t, h: tick_subst(h.body, h.tick, t.tick),
-    (ClockApp, ClockAbs): lambda t, h: clock_subst(h.body, h.clock, t.clock),
+    (TickApp, TickAbs): lambda t, h: rename(h.body, {h.tick: t.tick}),
+    (ClockApp, ClockAbs): lambda t, h: rename(h.body, {h.clock: t.clock}),
     (El, SumCode): lambda t, c: Sum(El(c.left), El(c.right)),
     (El, PiCode): lambda t, c: Pi(c.name, El(c.dom), El(c.cod)),
     (El, SigmaCode): lambda t, c: Sigma(c.name, El(c.dom), El(c.cod)),
@@ -521,7 +521,7 @@ def infer(ctx: Context, t: Term, fuel: Fuel) -> Term:
             raise TypeCheckError(
                 "tick-app", f"tick application needs a delayed value on "
                 f"clock {kappa!r}, got type {show_term(fw)}")
-        return tick_subst(fw.body, fw.tick, t.tick)
+        return rename(fw.body, {fw.tick: t.tick})
     if cls is ClockAbs:
         inner, z, body = _open(ctx, t, "clock", t.body)
         return Forall(z, infer(inner, body, fuel))
@@ -696,7 +696,7 @@ _ELIMS = {
     Snd: (Sigma, "snd", "projection from non-pair type",
           lambda t, w: _instantiate(w.cod, w.name, Fst(t.arg))),
     ClockApp: (Forall, "clock-app", "clock application to a value of type",
-               lambda t, w: clock_subst(w.body, w.clock, t.clock)),
+               lambda t, w: rename(w.body, {w.clock: t.clock})),
 }
 
 

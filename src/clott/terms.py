@@ -8,9 +8,14 @@ freshening; all traversals below are capture-avoiding.
 name, binder and the fields it scopes over, clock set, plain data).  At
 import, a traversal plan per class is derived from it once: the binders
 with their scopes, the subterms with the binder scoping over each, the
-name fields and the constructor's field order.  `free_names`, `rename`,
-`subst` and `alpha_eq` read the plans, so a node costs a dictionary lookup
-and loops over short tuples.  Term nodes are slotted frozen dataclasses.
+name fields and the constructor's field order.  `free_names`, `_subst`
+and `alpha_eq` read the plans, so a node costs a dictionary lookup and
+loops over short tuples.  Term nodes are slotted frozen dataclasses.
+
+`_subst` is the one substitution: it replaces free variables by terms and
+free names of any kind by names, at once.  `subst` (beta steps) and
+`rename` (tick substitution t[b/a], clock substitution A[k'/k] and the
+renaming of binders apart) are its instances.
 
 `alpha_eq` numbers binders in one environment per side; while the binders
 above agreed in name, both sides share one, and a subterm that is the
@@ -460,122 +465,87 @@ def free_names(t: Term) -> FreeNames:
 # ---------------------------------------------------------------------------
 
 def rename(t: Term, mapping: dict[str, str]) -> Term:
-    """Capture-avoiding renaming of free names of any kind.
-
-    Clock substitution A(k'/k) and tick substitution t(b/a) are instances.
-    """
-    mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
+    """Capture-avoiding renaming of free names of any kind; clock
+    substitution A[k'/k] and tick substitution t[b/a] are instances."""
+    names = {k: v for k, v in mapping.items() if k != v}
+    if not names:
         return t
-    return _rename(t, mapping)
-
-
-def _rename(t: Term, mapping: dict[str, str]) -> Term:
-    plan = _PLANS[type(t)]
-    updates: dict[str, object] = {}
-    # handle binders first: shadowing and capture
-    scope_maps: dict[str, dict[str, str]] = {}
-    scope_pre: dict[str, dict[str, str]] = {}
-    for field, scope in plan.binders:
-        b = getattr(t, field)
-        inner = {k: v for k, v in mapping.items() if k != b}
-        # drop entries whose source is not free in the scope
-        if inner:
-            scope_free = frozenset().union(
-                *(free_names(getattr(t, sf)).all() for sf in scope))
-            inner = {k: v for k, v in inner.items() if k in scope_free}
-        pre: dict[str, str] = {}
-        if inner and b in inner.values():
-            avoid = set(inner.values()) | set(inner.keys())
-            for sf in scope:
-                avoid |= free_names(getattr(t, sf)).all()
-            b2 = fresh(b, avoid)
-            pre = {b: b2}
-            updates[field] = b2
-        for sf in scope:
-            scope_maps[sf] = inner
-            scope_pre[sf] = pre
-    for field, role, _ in plan.entries:
-        val = getattr(t, field)
-        if role == TERM:
-            v = val
-            pre = scope_pre.get(field)
-            if pre:
-                v = _rename(v, pre)
-            m = scope_maps.get(field, mapping)
-            if m:
-                v = _rename(v, m)
-            if v is not val:
-                updates[field] = v
-        elif role == NAMESET:
-            new = tuple(sorted({mapping.get(k, k) for k in val}))
-            if new != val:
-                updates[field] = new
-        elif role != ATOM and val in mapping:
-            updates[field] = mapping[val]
-    return _rebuild(t, plan, updates) if updates else t
+    return _subst(t, {k: Var(v) for k, v in names.items()}, names, [])
 
 
 def subst(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding substitution of the term u for the variable x."""
-    return _subst(t, x, u, [])
+    return _subst(t, {x: u}, {}, [])
 
 
-def _subst(t: Term, x: str, u: Term, avoid: list[frozenset[str]]) -> Term:
-    # avoid holds the names a binder must not capture, free_names(u) and x,
-    # computed when the first binder other than x needs them
+def _subst(t: Term, terms: dict[str, Term], names: dict[str, str],
+           memo: list) -> Term:
+    """t with each free variable x replaced by terms[x] and each free name
+    n of another kind by names[n], simultaneously.
+
+    At the first binder, memo takes the free names of each replacement and
+    every string the entries hold; a binder whose string is not among them
+    hides no entry and captures nothing, so the entries pass it as they are.
+    """
     cls = type(t)
     if cls is Var:
-        return u if t.name == x else t
+        return terms.get(t.name, t)
     plan = _PLANS[cls]
     updates: dict[str, object] = {}
+    if names:
+        for field, _ in plan.names:
+            val = getattr(t, field)
+            if val in names:
+                updates[field] = names[val]
+        for field in plan.namesets:
+            val = getattr(t, field)
+            if not names.keys().isdisjoint(val):
+                updates[field] = tuple(map(names.get, val, val))
     if not plan.binders:
         for field, _ in plan.terms:
             val = getattr(t, field)
-            v = _subst(val, x, u, avoid)
+            v = _subst(val, terms, names, memo)
             if v is not val:
                 updates[field] = v
         return _rebuild(t, plan, updates) if updates else t
-    scope_skip: set[str] = set()
-    scope_pre: dict[str, dict[str, str]] = {}
+    if not memo:
+        free = {k: free_names(u).all() for k, u in terms.items()}
+        memo += free, set().union(terms, names, names.values(), *free.values())
+    scopes = {}
     for field, scope in plan.binders:
         b = getattr(t, field)
-        if b == x:
-            scope_skip.update(scope)
-            continue
-        if not avoid:
-            avoid.append(free_names(u).all() | {x})
-        if b in avoid[0]:
-            scope_free: set[str] = set()
-            for sf in scope:
-                scope_free |= free_names(getattr(t, sf)).all()
-            if any(x in free_names(getattr(t, sf)).vars for sf in scope):
-                b2 = fresh(b, avoid[0] | scope_free)
-                updates[field] = b2
-                for sf in scope:
-                    scope_pre[sf] = {b: b2}
-    for field, _ in plan.terms:
-        if field in scope_skip:
-            continue
-        val = getattr(t, field)
-        v = val
-        pre = scope_pre.get(field)
-        if pre:
-            v = _rename(v, pre)
-        v = _subst(v, x, u, avoid)
+        if b in memo[1]:
+            scopes[field] = _apart(t, scope, b, terms, names, memo[0])
+    for field, binder in plan.terms:
+        val = v = getattr(t, field)
+        if binder not in scopes:
+            v = _subst(val, terms, names, memo)
+        else:
+            ts, ns, new = scopes[binder]
+            if new is not None:
+                updates[binder] = new
+                v = rename(v, {getattr(t, binder): new})
+            if ts or ns:
+                v = _subst(v, ts, ns, memo)
         if v is not val:
             updates[field] = v
     return _rebuild(t, plan, updates) if updates else t
 
 
-def clock_subst(t: Term, kappa: str, kappa2: str) -> Term:
-    """A(k2/k): substitute the clock name kappa2 for kappa."""
-    return rename(t, {kappa: kappa2})
-
-
-def tick_subst(t: Term, alpha: str, beta: str) -> Term:
-    """t(b/a): substitute the tick name beta for alpha."""
-    return rename(t, {alpha: beta})
+def _apart(t: Term, scope: tuple, b: str, terms: dict[str, Term],
+           names: dict[str, str], free: dict[str, frozenset[str]]):
+    """The entries that go under the binder b of t, and b's new name if one
+    of them is free in its scope and mentions b, else None."""
+    ts = {k: u for k, u in terms.items() if k != b}
+    ns = {k: n for k, n in names.items() if k != b}
+    if b not in set(ns.values()).union(*map(free.get, ts)):
+        return ts, ns, None
+    scope_free = [free_names(getattr(t, sf)) for sf in scope]
+    in_scope = frozenset().union(*(f.all() for f in scope_free))
+    ts = {k: u for k, u in ts.items() if any(k in f.vars for f in scope_free)}
+    ns = {k: n for k, n in ns.items() if k in in_scope}
+    mentioned = set(ns.values()).union(*map(free.get, ts))
+    return ts, ns, fresh(b, in_scope, mentioned) if b in mentioned else None
 
 
 # ---------------------------------------------------------------------------

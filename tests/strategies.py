@@ -6,13 +6,13 @@ from clott import terms as T
 names = st.sampled_from(["x", "y", "z", "w"])
 clocks = st.sampled_from(["k1", "k2"])
 ticks = st.sampled_from(["a1", "a2"])
-clock_sets = st.lists(clocks, max_size=2, unique=True).map(tuple)
 
 _CONSTS = ["tt", "refl", "unit", "empty", "ptop", "pbot",
            "fix", "tirr", "cirr", "force"]
 
 
-def terms(max_leaves: int = 12, names=names):
+def terms(max_leaves: int = 12, names=names, clocks=clocks, ticks=ticks):
+    clock_sets = st.lists(clocks, max_size=2, unique=True).map(tuple)
     base = st.one_of(
         names.map(T.Var),
         st.sampled_from(_CONSTS).map(T.Const),

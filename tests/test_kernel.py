@@ -931,14 +931,14 @@ def reference_whnf(ctx, t, fuel):
             fn, c = whnf(ctx, t.fn, fuel)
             complete = complete and c
             if isinstance(fn, T.TickAbs):
-                t = T.tick_subst(fn.body, fn.tick, t.tick)
+                t = rename(fn.body, {fn.tick: t.tick})
                 continue
             return T.TickApp(fn, t.tick), complete
         if isinstance(t, T.ClockApp):
             fn, c = whnf(ctx, t.fn, fuel)
             complete = complete and c
             if isinstance(fn, T.ClockAbs):
-                t = T.clock_subst(fn.body, fn.clock, t.clock)
+                t = rename(fn.body, {fn.clock: t.clock})
                 continue
             return T.ClockApp(fn, t.clock), complete
         if isinstance(t, (T.El, T.Prf)):
@@ -1082,7 +1082,7 @@ def reference_check(ctx, t, a, fuel):
             raise TypeCheckError("tick-abs",
                                  f"clock {t.clock!r} not in context")
         name, body = fresh_binder(ctx, t.tick, t.body)
-        target = T.tick_subst(aw.body, aw.tick, name)
+        target = rename(aw.body, {aw.tick: name})
         check(ctx.bind_tick(name, t.clock), body, target, fuel)
         return
     if isinstance(t, T.ClockAbs):
@@ -1090,7 +1090,7 @@ def reference_check(ctx, t, a, fuel):
             raise TypeCheckError("clock-abs", f"a clock abstraction cannot "
                                  f"have type {show_term(aw)}")
         name, body = fresh_binder(ctx, t.clock, t.body)
-        target = T.clock_subst(aw.body, aw.clock, name)
+        target = rename(aw.body, {aw.clock: name})
         check(ctx.bind_clock(name), body, target, fuel)
         return
     if _is_fix(t):
@@ -1208,7 +1208,7 @@ def reference_infer(ctx, t, fuel):
             raise TypeCheckError("clock-app",
                                  f"clock application to a value of type "
                                  f"{show_term(fw)}")
-        return T.clock_subst(fw.body, fw.clock, t.clock)
+        return rename(fw.body, {fw.clock: t.clock})
     if isinstance(t, T.SumCode):
         d = infer_universe(ctx, t.left, fuel)
         check(ctx, t.right, T.Univ(d), fuel)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from clott import terms as T
 from clott.terms import (AOp, AVar, App, Const, Forall, Lam, Later, Pi,
-                         TickAbs, Var, alg_free_vars, alpha_eq, clock_subst,
-                         free_names, fresh, rename, subst, tick_subst)
+                         TickAbs, Var, alg_free_vars, alpha_eq, free_names,
+                         fresh, rename, subst)
 
 from .strategies import alg_terms, clocks, names, terms, ticks
 
@@ -47,13 +47,13 @@ def test_subst_var_for_itself_is_alpha_identity(t, x):
 
 @given(terms())
 def test_rename_clock_swaps_free_clocks(t):
-    r = clock_subst(t, "k1", "k2")
+    r = rename(t, {"k1": "k2"})
     assert "k1" not in free_names(r).clocks
 
 
 @given(terms())
 def test_tick_subst_removes_free_tick(t):
-    r = tick_subst(t, "a1", "a2")
+    r = rename(t, {"a1": "a2"})
     assert "a1" not in free_names(r).ticks
 
 
@@ -258,15 +258,15 @@ _mappings = st.dictionaries(_any_name, _any_name, max_size=3)
 
 
 @st.composite
-def _capture_prone(draw, body):
+def _capture_prone(draw, body, pool=_pool, clocks=clocks, ticks=ticks):
     t = draw(body)
-    t = App(t, T.ClockApp(T.TickApp(Var(draw(_pool)), draw(ticks)),
+    t = App(t, T.ClockApp(T.TickApp(Var(draw(pool)), draw(ticks)),
                           draw(clocks)))
     for wrap in draw(st.lists(st.integers(0, 3), max_size=3)):
         if wrap == 0:
-            t = Lam(draw(_pool), t)
+            t = Lam(draw(pool), t)
         elif wrap == 1:
-            t = Pi(draw(_pool), Var(draw(_pool)), t)
+            t = Pi(draw(pool), Var(draw(pool)), t)
         elif wrap == 2:
             t = T.ClockAbs(draw(clocks), t)
         else:
@@ -277,6 +277,16 @@ def _capture_prone(draw, body):
 _terms = st.one_of(terms(), _capture_prone(terms(names=_pool)))
 _small_terms = _capture_prone(terms(4, names=_pool))
 
+# The same over pools in which k1 is a variable, a clock and a tick name: a
+# binder hides the entries of its string whatever their kind, and an entry
+# of one kind must not rename a free name of another.
+_shared_pools = (st.sampled_from(["x", "k1", "k2"]),
+                 st.sampled_from(["k1", "k2"]), st.sampled_from(["k1", "a1"]))
+_shared_name = st.one_of(*_shared_pools)
+_shared_terms = _capture_prone(terms(7, *_shared_pools), *_shared_pools)
+_shared_small_terms = _capture_prone(terms(4, *_shared_pools),
+                                     *_shared_pools)
+
 
 @settings(max_examples=200)
 @given(_terms)
@@ -284,16 +294,46 @@ def test_free_names_matches_reference(t):
     assert free_names(t) == reference_free_names(t)
 
 
-@settings(max_examples=200)
-@given(_terms, _mappings)
-def test_rename_matches_reference(t, mapping):
+@settings(max_examples=300)
+@given(st.one_of(
+    st.tuples(_terms, _mappings),
+    st.tuples(_shared_terms,
+              st.dictionaries(_shared_name, _shared_name, max_size=3))))
+def test_rename_matches_reference(case):
+    t, mapping = case
     assert rename(t, mapping) == reference_rename(t, mapping)
 
 
-@settings(max_examples=200)
-@given(_terms, _pool, _small_terms)
-def test_subst_matches_reference(t, x, u):
+@settings(max_examples=300)
+@given(st.one_of(
+    st.tuples(_terms, _pool, _small_terms),
+    st.tuples(_shared_terms, _shared_pools[0], _shared_small_terms)))
+def test_subst_matches_reference(case):
+    t, x, u = case
     assert subst(t, x, u) == reference_subst(t, x, u)
+
+
+def test_rename_walks_no_scope_without_capture(monkeypatch):
+    # 400 binders over a free z, none of them a target of z -> w: no
+    # binder's scope needs its free names, only the replacement's
+    t = Var("z")
+    for i in range(400):
+        t = Lam(f"x{i}", t)
+    calls = []
+    monkeypatch.setattr(T, "free_names",
+                        lambda u, walk=T.free_names: calls.append(u) or walk(u))
+    got = rename(t, {"z": "w"})
+    assert len(calls) <= 1
+    # `==` on the chains themselves would recurse past Python's limit
+    assert _spine(got) == _spine(reference_rename(t, {"z": "w"}))
+
+
+def _spine(t):
+    binders = []
+    while type(t) is Lam:
+        binders.append(t.name)
+        t = t.body
+    return binders, t
 
 
 _BINDER_POOLS = {T.BIND_VAR: ["x", "y", "y1"], T.BIND_CLOCK: ["k1", "k2"],
