@@ -1,7 +1,7 @@
 """Finite presheaves over the truncated time category.
 
-A `Psh` holds its fibers as a tuple by object id and its actions as a
-tuple by morphism id (see the integer encoding in `timecat`).  A fiber is
+A `Psh` holds its fibers as a tuple by object id and its actions by
+morphism id (see the integer encoding in `timecat`).  A fiber is
 a tuple of elements in canonical order; an action is a tuple of
 positions, the k-th the position in the target fiber of the image of the
 source fiber's k-th element (the C-set encoding of Patterson, Lynch and
@@ -20,7 +20,8 @@ The delay modality, clock quantification and guarded fixpoints are
 computed as honest chain limits (families compatible along the
 stage-lowering morphisms, `_chain_limit`); at finite truncation these
 limits collapse to the top-stage fiber, which is exactly the truncation
-artifact the force checker reports.
+artifact the force checker reports.  Their actions are made when first
+read (`_limits`), so a job that reads their fibers builds no morphism.
 
 A `Model` refuses a category larger than its budget, slice included,
 before enumerating it (`timecat.check_size`); it builds the slice and the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from operator import getitem
 from types import MappingProxyType
 
@@ -81,26 +82,28 @@ class Model:
             f"object already uses the full pool {self.names}")
 
     @cached_property
-    def fresh_tops(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Ids in the slice of each inner object and morphism with the
-        deterministic fresh clock added at the top stage N−1 and marked;
-        the slice's stage shift gives the lower stages."""
-        top = self.bound - 1
-        obj_id, mor_id = self.slice.obj_id, self.slice.mor_id
-        objs, places = [], []
-        for o in self.time_inner.objects:
-            fresh = self.fresh_clock(o)
-            wide = o.add_clock(fresh, top)
-            objs.append(obj_id[ElObj(wide, fresh)])
-            # the positions in wide of o's names, then of the fresh clock
-            places.append([wide.names.index(n) for n in o.names + (fresh,)])
+    def fresh_top_objs(self) -> tuple[int, ...]:
+        """The slice id of each inner object with the deterministic fresh
+        clock added at the top stage N−1 and marked."""
+        top, inner = self.bound - 1, self.time_inner.objects
+        return tuple(self.slice.obj_id[ElObj(o.add_clock(n, top), n)]
+                     for o, n in zip(inner, map(self.fresh_clock, inner)))
+
+    @cached_property
+    def fresh_top_mors(self) -> tuple[int, ...]:
+        """The slice id of each inner morphism so widened at its ends."""
+        objs, slc = self.fresh_top_objs, self.slice
+        # per inner object, where its names, then the fresh clock, widen to
+        places = [[slc.objects[i].time.names.index(n)
+                   for n in o.names + (slc.objects[i].clock,)]
+                  for o, i in zip(self.time_inner.objects, objs)]
 
         def widened(s, d, images):
             wide_images = [0] * len(places[s])
             for k, y in zip(places[s], images + (-1,)):
                 wide_images[k] = places[d][y]
-            return mor_id[objs[s], objs[d], tuple(wide_images)]
-        return tuple(objs), tuple(widened(*m) for m in self.time_inner.mors)
+            return slc.mor_id[objs[s], objs[d], tuple(wide_images)]
+        return tuple(widened(*m) for m in self.time_inner.mors)
 
 
 def _reindex(x: Psh, cat: FinCategory, link, mors) -> Psh:
@@ -126,14 +129,22 @@ def align(a: Psh, b: Psh) -> tuple[Psh, Psh]:
     return a, b
 
 
-@dataclass
 class Psh:
-    """Fibers by object id, actions by morphism id.  acts[j][k] is the
+    """Fibers by object id, actions by morphism id.  act(j)[k] is the
     position in the fiber at j's target of the image of the k-th element
-    of the fiber at j's source; action tuples may be shared."""
-    cat: FinCategory
-    fibs: tuple    # per object id: tuple of elements, canonical order
-    acts: tuple    # per morphism id: tuple of positions
+    of the fiber at j's source; action tuples may be shared.  acts is
+    their tuple by id or, until `acts` is read, a maker (`_limits`)."""
+
+    def __init__(self, cat: FinCategory, fibs: tuple, acts):
+        self.cat, self.fibs, self.act = cat, fibs, acts
+        if not callable(acts):
+            self.acts, self.act = acts, acts.__getitem__
+
+    @cached_property
+    def acts(self) -> tuple:
+        acts = self.act(None)
+        self.act = acts.__getitem__
+        return acts
 
     @cached_property
     def fib(self):
@@ -300,17 +311,16 @@ def _nats_at(c: int, a: Psh, b: Psh, budget: Budget) -> list:
 # Chain limits, delay, clock quantification
 # ---------------------------------------------------------------------------
 
-def _chain_limit(cat: FinCategory, fibs, act, chain) -> tuple[list, dict]:
+def _chain_limit(downs, fibs, act, chain) -> tuple[list, dict]:
     """The limit over a finite inverse chain o_0 ← o_1 ← … of slice
-    objects, given by their ids in cat (one object at marked stages 0, 1,
-    …), of the fibers fibs (by object id) along the stage-lowering actions
-    act(morphism id): the compatible families (x_0, x_1, …) as tuples of
+    objects, given by their ids (one object at marked stages 0, 1, …), of
+    the fibers fibs (by object id) along the stage-lowering actions
+    act(downs[o]): the compatible families (x_0, x_1, …) as tuples of
     positions, sorted and so in canonical order, and the index of each.
     The top element determines the family; the empty chain has one empty
     family."""
     if not chain:
         return [()], {(): 0}
-    downs = cat.stage_shift[1]
     cols = [range(len(fibs[chain[-1]]))]
     for o in reversed(chain[1:]):
         cols.append(list(map(act(downs[o]).__getitem__, cols[-1])))
@@ -330,33 +340,45 @@ def _stagewise(src: tuple, dst: tuple, *acts) -> tuple:
         for act, col in zip(acts, zip(*families))])))
 
 
-def _limits(x: Psh, cat: FinCategory, chains, stage_mors) -> Psh:
-    """The presheaf over cat with, at object i, the chain limit of x over
-    chains[i], its families encoded ("tup", ((0, x_0), …)), and at
-    morphism j `_stagewise` along stage_mors[j].  Chains over the same
-    fibers and down-actions, by identity, share one limit, and morphisms
-    between the same limits along the same actions one action
-    (`_per_class`)."""
-    downs = x.cat.stage_shift[1]
-    act_ids = list(map(id, x.acts))
-    # per object, the ids of its fiber and its down-action
-    links = list(zip(map(id, x.fibs), (j if j is None else act_ids[j]
-                                       for j in downs)))
+def _limits(x: Psh | None, cat: FinCategory, chains, ends, fiber,
+            action) -> Psh:
+    """The presheaf over cat with (made[i], fiber i) = fiber(limit, chains[i])
+    for the limit of x (of itself for x None, by chain length) over
+    chains[i], and at j, on first read, action(made[s], made[d], *x's
+    actions at row), (s, d, row) = ends(j); ends(None) lists (j, s, d, row).
+    Classes as in `_per_class`: by the fibers and down-actions of a chain,
+    and by made[s], made[d] and the actions at row."""
+    made, fibs = [None] * len(cat.objects), [None] * len(cat.objects)
+    by_id, by_class, limits = {}, {}, {}
 
-    def limit(i):
-        lim = _chain_limit(x.cat, x.fibs, x.acts.__getitem__, chains[i])
-        fibers = [x.fibs[o] for o in chains[i]]
-        return lim, tuple(("tup", tuple(enumerate(map(getitem, fibers, fam))))
-                          for fam in lim[0])
-    made = _per_class([tuple(map(links.__getitem__, chain))
-                       for chain in chains], limit)
-    made_ids = list(map(id, made))
-    src, dst = cat.src_ids, cat.dst_ids
-    keys = [(made_ids[s], made_ids[d], *map(act_ids.__getitem__, js))
-            for s, d, js in zip(src, dst, stage_mors)]
-    return Psh(cat, tuple(fib for _, fib in made), _per_class(
-        keys, lambda j: _stagewise(made[src[j]][0], made[dst[j]][0],
-                                   *map(x.acts.__getitem__, stage_mors[j]))))
+    def act(j):     # the result's maker (see `Psh`)
+        if j in by_id:
+            return by_id[j]
+        get = x_act if x is None or j is not None else x.acts.__getitem__
+        for i, s, d, row in ends(None) if j is None else [(j, *ends(j))]:
+            stage = list(map(get, row))
+            key = (id(made[s]), id(made[d]), *map(id, stage))
+            if key not in by_class:
+                by_class[key] = action(made[s], made[d], *stage)
+            by_id[i] = by_class[key]
+        return by_id[j] if j is not None else \
+            tuple(map(by_id.__getitem__, range(len(by_id))))
+    downs, x_fibs, x_act = (cat.downs, fibs, act) if x is None else (
+        x.cat.downs, x.fibs, x.act)
+    for i in sorted(range(len(chains)), key=lambda i: len(chains[i])):
+        key = tuple((id(x_fibs[o]), downs[o] if downs[o] is None else id(
+            x_act(downs[o]))) for o in chains[i])
+        if key not in limits:
+            limits[key] = fiber(_chain_limit(downs, x_fibs, x_act, chains[i]),
+                                chains[i])
+        made[i], fibs[i] = limits[key]
+    return Psh(cat, tuple(fibs), act)
+
+
+def _tuples(x: Psh):
+    """Chain limits of x as families ("tup", ((0, x_0), …))."""
+    return lambda lim, chain: (lim, tuple(("tup", tuple(enumerate(map(
+        getitem, map(x.fibs.__getitem__, chain), fam)))) for fam in lim[0]))
 
 
 def later(model: Model, x: Psh) -> Psh:
@@ -364,10 +386,8 @@ def later(model: Model, x: Psh) -> Psh:
     θ(λ); a singleton at stage 0."""
     assert x.cat.kind == "slice"
     cat = x.cat
-    chains, _, shifted = cat.stage_shift
-    stage = cat.marked_stage
-    return _limits(x, cat, [chain[:k] for chain, k in zip(chains, stage)],
-                   [js[:stage[d]] for js, d in zip(shifted, cat.dst_ids)])
+    return _limits(x, cat, [chain[:k] for chain, k in zip(
+        cat.chains, cat.marked_stage)], cat.shift, _tuples(x), _stagewise)
 
 
 def forall_clk(model: Model, x: Psh) -> Psh:
@@ -380,10 +400,17 @@ def forall_clk(model: Model, x: Psh) -> Psh:
         raise FreshClockExhausted(
             "clock quantification needs a presheaf over the full slice "
             "(nested quantifiers exceed the clock pool)")
-    chains, _, shifted = x.cat.stage_shift
-    top_objs, top_mors = model.fresh_tops
-    return _limits(x, model.time_inner, [chains[i] for i in top_objs],
-                   [shifted[j] for j in top_mors])
+    inner = model.time_inner
+
+    def ends(j):    # the row of j's widening t: t's `shifted` row, then t
+        if j is None:
+            return zip(count(), inner.src_ids, inner.dst_ids, [
+                x.cat.shifted[t] + (t,) for t in model.fresh_top_mors])
+        t = model.fresh_top_mors[j]
+        return inner.src_ids[j], inner.dst_ids[j], x.cat.shifted[t] + (t,)
+    return _limits(x, inner, list(map(x.cat.chains.__getitem__,
+                                      model.fresh_top_objs)), ends,
+                   _tuples(x), _stagewise)
 
 
 def weaken(model: Model, x: Psh) -> Psh:
@@ -465,7 +492,7 @@ def check_invariance(model: Model, x: Psh) -> CheckOutcome:
     cat = x.cat
     for row in cat.intros:
         for j, d in (p for pairs in row.values() for p in pairs):
-            if not _bijective(x.acts[j], len(x.fibs[d])):
+            if not _bijective(x.act(j), len(x.fibs[d])):
                 return CheckOutcome(False, mor_key(cat.decode(j)))
     return CheckOutcome(True)
 

@@ -23,8 +23,9 @@ answers), `mor_index` ranks a morphism as its (source, target) block's
 offset (`offsets`) plus the mixed-radix rank of its images (Knuth, TAOCP
 4A §7.2.1.1), in a slice times the source's clocks plus the marked one:
 `identities` and `intros` build no morphism.  The morphisms and their
-tables (out-lists, `gen_table`, `pre_table`, `factors`, `stage_shift`)
-are built on first use and shared; none holds all composable pairs.
+tables (out-lists, `gen_table`, `pre_table`, `factors`, `shifted`; a
+slice's `chains` and `downs` are by object) are built on first use and
+shared; none holds all composable pairs.
 
 Sizes in closed form (`category_sizes`), so that `check_size` can refuse
 a category over budget before its objects are listed.  With a pool of P
@@ -320,13 +321,9 @@ class FinCategory:
         return tuple(o.time.theta(o.clock) for o in self.objects)
 
     @cached_property
-    def stage_shift(self) -> tuple[tuple, tuple, tuple]:
-        """(chains, downs, shifted) for a slice category: chains[o] lists
-        the ids of object o with its marked clock at stages 0, 1, …;
-        downs[o] is the id of the identity-σ morphism from o to the same
-        object one stage lower (None at stage 0); shifted[m] lists, for
-        β = 0 … θ(marked clock of dst m), the id of the morphism with m's
-        σ between m's ends with their marked clocks at stage β."""
+    def chains(self) -> tuple[tuple[int, ...], ...]:
+        """For a slice, per object: the ids of the object with its marked
+        clock at stages 0, 1, …"""
         assert self.kind == "slice"
         stage, groups = self.marked_stage, {}
         for i, o in enumerate(self.objects):
@@ -339,10 +336,23 @@ class FinCategory:
             chain = tuple(by_stage[a] for a in range(len(by_stage)))
             for i in chain:
                 chains[i] = chain
-        mor_id = self.mor_id
-        downs = tuple(None if stage[i] == 0 else mor_id[
-            i, chains[i][stage[i] - 1], tuple(range(len(o.time.names)))]
-            for i, o in enumerate(self.objects))
+        return tuple(chains)
+
+    @cached_property
+    def downs(self) -> tuple:
+        """For a slice, per object: the id (`mor_index`) of the identity-σ
+        morphism to the object one stage lower, None at stage 0."""
+        return tuple(None if k == 0 else self.mor_index(
+            i, chain[k - 1], tuple(range(len(o.time.names))))
+            for i, o, chain, k in zip(itertools.count(), self.objects,
+                                      self.chains, self.marked_stage))
+
+    @cached_property
+    def shifted(self) -> tuple[tuple[int, ...], ...]:
+        """For a slice, per morphism m: for β below θ(marked clock of dst
+        m), the id of the morphism with m's σ between m's ends with their
+        marked clocks at stage β."""
+        chains, mor_id = self.chains, self.mor_id
         # m's row is a prefix of the diagonal of its ends' chains and its
         # images, which may leave the category (None) above the prefix
         keys = list(zip(map(chains.__getitem__, self.src_ids),
@@ -350,9 +360,23 @@ class FinCategory:
                         (images for _, _, images in self.mors)))
         diagonals = {key: tuple(map(mor_id.get, zip(*key[:2], repeat(key[2]))))
                      for key in dict.fromkeys(keys)}
-        shifted = tuple(diagonals[key][:stage[d] + 1]
-                        for key, d in zip(keys, self.dst_ids))
-        return tuple(chains), downs, shifted
+        return tuple(diagonals[key][:self.marked_stage[d]]
+                     for key, d in zip(keys, self.dst_ids))
+
+    def shift(self, j: int | None) -> tuple:
+        """(source, target, `shifted` row) of morphism j of a slice, or for
+        j None (id, source, target, row) of each.  An identity's or a down's
+        row, the identities on its chain below, needs no morphism built."""
+        if j is None:
+            return zip(itertools.count(), self.src_ids, self.dst_ids,
+                       self.shifted)
+        for ids, lower in (self.identities, 0), (self.downs, 1):
+            if j in ids:
+                i = ids.index(j)
+                chain, k = self.chains[i], self.marked_stage[i] - lower
+                return i, chain[k], tuple(map(self.identities.__getitem__,
+                                              chain[:k]))
+        return self.src_ids[j], self.dst_ids[j], self.shifted[j]
 
 
 def clock_intro(cat: FinCategory, i: int, lam: str, alpha: int):

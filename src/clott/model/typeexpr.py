@@ -3,16 +3,17 @@
 Expressions are evaluated either over the time category (closed types) or
 over its slice by Clk (types mentioning the one slice clock).  Guarded
 fixpoints μX.F(▷X) are computed by well-founded recursion on the marked
-clock's stage, reusing the coalgebra module's functor machinery.
+clock's stage, reusing the coalgebra module's functor machinery; each
+action is made when it is first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..coalgebra import FunctorExpr, functor_map_all, functor_plan
-from .presheaf import (Model, Psh, _bijective, _chain_limit, _per_class,
-                       _stagewise, align, arrow, clk_psh, coproduct,
-                       const_psh, forall_clk, later, product, weaken)
+from .presheaf import (Model, Psh, _bijective, _limits, _stagewise, align,
+                       arrow, clk_psh, coproduct, const_psh, forall_clk,
+                       later, product, weaken)
 from .timecat import obj_key
 
 
@@ -186,49 +187,22 @@ def mu(model: Model, f: FunctorExpr) -> Psh:
     (`functor_map_all`) on the label map, and the label map is the chain
     limit's own stage-by-stage action (`_stagewise`).
 
-    Stage k at a time: the limits at stage k, all of one size, so with
-    one fiber and plan of F (shared by stages with as many labels), then
-    the actions out of stage k, whose stage actions lie below.  As in
-    `presheaf._limits`, limits and actions are made once per class."""
+    `presheaf._limits` builds the fibers stage by stage, along their own
+    down-actions, and each action on first read; the fibers with as many
+    labels share one fiber and plan of F."""
     cat = model.slice
-    chains, downs, shifted = cat.stage_shift
-    stage, src, dst = cat.marked_stage, cat.src_ids, cat.dst_ids
-    fibs: list = [None] * len(cat.objects)     # F(labels), by object id
-    made: list = [None] * len(cat.objects)     # (limit, plan)
-    acts: list = [None] * len(cat.mors)
     by_labels: dict = {}    # number of labels -> (plan, fiber)
-    # a chain's stage and down-action ids -> made; the stage stands for the
-    # fibers' ids, as every object of a stage has the same fiber object
-    limits: dict = {}
-    by_stage: list = [[] for _ in range(model.bound)]
-    for j, s in enumerate(src):
-        by_stage[stage[s]].append(j)
-    n = 1
-    for k, mors in enumerate(by_stage):
+
+    def fiber(lim, chain):
         # the chain limit is as large as the fibers below, so F's plan over
         # its labels refuses an oversized stage before it is mapped
+        n = len(lim[0])
         if n not in by_labels:
             plan = functor_plan(f, n, model.budget)
             by_labels[n] = (plan, plan.elements(tuple(range(n))))
-        plan, fiber = by_labels[n]
-        for i in (i for i, s in enumerate(stage) if s == k):
-            chain = chains[i][:k]
-            key = (k, *(id(acts[downs[o]]) for o in chain[1:]))
-            if key not in limits:
-                limits[key] = (_chain_limit(cat, fibs, acts.__getitem__,
-                                            chain), plan)
-            made[i], fibs[i] = limits[key], fiber
-        made_ids = list(map(id, made))
-        rows = [shifted[j][:stage[dst[j]]] for j in mors]
-        keys = [(made_ids[src[j]], made_ids[dst[j]],
-                 *map(id, map(acts.__getitem__, row)))
-                for j, row in zip(mors, rows)]
-        for j, act in zip(mors, _per_class(keys, lambda m: _mu_act(
-                made[src[mors[m]]], made[dst[mors[m]]],
-                *map(acts.__getitem__, rows[m])))):
-            acts[j] = act
-        n = len(fiber)
-    return Psh(cat, tuple(fibs), tuple(acts))
+        return (lim, by_labels[n][0]), by_labels[n][1]
+    return _limits(None, cat, [chain[:k] for chain, k in zip(
+        cat.chains, cat.marked_stage)], cat.shift, fiber, _mu_act)
 
 
 def _mu_act(src: tuple, dst: tuple, *stage_acts):
@@ -260,19 +234,19 @@ def check_force(model: Model, a: Psh) -> ForceReport:
     At finite truncation the map forgets the top-stage component, so it is
     an isomorphism exactly when A's fresh-clock chain stabilizes by stage
     N−2; a failure in the non-stabilized case is flagged as a truncation
-    artifact rather than a genuine one.
+    artifact rather than a genuine one.  It reads fibers and A at `downs`.
     """
     assert a.cat.kind == "slice"
     lhs = forall_clk(model, a)
     rhs = forall_clk(model, later(model, a))
     n = model.bound
-    chains, downs, _ = model.slice.stage_shift
+    chains, downs = model.slice.chains, model.slice.downs
     stabilized = True
     failure = None
-    for i, top_obj in enumerate(model.fresh_tops[0]):
+    for i, top_obj in enumerate(model.fresh_top_objs):
         # the fresh clock, marked, at stages 0 … N−1
         chain = chains[top_obj]
-        if not _bijective(a.acts[downs[chain[n - 1]]],
+        if not _bijective(a.act(downs[chain[n - 1]]),
                           len(a.fibs[chain[n - 2]])):
             stabilized = False
         # canonical map: truncate each family

@@ -857,10 +857,13 @@ def test_model_report_bytes_are_pinned(pool, bound, capsys):
 
 
 @pytest.mark.parametrize("suite,pool,bound", [("force", 2, 6),
-                                              ("experiments", 2, 8)])
+                                              ("experiments", 2, 8),
+                                              ("force", 3, 2),
+                                              ("distribution", 3, 2)])
 def test_model_suite_report_bytes_are_pinned(suite, pool, bound, capsys):
     # larger categories than `all` reaches in a test: μ at pool 2 with
-    # objects that share stages, and the witness sweep
+    # objects that share stages, the witness sweep, and the largest force
+    # and distribution inputs of the benchmark, at pool 3
     _assert_model_report_pinned(suite, pool, bound, capsys)
 
 

@@ -371,21 +371,31 @@ def _at_stage(o, alpha):
 @pytest.mark.parametrize("pool,bound", GRID)
 def test_stage_shift_matches_construction(pool, bound):
     for cat in _categories(pool, bound)[1::2]:
-        chains, downs, shifted = cat.stage_shift
+        # the shifts of identities and downs come before any morphism
+        ident = list(map(cat.shift, cat.identities))
+        down = [None if j is None else cat.shift(j) for j in cat.downs]
+        assert "mors" not in cat.__dict__
+        chains, downs, shifted = cat.chains, cat.downs, cat.shifted
         for i, o in enumerate(cat.objects):
             k = o.time.theta(o.clock)
             assert [cat.objects[c] for c in chains[i]] == \
                 [_at_stage(o, a) for a in range(bound)]
+            assert ident[i] == (i, i, shifted[cat.identities[i]])
             if k == 0:
                 assert downs[i] is None
             else:
                 assert cat.morphisms[downs[i]] == TimeMor(
                     o, _at_stage(o, k - 1), _ident(o).sigma)
+                assert downs[i] == cat.mor_id[
+                    i, chains[i][k - 1], tuple(range(len(o.time.names)))]
+                assert down[i] == (i, chains[i][k - 1], shifted[downs[i]])
         for j, m in enumerate(cat.morphisms):
             k2 = m.dst.time.theta(m.dst.clock)
             assert [cat.morphisms[s] for s in shifted[j]] == [
                 TimeMor(_at_stage(m.src, b), _at_stage(m.dst, b), m.sigma)
-                for b in range(k2 + 1)]
+                for b in range(k2)]
+            assert cat.shift(j) == (cat.src_ids[j], cat.dst_ids[j],
+                                    shifted[j])
 
 
 def _element_acts(x):
@@ -662,7 +672,8 @@ def test_integer_categories_match_reference(pool, bound):
         assert list(map(list, cat.gens)) == gens
         assert list(map(list, cat.gen_table)) == gen_table
         assert list(map(list, reference_table(cat))) == table
-    assert model.fresh_tops == reference_fresh_tops(model)
+    assert (model.fresh_top_objs, model.fresh_top_mors) == \
+        reference_fresh_tops(model)
 
 
 @pytest.mark.parametrize("pool,bound", [(1, 2), (2, 3), (2, 10), (3, 2),
@@ -1011,7 +1022,7 @@ def reference_chain_limit(cat, fib, act, chain):
     act(morphism id), in canonical order."""
     if not chain:
         return [()]
-    downs = cat.stage_shift[1]
+    downs = cat.downs
     families = set()
     for x in fib[chain[-1]]:
         family = [x]
@@ -1027,7 +1038,7 @@ def reference_mu(model, f):
     of elements, and one fresh fiber per object, as before positional
     plans and actions."""
     cat = model.slice
-    chains = cat.stage_shift[0]
+    chains = cat.chains
     # keyed by object and morphism id
     fib, lat_decode, lat_encode, memo = {}, {}, {}, {}
 
@@ -1037,7 +1048,7 @@ def reference_mu(model, f):
         m = cat.morphisms[j]
         s, d = cat.obj_id[m.src], cat.obj_id[m.dst]
         k2 = m.dst.time.theta(m.dst.clock)
-        stage_acts = [act(t) for t in cat.stage_shift[2][j][:k2]]
+        stage_acts = [act(t) for t in cat.shifted[j][:k2]]
         label_map = {lbl: lat_encode[d][tuple(
             stage_acts[beta][fam[beta]] for beta in range(k2))]
             for lbl, fam in lat_decode[s].items()}
@@ -1149,14 +1160,15 @@ def _chain_key(fibs, act, downs, chain):
 
 def reference_limits(x, cat, chains, stage_mors):
     """`_limits` with one memo call per object and per morphism."""
-    downs = x.cat.stage_shift[1]
+    downs = x.cat.downs
     limits: dict = {}
     lims, fibs = [], []
     for chain in chains:
         fibers = [x.fibs[o] for o in chain]
         key = _chain_key(x.fibs, x.acts.__getitem__, downs, chain)
         if key not in limits:
-            lim = _chain_limit(x.cat, x.fibs, x.acts.__getitem__, chain)
+            lim = _chain_limit(x.cat.downs, x.fibs, x.acts.__getitem__,
+                               chain)
             limits[key] = lim, tuple(
                 ("tup", tuple(enumerate(map(operator.getitem, fibers, fam))))
                 for fam in lim[0])
@@ -1171,7 +1183,7 @@ def reference_limits(x, cat, chains, stage_mors):
 
 def reference_later(model, x):
     cat = x.cat
-    chains, _, shifted = cat.stage_shift
+    chains, shifted = cat.chains, cat.shifted
     stage = cat.marked_stage
     return reference_limits(
         x, cat, [chain[:k] for chain, k in zip(chains, stage)],
@@ -1183,10 +1195,10 @@ def reference_forall_clk(model, x):
         raise FreshClockExhausted(
             "clock quantification needs a presheaf over the full slice "
             "(nested quantifiers exceed the clock pool)")
-    chains, _, shifted = x.cat.stage_shift
-    top_objs, top_mors = model.fresh_tops
+    chains, shifted = x.cat.chains, x.cat.shifted
+    top_objs, top_mors = model.fresh_top_objs, model.fresh_top_mors
     return reference_limits(x, model.time_inner, [chains[i] for i in top_objs],
-                            [shifted[j] for j in top_mors])
+                            [shifted[j] + (j,) for j in top_mors])
 
 
 def _reference_mu_act(src, dst, src_plan, dst_plan, *stage_acts):
@@ -1200,7 +1212,7 @@ def reference_mu_recursive(model, f):
     """`mu` with each action made by a recursive memo call per morphism,
     in the order the objects' chain limits ask for them."""
     cat = model.slice
-    chains, downs, shifted = cat.stage_shift
+    chains, downs, shifted = cat.chains, cat.downs, cat.shifted
     stage = cat.marked_stage
     n_obj = len(cat.objects)
     fibs: list = [None] * n_obj
@@ -1227,7 +1239,7 @@ def reference_mu_recursive(model, f):
             by_labels[n] = (plan, plan.elements(tuple(range(n))))
         key = _chain_key(fibs, act, downs, chain)
         if key not in limits:
-            limits[key] = _chain_limit(cat, fibs, act, chain)
+            limits[key] = _chain_limit(cat.downs, fibs, act, chain)
         lims[i] = limits[key]
         plans[i], fibs[i] = by_labels[n]
     return Psh(cat, tuple(fibs), tuple(map(act, range(len(cat.mors)))))
@@ -1320,6 +1332,38 @@ def test_constructions_match_per_morphism_oracles(pb, sliced, data):
     assert _sharing(got.fibs) == _sharing(want.fibs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(DIFF_MODELS)),
+       st.sampled_from(["later", "forall", "mu"]), st.data())
+def test_actions_read_in_any_order_match_oracles(pb, kind, data):
+    # actions read one at a time, at a drawn subset of ids in a drawn
+    # order, then all at once: the oracles' values and sharing
+    model = DIFF_MODELS[pb]
+    if kind == "mu":
+        f = parse_functor(data.draw(st.sampled_from(_DIFF_FUNCTORS)))
+        build, oracle, arg = mu, reference_mu_recursive, f
+    else:
+        arg = _outcome(eval_type, model, data.draw(model_types(True)), True)
+        assume(not isinstance(arg, tuple))
+        build, oracle = {"later": (later, reference_later),
+                         "forall": (forall_clk, reference_forall_clk)}[kind]
+    got = _outcome(build, model, arg)
+    if isinstance(got, tuple):
+        assert got == _outcome(oracle, model, arg)
+        return
+    n = got.cat.mor_count
+    ids = data.draw(st.permutations(range(n)))[:data.draw(
+        st.integers(0, min(n, 40)))]
+    read = [got.act(j) for j in ids]
+    want = oracle(model, arg)
+    assert got.fibs == want.fibs
+    assert read == [want.acts[j] for j in ids]
+    assert got.acts == want.acts
+    assert all(got.acts[j] is act for j, act in zip(ids, read))
+    assert _sharing(got.acts) == _sharing(want.acts)
+    assert _sharing(got.fibs) == _sharing(want.fibs)
+
+
 def test_pointwise_classes_hold_the_target_fibers():
     # the shared inclusion action has targets of different sizes beside a
     # fiber of two, so the product and the sum act differently along them
@@ -1359,6 +1403,19 @@ def test_force_delay_truncation_artifact():
     assert not r.iso
     assert r.truncation_artifact
     assert r.first_failure is not None
+
+
+@pytest.mark.parametrize("pool,bound", [(3, 2), (2, 6)])
+def test_force_builds_no_morphism_table(pool, bound):
+    # the force comparison reads fibers and the fresh clocks' down-actions
+    # only, so neither category lists its morphisms or the shifted rows
+    model = Model(pool=pool, bound=bound)
+    for a in (const_psh(model.slice, (0, 1)),
+              mu(model, parse_functor("sum(const{u},id)"))):
+        check_force(model, a)
+        assert "mors" not in model.slice.__dict__
+        assert "shifted" not in model.slice.__dict__
+        assert "mors" not in model.time_inner.__dict__
 
 
 # -- experiments ---------------------------------------------------------------
