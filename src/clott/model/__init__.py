@@ -6,10 +6,9 @@ from .presheaf import (CheckOutcome, FreshClockExhausted, Model, Psh,
                        align, arrow, check_functoriality, check_invariance,
                        clk_psh, const_psh, coproduct,
                        forall_clk, later, product, restrict_to, weaken)
-from .typeexpr import (ForceReport, MAnd, MArrow, MBot, MClk, MEq,
-                       MExists, MFin, MForall, MForallFam, MLater, MMu,
-                       MOr, MProd, MSum, MTop, TypeExprM, check_force,
-                       eval_type, mu)
+from .typeexpr import (ForceReport, MArrow, MClk, MEq, MExists, MFin,
+                       MForall, MForallFam, MLater, MMu, MProd, MSum, MTop,
+                       TypeExprM, check_force, eval_type, mu)
 from .experiments import (DistReport, FiberVerdict,
                           check_forall_prod_dist, check_forall_sum_dist,
                           exists_forall_experiment, unique_exists_check)
@@ -22,9 +21,9 @@ __all__ = [
     "arrow", "check_functoriality", "check_invariance", "clk_psh",
     "const_psh", "coproduct", "forall_clk", "later",
     "product", "restrict_to", "weaken",
-    "ForceReport", "MAnd", "MArrow", "MBot", "MClk", "MEq", "MExists",
-    "MFin", "MForall", "MForallFam", "MLater", "MMu", "MOr", "MProd",
-    "MSum", "MTop", "TypeExprM", "check_force", "eval_type", "mu",
+    "ForceReport", "MArrow", "MClk", "MEq", "MExists", "MFin", "MForall",
+    "MForallFam", "MLater", "MMu", "MProd", "MSum", "MTop", "TypeExprM",
+    "check_force", "eval_type", "mu",
     "DistReport", "FiberVerdict", "check_forall_prod_dist",
     "check_forall_sum_dist", "exists_forall_experiment",
     "unique_exists_check",

@@ -37,7 +37,7 @@ def exists_forall_experiment(model: Model, x: Psh, phi) -> dict:
         # per stage of the fresh clock: the target of its introduction,
         # marked, the action and the target fiber
         fresh = model.fresh_clock(cat.objects[i])
-        intros = [(ElObj(cat.objects[d], fresh), x.acts[j], x.fibs[d])
+        intros = [(ElObj(cat.objects[d], fresh), x.act(j), x.fibs[d])
                   for j, d in cat.intros[i][fresh]]
         witness = None
         for p, e in enumerate(x.fibs[i]):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress
 from operator import getitem
 from types import MappingProxyType
 
@@ -132,8 +132,10 @@ def align(a: Psh, b: Psh) -> tuple[Psh, Psh]:
 class Psh:
     """Fibers by object id, actions by morphism id.  act(j)[k] is the
     position in the fiber at j's target of the image of the k-th element
-    of the fiber at j's source; action tuples may be shared.  acts is
-    their tuple by id or, until `acts` is read, a maker (`_limits`)."""
+    of the fiber at j's source; action tuples may be shared.  A presheaf
+    is made with its actions' tuple by id or with a maker that answers one
+    id (`_limits`); `acts`, on first read, is the maker over every id,
+    which then replaces the maker."""
 
     def __init__(self, cat: FinCategory, fibs: tuple, acts):
         self.cat, self.fibs, self.act = cat, fibs, acts
@@ -142,7 +144,7 @@ class Psh:
 
     @cached_property
     def acts(self) -> tuple:
-        acts = self.act(None)
+        acts = tuple(map(self.act, range(self.cat.mor_count)))
         self.act = acts.__getitem__
         return acts
 
@@ -345,24 +347,21 @@ def _limits(x: Psh | None, cat: FinCategory, chains, ends, fiber,
     """The presheaf over cat with (made[i], fiber i) = fiber(limit, chains[i])
     for the limit of x (of itself for x None, by chain length) over
     chains[i], and at j, on first read, action(made[s], made[d], *x's
-    actions at row), (s, d, row) = ends(j); ends(None) lists (j, s, d, row).
-    Classes as in `_per_class`: by the fibers and down-actions of a chain,
-    and by made[s], made[d] and the actions at row."""
+    actions at row), (s, d, row) = ends(j).  Classes as in `_per_class`:
+    by the fibers and down-actions of a chain, and by made[s], made[d] and
+    the actions at row."""
     made, fibs = [None] * len(cat.objects), [None] * len(cat.objects)
     by_id, by_class, limits = {}, {}, {}
 
     def act(j):     # the result's maker (see `Psh`)
-        if j in by_id:
-            return by_id[j]
-        get = x_act if x is None or j is not None else x.acts.__getitem__
-        for i, s, d, row in ends(None) if j is None else [(j, *ends(j))]:
-            stage = list(map(get, row))
+        if j not in by_id:
+            s, d, row = ends(j)
+            stage = list(map(x_act, row))
             key = (id(made[s]), id(made[d]), *map(id, stage))
             if key not in by_class:
                 by_class[key] = action(made[s], made[d], *stage)
-            by_id[i] = by_class[key]
-        return by_id[j] if j is not None else \
-            tuple(map(by_id.__getitem__, range(len(by_id))))
+            by_id[j] = by_class[key]
+        return by_id[j]
     downs, x_fibs, x_act = (cat.downs, fibs, act) if x is None else (
         x.cat.downs, x.fibs, x.act)
     for i in sorted(range(len(chains)), key=lambda i: len(chains[i])):
@@ -403,9 +402,6 @@ def forall_clk(model: Model, x: Psh) -> Psh:
     inner = model.time_inner
 
     def ends(j):    # the row of j's widening t: t's `shifted` row, then t
-        if j is None:
-            return zip(count(), inner.src_ids, inner.dst_ids, [
-                x.cat.shifted[t] + (t,) for t in model.fresh_top_mors])
         t = model.fresh_top_mors[j]
         return inner.src_ids[j], inner.dst_ids[j], x.cat.shifted[t] + (t,)
     return _limits(x, inner, list(map(x.cat.chains.__getitem__,

@@ -18,14 +18,14 @@ slice records the time objects and morphisms under its own (`over`,
 `parent_mors`).  `TimeMor` objects exist only at the boundary: `decode`
 builds one and `morphisms` all, for counterexamples and tests.
 
-A category is made with its objects.  Until `mors` is read (then `mor_id`
-answers), `mor_index` ranks a morphism as its (source, target) block's
-offset (`offsets`) plus the mixed-radix rank of its images (Knuth, TAOCP
-4A §7.2.1.1), in a slice times the source's clocks plus the marked one:
-`identities` and `intros` build no morphism.  The morphisms and their
-tables (out-lists, `gen_table`, `pre_table`, `factors`, `shifted`; a
-slice's `chains` and `downs` are by object) are built on first use and
-shared; none holds all composable pairs.
+A category is made with its objects.  `mor_index` ranks a morphism as
+its (source, target) block's offset (`offsets`) plus the mixed-radix rank
+of its images (Knuth, TAOCP 4A §7.2.1.1), in a slice times the source's
+clocks plus the marked one, so `identities`, a slice's `downs` and
+`intros` build no morphism.  The morphisms and their tables (out-lists,
+`gen_table`, `pre_table`, `factors`, `shifted`; a slice's `chains` and
+`downs` are by object) are built on first use and shared, and look their
+ids up in `mor_id`; none holds all composable pairs.
 
 Sizes in closed form (`category_sizes`), so that `check_size` can refuse
 a category over budget before its objects are listed.  With a pool of P
@@ -155,17 +155,12 @@ class FinCategory:
 
     @cached_property
     def mor_count(self) -> int:
-        """`category_sizes` for the whole time category (its last object has
-        every clock at the top stage) and its slice, else the last offset."""
-        t = self.over[0] if self.kind == "slice" else self
-        last = t.objects[-1]
-        return self.offsets[-1] if t.parent else category_sizes(
-            len(last.names), last.stages[0] + 1)[1 + (t is not self)]
+        """The number of morphisms, the last offset."""
+        return self.offsets[-1]
 
     def mor_index(self, s: int, d: int, images) -> int | None:
-        """The id of (s, d, images), or None if it is no morphism."""
-        if "mors" in self.__dict__:
-            return self.mor_id.get((s, d, images))
+        """The id of (s, d, images), or None if it is no morphism, in
+        closed form; bulk lookups over built morphisms use `mor_id`."""
         if not (0 <= s < len(self.objects) and 0 <= d < len(self.objects)):
             return None
         t, k, m = self, 0, 1
@@ -363,20 +358,24 @@ class FinCategory:
         return tuple(diagonals[key][:self.marked_stage[d]]
                      for key, d in zip(keys, self.dst_ids))
 
-    def shift(self, j: int | None) -> tuple:
-        """(source, target, `shifted` row) of morphism j of a slice, or for
-        j None (id, source, target, row) of each.  An identity's or a down's
-        row, the identities on its chain below, needs no morphism built."""
-        if j is None:
-            return zip(itertools.count(), self.src_ids, self.dst_ids,
-                       self.shifted)
-        for ids, lower in (self.identities, 0), (self.downs, 1):
-            if j in ids:
-                i = ids.index(j)
-                chain, k = self.chains[i], self.marked_stage[i] - lower
-                return i, chain[k], tuple(map(self.identities.__getitem__,
-                                              chain[:k]))
-        return self.src_ids[j], self.dst_ids[j], self.shifted[j]
+    @cached_property
+    def chain_shifts(self) -> dict:
+        """For a slice, `shift` of each identity and down by id: the
+        identities on its chain below its target, with no morphism built."""
+        out, ident = {}, self.identities
+        for ids, lower in (ident, 0), (self.downs, 1):
+            for i, j in enumerate(ids):
+                if j is not None:
+                    chain, k = self.chains[i], self.marked_stage[i] - lower
+                    out[j] = i, chain[k], tuple(map(ident.__getitem__,
+                                                    chain[:k]))
+        return out
+
+    def shift(self, j: int) -> tuple:
+        """(source, target, `shifted` row) of morphism j of a slice; an
+        identity or a down is answered from `chain_shifts`."""
+        return self.chain_shifts.get(j) or (
+            self.src_ids[j], self.dst_ids[j], self.shifted[j])
 
 
 def clock_intro(cat: FinCategory, i: int, lam: str, alpha: int):

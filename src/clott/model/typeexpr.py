@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..coalgebra import FunctorExpr, functor_map_all, functor_plan
-from .presheaf import (Model, Psh, _bijective, _limits, _stagewise, align,
-                       arrow, clk_psh, coproduct, const_psh, forall_clk,
-                       later, product, weaken)
+from .presheaf import (Model, Psh, _bijective, _limits, _stagewise, arrow,
+                       clk_psh, coproduct, const_psh, forall_clk, later,
+                       product, weaken)
 from .timecat import obj_key
 
 
@@ -71,23 +71,6 @@ class MTop(TypeExprM):
 
 
 @dataclass(frozen=True)
-class MBot(TypeExprM):
-    pass
-
-
-@dataclass(frozen=True)
-class MAnd(TypeExprM):
-    left: TypeExprM
-    right: TypeExprM
-
-
-@dataclass(frozen=True)
-class MOr(TypeExprM):
-    left: TypeExprM
-    right: TypeExprM
-
-
-@dataclass(frozen=True)
 class MEq(TypeExprM):
     """The equality predicate of a type, as the diagonal subpresheaf of
     its square."""
@@ -142,19 +125,10 @@ def eval_type(model: Model, e: TypeExprM, slice_: bool = False) -> Psh:
         return mu(model, e.functor)
     if isinstance(e, MTop):
         return const_psh(cat, (PRF,))
-    if isinstance(e, MBot):
-        return const_psh(cat, ())
-    if isinstance(e, (MAnd, MOr)):
-        l, r = align(eval_type(model, e.left, slice_),
-                     eval_type(model, e.right, slice_))
-        both = isinstance(e, MAnd)
-        return _prop_psh(l.cat, tuple(
-            (PRF,) if (bool(a) and bool(b) if both else bool(a) or bool(b))
-            else () for a, b in zip(l.fibs, r.fibs)))
     if isinstance(e, MEq):
         x = eval_type(model, e.arg, slice_)
         return Psh(x.cat, tuple(tuple(("pair", a, a) for a in fib)
-                                for fib in x.fibs), x.acts)
+                                for fib in x.fibs), x.act)
     if isinstance(e, (MExists, MForallFam)):
         x = eval_type(model, e.arg, slice_)
         quant = any if isinstance(e, MExists) else all

@@ -19,8 +19,9 @@ only for a monos counterexample and for the callers that read them.
 Custom carriers on ids.  A custom theory's bounded terms over n labels
 are interned in one table (`enumerate_terms`) as labels and (operation,
 child ids) pairs.  Equation instances, counted against the budget first,
-and congruence closure look such pairs up, and T(f) relabels ids;
-`AlgTerm`s are decoded only for representatives and stray images.
+and congruence closure look such pairs up, and T(f) relabels ids and
+sends each image to its class's least term; `AlgTerm`s are decoded only
+for representatives.
 
 Canonical order and the boundary rule.  Carriers are listed in the order
 of `canon_key`, a total order across numbers (ints and Fractions by
@@ -280,8 +281,7 @@ def free_plan(t: Theory, n: int, budget: Budget):
     exists; its codes, in canonical order by construction, are built on
     first use.  A custom theory's plan codes its congruence classes by the
     ids of their representatives in an interned term table and acts by
-    relabelling ids (`_ClassPlan`); an image that is not a representative
-    stays a decoded term, equal to no position."""
+    relabelling ids (`_ClassPlan`)."""
     b = t.builtin
     if b is None:
         return _ClassPlan(t, n, budget)
@@ -419,11 +419,11 @@ class _ClassPlan(_Plan):
     """A custom theory's congruence classes over the labels, coded by the
     ids of their least terms in the term table (`_closure`).  T(fn)
     relabels the table bottom-up up to the last representative, one
-    lookup per term in dst's table; an image that is not a representative
-    there stays the decoded ("class", term), equal to no position."""
+    lookup per term in dst's table, and sends each image to the least
+    term of its class there."""
 
     def __init__(self, t: Theory, n: int, budget: Budget):
-        self.terms, self.codes = _closure(t, n, budget)
+        self.terms, self.codes, self.least = _closure(t, n, budget)
         self.size = len(self.codes)
         self.steps = [(i, *self.terms[i])
                       for i in range(n, max(self.codes, default=n - 1) + 1)]
@@ -436,9 +436,7 @@ class _ClassPlan(_Plan):
         img, ids, rank = dict(enumerate(fn)), dst.terms.ids, dst.rank
         for i, op, kids in self.steps:
             img[i] = ids[op, tuple([img[k] for k in kids])]
-        return [rank[j] if j in rank else
-                ("class", dst.terms.decode(j, range(dst.terms.n)))
-                for j in map(img.__getitem__, self.codes)]
+        return [rank[dst.least[img[c]]] for c in self.codes]
 
 
 def _subsets_lex(units, empty, join) -> list:
@@ -585,10 +583,11 @@ def _shape(term: AlgTerm) -> tuple[int, list]:
     return 1 + sum(s for s, _ in shapes), [v for _, vs in shapes for v in vs]
 
 
-def _closure(t: Theory, n: int, budget: Budget) -> tuple[_Terms, list]:
-    """The term table over n labels up to term_size operation nodes, and
-    the id of the least term of each congruence class, in canonical
-    order, under the equation instances whose sides both fit the table.
+def _closure(t: Theory, n: int, budget: Budget) -> tuple[_Terms, list, list]:
+    """The term table over n labels up to term_size operation nodes, the
+    id of the least term of each congruence class, in canonical order,
+    and per term id the id of its class's least term, under the equation
+    instances whose sides both fit the table.
     All instances are counted from the layer sizes, and refused past
     max_elements, before any is made."""
     terms = enumerate_terms(t, n, budget.term_size, budget.max_terms)
@@ -636,10 +635,10 @@ def _closure(t: Theory, n: int, budget: Budget) -> tuple[_Terms, list]:
             j = sig.setdefault((op, tuple([find(k) for k in kids])), i)
             if j != i and union(i, j):
                 changed = True
-    reps: dict = {}
+    reps, least = {}, [0] * len(terms)
     for i in sorted(range(len(terms)), key=terms.rank.__getitem__):
-        reps.setdefault(find(i), i)
-    return terms, list(reps.values())
+        least[i] = reps.setdefault(find(i), i)
+    return terms, list(reps.values()), least
 
 
 def _instance_sizes(occ, room: int, counts: list):

@@ -384,6 +384,17 @@ def test_theory_pullbacks_of_a_free_operation_at_the_defaults(tmp_path):
     assert doc["checks"][0]["verdict"] == "pass"
 
 
+def test_theory_pullbacks_of_a_commutative_operation_pass(tmp_path):
+    # T(swap) sends f(0, 1) to f(1, 0), the same class; with no drop
+    # equation the free model preserves pullbacks of monos
+    f = tmp_path / "comm.thy"
+    f.write_text("op f/2\neq f(x, y) = f(y, x)\n")
+    code, doc = run_json(["theory", "pullbacks", str(f), "--size", "2",
+                          "--depth", "2"], tmp_path)
+    assert code == 0
+    assert doc["checks"][0]["verdict"] == "pass"
+
+
 def test_theory_pullbacks_square_budget_is_unknown(tmp_path, capsys):
     f = tmp_path / "convex.thy"
     f.write_text("builtin convex\n")

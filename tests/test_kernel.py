@@ -751,6 +751,19 @@ def test_congruence_matches_reference_conv(t, u, mapping, rnd):
                     (ctx, a, b, fuel)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_terms, _terms, st.randoms(use_true_random=False),
+       st.tuples(_fix_shapes, _fix_shapes))
+def test_congruence_matches_reference_conv_spending_fuel(t, u, rnd, shapes):
+    # the drawn pairs above never unfold `fix`; these do, so fuel runs out
+    # at some of fuel 0-4, beside drawn terms
+    for a, b in _fix_mix(t, u, shapes, rnd):
+        for fuel in range(5):
+            assert _convert_outcome(_FIX_CONTEXT, a, b, fuel) == \
+                _convert_outcome(_FIX_CONTEXT, a, b, fuel, reference_conv), \
+                (a, b, fuel)
+
+
 _SAMPLE = {T.TERM: None, T.NAME_VAR: "n", T.NAME_CLOCK: "k", T.NAME_TICK: "a",
            T.ATOM: "tt", T.NAMESET: ("k",), T.BIND_VAR: "x",
            T.BIND_CLOCK: "k9", T.BIND_TICK: "b"}
