@@ -1,24 +1,7 @@
-"""Concrete syntax: tokenizer, syntax table and precedence-climbing parser.
+"""Concrete syntax: tokenizer, syntax table and Pratt parser.
 
-Surface syntax (see README for the grammar):
-
-    fun x -> x                        lambda
-    tick a : k -> t                   tick abstraction
-    clock k -> t                      clock abstraction
-    t [a]        t @ k                tick / clock application
-    later (a : k) -> A   later k A    delay type (dependent / simple)
-    forall-clk k -> A                 clock quantification
-    (x : A) -> B    A -> B            dependent / simple function type
-    (x : A) * B     A * B             dependent / simple pair type
-    A + B,  unit,  empty,  Id A t u   sums, units, identity type
-    U{k1,k2}   Prop{k}                universes
-    El t,  Prf p,  In{d => d'} t      decoding and universe inclusion
-    cpi/csig (x : a) -> b, csum a b,  universe codes
-    cid a t u, clater (a:k) -> t,
-    cforall k -> t
-    ptop, pbot, p /\\ q, p \\/ q,     proposition formers
-    exists (x : a) -> p, all (x : a) -> p,
-    peq a t u, plater (a:k) -> p, pforall-clk k -> p
+The grammar is in README.  Its keyword forms are written once, in the
+table `FORMS` below, which the printer reads too.
 
 Files use `--` line comments and `def NAME : TYPE = TERM` declarations.
 
@@ -32,13 +15,17 @@ the distinct token texts finds it.  Lines and columns (columns count
 characters from the start of the line) are computed only for an error
 message, from the same pattern's matches.
 
-One table below lists the binder keywords by shape, the prefix keywords
-and the infix symbols with their precedence; the printer reads it too.
-`term` parses a binder form or a dependent function or pair type, and
-otherwise climbs precedence over the infix symbols with applications as
-operands (Pratt, "Top down operator precedence", POPL 1973).  A level of
-parentheses costs four Python frames (atom, term, app, postfix), so
-about 240 levels parse under the default recursion limit.
+The syntax table below gives each keyword-led form as the pieces it
+prints: literal text, and slots for a name, a term or an argument.  The
+parser tokenizes the literals once at import and reads every form by one
+loop over its pieces; the printer joins the same pieces.  A second table
+gives the infix symbols with their precedence.  `term` is one Pratt loop
+(Pratt, "Top down operator precedence", POPL 1973): it reads a variable,
+a keyword form, `fun`, a dependent function or pair type or an atom, and
+then postfix tick and clock applications, application by juxtaposition
+and the infix symbols by precedence.  A level of parentheses costs two
+Python frames (term, atom) and a binder one, so about 490 levels of
+parentheses parse under the default recursion limit.
 """
 from __future__ import annotations
 
@@ -51,7 +38,7 @@ from .terms import (
     Forall, ForallCode, Fst, Id, IdCode, Incl, Inl, Inr, Lam, Later,
     LaterCode, PAnd, PEq, PExists, PForall, PForallClk, PLater, POr, Pair,
     Pi, PiCode, Prf, PropU, Sigma, SigmaCode, Snd, Sum, SumCode, Term,
-    TickAbs, TickApp, Univ, Var,
+    TickAbs, TickApp, Univ, Var, free_names, fresh,
 )
 
 
@@ -116,29 +103,61 @@ def position(text: str, i: int) -> tuple[int, int]:
 
 # -- the concrete syntax: read by the parser below and by the printer -------
 
-# `KW k -> body`
-CLOCK_BINDERS = {"clock": ClockAbs, "forall-clk": Forall,
-                 "cforall": ForallCode, "pforall-clk": PForallClk}
-# `KW (x : dom) -> body`
-TYPED_BINDERS = {"exists": PExists, "all": PForall, "cpi": PiCode,
-                 "csig": SigmaCode}
-# `KW (a : k) -> body`, or `KW k A` binding the tick `_tick`
-DELAYS = {"later": Later, "clater": LaterCode, "plater": PLater}
-# `KW a1 .. an`: the arguments are postfix terms in constructor order
-PREFIX = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "El": El,
-          "Prf": Prf, "Id": Id, "peq": PEq, "cid": IdCode, "csum": SumCode}
+# The keyword-led forms as they print: literal text, and slots in the class's
+# field order for a name `{n}`, a term `{t}` or an argument `{a}` (a postfix
+# term).  A form with a term slot is a binder.  A delay also has the short
+# form `later k A`, which binds a tick not free in A.
+FORMS = {
+    TickAbs: "tick {n} : {n} -> {t}", ClockAbs: "clock {n} -> {t}",
+    Forall: "forall-clk {n} -> {t}", ForallCode: "cforall {n} -> {t}",
+    PForallClk: "pforall-clk {n} -> {t}",
+    PExists: "exists ({n} : {t}) -> {t}", PForall: "all ({n} : {t}) -> {t}",
+    PiCode: "cpi ({n} : {t}) -> {t}", SigmaCode: "csig ({n} : {t}) -> {t}",
+    Case: "case {t} { inl {n} -> {t} | inr {n} -> {t} }",
+    Later: "later ({n} : {n}) -> {t}", LaterCode: "clater ({n} : {n}) -> {t}",
+    PLater: "plater ({n} : {n}) -> {t}",
+    Fst: "fst {a}", Snd: "snd {a}", Inl: "inl {a}", Inr: "inr {a}",
+    El: "El {a}", Prf: "Prf {a}", SumCode: "csum {a} {a}",
+    Id: "Id {a} {a} {a}", PEq: "peq {a} {a} {a}", IdCode: "cid {a} {a} {a}",
+}
+_DELAYS = (Later, LaterCode, PLater)
 # Infix symbols, loosest first: (symbol, class, right-associative).  Pi and
 # Sigma bind the name `_` when written infix, and x in the dependent forms
-# `(x : A) -> B` and `(x : A) * B`.
+# `(x : A) -> B` and `(x : A) * B`.  Application binds tighter, at APP, and
+# the postfix `t [a]` and `t @ k` tighter still, at POSTFIX.
 INFIX = (("->", Pi, True), ("*", Sigma, True), ("+", Sum, False),
          ("\\/", POr, False), ("/\\", PAnd, False))
+APP = len(INFIX) + 1
+POSTFIX = APP + 1
+NAME = "name"
+_SLOTS = {"n": NAME, "t": 0, "a": POSTFIX, None: None}
 
-_BINDER_KEYWORDS = {"fun", "tick", "case", *CLOCK_BINDERS, *TYPED_BINDERS,
-                    *DELAYS}
-KEYWORDS = _BINDER_KEYWORDS | {*PREFIX, "In", "U", "Prop", "def"}
-_NOT_ARGUMENTS = _BINDER_KEYWORDS | {"def", "of"}
+
+def _pieces(cls: type, form: str) -> tuple:
+    """(literal text, its tokens, slot, field) per piece of the form: a slot
+    is NAME or the level of the term it holds, or None after the last."""
+    parts = re.split(r"\{([nta])\}", form) + [None]  # text, slot, ..., None
+    fields = iter(cls.__match_args__)
+    return tuple((text, tokenize(text)[:-1], _SLOTS[slot],
+                  slot and next(fields))
+                 for text, slot in zip(parts[::2], parts[1::2])
+                 if text or slot)
+
+
+PIECES = {cls: _pieces(cls, form) for cls, form in FORMS.items()}
+BINDERS = {cls for cls, pieces in PIECES.items()
+           if any(slot == 0 for _, _, slot, _ in pieces)}
+# keyword (a form's first token) -> (class, pieces, the highest level at
+# which the form is read): a binder only where a whole term may stand, a
+# delay (for its short form) and a prefix form anywhere
+_READ = {pieces[0][1][0]: (cls, pieces, POSTFIX if cls in _DELAYS
+                           or cls not in BINDERS else 0)
+         for cls, pieces in PIECES.items()}
+_BINDER_KEYWORDS = {"fun"} | {kw for kw, (cls, _, _) in _READ.items()
+                              if cls in BINDERS}
+KEYWORDS = _BINDER_KEYWORDS | {*_READ, "In", "U", "Prop", "def"}
+_NOT_ARGUMENTS = _BINDER_KEYWORDS | {"def"}
 _RESERVED = KEYWORDS | CONSTANTS
-_ARITY = {cls: len(cls.__match_args__) for cls in PREFIX.values()}
 _PRECEDENCE = {sym: (prec, cls, right)
                for prec, (sym, cls, right) in enumerate(INFIX, 1)}
 
@@ -149,11 +168,11 @@ class _Parser:
         self.toks = tokenize(text)
         self.pos = 0
 
-    def peek(self, k: int = 0) -> str:
-        # callers look past a token only when it is not eof, so the index
-        # stays inside the list, which ends with eof (the per-node paths
-        # index `toks` directly, which saves a call per token)
-        return self.toks[self.pos + k]
+    def peek(self) -> str:
+        # the per-node paths index `toks` directly, which saves a call per
+        # token; they look past a token only when it is not eof, so the
+        # index stays inside the list, which ends with eof
+        return self.toks[self.pos]
 
     def error(self, msg: str) -> ParseError:
         t = self.toks[self.pos]
@@ -176,101 +195,84 @@ class _Parser:
     # -- terms ------------------------------------------------------------
 
     def term(self, prec: int = 0) -> Term:
-        """A term whose infix operators have precedence `prec` or more; at
-        0 also a binder form or a dependent function or pair type."""
-        kw = self.toks[self.pos]
-        if prec == 0 and kw in _BINDER_KEYWORDS:
-            if kw == "fun":
-                self.pos += 1
-                names = [self.expect_name()]
-                while (t := self.peek())[:1] in _NAME_START \
-                        and t not in KEYWORDS:
-                    names.append(self.expect_name())
-                self.expect("->")
-                body = self.term()
-                for x in reversed(names):
-                    body = Lam(x, body)
-                return body
-            if kw == "tick":
-                self.pos += 1
-                a = self.expect_name()
-                self.expect(":")
-                k = self.expect_name()
-                self.expect("->")
-                return TickAbs(a, k, self.term())
-            if kw in CLOCK_BINDERS:
-                self.pos += 1
-                k = self.expect_name()
-                self.expect("->")
-                return CLOCK_BINDERS[kw](k, self.term())
-            if kw in TYPED_BINDERS:
-                self.pos += 1
-                self.expect("(")
-                x = self.expect_name()
-                self.expect(":")
-                dom = self.term()
-                self.expect(")")
-                self.expect("->")
-                return TYPED_BINDERS[kw](x, dom, self.term())
-            if kw == "case":
-                self.pos += 1
-                scrut = self.term()
-                self.expect("{")
-                self.expect("inl")
-                x = self.expect_name()
-                self.expect("->")
-                left = self.term()
-                self.expect("|")
-                self.expect("inr")
-                y = self.expect_name()
-                self.expect("->")
-                right = self.term()
-                self.expect("}")
-                return Case(scrut, x, left, y, right)
-        elif prec == 0 and kw == "(" and (x := self.peek(1))[:1] in _NAME_START \
-                and x not in _RESERVED and self.peek(2) == ":":
-            save = self.pos
+        """A term whose operators bind at level `prec` or tighter: at 0 also
+        a binder form, at POSTFIX no application."""
+        toks = self.toks
+        kw = toks[self.pos]
+        if kw[:1] in _NAME_START and kw not in _RESERVED and kw != "_":
             self.pos += 1
-            x = self.expect_name()
-            self.expect(":")
+            left = Var(kw)
+        elif (form := _READ.get(kw)) is not None and prec <= form[2]:
+            cls, pieces, top = form
+            if cls in _DELAYS and toks[self.pos + 1] != "(":
+                self.pos += 1
+                k = self.expect_name()
+                body = self.term(POSTFIX)
+                left = cls(fresh("_tick", free_names(body).ticks), k, body)
+            else:
+                args = []
+                for _, lits, slot, _ in pieces:
+                    for s in lits:
+                        self.expect(s)
+                    if slot == NAME:
+                        args.append(self.expect_name())
+                    elif slot is not None:
+                        args.append(self.term(slot))
+                left = cls(*args)
+                if top == 0:  # a binder is no operand and takes no argument
+                    return left
+        elif prec == 0 and kw == "fun":
+            self.pos += 1
+            names = [self.expect_name()]
+            while (t := toks[self.pos])[:1] in _NAME_START \
+                    and t not in KEYWORDS:
+                names.append(self.expect_name())
+            self.expect("->")
+            body = self.term()
+            for x in reversed(names):
+                body = Lam(x, body)
+            return body
+        elif prec == 0 and kw == "(" \
+                and (x := toks[self.pos + 1])[:1] in _NAME_START \
+                and x not in _RESERVED and toks[self.pos + 2] == ":":
+            save = self.pos
+            self.pos += 3
             dom = self.term()
             self.expect(")")
-            op = self.peek()
+            op = toks[self.pos]
             if op == "->" or op == "*":
                 self.pos += 1
                 return (Pi if op == "->" else Sigma)(x, dom, self.term())
             self.pos = save  # plain annotation; reparse as an atom
-        left = self.app()
+            left = self.atom()
+        else:
+            left = self.atom()
         while True:
-            op = _PRECEDENCE.get(self.toks[self.pos])
-            if op is None or op[0] < prec:
+            t = toks[self.pos]
+            if t == "[" or t == "@":
+                self.pos += 1
+                if t == "[":
+                    left = TickApp(left, self.expect_name())
+                    self.expect("]")
+                else:
+                    left = ClockApp(left, self.expect_name())
+            elif prec == POSTFIX:
                 return left
-            self.pos += 1
-            op_prec, cls, right_assoc = op
-            if op_prec == 1:
-                # the loosest symbol, `->`, takes a whole term on its right
-                return cls("_", left, self.term())
-            right = self.term(op_prec if right_assoc else op_prec + 1)
-            left = cls("_", left, right) if cls is Sigma else cls(left, right)
-
-    def app(self) -> Term:
-        head = self.postfix()
-        # an argument starts with `(` or with a name that opens no binder
-        while (t := self.toks[self.pos]) == "(" or (
-                t[:1] in _NAME_START and t not in _NOT_ARGUMENTS):
-            head = App(head, self.postfix())
-        return head
-
-    def postfix(self) -> Term:
-        t = self.atom()
-        while (op := self.toks[self.pos]) == "[" or op == "@":
-            self.pos += 1
-            if op == "[":
-                t = TickApp(t, self.expect_name())
-                self.expect("]")
+            # an argument starts with `(` or with a name that opens no binder
+            elif t == "(" or (t[:1] in _NAME_START
+                              and t not in _NOT_ARGUMENTS):
+                left = App(left, self.term(POSTFIX))
             else:
-                t = ClockApp(t, self.expect_name())
-        return t
+                op = _PRECEDENCE.get(t)
+                if op is None or op[0] < prec:
+                    return left
+                self.pos += 1
+                op_prec, cls, right_assoc = op
+                if op_prec == 1:
+                    # the loosest symbol, `->`, takes a whole term on its right
+                    return cls("_", left, self.term())
+                right = self.term(op_prec if right_assoc else op_prec + 1)
+                left = cls("_", left, right) if cls is Sigma else cls(left, right)
 
     def _names(self, *ends: str) -> tuple[str, ...]:
         """Names, each optionally followed by a comma, up to one of `ends`."""
@@ -282,6 +284,8 @@ class _Parser:
         return tuple(names)
 
     def atom(self) -> Term:
+        """A parenthesised term, pair or annotation, a variable or constant,
+        a universe or a universe inclusion."""
         kw = self.toks[self.pos]
         if kw == "(":
             self.pos += 1
@@ -300,11 +304,8 @@ class _Parser:
             return inner
         if kw[:1] not in _NAME_START:
             raise self.error("expected a term")
-        if kw not in _RESERVED:
-            if kw == "_":
-                raise self.error("'_' only names a binder, never a variable")
-            self.pos += 1
-            return Var(kw)
+        if kw == "_":
+            raise self.error("'_' only names a binder, never a variable")
         if kw in CONSTANTS:
             self.pos += 1
             return Const(kw)
@@ -321,24 +322,7 @@ class _Parser:
             self.expect("=>")
             big = self._names("}")
             self.expect("}")
-            return Incl(small, big, self.postfix())
-        if kw in DELAYS:
-            cls = DELAYS[kw]
-            self.pos += 1
-            if self.peek() == "(":
-                self.pos += 1
-                a = self.expect_name()
-                self.expect(":")
-                k = self.expect_name()
-                self.expect(")")
-                self.expect("->")
-                return cls(a, k, self.term())
-            k = self.expect_name()
-            return cls("_tick", k, self.postfix())
-        if kw in PREFIX:
-            self.pos += 1
-            cls = PREFIX[kw]
-            return cls(*[self.postfix() for _ in range(_ARITY[cls])])
+            return Incl(small, big, self.term(POSTFIX))
         raise self.error(f"unexpected keyword {kw!r}")
 
 

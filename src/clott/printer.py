@@ -1,36 +1,25 @@
 """Canonical pretty-printer; round-trips with the parser up to alpha-equivalence.
 
-It reads the parser's syntax table in reverse: an infix form is
-parenthesised from its precedence and associativity, a prefix form prints
-its fields in constructor order, and a binder prints by its shape.
+It reads the parser's syntax table in reverse: a keyword form joins the
+pieces of its form, parenthesised as a binder or an application, and an
+infix form is parenthesised from its precedence and associativity.
 """
 from __future__ import annotations
 
 from operator import attrgetter
 
-from .parser import CLOCK_BINDERS, DELAYS, INFIX, PREFIX, TYPED_BINDERS
-from .terms import (AOp, AVar, Ann, App, Case, ClockApp, Const, Incl, Lam,
-                    Pair, PropU, Term, TickAbs, TickApp, Univ, Var)
+from .parser import APP, BINDERS, INFIX, NAME, PIECES, POSTFIX
+from .terms import (AOp, AVar, Ann, App, ClockApp, Const, Incl, Lam, Pair,
+                    PropU, Term, TickApp, Univ, Var)
 
-# Precedence levels: 0 for the binder forms, 1 .. len(INFIX) for the infix
-# symbols loosest first, then application and postfix.
-_APP = len(INFIX) + 1
-_POSTFIX = _APP + 1
-
-
-# class -> (shape, keyword or symbol, field getter[, precedence, left and
-# right operand levels]); the field order is read once, here
-_FORMS: dict[type, tuple] = {
-    **{cls: ("clock", kw, None) for kw, cls in CLOCK_BINDERS.items()},
-    **{cls: ("typed", kw, attrgetter(*cls.__match_args__))
-       for kw, cls in TYPED_BINDERS.items()},
-    **{cls: ("delay", kw, None) for kw, cls in DELAYS.items()},
-    **{cls: ("prefix", kw, tuple(map(attrgetter, cls.__match_args__)))
-       for kw, cls in PREFIX.items()},
-    **{cls: ("infix", sym, attrgetter(*cls.__match_args__), prec,
-             *((prec + 1, prec) if right else (prec, prec + 1)))
-       for prec, (sym, cls, right) in enumerate(INFIX, 1)},
-}
+# class -> (level, pieces) of a keyword form: a binder stands alone only
+# where a whole term may, and a prefix form where an application may
+_FORMS = {cls: (0 if cls in BINDERS else APP, pieces)
+          for cls, pieces in PIECES.items()}
+# class -> (symbol, field getter, precedence, left and right operand levels)
+_INFIX = {cls: (sym, attrgetter(*cls.__match_args__), prec,
+                *((prec + 1, prec) if right else (prec, prec + 1)))
+          for prec, (sym, cls, right) in enumerate(INFIX, 1)}
 
 
 def show_term(t: Term) -> str:
@@ -45,51 +34,41 @@ def _show(t: Term, minimum: int) -> str:
     cls = type(t)
     form = _FORMS.get(cls)
     if form is not None:
-        shape, kw, get = form[:3]
-        if shape == "infix":
-            prec, lp, rp = form[3:]
-            *name, left, right = get(t)
-            lhs = (f"({name[0]} : {_show(left, 0)})" if name and name[0] != "_"
-                   else _show(left, lp))
-            return _wrap(f"{lhs} {kw} {_show(right, rp)}", prec, minimum)
-        if shape == "prefix":
-            args = " ".join([_show(g(t), _POSTFIX) for g in get])
-            return _wrap(f"{kw} {args}", _APP, minimum)
-        if shape == "clock":
-            s = f"{kw} {t.clock} -> {_show(t.body, 0)}"
-        elif shape == "delay":
-            s = f"{kw} ({t.tick} : {t.clock}) -> {_show(t.body, 0)}"
-        else:
-            x, dom, body = get(t)
-            s = f"{kw} ({x} : {_show(dom, 0)}) -> {_show(body, 0)}"
-        return _wrap(s, 0, minimum)
+        level, pieces = form
+        parts = []
+        for text, _, slot, field in pieces:
+            parts.append(text)
+            if slot == NAME:
+                parts.append(getattr(t, field))
+            elif slot is not None:
+                parts.append(_show(getattr(t, field), slot))
+        return _wrap("".join(parts), level, minimum)
     if cls is Var or cls is Const:
         return t.name
+    if cls in _INFIX:
+        sym, get, prec, lp, rp = _INFIX[cls]
+        *name, left, right = get(t)
+        lhs = (f"({name[0]} : {_show(left, 0)})" if name and name[0] != "_"
+               else _show(left, lp))
+        return _wrap(f"{lhs} {sym} {_show(right, rp)}", prec, minimum)
     if cls is Lam:
         return _wrap(f"fun {t.name} -> {_show(t.body, 0)}", 0, minimum)
-    if cls is TickAbs:
-        return _wrap(f"tick {t.tick} : {t.clock} -> {_show(t.body, 0)}",
-                     0, minimum)
     if cls is App:
-        return _wrap(f"{_show(t.fn, _APP)} {_show(t.arg, _POSTFIX)}",
-                     _APP, minimum)
+        return _wrap(f"{_show(t.fn, APP)} {_show(t.arg, POSTFIX)}",
+                     APP, minimum)
     if cls is TickApp:
-        return _wrap(f"{_show(t.fn, _POSTFIX)} [{t.tick}]", _POSTFIX, minimum)
+        return _wrap(f"{_show(t.fn, POSTFIX)} [{t.tick}]", POSTFIX, minimum)
     if cls is ClockApp:
-        return _wrap(f"{_show(t.fn, _POSTFIX)} @ {t.clock}", _POSTFIX, minimum)
+        return _wrap(f"{_show(t.fn, POSTFIX)} @ {t.clock}", POSTFIX, minimum)
     if cls is Incl:
         return _wrap(f"In{{{', '.join(t.small)} => {', '.join(t.big)}}} "
-                     f"{_show(t.code, _POSTFIX)}", _APP, minimum)
+                     f"{_show(t.code, POSTFIX)}", APP, minimum)
     if cls is Univ or cls is PropU:
         return f"{'U' if cls is Univ else 'Prop'}{{{', '.join(t.clocks)}}}"
     if cls is Pair:
         return f"({_show(t.fst, 0)}, {_show(t.snd, 0)})"
     if cls is Ann:
         return f"({_show(t.term, 0)} : {_show(t.type_, 0)})"
-    if cls is Case:
-        return _wrap(f"case {_show(t.scrut, 0)} {{ inl {t.lname} -> "
-                     f"{_show(t.left, 0)} | inr {t.rname} -> "
-                     f"{_show(t.right, 0)} }}", 0, minimum)
     raise AssertionError(f"unhandled term node {cls.__name__}")
 
 

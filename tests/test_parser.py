@@ -17,7 +17,7 @@ from clott.parser import (KEYWORDS, _BINDER_KEYWORDS, Declaration,
                           parse_term, parse_theory_file, token_positions,
                           tokenize)
 from clott.printer import show_alg_term, show_term
-from clott.terms import _SPEC, TERM, free_names
+from clott.terms import _SPEC, TERM, free_names, fresh
 from clott.terms import (
     AOp, AVar, Ann, App, Case, ClockAbs, ClockApp, Const, CONSTANTS, El,
     Forall, ForallCode, Fst, Id, IdCode, Incl, Inl, Inr, Lam, Later,
@@ -29,8 +29,12 @@ from clott.terms import (
 from .strategies import alg_terms, terms
 
 
+# legal names that are easy to mistake for syntax
+_AWKWARD_NAMES = st.sampled_from(["of", "x'", "a-b"])
+
+
 @settings(max_examples=300)
-@given(terms())
+@given(terms(names=_AWKWARD_NAMES))
 def test_roundtrip(t):
     assert parse_term(show_term(t)) == t
 
@@ -88,6 +92,19 @@ def test_later_simple_and_dependent():
     dep = parse_term("later (a : k) -> A")
     assert isinstance(simple, Later) and simple.tick == "_tick"
     assert isinstance(dep, Later) and dep.tick == "a"
+
+
+def test_later_short_form_binds_a_tick_its_body_leaves_free():
+    assert parse_term("tick _tick : k -> later k (f [_tick])") == TickAbs(
+        "_tick", "k", Later("_tick1", "k", TickApp(Var("f"), "_tick")))
+    assert free_names(parse_term("clater k (f [_tick])")).ticks == {"_tick"}
+
+
+def test_of_is_a_name_like_any_other():
+    assert parse_term("fun f -> fun of -> f of") == Lam(
+        "f", Lam("of", App(Var("f"), Var("of"))))
+    t = App(Var("f"), Var("of"))
+    assert parse_term(show_term(t)) == t
 
 
 def test_declarations():
@@ -519,8 +536,7 @@ class _ReferenceParser:
     def _at_atom_start(self) -> bool:
         t = self.peek()
         if t.kind == "name":
-            return t.value not in _REF_BINDER_KEYWORDS and t.value != "def" \
-                and t.value != "of"
+            return t.value not in _REF_BINDER_KEYWORDS and t.value != "def"
         return t.kind == "sym" and t.value in ("(",)
 
     def app(self) -> Term:
@@ -601,7 +617,8 @@ class _ReferenceParser:
                 self.expect_sym("->")
                 return cls(a, k, self.term())
             k = self.expect_name()
-            return cls("_tick", k, self.postfix())
+            body = self.postfix()
+            return cls(fresh("_tick", free_names(body).ticks), k, body)
         if kw in ("fst", "snd", "inl", "inr", "El", "Prf"):
             self.next()
             cls = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr,
@@ -859,13 +876,14 @@ def test_python_dash_m_runs_the_cli():
     importlib.import_module("clott.__main__")
 
 
-def test_nested_parentheses_cost_four_frames_per_level():
+def test_nested_parentheses_cost_two_frames_per_level():
     # a fresh interpreter, so that pytest's own stack depth does not count:
-    # 230 levels fit under the default recursion limit of 1,000 frames
-    # only at four frames (atom, term, app, postfix) per level
+    # 480 levels fit under the default recursion limit of 1,000 frames
+    # only at two frames (term, atom) per level
     src = os.path.dirname(os.path.dirname(clott.__file__))
     code = ("from clott.parser import parse_term\n"
-            "parse_term('(' * 230 + 'tt' + ')' * 230)\n")
+            "for n in (230, 480):\n"
+            "    parse_term('(' * n + 'tt' + ')' * n)\n")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
