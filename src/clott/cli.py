@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from importlib import resources
 from typing import Callable, NamedTuple
 
 from . import coalgebra, kernel, theories
-from .coalgebra import (BOT, FunctorParseError, NotConverged, bisimilarity,
-                        final_coalgebra, now, parse_coalgebra_file,
-                        parse_functor, show_functor, step, terminal_sequence,
+from .coalgebra import (BOT, NotConverged, bisimilarity, final_coalgebra,
+                        now, parse_coalgebra_file, parse_functor,
+                        show_functor, step, terminal_sequence,
                         weak_bisim_delay)
 from .kernel import Context, Fuel, TypeCheckError, UnknownConversion, whnf
 from .model import (FreshClockExhausted, MArrow, MClk, MEq, MExists, MFin,
@@ -34,7 +33,7 @@ from .model import (FreshClockExhausted, MArrow, MClk, MEq, MExists, MFin,
                     const_psh, eval_type, exists_forall_experiment, mu,
                     unique_exists_check)
 from .parser import (ParseError, parse_declarations, parse_term,
-                     parse_theory_file)
+                     parse_theory_file, position, read_words)
 from .printer import show_alg_term, show_term
 from .report import (FAIL, PASS, TRUNCATION_ARTIFACT, UNKNOWN, Report)
 from .theories import (BUILTINS, Budget, BudgetExceeded, TheoryError,
@@ -49,8 +48,8 @@ class UsageError(Exception):
     """Arguments that parse but that no command accepts."""
 
 
-USAGE_ERRORS = (OSError, UnicodeDecodeError, ParseError, FunctorParseError,
-                TheoryError, UsageError)
+USAGE_ERRORS = (OSError, UnicodeDecodeError, ParseError, TheoryError,
+                UsageError)
 UNDECIDED = (RecursionError, BudgetExceeded, FreshClockExhausted,
              NotConverged, UnknownConversion)
 
@@ -282,31 +281,24 @@ def cmd_theory(args, rep: Report) -> None:
 # coalg
 # ---------------------------------------------------------------------------
 
-def _steps(d, k):
-    for _ in range(k):
-        d = step(d)
-    return d
-
-
-_DELAY_NAME = re.compile(r"[A-Za-z0-9_]+")
-_DELAY_TOKEN = re.compile(rf"{_DELAY_NAME.pattern}|\S")
+def _delay_node(word: str, args):
+    """A delay term's node; a bare word stays a word: `bot`, or a value."""
+    if args is None:
+        return word
+    d = args[0] if len(args) == 1 else None
+    if word == "now" and isinstance(d, str):
+        return now(d)
+    if word == "step" and (d == "bot" or isinstance(d, tuple)):
+        return step(BOT if d == "bot" else d)
+    raise ValueError(f"bad arguments to {word!r}")
 
 
 def parse_delay(text: str):
-    """Parse `step(step(now(a)))` / `bot` into a delay tree.  Spaces may
-    separate tokens but not split them."""
-    ts = _DELAY_TOKEN.findall(text)
-    depth = 0
-    while ts[2 * depth:2 * depth + 2] == ["step", "("]:
-        depth += 1
-    core = ts[2 * depth:len(ts) - depth]
-    if ts[len(ts) - depth:] == [")"] * depth:
-        if core == ["bot"]:
-            return _steps(BOT, depth)
-        if len(core) == 4 and core[:2] == ["now", "("] and core[3] == ")" \
-                and _DELAY_NAME.fullmatch(core[2]):
-            return _steps(now(core[2]), depth)
-    raise FunctorParseError(f"bad delay term {text!r}")
+    """Parse `step(step(now(a)))` or `bot` into a delay tree."""
+    d = read_words(text, "a delay term", _delay_node, ("step", "now"))
+    if isinstance(d, str) and d != "bot":
+        raise ParseError(f"{d!r} is not a delay term", *position(text, 0))
+    return BOT if d == "bot" else d
 
 
 def _functor(args, rep: Report):
@@ -435,11 +427,11 @@ def _suite_coalgebra(args, rep: Report) -> None:
     rep.add("coalgebra/bisim-example", PASS if pq and not pr else FAIL,
             {"blocks": [list(b) for b in partition]},
             anchor="bisimilarity by partition refinement")
-    bound = args.bound
-    t = now("a")
-    ok = all(weak_bisim_delay(t, _steps(now("a"), k),
-                              lambda a, b: a == b, bound)["all"]
-             for k in range(bound))
+    bound, d, ok = args.bound, now("a"), True
+    for _ in range(bound):      # d is step^k(now(a)) at the k-th pass
+        ok = ok and weak_bisim_delay(now("a"), d, lambda a, b: a == b,
+                                     bound)["all"]
+        d = step(d)
     rep.add("coalgebra/weakbisim-now-step", PASS if ok else FAIL,
             {"bound": bound},
             anchor="now(a) weakly bisimilar to step^k(now(a))")

@@ -2,8 +2,9 @@
 and bisimilarity engines.
 
 The functor grammar is `const{a,b} | id | prod(F,G) | sum(F,G) | pf(F) |
-df(F)` where pf is the finite-powerset monad (free semilattice) and df
-the finitely-supported-distribution monad (free convex algebra).
+df(F)`, read by `parser.read_words` through the head table
+`FUNCTOR_HEADS`, where pf is the finite-powerset monad (free semilattice)
+and df the finitely-supported-distribution monad (free convex algebra).
 
 Carrier-level actions run on integer positions.  `functor_plan` gives F
 over the labels 0..n-1: its size in closed form (so oversized stages are
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import theories
-from .parser import UNCOMMENTED_RE
+from .parser import UNCOMMENTED_RE, ParseError, read_words
 from .theories import BUILTINS, Budget, BudgetExceeded, canon_key, csorted
 
 
@@ -76,88 +77,39 @@ class FFree(FunctorExpr):
     inner: FunctorExpr
 
 
-_FUNCTOR_TOKEN = re.compile(r"\s*([A-Za-z0-9_]+|[(){},])")
+# head word -> (class, the theory of a free-model head): a head takes the
+# class's other fields as functor arguments, and `const` its words
+FUNCTOR_HEADS = {"id": (FId, None), "const": (FConst, None),
+                 "prod": (FProd, None), "sum": (FSum, None),
+                 "pf": (FFree, "semilattice"), "df": (FFree, "convex")}
+_FUNCTOR_WORDS = {head: word for word, head in FUNCTOR_HEADS.items()}
+FunctorParseError = ParseError  # malformed functor, delay or edge-list syntax
 
 
-class FunctorParseError(ValueError):
-    """Malformed functor, delay or edge-list syntax."""
+def _functor_node(word: str, args) -> FunctorExpr:
+    cls, theory = FUNCTOR_HEADS.get(word, (None, None))
+    if cls is FConst and args is not None and len(set(args)) == len(args):
+        return FConst(tuple(csorted(args)))
+    fields = ([theory] if theory else []) + list(args or ())
+    if cls not in (None, FConst) and len(fields) == len(cls.__match_args__):
+        return cls(*fields)
+    raise ValueError(f"unknown functor {word!r}" if cls is None else
+                     "repeated const element" if cls is FConst and args else
+                     f"bad arguments to {word!r}")
 
 
 def parse_functor(text: str) -> FunctorExpr:
-    tokens = []
-    pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = _FUNCTOR_TOKEN.match(text, pos)
-        if not m:
-            raise FunctorParseError(f"bad character at offset {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    expr, rest = _parse_functor(tokens)
-    if rest:
-        raise FunctorParseError(f"trailing tokens: {' '.join(rest)}")
-    return expr
-
-
-def _parse_functor(ts: list[str]) -> tuple[FunctorExpr, list[str]]:
-    if not ts:
-        raise FunctorParseError("unexpected end of functor expression")
-    head, ts = ts[0], ts[1:]
-    if head == "id":
-        return FId(), ts
-    if head == "const":
-        if not ts or ts[0] != "{":
-            raise FunctorParseError("const expects {elements}")
-        ts = ts[1:]
-        elems = []
-        while ts and ts[0] != "}":
-            if elems:
-                if ts[0] != ",":
-                    raise FunctorParseError("const elements need commas")
-                ts = ts[1:]
-            if not ts or ts[0] in ("(", ")", "{", "}", ","):
-                raise FunctorParseError("const expects element names")
-            if ts[0] in elems:
-                raise FunctorParseError(f"repeated const element {ts[0]!r}")
-            elems.append(ts[0])
-            ts = ts[1:]
-        if not ts:
-            raise FunctorParseError("unterminated const{...}")
-        return FConst(tuple(csorted(elems))), ts[1:]
-    if head in ("prod", "sum"):
-        if not ts or ts[0] != "(":
-            raise FunctorParseError(f"{head} expects (F, G)")
-        left, ts = _parse_functor(ts[1:])
-        if not ts or ts[0] != ",":
-            raise FunctorParseError(f"{head} expects two arguments")
-        right, ts = _parse_functor(ts[1:])
-        if not ts or ts[0] != ")":
-            raise FunctorParseError("expected ')'")
-        cls = FProd if head == "prod" else FSum
-        return cls(left, right), ts[1:]
-    if head in ("pf", "df"):
-        if not ts or ts[0] != "(":
-            raise FunctorParseError(f"{head} expects (F)")
-        inner, ts = _parse_functor(ts[1:])
-        if not ts or ts[0] != ")":
-            raise FunctorParseError("expected ')'")
-        theory = "semilattice" if head == "pf" else "convex"
-        return FFree(theory, inner), ts[1:]
-    raise FunctorParseError(f"unknown functor constructor {head!r}")
+    return read_words(text, "a functor", _functor_node,
+                      ("prod", "sum", "pf", "df"), ("const",))
 
 
 def show_functor(f: FunctorExpr) -> str:
-    if isinstance(f, FId):
-        return "id"
     if isinstance(f, FConst):
         return "const{" + ",".join(str(e) for e in f.elems) + "}"
-    if isinstance(f, FProd):
-        return f"prod({show_functor(f.left)}, {show_functor(f.right)})"
-    if isinstance(f, FSum):
-        return f"sum({show_functor(f.left)}, {show_functor(f.right)})"
-    if isinstance(f, FFree):
-        kw = "pf" if f.theory == "semilattice" else "df"
-        return f"{kw}({show_functor(f.inner)})"
-    raise AssertionError(type(f).__name__)
+    word = _FUNCTOR_WORDS[type(f), getattr(f, "theory", None)]
+    args = [show_functor(getattr(f, field)) for field in f.__match_args__
+            if field != "theory"]
+    return f"{word}({', '.join(args)})" if args else word
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +597,7 @@ def parse_coalgebra_file(text: str) -> Coalgebra:
             index[parts[1]] = None
         elif parts:
             col = len(re.match(r"\s*(?:\S+\s+){3}(?=\S)|.*\S", raw)[0]) + 1
-            raise FunctorParseError(
-                f"{lineno}:{col}: expected `x label y` or `state x`")
+            raise ParseError("expected `x label y` or `state x`", lineno, col)
     states = tuple(sorted(index))
     index.update(zip(states, range(len(states))))
     labels = tuple(sorted({a for _, a, _ in edges}))

@@ -26,6 +26,10 @@ then postfix tick and clock applications, application by juxtaposition
 and the infix symbols by precedence.  A level of parentheses costs two
 Python frames (term, atom) and a binder one, so about 490 levels of
 parentheses parse under the default recursion limit.
+
+`read_words` reads the side syntaxes over the same tokenizer: functor
+expressions, delay terms and `.thy` terms, each `word`, `word(t, …)` or
+`word{w, …}`, built node by node by a function per language.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ from .terms import (
 )
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message
@@ -323,7 +327,7 @@ class _Parser:
             big = self._names("}")
             self.expect("}")
             return Incl(small, big, self.term(POSTFIX))
-        raise self.error(f"unexpected keyword {kw!r}")
+        raise self.error("unexpected keyword")
 
 
 def parse_term(text: str) -> Term:
@@ -358,41 +362,68 @@ def parse_declarations(text: str) -> list[Declaration]:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic theory files (.thy)
+# Word terms (functor expressions, delay terms) and .thy files
 # ---------------------------------------------------------------------------
 
-def parse_alg_term(text: str, ops: dict[str, int]) -> AVar | AOp:
+def read_words(text: str, noun: str, build, parens, braces=()):
+    """Read one `word`, `word(t, …)` or `word{w, …}` term: only a word of
+    `parens` takes terms in parentheses, only one of `braces` words in
+    braces.  Each node goes, children first, to `build(word, args)`, args
+    None for a bare word; a ValueError from build is a ParseError at the
+    word.  Open parentheses are a list, not Python frames."""
     p = _Parser(text)
-    t = _alg_term(p, ops)
-    if p.peek():
-        raise p.error("trailing input after term")
-    return t
-
-
-def _alg_term(p: _Parser, ops: dict[str, int]) -> AVar | AOp:
-    at, name = p.pos, p.peek()
-    if name[:1] not in _NAME_START:
-        raise p.error("expected a variable or operation")
-    p.pos += 1
-    if name in ops:
-        args: list = []
-        if p.peek() == "(":
+    toks, stack = p.toks, []    # per open `word(`: word, its index, args
+    while True:
+        at, word, args = p.pos, toks[p.pos], None
+        if word[:1] not in _NAME_START:
+            raise p.error(f"expected {noun}")
+        p.pos += 1
+        if toks[p.pos] == "(" and word in parens:
             p.pos += 1
-            if p.peek() != ")":
-                args.append(_alg_term(p, ops))
-                while p.peek() == ",":
-                    p.pos += 1
-                    args.append(_alg_term(p, ops))
-            if p.peek() != ")":
+            if toks[p.pos] != ")":
+                stack.append((word, at, []))
+                continue
+            p.pos += 1
+            args = []
+        elif toks[p.pos] == "{" and word in braces:
+            p.pos += 1
+            args = []
+            while toks[p.pos] != "}" or toks[p.pos - 1] == ",":  # not `,}`
+                if toks[p.pos][:1] not in _NAME_START:
+                    raise p.error("expected a word")
+                args.append(toks[p.pos])
+                p.pos += 1
+                if toks[p.pos] != "}":
+                    p.expect(",")
+            p.pos += 1
+        while True:     # build the node, and each node it completes
+            try:
+                built = build(word, args)
+            except ValueError as exc:
+                raise ParseError(str(exc), *position(text, at)) from None
+            if not stack:
+                if toks[p.pos]:
+                    raise p.error("trailing input after term")
+                return built
+            word, at, args = stack[-1]
+            args.append(built)
+            if toks[p.pos] == ",":
+                p.pos += 1
+                break   # read the next argument
+            if toks[p.pos] != ")":
                 raise p.error("expected ',' or ')' after an argument")
             p.pos += 1
-        if len(args) != ops[name]:
-            raise ParseError(
-                f"operation {name!r} has arity {ops[name]}, got {len(args)} "
-                f"argument{'' if len(args) == 1 else 's'}",
-                *position(p.text, at))
-        return AOp(name, tuple(args))
-    return AVar(name)
+            stack.pop()
+
+
+def parse_alg_term(text: str, ops: dict[str, int]) -> AVar | AOp:
+    def build(word: str, args):
+        n = len(args or ())
+        if word in ops and n != ops[word]:
+            raise ValueError(f"operation {word!r} has arity {ops[word]}, "
+                             f"got {n} argument{'' if n == 1 else 's'}")
+        return AOp(word, tuple(args or ())) if word in ops else AVar(word)
+    return read_words(text, "a variable or operation", build, ops)
 
 
 def _eq_side(text: str, ops: dict[str, int], line: int, col: int):
@@ -407,9 +438,7 @@ def parse_theory_file(text: str):
     """Parse a .thy file into (ops, equations, builtin_tag).
 
     Format: `op NAME/ARITY`, `eq LHS = RHS`, optional `builtin NAME`,
-    `--` comments.  Operation parameters (convex choice weights) are part of
-    the operation name, e.g. `op choice_1/2 / 2` is not supported; use
-    `op choice(1/2)/2` style names without spaces.
+    `--` comments; `theories.BUILTIN_THY` writes the builtins in it.
     """
     ops: dict[str, int] = {}
     equations: list[tuple[AVar | AOp, AVar | AOp]] = []

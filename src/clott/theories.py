@@ -2,7 +2,8 @@
 preservation checks behind the drop-equation criterion.
 
 Builtin theories (semilattice, convex, monoid, commutative-monoid,
-truncation) come with exact canonical normal forms.  Custom theories fall
+truncation), written in `.thy` syntax (`BUILTIN_THY`), come with exact
+canonical normal forms.  Custom theories fall
 back on bounded term enumeration plus congruence closure, with
 three-valued equality: distinct classes are only `unknown` apart, never
 `apart`, since a bigger budget might merge them.
@@ -50,6 +51,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .parser import parse_theory_file
 from .terms import AOp, AVar, AlgTerm, alg_free_vars
 
 
@@ -84,73 +86,58 @@ class Budget:
     max_elements: int = 1_000_000
 
 
-def _v(n: str) -> AVar:
-    return AVar(n)
-
-
-def _op(o: str, *args: AlgTerm) -> AOp:
-    return AOp(o, tuple(args))
-
-
-# representative weights for the convex-choice family; the associativity
-# instance at p = q = 1/2 needs 1/4, 1/3 and their mirror weights
+# representative weights for the convex-choice family: `cpq(x, y)` weighs x
+# by p/q; the associativity instance at p = q = 1/2 needs 1/4, 1/3 and their
+# mirror weights
 CONVEX_WEIGHTS = {
     "c12": Fraction(1, 2), "c13": Fraction(1, 3), "c14": Fraction(1, 4),
     "c23": Fraction(2, 3), "c34": Fraction(3, 4),
 }
+# the builtin theories in `.thy` syntax, one paragraph each, named by its
+# `builtin` line
+BUILTIN_THY = """\
+builtin semilattice
+op or/2
+op bot/0
+eq or(x, y) = or(y, x)
+eq or(or(x, y), z) = or(x, or(y, z))
+eq or(x, x) = x
+eq or(x, bot) = x
 
+builtin convex
+op c12/2
+op c13/2
+op c14/2
+op c23/2
+op c34/2
+-- idempotence, commutativity (p vs 1-p), associativity at 1/2
+eq c12(x, x) = x
+eq c12(x, y) = c12(y, x)
+eq c13(x, y) = c23(y, x)
+eq c14(x, y) = c34(y, x)
+eq c12(c12(x, y), z) = c14(x, c13(y, z))
+
+builtin monoid
+op mul/2
+op e/0
+eq mul(mul(x, y), z) = mul(x, mul(y, z))
+eq mul(x, e) = x
+eq mul(e, x) = x
+
+builtin commutative-monoid
+op mul/2
+op e/0
+eq mul(mul(x, y), z) = mul(x, mul(y, z))
+eq mul(x, e) = x
+eq mul(e, x) = x
+eq mul(x, y) = mul(y, x)
+
+builtin truncation
+eq x = y
+"""
 BUILTINS: dict[str, Theory] = {
-    "semilattice": Theory(
-        "semilattice",
-        (("or", 2), ("bot", 0)),
-        (
-            (_op("or", _v("x"), _v("y")), _op("or", _v("y"), _v("x"))),
-            (_op("or", _op("or", _v("x"), _v("y")), _v("z")),
-             _op("or", _v("x"), _op("or", _v("y"), _v("z")))),
-            (_op("or", _v("x"), _v("x")), _v("x")),
-            (_op("or", _v("x"), _op("bot")), _v("x")),
-        ),
-        builtin="semilattice"),
-    "convex": Theory(
-        "convex",
-        tuple((o, 2) for o in sorted(CONVEX_WEIGHTS)),
-        (
-            # idempotence, commutativity (p vs 1-p), associativity at 1/2
-            (_op("c12", _v("x"), _v("x")), _v("x")),
-            (_op("c12", _v("x"), _v("y")), _op("c12", _v("y"), _v("x"))),
-            (_op("c13", _v("x"), _v("y")), _op("c23", _v("y"), _v("x"))),
-            (_op("c14", _v("x"), _v("y")), _op("c34", _v("y"), _v("x"))),
-            (_op("c12", _op("c12", _v("x"), _v("y")), _v("z")),
-             _op("c14", _v("x"), _op("c13", _v("y"), _v("z")))),
-        ),
-        builtin="convex"),
-    "monoid": Theory(
-        "monoid",
-        (("mul", 2), ("e", 0)),
-        (
-            (_op("mul", _op("mul", _v("x"), _v("y")), _v("z")),
-             _op("mul", _v("x"), _op("mul", _v("y"), _v("z")))),
-            (_op("mul", _v("x"), _op("e")), _v("x")),
-            (_op("mul", _op("e"), _v("x")), _v("x")),
-        ),
-        builtin="monoid"),
-    "commutative-monoid": Theory(
-        "commutative-monoid",
-        (("mul", 2), ("e", 0)),
-        (
-            (_op("mul", _op("mul", _v("x"), _v("y")), _v("z")),
-             _op("mul", _v("x"), _op("mul", _v("y"), _v("z")))),
-            (_op("mul", _v("x"), _op("e")), _v("x")),
-            (_op("mul", _op("e"), _v("x")), _v("x")),
-            (_op("mul", _v("x"), _v("y")), _op("mul", _v("y"), _v("x"))),
-        ),
-        builtin="commutative-monoid"),
-    "truncation": Theory(
-        "truncation",
-        (),
-        ((_v("x"), _v("y")),),
-        builtin="truncation"),
-}
+    name: Theory(name, tuple(ops.items()), tuple(eqs), name)
+    for ops, eqs, name in map(parse_theory_file, BUILTIN_THY.split("\n\n"))}
 
 
 def theory_from_file(ops: dict[str, int],

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from clott import cli
 from clott.cli import data_path, main, parse_delay
-from clott.coalgebra import BOT, now, step
+from clott.coalgebra import (BOT, FConst, FFree, FId, FProd, FSum, now,
+                             parse_functor, step)
+from clott.theories import csorted
 from clott.kernel import TypeCheckError, UnknownConversion
 from clott.model import Model
 from clott.report import SCHEMA_VERSION, Report
@@ -704,6 +707,164 @@ def test_argv_fuzz_ends_in_an_exit_code(parts, thy):
     if code != 2:
         doc = json.loads(out.getvalue()[out.getvalue().index("\n{") + 1:])
         assert doc["checks"] and all(c["name"] for c in doc["checks"])
+
+
+# -- side syntaxes: functor expressions and delay terms -----------------------
+
+_REF_FUNCTOR_TOKEN = re.compile(r"\s*([A-Za-z0-9_]+|[(){},])")
+
+
+def reference_parse_functor(text: str):
+    """The recursive-descent functor reader over its own tokenizer that
+    `parse_functor` replaced, kept as its oracle; it raises ValueError."""
+    tokens = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _REF_FUNCTOR_TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"bad character at offset {pos}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    expr, rest = _reference_functor(tokens)
+    if rest:
+        raise ValueError(f"trailing tokens: {' '.join(rest)}")
+    return expr
+
+
+def _reference_functor(ts):
+    if not ts:
+        raise ValueError("unexpected end of functor expression")
+    head, ts = ts[0], ts[1:]
+    if head == "id":
+        return FId(), ts
+    if head == "const":
+        if not ts or ts[0] != "{":
+            raise ValueError("const expects {elements}")
+        ts = ts[1:]
+        elems = []
+        while ts and ts[0] != "}":
+            if elems:
+                if ts[0] != ",":
+                    raise ValueError("const elements need commas")
+                ts = ts[1:]
+            if not ts or ts[0] in ("(", ")", "{", "}", ","):
+                raise ValueError("const expects element names")
+            if ts[0] in elems:
+                raise ValueError(f"repeated const element {ts[0]!r}")
+            elems.append(ts[0])
+            ts = ts[1:]
+        if not ts:
+            raise ValueError("unterminated const{...}")
+        return FConst(tuple(csorted(elems))), ts[1:]
+    if head in ("prod", "sum"):
+        if not ts or ts[0] != "(":
+            raise ValueError(f"{head} expects (F, G)")
+        left, ts = _reference_functor(ts[1:])
+        if not ts or ts[0] != ",":
+            raise ValueError(f"{head} expects two arguments")
+        right, ts = _reference_functor(ts[1:])
+        if not ts or ts[0] != ")":
+            raise ValueError("expected ')'")
+        cls = FProd if head == "prod" else FSum
+        return cls(left, right), ts[1:]
+    if head in ("pf", "df"):
+        if not ts or ts[0] != "(":
+            raise ValueError(f"{head} expects (F)")
+        inner, ts = _reference_functor(ts[1:])
+        if not ts or ts[0] != ")":
+            raise ValueError("expected ')'")
+        theory = "semilattice" if head == "pf" else "convex"
+        return FFree(theory, inner), ts[1:]
+    raise ValueError(f"unknown functor constructor {head!r}")
+
+
+_REF_DELAY_NAME = re.compile(r"[A-Za-z0-9_]+")
+_REF_DELAY_TOKEN = re.compile(rf"{_REF_DELAY_NAME.pattern}|\S")
+
+
+def reference_parse_delay(text: str):
+    """The token-list delay reader that `parse_delay` replaced, kept as its
+    oracle; it raises ValueError."""
+    ts = _REF_DELAY_TOKEN.findall(text)
+    depth = 0
+    while ts[2 * depth:2 * depth + 2] == ["step", "("]:
+        depth += 1
+    core = ts[2 * depth:len(ts) - depth]
+    d = None
+    if ts[len(ts) - depth:] == [")"] * depth:
+        if core == ["bot"]:
+            d = BOT
+        elif len(core) == 4 and core[:2] == ["now", "("] \
+                and core[3] == ")" and _REF_DELAY_NAME.fullmatch(core[2]):
+            d = now(core[2])
+    if d is None:
+        raise ValueError(f"bad delay term {text!r}")
+    for _ in range(depth):
+        d = step(d)
+    return d
+
+
+def _result(read, text):
+    try:
+        return read(text)
+    except ValueError:
+        return "error"
+
+
+@settings(max_examples=1000)
+@given(_functor_texts)
+def test_functor_reader_matches_reference(text):
+    # words of [A-Za-z_][A-Za-z0-9_]* and plain spaces, where both readers
+    # accept the same language
+    assert _result(parse_functor, text) == _result(reference_parse_functor,
+                                                   text)
+
+
+@settings(max_examples=1000)
+@given(_delay_texts)
+def test_delay_reader_matches_reference(text):
+    assert _result(parse_delay, text) == _result(reference_parse_delay, text)
+
+
+@pytest.mark.parametrize("argv, parameter", [
+    # `-` and `'` continue a word, as in terms
+    (["coalg", "terminal", "const{a-b}"], ("functor", "const{a-b}")),
+    (["coalg", "terminal", "const{a'}"], ("functor", "const{a'}")),
+    (["coalg", "weakbisim", "now(a-b)", "step(now(a-b))"],
+     ("left", "now(a-b)")),
+    # `--` starts a comment
+    (["coalg", "terminal", "id -- c"], ("functor", "id"))])
+def test_side_syntax_words_and_comments_are_the_terms(tmp_path, argv,
+                                                      parameter):
+    code, doc = run_json(argv, tmp_path)
+    assert code == 0
+    name, value = parameter
+    assert doc["parameters"][name] == value
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a word starts with a letter or `_`; a digit starts a number
+    (["coalg", "terminal", "const{1a}"], "1:7: expected a word (got '1')"),
+    # only ASCII blanks separate tokens
+    (["coalg", "terminal", "id\xa0"], "1:3: unexpected character '\\xa0'"),
+    (["coalg", "weakbisim", "now(a)", "now(\xa0a)"],
+     "1:5: unexpected character '\\xa0'")])
+def test_side_syntax_rejects_what_terms_reject(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"clott {' '.join(argv[:2])}: " \
+                                      f"{message}\n"
+
+
+def test_weakbisim_reads_deep_delay_terms_without_recursion():
+    # the reader keeps open parentheses in a list, so 2,000 levels read
+    # under the default recursion limit and the verdict is a plain fail
+    deep = "step(" * 2000 + "now(a)" + ")" * 2000
+    assert main(["coalg", "weakbisim", "now(a)", deep, "--bound", "4"]) == 1
+    d = parse_delay(deep)
+    for _ in range(2000):
+        assert d[0] == "step"
+        d = d[1]
+    assert d == now("a")
 
 
 # -- report determinism --------------------------------------------------------

@@ -746,8 +746,8 @@ def reference_parse_coalgebra_file(text: str) -> Coalgebra:
             states[parts[1]] = None
             continue
         if len(parts) != 3:
-            raise FunctorParseError(
-                f"line {lineno}: expected `x label y` or `state x`")
+            raise FunctorParseError("expected `x label y` or `state x`",
+                                    lineno, 1)
         src, label, dst = parts
         states[src] = states[dst] = None
         edges.setdefault(src, set()).add((label, dst))
@@ -806,8 +806,7 @@ def test_parse_coalgebra_file_matches_reference_reader(text):
     try:
         ref = reference_parse_coalgebra_file(text)
     except FunctorParseError as exc:
-        line = str(exc).split(":")[0].removeprefix("line ")
-        with pytest.raises(FunctorParseError, match=rf"^{line}:\d+: "):
+        with pytest.raises(FunctorParseError, match=rf"^{exc.line}:\d+: "):
             parse_coalgebra_file(text)
         return
     co = parse_coalgebra_file(text)

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clott
-from clott.parser import (KEYWORDS, _BINDER_KEYWORDS, Declaration,
-                          ParseError, parse_alg_term, parse_declarations,
-                          parse_term, parse_theory_file, token_positions,
-                          tokenize)
+from clott.parser import (KEYWORDS, _BINDER_KEYWORDS, _NAME_START, _Parser,
+                          Declaration, ParseError, parse_alg_term,
+                          parse_declarations, parse_term, parse_theory_file,
+                          position, token_positions, tokenize)
 from clott.printer import show_alg_term, show_term
 from clott.terms import _SPEC, TERM, free_names, fresh
 from clott.terms import (
@@ -117,6 +117,12 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError) as exc:
         parse_term("fun ->")
     assert exc.value.line == 1
+
+
+def test_unexpected_keyword_names_its_token_once():
+    with pytest.raises(ParseError) as exc:
+        parse_term("A + clock k -> B")
+    assert str(exc.value) == "1:5: unexpected keyword (got 'clock')"
 
 
 def test_underscore_names_binders_only():
@@ -228,6 +234,59 @@ def test_data_theory_files_parse():
         if name.endswith(".thy"):
             with open(os.path.join(data, name), encoding="utf-8") as fh:
                 parse_theory_file(fh.read())
+
+
+def reference_parse_alg_term(text: str, ops: dict[str, int]):
+    """The recursive reader that `parse_alg_term` replaced, kept as its
+    oracle: the same messages at the same positions."""
+    p = _Parser(text)
+    t = _reference_alg_term(p, ops)
+    if p.peek():
+        raise p.error("trailing input after term")
+    return t
+
+
+def _reference_alg_term(p: _Parser, ops: dict[str, int]):
+    at, name = p.pos, p.peek()
+    if name[:1] not in _NAME_START:
+        raise p.error("expected a variable or operation")
+    p.pos += 1
+    if name in ops:
+        args: list = []
+        if p.peek() == "(":
+            p.pos += 1
+            if p.peek() != ")":
+                args.append(_reference_alg_term(p, ops))
+                while p.peek() == ",":
+                    p.pos += 1
+                    args.append(_reference_alg_term(p, ops))
+            if p.peek() != ")":
+                raise p.error("expected ',' or ')' after an argument")
+            p.pos += 1
+        if len(args) != ops[name]:
+            raise ParseError(
+                f"operation {name!r} has arity {ops[name]}, got {len(args)} "
+                f"argument{'' if len(args) == 1 else 's'}",
+                *position(p.text, at))
+        return AOp(name, tuple(args))
+    return AVar(name)
+
+
+_ALG_OPS = {"f": 2, "g": 1, "c": 0}
+_ALG_SOUP = ["f", "g", "c", "x", "y", "f_1", "(", "(", ")", ")", ",", ",",
+             "{", "}", "=", "f(x, y)", "g(", "c()"]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_ALG_SOUP), max_size=12),
+       st.sampled_from(["", " "]))
+def test_alg_term_reader_matches_reference_on_soup(pieces, gap):
+    # words of [A-Za-z_][A-Za-z0-9_]* and plain spaces; messages and
+    # positions agree too
+    text = gap.join(pieces)
+    assert (_outcome(lambda t: parse_alg_term(t, _ALG_OPS), text)
+            == _outcome(lambda t: reference_parse_alg_term(t, _ALG_OPS),
+                        text))
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -635,7 +694,7 @@ class _ReferenceParser:
             self.next()
             return Const(kw)
         if kw in _REF_KEYWORDS:
-            raise self.error(f"unexpected keyword {kw!r}")
+            raise self.error("unexpected keyword")
         if kw == "_":
             raise self.error("'_' only names a binder, never a variable")
         self.next()

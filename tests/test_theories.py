@@ -422,6 +422,67 @@ def test_custom_interpret_rejected():
                   {"x": unit(LEFTZERO, "a")})
 
 
+def _v(n: str) -> AVar:
+    return AVar(n)
+
+
+def _op(o: str, *args) -> AOp:
+    return AOp(o, tuple(args))
+
+
+_MONOID_EQUATIONS = (
+    (_op("mul", _op("mul", _v("x"), _v("y")), _v("z")),
+     _op("mul", _v("x"), _op("mul", _v("y"), _v("z")))),
+    (_op("mul", _v("x"), _op("e")), _v("x")),
+    (_op("mul", _op("e"), _v("x")), _v("x")),
+)
+# the builtins as they were built by hand before `BUILTIN_THY` wrote them
+REFERENCE_BUILTINS = {
+    "semilattice": Theory(
+        "semilattice",
+        (("or", 2), ("bot", 0)),
+        (
+            (_op("or", _v("x"), _v("y")), _op("or", _v("y"), _v("x"))),
+            (_op("or", _op("or", _v("x"), _v("y")), _v("z")),
+             _op("or", _v("x"), _op("or", _v("y"), _v("z")))),
+            (_op("or", _v("x"), _v("x")), _v("x")),
+            (_op("or", _v("x"), _op("bot")), _v("x")),
+        ),
+        builtin="semilattice"),
+    "convex": Theory(
+        "convex",
+        tuple((o, 2) for o in sorted(CONVEX_WEIGHTS)),
+        (
+            (_op("c12", _v("x"), _v("x")), _v("x")),
+            (_op("c12", _v("x"), _v("y")), _op("c12", _v("y"), _v("x"))),
+            (_op("c13", _v("x"), _v("y")), _op("c23", _v("y"), _v("x"))),
+            (_op("c14", _v("x"), _v("y")), _op("c34", _v("y"), _v("x"))),
+            (_op("c12", _op("c12", _v("x"), _v("y")), _v("z")),
+             _op("c14", _v("x"), _op("c13", _v("y"), _v("z")))),
+        ),
+        builtin="convex"),
+    "monoid": Theory("monoid", (("mul", 2), ("e", 0)), _MONOID_EQUATIONS,
+                     builtin="monoid"),
+    "commutative-monoid": Theory(
+        "commutative-monoid",
+        (("mul", 2), ("e", 0)),
+        _MONOID_EQUATIONS
+        + ((_op("mul", _v("x"), _v("y")), _op("mul", _v("y"), _v("x"))),),
+        builtin="commutative-monoid"),
+    "truncation": Theory("truncation", (), ((_v("x"), _v("y")),),
+                         builtin="truncation"),
+}
+
+
+def test_builtins_written_in_thy_equal_the_reference():
+    # names, ops in order, equations, builtin tag and key order
+    assert list(BUILTINS) == list(REFERENCE_BUILTINS)
+    for name, ref in REFERENCE_BUILTINS.items():
+        t = BUILTINS[name]
+        assert (t.name, t.ops, t.equations, t.builtin) \
+            == (ref.name, ref.ops, ref.equations, ref.builtin), name
+
+
 def test_theory_from_file_validates():
     with pytest.raises(TheoryError, match="applied to 1 argument$"):
         theory_from_file({"f": 2}, [(AOp("f", (AVar("x"),)), AVar("x"))],
